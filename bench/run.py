@@ -22,7 +22,6 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -50,8 +49,6 @@ def parse_args(argv=None):
     p.add_argument("--seconds", type=float, default=25.0,
                    help="unit time to measure with --trace 0")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--setup-repeats", type=int, default=5,
-                   help="fresh interpreters timed for setup_s (median)")
     p.add_argument("--max-units", type=int, default=None,
                    help="cap on units per pass (toy-size smoke runs)")
     p.add_argument("--setup-probe", action="store_true",
@@ -98,22 +95,32 @@ def setup_probe(args) -> None:
     print(json.dumps({"assets_first_load_s": assets_s}))
 
 
-def measure_setup(args) -> tuple[list[float], list[float]]:
+# Fresh interpreters timed for setup_s, which is their median.
+SETUP_REPEATS = 5
+
+
+def measure_setup(args) -> dict[str, list[float]]:
     """Wall time of fresh interpreters that import the program, load its
-    assets and build the workload's inputs, then exit."""
+    assets and build the workload's inputs, then exit. Each wall time is
+    also scaled to reference speed by the calibration kernel timed just
+    before and just after that interpreter."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", args.workload, "--seed", str(args.seed)]
-    walls, assets_s = [], []
-    for _ in range(args.setup_repeats):
+    out = {"walls_s": [], "scaled_s": [], "assets_s": []}
+    for _ in range(SETUP_REPEATS):
+        before = [calibrate() for _ in range(3)]
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120, cwd=ROOT)
-        walls.append(time.perf_counter() - t0)
+        wall = time.perf_counter() - t0
         if proc.returncode != 0:
             raise SystemExit(f"error: setup probe failed:\n{proc.stderr}")
-        assets_s.append(json.loads(proc.stdout.splitlines()[-1])
-                        ["assets_first_load_s"])
-    return walls, assets_s
+        kernel = statistics.median(before + [calibrate() for _ in range(3)])
+        out["walls_s"].append(wall)
+        out["scaled_s"].append(wall * CALIBRATION_REF_S / kernel)
+        out["assets_s"].append(json.loads(proc.stdout.splitlines()[-1])
+                               ["assets_first_load_s"])
+    return out
 
 
 # Speed of the reference machine, defined as the one on which the
@@ -232,12 +239,12 @@ def percentile_ms(values, q) -> float:
     return float(np.percentile(values, q)) * 1e3 if values else 0.0
 
 
-def end_to_end_metrics(res, setup_walls) -> dict:
+def end_to_end_metrics(res, setup) -> dict:
     times = res["scaled_times"]
     done = len(times) - len(res["failures"])
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "setup_s": (statistics.median(setup_walls), "s"),
+        "setup_s": (statistics.median(setup["scaled_s"]), "s"),
         "units_per_s": (done / sum(times), "1/s"),
         "unit_ms.p50": (percentile_ms(times, 50), "ms"),
         "peak_rss_mb": (peak_kb / 1024.0, "MB"),
@@ -285,7 +292,6 @@ def per_layer_metrics(tracer, plain, traced, assets_s) -> dict:
     unit_s = layer(tracing.UNIT)["total_s"]
     named_s = sum(row["self_s"] for name, row in summ.items()
                   if name not in tracing.ENTRY_POINTS and name != tracing.UNIT)
-    m["trace.units"] = (layer(tracing.UNIT)["calls"], "count")
     m["trace.layer_share"] = (named_s / unit_s if unit_s else 0.0, "ratio")
     m["trace.wall_s"] = (sum(traced["times"]), "s")
     m["trace.overhead_s"] = (sum(traced["scaled_times"])
@@ -299,30 +305,27 @@ def main(argv=None) -> int:
         setup_probe(args)
         return 0
     import_program()
-    setup_walls, assets_s = measure_setup(args)
+    setup = measure_setup(args)
     import workloads
     workload = workloads.WORKLOADS[args.workload]()
     workload.load_reference()
     env = environment(args, workload)
     print(f"# {json.dumps(env)}", file=sys.stderr)
 
-    out = {"environment": env, "setup_walls_s": setup_walls}
+    out = {"environment": env, "setup": setup}
     if args.trace == 0:
         res = run_pass(workload, workload.cases(args.seed), args,
                        seconds=args.seconds)
-        metrics = end_to_end_metrics(res, setup_walls)
+        metrics = end_to_end_metrics(res, setup)
         runs = [res]
     else:
         import tracing
-        n_units = workload.trace_units
-        if args.max_units is not None:
-            n_units = min(n_units, args.max_units)
-        cases = list(itertools.islice(workload.cases(args.seed), n_units))
+        cases = workload.trace_cases(args.seed)
         plain = run_pass(workload, cases, args)
         tracer = tracing.Tracer()
         with tracer.installed():
             traced = run_pass(workload, cases, args, tracer=tracer)
-        metrics = per_layer_metrics(tracer, plain, traced, assets_s)
+        metrics = per_layer_metrics(tracer, plain, traced, setup["assets_s"])
         runs = [plain, traced]
         out["spans_file"] = str(write_spans(args, tracer))
 

@@ -26,8 +26,7 @@ import tracing  # noqa: E402
 def run_bench(script: Path, workload: str, trace: int):
     return subprocess.run(
         [sys.executable, str(script), "--workload", workload, "--seed", "3",
-         "--seconds", "1", "--trace", str(trace), "--max-units", "1",
-         "--setup-repeats", "1"],
+         "--seconds", "1", "--trace", str(trace), "--max-units", "1"],
         capture_output=True, text=True, timeout=170, cwd=script.parents[1])
 
 

@@ -12,7 +12,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +84,11 @@ class PlanPaper:
     # Pool of recorded cases; a run draws them in a seeded order and covers
     # most of the pool, so runs with different seeds see the same mix.
     pool_size = 240
-    session_every = pool_size
+    session_every = None
     round_size = 1
-    trace_units = 60  # one full rotation of categories x positions x models
+    # One period of the rotation: 60 consecutive pool indices hold every
+    # (category, CUT position, model) combination.
+    trace_units = 60
     band_width_thz = 5.0
     n_spans = 20
     case_seed = 8900
@@ -106,6 +108,12 @@ class PlanPaper:
 
     def cases(self, seed: int):
         return (self.pool_case(i) for i in _pool_order(seed, self.pool_size))
+
+    def trace_cases(self, seed: int) -> list[PlanCase]:
+        """One whole rotation: a block of ``trace_units`` consecutive pool
+        indices, the block chosen by the seed."""
+        start = seed % (self.pool_size // self.trace_units) * self.trace_units
+        return [self.pool_case(start + i) for i in range(self.trace_units)]
 
     def load_reference(self) -> None:
         with np.load(self.reference_file) as ref:
@@ -222,6 +230,9 @@ class OracleCampaign:
         return (self.pool_case(i)
                 for i in _stratified_passes(seed, costs, self.stratum))
 
+    def trace_cases(self, seed: int) -> list[OracleCase]:
+        return list(islice(self.cases(seed), self.trace_units))
+
     def load_reference(self) -> None:
         doc = json.loads(self.reference_file.read_text(encoding="utf-8"))
         self.reference = {int(k): v for k, v in doc["cases"].items()}
@@ -261,7 +272,8 @@ class OracleCampaign:
         for key, st in got["stats"].items():
             for field in ("mean", "peak"):
                 if abs(st[field] - want["stats"][key][field]) > self.tol_db:
-                    return f"{key} {field} off reference by > {self.tol_db:.3f}"
+                    return (f"{key} {field} off reference by > "
+                            f"{self.tol_db:.3f}")
         return None
 
 
@@ -315,6 +327,9 @@ class FitRoundtrip:
             yield FitCase(index=index, kind=kind,
                           heldout_seed=int(rng.integers(1, 2**31)),
                           start=ModelCoefficients(a=tuple(start.tolist())))
+
+    def trace_cases(self, seed: int) -> list[FitCase]:
+        return list(islice(self.cases(seed), self.trace_units))
 
     def load_reference(self) -> None:
         """The fit's checks need no recorded values."""
