@@ -11,75 +11,85 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import assets
-from .cfm import (beta2_acc, i_cut_coherent, i_cut_incoherent, i_xci,
-                  propagation_factor, rx_nli_psd)
+# rx_nli_psd is imported for callers that time calls through this module's
+# names (bench/tracing.py); the benchmarks here read whole truncation vectors.
+from .cfm import (coherence_bracket, comb_arrays, effective_beta2_cut,
+                  one_low_dispersion_warning, propagate, rho_cross, rho_self,
+                  rx_nli_psd, rx_nli_psd_truncations, span_integrals,
+                  span_transfer)
 from .oracle import QuadratureConfig, gn_span_psd
 from .perf import (SensitivityPolicy, UnreachableError, ase_power,
-                   cut_rx_power, max_reach_scan, snr)
+                   cut_rx_power, max_reach_scan, snr, snr_from_powers)
 from .poweropt import optimize_powers
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, generate_system
-from .types import (CfmKind, LinkSpec, ModelCoefficients, ModelVariant,
-                    ModulationFormat, phi_of_format)
+from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
 
 
 # ---------------------------------------------------------------------------
 # Benchmarks
 
 
-class CfmBenchmark:
-    """A closed-form variant used as reference model."""
+class _LastLinkBenchmark:
+    """A reference model that computes the CUT's receiver NLI PSD of every
+    truncation of a link at once.
 
-    def __init__(self, variant: ModelVariant):
-        self.variant = variant
-        self.name = variant.kind.value
+    Campaigns and fits ask about every truncation of one link before moving
+    to the next, so one slot holding the last link, matched by identity,
+    serves every repeat.
+    """
+
+    def __init__(self) -> None:
+        self._link: LinkSpec | None = None
+        self._psds: np.ndarray | None = None
+
+    def _rx_psds(self, link: LinkSpec) -> np.ndarray:
+        raise NotImplementedError
 
     def rx_psd(self, link: LinkSpec, n_end: int) -> float:
-        return rx_nli_psd(link, self.variant, n_end)
+        if not 1 <= n_end <= link.n_spans:
+            raise ValueError("n_end out of range")
+        if link is not self._link:
+            self._psds = self._rx_psds(link)
+            self._link = link
+        return float(self._psds[n_end - 1])
 
     def nli_power_w(self, link: LinkSpec, n_end: int) -> float:
         return self.rx_psd(link, n_end) * link.cut.symbol_rate
 
     def snr_db(self, link: LinkSpec, n_end: int) -> float:
-        return snr(link, self.variant, n_end)
+        return float(snr_from_powers(cut_rx_power(link, n_end),
+                                     ase_power(link, n_end),
+                                     self.nli_power_w(link, n_end)))
 
 
-class GnOracleBenchmark:
-    """2-D quadrature GN model with incoherent span accumulation.
+class CfmBenchmark(_LastLinkBenchmark):
+    """A closed-form variant used as reference model."""
 
-    Per-span PSDs are cached per link, so scanning truncations costs one
-    quadrature per span.
-    """
+    def __init__(self, variant: ModelVariant):
+        super().__init__()
+        self.variant = variant
+        self.name = variant.kind.value
+
+    def _rx_psds(self, link: LinkSpec) -> np.ndarray:
+        return rx_nli_psd_truncations(link, self.variant)
+
+
+class GnOracleBenchmark(_LastLinkBenchmark):
+    """2-D quadrature GN model with incoherent span accumulation: one
+    quadrature per span of a link, whatever truncations are asked for."""
 
     name = "gn-oracle"
 
     def __init__(self, quad: QuadratureConfig | None = None):
+        super().__init__()
         self.quad = quad or QuadratureConfig()
-        self._cache: dict[LinkSpec, list[float]] = {}
 
-    def _span_psds(self, link: LinkSpec) -> list[float]:
-        key = link
-        if key not in self._cache:
-            f_cut = link.cut.f_center
-            self._cache[key] = [
-                gn_span_psd(link.spans[n], link.comb(n), f_cut, self.quad,
-                            span_index=n)
-                for n in range(link.n_spans)]
-        return self._cache[key]
-
-    def rx_psd(self, link: LinkSpec, n_end: int) -> float:
-        psds = self._span_psds(link)
+    def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         f_cut = link.cut.f_center
-        return sum(psds[n] * propagation_factor(link, n + 1, n_end, f_cut)
-                   for n in range(n_end))
-
-    def nli_power_w(self, link: LinkSpec, n_end: int) -> float:
-        return self.rx_psd(link, n_end) * link.cut.symbol_rate
-
-    def snr_db(self, link: LinkSpec, n_end: int) -> float:
-        p_ase = ase_power(link, n_end)
-        p_nli = self.nli_power_w(link, n_end)
-        return 10.0 * math.log10(cut_rx_power(link, n_end)
-                                 / (p_ase + p_nli))
+        return propagate(span_transfer(link), [
+            gn_span_psd(link.spans[n], link.comb(n), f_cut, self.quad,
+                        span_index=n)
+            for n in range(link.n_spans)])
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,7 @@ def _variant_models(kinds: tuple[CfmKind, ...]) -> list[ModelVariant]:
     return [assets.model(k) for k in kinds]
 
 
+@one_low_dispersion_warning
 def run_campaign(cfg: CampaignConfig, benchmark,
                  policy: SensitivityPolicy | None = None) -> CampaignResult:
     """Generate, power-optimize and score systems against a benchmark.
@@ -213,6 +224,7 @@ def run_campaign(cfg: CampaignConfig, benchmark,
 # Span-increment diagnostic
 
 
+@one_low_dispersion_warning
 def span_increment_ratio(link: LinkSpec, model_a, model_b
                          ) -> list[tuple[float, float]]:
     """Per-span ratio of accumulated-NLI increments of two models.
@@ -222,7 +234,9 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
     """
     if link.n_spans < 2:
         raise ValueError("diagnostic needs at least two spans")
-    cut = link.cut
+    f_cut = link.cut.f_center
+    acc = np.cumsum([0.0] + [effective_beta2_cut(s.fiber, f_cut) * s.length_km
+                             for s in link.spans[:-1]])
     out = []
     prev_a, prev_b = 0.0, 0.0
     for n in range(1, link.n_spans + 1):
@@ -232,8 +246,7 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
         prev_a, prev_b = cur_a, cur_b
         if db == 0.0:
             continue
-        abscissa = abs(beta2_acc(link, n - 1, cut))
-        out.append((abscissa, da / db))
+        out.append((abs(float(acc[n - 1])), da / db))
     return out
 
 
@@ -274,10 +287,12 @@ class FitResult:
 class _FitData:
     """Precomputed coefficient-independent structure of the training cost.
 
-    For each system: per-span SCI bases and features, flattened XCI entry
-    bases and features, the span-to-truncation propagation matrix, the
-    (possibly truncation-dependent) SCI kernel matrix, and the benchmark
-    per-span NLI powers.
+    For each system, from the kernel's span integrals of the CUT row: the
+    self-term bases of every span and the cross-term base of every active
+    interferer and span, each propagated to every truncation and divided by
+    the benchmark NLI power there (``sci``, ``xci``: [truncation, term]),
+    plus the features the correction factors read.  A model then matches
+    the benchmark exactly when ``sci @ rho_self + xci @ rho_cross`` is one.
     """
 
     def __init__(self, kind: CfmKind):
@@ -285,52 +300,40 @@ class _FitData:
         self.systems: list[dict] = []
 
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
-        cut = link.cut
-        m_count = reach
-        sci_base = np.zeros(m_count)
-        sci_acc = np.zeros(m_count)
-        i_sci = np.zeros((m_count, m_count))  # [span m, truncation n-1]
-        prop = np.zeros((m_count, m_count))
-        xb, xphi, xacc, xroll = [], [], [], []
-        xseg = []
-        for m in range(m_count):
-            span = link.spans[m]
-            comb = link.comb(m)
-            g_cut = cut.psd(m)
-            base = ((16.0 / 27.0) * span.fiber.gamma ** 2
-                    * span.gain_lin(cut.f_center) * span.span_loss_lin * g_cut)
-            sci_base[m] = base * g_cut ** 2
-            sci_acc[m] = abs(beta2_acc(link, m, cut))
-            for n in range(m, m_count):
-                prop[m, n] = propagation_factor(link, m + 1, n + 1,
-                                                cut.f_center)
-                if self.kind.coherent_sci:
-                    i_sci[m, n] = i_cut_coherent(span, cut, n + 1)
-                else:
-                    i_sci[m, n] = i_cut_incoherent(span, cut)
-            for idx, nch in enumerate(comb):
-                if idx == link.cut_index or not nch.active:
-                    continue
-                xb.append(base * 2.0 * nch.psd(m) ** 2
-                          * i_xci(span, cut, nch))
-                xphi.append(phi_of_format(nch.format))
-                xacc.append(abs(beta2_acc(link, m, nch, cut)))
-                xroll.append(nch.roll_off)
-                xseg.append(m)
+        ch = comb_arrays(link)
+        c = link.cut_index
+        g = ch.power / ch.rate
+        others = np.arange(len(ch.f)) != c
+        sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
+        xb, xacc, xidx = [], [], []
+        for m, s in zip(range(reach), span_integrals(link, ch)):
+            idx = np.flatnonzero(ch.active[m] & others)
+            base = s.prefactor * g[m, c]
+            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[c]
+            if self.kind.coherent_sci:
+                sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[c]
+            sci_acc[m] = s.abs_acc[c, c]
+            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[c, idx])
+            xacc.append(s.abs_acc[c, idx])
+            xidx.append(idx)
+        span_of_x = np.repeat(np.arange(reach), [i.size for i in xidx])
+        idx = np.concatenate(xidx)
+        brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])
+        # [truncation, span] propagation, in units of the benchmark power.
+        prop = (propagate(span_transfer(link)[:reach], np.eye(reach))
+                * (ch.rate[c] / p_bmk)[:, None])
         self.systems.append({
-            "rate": cut.symbol_rate,
-            "phi_cut": phi_of_format(cut.format),
-            "roll_cut": cut.roll_off,
-            "sci_base": sci_base, "sci_acc": sci_acc,
-            "i_sci": i_sci, "prop": prop,
-            "xb": np.array(xb), "xphi": np.array(xphi),
-            "xacc": np.array(xacc), "xroll": np.array(xroll),
-            "xseg": np.array(xseg, dtype=int), "m_count": m_count,
-            "p_bmk": p_bmk,
+            "sci": prop * (sci_inc + brackets[:, None] * sci_coh),
+            "xci": prop[:, span_of_x] * np.concatenate(xb),
+            "rate": ch.rate[c], "phi_cut": ch.phi[c], "roll_cut": ch.roll[c],
+            "sci_acc": sci_acc, "xphi": ch.phi[idx],
+            "xacc": np.concatenate(xacc), "xroll": ch.roll[idx],
+            "m_count": reach,
         })
 
     def cost(self, a: np.ndarray) -> float:
-        """Sum over systems and spans of the squared relative NLI-power error.
+        """Sum over systems and truncations of the squared relative
+        NLI-power error.
 
         Wild simplex trial points can overflow to inf/NaN; those propagate
         into a non-finite cost, which the optimizer treats as arbitrarily bad.
@@ -339,28 +342,12 @@ class _FitData:
         total = 0.0
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for s in self.systems:
-                br = np.maximum(s["xacc"] + a[6], 1e-12)
-                rho_x = (a[0] + a[1] * _safe_pow(s["xphi"], a[2])
-                         + a[3] * _safe_pow(s["xphi"], a[4])
-                         * (1.0 + a[5] * br ** a[7]))
-                br_c = np.maximum(s["sci_acc"] + a[16], 1e-12)
-                rho_c = (a[8] + a[9] * _safe_pow(s["phi_cut"], a[10])
-                         + a[11] * _safe_pow(s["phi_cut"], a[12])
-                         * (1.0 + a[13] * s["rate"] ** a[14]
-                            + a[15] * br_c ** a[17]))
-                if kind is CfmKind.CFM4:
-                    rho_x = rho_x * (1.0
-                                     + a[18] * _safe_pow(s["roll_cut"], a[19])
-                                     + a[20] * _safe_pow(s["xroll"], a[21]))
-                    rho_c = rho_c * (1.0
-                                     + a[22] * _safe_pow(s["roll_cut"], a[23]))
-                xterm = np.bincount(s["xseg"], weights=s["xb"] * rho_x,
-                                    minlength=s["m_count"])
-                sci = s["sci_base"] * rho_c
-                p = s["rate"] * ((s["prop"] * s["i_sci"]).T @ sci
-                                 + s["prop"].T @ xterm)
-                rel = (p - s["p_bmk"]) / s["p_bmk"]
-                total += float(np.dot(rel, rel))
+                rho_x = rho_cross(kind, a, s["xphi"], s["roll_cut"],
+                                  s["xroll"])(s["xacc"])
+                rho_c = rho_self(kind, a, s["phi_cut"], s["rate"],
+                                 s["roll_cut"])(s["sci_acc"])
+                rel = s["sci"] @ rho_c + s["xci"] @ rho_x - 1.0
+                total += float(rel @ rel)
         return total
 
     @property
@@ -368,15 +355,7 @@ class _FitData:
         return sum(s["m_count"] for s in self.systems)
 
 
-def _safe_pow(base, exponent: float):
-    b = np.asarray(base, dtype=float)
-    out = np.power(b, exponent, where=(b != 0.0) | (exponent <= 0.0),
-                   out=np.zeros_like(b))
-    if exponent == 0.0:
-        out = np.where(b == 0.0, 1.0, out)
-    return out
-
-
+@one_low_dispersion_warning
 def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark,
                    policy: SensitivityPolicy | None = None
                    ) -> tuple[_FitData, tuple[int, ...]]:

@@ -5,18 +5,26 @@ term and one cross-interference term per co-propagating channel, each built
 from asinh closed forms of the underlying four-wave-mixing integrals.
 CFM2-CFM4 multiply those terms by fitted correction factors; CFM3/CFM4
 additionally model coherent accumulation of the self term.
+
+:func:`nli_terms` computes all of it in one pass over the spans, for every
+channel as CUT; :func:`propagate` carries per-span values to the receiver of
+every truncation.  The PSD functions at the end are views on the two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.special import sici
 
-from .types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                    ModelVariant, SpanConfig, phi_of_format)
+from .types import (CfmKind, FiberParams, LinkSpec, ModelVariant,
+                    ValidationError, phi_of_format)
 
 # Validity bound: below this effective |beta2| (ps^2/km) the closed forms
 # degrade and results are flagged rather than trusted.
@@ -24,10 +32,6 @@ MIN_ABS_BETA2 = 2.5
 
 # Guard floor for bracket bases raised to fitted exponents.
 _BRACKET_FLOOR = 1e-12
-
-# Floor for effective-dispersion magnitudes in the vectorized path, where a
-# single zero-crossing pair must not poison the whole array.
-_BETA2_FLOOR = 1e-9
 
 
 class ZeroDispersionError(ArithmeticError):
@@ -43,8 +47,9 @@ def effective_beta2_cut(fiber: FiberParams, f_cut: float) -> float:
     return fiber.beta2 + math.pi * fiber.beta3 * (2.0 * f_cut - 2.0 * fiber.f_ref)
 
 
-def effective_beta2_xci(fiber: FiberParams, f_nch: float, f_cut: float) -> float:
-    """Effective dispersion (ps^2/km) for an interferer/CUT pair."""
+def effective_beta2_xci(fiber: FiberParams, f_nch, f_cut):
+    """Effective dispersion (ps^2/km) for an interferer/CUT pair; frequency
+    arrays broadcast."""
     return fiber.beta2 + math.pi * fiber.beta3 * (f_nch + f_cut - 2.0 * fiber.f_ref)
 
 
@@ -60,26 +65,6 @@ def sine_integral(x: float) -> float:
     return float(sici(x)[0])
 
 
-def _check_beta2(b2: float) -> float:
-    mag = abs(b2)
-    if mag == 0.0:
-        raise ZeroDispersionError("zero effective dispersion")
-    if mag < MIN_ABS_BETA2:
-        warnings.warn(
-            f"effective |beta2| = {mag:.3g} ps^2/km is below the recommended "
-            f"{MIN_ABS_BETA2} ps^2/km validity bound", LowDispersionWarning,
-            stacklevel=3)
-    return mag
-
-
-def i_cut_incoherent(span: SpanConfig, cut: ChannelSpec) -> float:
-    """Self-interference kernel integral, incoherent accumulation form."""
-    b2 = _check_beta2(effective_beta2_cut(span.fiber, cut.f_center))
-    two_alpha = span.fiber.two_alpha
-    arg = (math.pi ** 2 / 2.0) * (b2 / two_alpha) * cut.symbol_rate ** 2
-    return math.asinh(arg) / (2.0 * math.pi * b2 * two_alpha)
-
-
 def coherence_bracket(n_span_total: int) -> float:
     """HN(N-1) + (1-N)/N; zero at N = 1."""
     if n_span_total < 1:
@@ -87,97 +72,314 @@ def coherence_bracket(n_span_total: int) -> float:
     return harmonic_number(n_span_total - 1) + (1 - n_span_total) / n_span_total
 
 
-def i_cut_coherent(span: SpanConfig, cut: ChannelSpec,
-                   n_span_total: int) -> float:
-    """Self-interference kernel with the coherent-accumulation correction.
+# ---------------------------------------------------------------------------
+# Low-dispersion policy
 
-    The CUT bandwidth is taken equal to its symbol rate, matching the
-    incoherent form.  At ``n_span_total == 1`` the correction is exactly zero
-    and the value coincides with :func:`i_cut_incoherent`.
+_LOW_DISPERSION_MESSAGE = (f"effective |beta2| is below the recommended "
+                           f"{MIN_ABS_BETA2} ps^2/km validity bound")
+
+# Set while a function wrapped by one_low_dispersion_warning runs: checks
+# made inside it record a low value here and leave the warning to it.
+_low_dispersion_seen: ContextVar[list | None] = ContextVar(
+    "low_dispersion_seen", default=None)
+
+
+def check_dispersion(min_abs_beta2) -> None:
+    """Apply the low-dispersion policy to the smallest effective |beta2|
+    (ps^2/km) among the terms a call returns.
+
+    Exactly zero makes the closed forms singular and raises
+    :class:`ZeroDispersionError`; a value below :data:`MIN_ABS_BETA2` emits
+    a :class:`LowDispersionWarning`.
     """
-    b2 = _check_beta2(effective_beta2_cut(span.fiber, cut.f_center))
-    two_alpha = span.fiber.two_alpha
-    alpha = two_alpha / 2.0
-    b_cut = cut.symbol_rate
-    asinh_term = math.asinh((math.pi ** 2 / 4.0) * (b2 / alpha) * b_cut ** 2)
-    bracket = coherence_bracket(n_span_total)
-    corr = 0.0
-    if bracket != 0.0:
-        si = sine_integral(math.pi ** 2 * b2 * span.length_km * b_cut ** 2)
-        corr = 2.0 * si / (math.pi * alpha * span.length_km) * bracket
-    return (asinh_term + corr) / (2.0 * math.pi * b2 * two_alpha)
+    low = float(np.min(min_abs_beta2, initial=np.inf))
+    if low == 0.0:
+        raise ZeroDispersionError("zero effective dispersion")
+    if low < MIN_ABS_BETA2:
+        seen = _low_dispersion_seen.get()
+        if seen is None:
+            warnings.warn(_LOW_DISPERSION_MESSAGE, LowDispersionWarning,
+                          stacklevel=3)
+        else:
+            seen.append(low)
 
 
-def i_xci(span: SpanConfig, cut: ChannelSpec, nch: ChannelSpec) -> float:
-    """Cross-interference kernel integral for one interfering channel."""
-    b2 = _check_beta2(effective_beta2_xci(span.fiber, nch.f_center, cut.f_center))
-    two_alpha = span.fiber.two_alpha
-    scale = math.pi ** 2 * (b2 / two_alpha) * cut.symbol_rate
-    df = nch.f_center - cut.f_center
-    hi = math.asinh(scale * (df + nch.symbol_rate / 2.0))
-    lo = math.asinh(scale * (df - nch.symbol_rate / 2.0))
-    return (hi - lo) / (4.0 * math.pi * b2 * two_alpha)
+def one_low_dispersion_warning(fn):
+    """Let ``fn`` emit at most one :class:`LowDispersionWarning`, however
+    many of the evaluations it makes fall below the validity bound."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _low_dispersion_seen.get() is not None:
+            return fn(*args, **kwargs)
+        token = _low_dispersion_seen.set([])
+        try:
+            out = fn(*args, **kwargs)
+            seen = _low_dispersion_seen.get()
+        finally:
+            _low_dispersion_seen.reset(token)
+        if seen:
+            warnings.warn(_LOW_DISPERSION_MESSAGE, LowDispersionWarning,
+                          stacklevel=2)
+        return out
+    return wrapper
 
 
-def beta2_acc(link: LinkSpec, span_index: int, channel: ChannelSpec,
-              cut: ChannelSpec | None = None) -> float:
-    """Accumulated effective dispersion (ps^2) at the input of a span.
+# ---------------------------------------------------------------------------
+# Correction factors
 
-    Sums the pairwise effective dispersion of ``channel`` against ``cut``
-    (``channel`` itself when no CUT is given) over spans before
-    ``span_index`` (0-based); zero at the first span.
+
+def zero_safe_pow(base, exponent: float):
+    """Element-wise ``base ** exponent`` with ``0 ** p = 0`` for p > 0."""
+    b = np.asarray(base, dtype=float)
+    return np.power(b, exponent, where=(b != 0.0) | (exponent <= 0.0),
+                    out=np.zeros_like(b))
+
+
+def rho_cross(kind: CfmKind, a, phi_nch, roll_cut, roll_nch):
+    """Correction factor of a cross-interference term (CFM2-CFM4), as a
+    function of the |accumulated dispersion| (ps^2) of the interferer/CUT
+    pair at the span input, the one feature that changes from span to span.
+
+    ``a`` holds the coefficients a1..a24 0-based.  Arguments broadcast.
     """
-    f_other = (cut or channel).f_center
-    total = 0.0
-    for k in range(span_index):
-        span = link.spans[k]
-        total += effective_beta2_xci(span.fiber, channel.f_center, f_other) \
-            * span.length_km
-    return total
+    offset = a[0] + a[1] * zero_safe_pow(phi_nch, a[2])
+    scale = a[3] * zero_safe_pow(phi_nch, a[4])
+    roll = None
+    if kind is CfmKind.CFM4:
+        roll = (1.0 + a[18] * zero_safe_pow(roll_cut, a[19])
+                + a[20] * zero_safe_pow(roll_nch, a[21]))
+
+    def rho(abs_acc):
+        br = np.maximum(abs_acc + a[6], _BRACKET_FLOOR)
+        out = offset + scale * (1.0 + a[5] * br ** a[7])
+        return out if roll is None else out * roll
+    return rho
 
 
-def _pow(base: float, exponent: float) -> float:
-    if base == 0.0 and exponent > 0.0:
-        return 0.0
-    return base ** exponent
+def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
+    """Correction factor of the self-interference term (CFM2-CFM4), as a
+    function of the CUT's |accumulated dispersion|; see :func:`rho_cross`."""
+    offset = a[8] + a[9] * zero_safe_pow(phi_cut, a[10])
+    scale = a[11] * zero_safe_pow(phi_cut, a[12])
+    rate_term = 1.0 + a[13] * rate ** a[14]
+    roll = None
+    if kind is CfmKind.CFM4:
+        roll = 1.0 + a[22] * zero_safe_pow(roll_cut, a[23])
+
+    def rho(abs_acc):
+        br = np.maximum(abs_acc + a[16], _BRACKET_FLOOR)
+        out = offset + scale * (rate_term + a[15] * br ** a[17])
+        return out if roll is None else out * roll
+    return rho
 
 
-def _bracket(abs_b2_acc: float, offset: float) -> float:
-    return max(abs_b2_acc + offset, _BRACKET_FLOOR)
+# ---------------------------------------------------------------------------
+# Propagation
 
 
-def rho_xci(variant: ModelVariant, link: LinkSpec, span_index: int,
-            nch: ChannelSpec, cut: ChannelSpec) -> float:
-    """Correction factor for one cross-interference term."""
-    if variant.kind is CfmKind.CFM1:
-        return 1.0
-    a = variant.coefficients
-    phi = phi_of_format(nch.format)
-    acc = abs(beta2_acc(link, span_index, nch, cut))
-    core = (a[1] + a[2] * _pow(phi, a[3])
-            + a[4] * _pow(phi, a[5])
-            * (1.0 + a[6] * _bracket(acc, a[7]) ** a[8]))
-    if variant.kind is CfmKind.CFM4:
-        core *= (1.0 + a[19] * _pow(cut.roll_off, a[20])
-                 + a[21] * _pow(nch.roll_off, a[22]))
-    return core
+def span_transfer(link: LinkSpec) -> np.ndarray:
+    """Lumped gain times fiber loss of every span (flat in frequency)."""
+    return np.array([s.gain_lin(0.0) * s.span_loss_lin for s in link.spans])
 
 
-def rho_sci(variant: ModelVariant, link: LinkSpec, span_index: int,
-            cut: ChannelSpec) -> float:
-    """Correction factor for the self-interference term."""
-    if variant.kind is CfmKind.CFM1:
-        return 1.0
-    a = variant.coefficients
-    phi = phi_of_format(cut.format)
-    acc = abs(beta2_acc(link, span_index, cut))
-    core = (a[9] + a[10] * _pow(phi, a[11])
-            + a[12] * _pow(phi, a[13])
-            * (1.0 + a[14] * _pow(cut.symbol_rate, a[15])
-               + a[16] * _bracket(acc, a[17]) ** a[18]))
-    if variant.kind is CfmKind.CFM4:
-        core *= 1.0 + a[23] * _pow(cut.roll_off, a[24])
-    return core
+def propagate(transfer: np.ndarray, terms) -> np.ndarray:
+    """Receiver values of every truncation from per-span values.
+
+    ``terms[n]`` is added at the end of span ``n`` and scaled by the
+    transfer of every later span: ``out[k] = transfer[k] * out[k - 1] +
+    terms[k]``, so ``out[k]`` is the value after spans ``0..k``.
+    """
+    terms = np.asarray(terms, dtype=float)
+    out = np.empty_like(terms)
+    acc = 0.0
+    for n, t in enumerate(transfer):
+        acc = t * acc + terms[n]
+        out[n] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+
+
+@dataclass(frozen=True)
+class CombArrays:
+    """Channel parameters from ``combs[0]``; launch power (zero where
+    inactive) and activity as ``[span, channel]`` matrices."""
+
+    f: np.ndarray
+    rate: np.ndarray
+    roll: np.ndarray
+    phi: np.ndarray
+    power: np.ndarray
+    active: np.ndarray
+
+
+def comb_arrays(link: LinkSpec) -> CombArrays:
+    """Array view of the link's combs; every span must list the same
+    channels (frequency, rate, roll-off, format) as the first."""
+    first = link.combs[0]
+    key = [(c.f_center, c.symbol_rate, c.roll_off, c.format) for c in first]
+    for n, comb in enumerate(link.combs):
+        if comb is not first and key != [
+                (c.f_center, c.symbol_rate, c.roll_off, c.format)
+                for c in comb]:
+            raise ValidationError(
+                f"comb of span {n} lists other channels than span 0")
+    return CombArrays(
+        f=np.array([c.f_center for c in first]),
+        rate=np.array([c.symbol_rate for c in first]),
+        roll=np.array([c.roll_off for c in first]),
+        phi=np.array([phi_of_format(c.format) for c in first]),
+        power=np.array([[c.power_w_per_span[n] if c.active else 0.0
+                         for c in comb] for n, comb in enumerate(link.combs)]),
+        active=np.array([[c.active for c in comb] for comb in link.combs]))
+
+
+@dataclass(frozen=True)
+class SpanIntegrals:
+    """Closed-form kernel integrals of one span for every channel pair; row
+    index = CUT, column = interferer."""
+
+    prefactor: float  # 16/27 gamma^2 times the span's gain and loss
+    abs_beta2: np.ndarray  # |effective beta2| (ps^2/km)
+    abs_acc: np.ndarray  # |accumulated dispersion| (ps^2) at the span input
+    i_cross: np.ndarray
+    i_self: np.ndarray  # [channel], incoherent accumulation
+    i_coherent: np.ndarray  # [channel], coefficient of coherence_bracket
+
+
+def span_integrals(link: LinkSpec, ch: CombArrays) -> Iterator[SpanIntegrals]:
+    """The integrals of every span in order.  A pair with zero dispersion
+    gives inf or NaN entries; callers mask the ones they do not use."""
+    f, rate = ch.f, ch.rate
+    df = f[None, :] - f[:, None]
+    upper = df + rate[None, :] / 2.0
+    lower = df - rate[None, :] / 2.0
+    acc = np.zeros(df.shape)
+    for span, t in zip(link.spans, span_transfer(link)):
+        fib = span.fiber
+        two_alpha = fib.two_alpha
+        b2 = effective_beta2_xci(fib, f[None, :], f[:, None])
+        m = np.abs(b2)
+        d = np.diagonal(m)
+        scale = math.pi ** 2 * (m / two_alpha) * rate[:, None]
+        den = 2.0 * math.pi * d * two_alpha
+        arg = (math.pi ** 2 / 2.0) * (d / two_alpha) * rate ** 2
+        si = sici(math.pi ** 2 * d * span.length_km * rate ** 2)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = SpanIntegrals(
+                prefactor=(16.0 / 27.0) * fib.gamma ** 2 * t,
+                abs_beta2=m, abs_acc=np.abs(acc),
+                i_cross=(np.arcsinh(scale * upper)
+                         - np.arcsinh(scale * lower))
+                / (4.0 * math.pi * m * two_alpha),
+                i_self=np.arcsinh(arg) / den,
+                i_coherent=2.0 * si / (math.pi * (two_alpha / 2.0)
+                                       * span.length_km) / den)
+        yield out
+        acc = acc + b2 * span.length_km
+
+
+@dataclass(frozen=True)
+class NliTerms:
+    """Per-span NLI of one link with every channel taken as CUT.
+
+    For a link truncated after ``n_end`` spans, span ``n`` adds the PSD
+    ``base[n, c] + coherence_bracket(n_end) * coherent[n, c]`` (W/THz) at
+    channel ``c``; ``transfer[n]`` is the span's gain times its loss.
+    """
+
+    transfer: np.ndarray  # [span]
+    base: np.ndarray  # [span, channel]
+    coherent: np.ndarray  # [span, channel]; zero unless CFM3/CFM4
+    rows: np.ndarray  # [channel]: active at every span, so a possible CUT
+    min_abs_beta2: np.ndarray  # [channel]: smallest |beta2| a row's terms use
+
+    def rx_psd(self) -> np.ndarray:
+        """Receiver NLI PSD (W/THz) as ``[n_end - 1, channel]``, for every
+        truncation; NaN in the columns of channels that cannot be CUT."""
+        brackets = np.array([coherence_bracket(n)
+                             for n in range(1, len(self.transfer) + 1)])
+        out = (propagate(self.transfer, self.base)
+               + brackets[:, None] * propagate(self.transfer, self.coherent))
+        out[:, ~self.rows] = np.nan
+        return out
+
+
+def nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
+    """The NLI kernel: one pass over the spans, every channel as CUT.
+
+    Applies no low-dispersion policy, since only the caller knows which rows
+    it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
+    A row with a zero-dispersion term holds inf or NaN.
+    """
+    ch = comb_arrays(link)
+    kind = variant.kind
+    cross_factor = self_factor = lambda abs_acc: 1.0  # CFM1
+    if kind is not CfmKind.CFM1:
+        a = variant.coefficients.a
+        cross_factor = rho_cross(kind, a, ch.phi[None, :], ch.roll[:, None],
+                                 ch.roll[None, :])
+        self_factor = rho_self(kind, a, ch.phi, ch.rate, ch.roll)
+    g = ch.power / ch.rate  # [span, channel] effective PSDs
+    n_spans, nc = g.shape
+    base = np.empty((n_spans, nc))
+    coherent = np.zeros((n_spans, nc))
+    min_abs_beta2 = np.full(nc, np.inf)
+    with np.errstate(invalid="ignore"):
+        for n, s in enumerate(span_integrals(link, ch)):
+            act = ch.active[n]
+            g2 = g[n] ** 2
+            # Inactive interferers and the diagonal are no cross terms; zero
+            # them so that their entries cannot turn a row NaN.
+            xci = cross_factor(s.abs_acc) * s.i_cross
+            xci[:, ~act] = 0.0
+            np.fill_diagonal(xci, 0.0)
+            sci = self_factor(np.diagonal(s.abs_acc)) * g2
+            base[n] = s.prefactor * g[n] * (sci * s.i_self + 2.0 * (xci @ g2))
+            if kind.coherent_sci:
+                coherent[n] = s.prefactor * g[n] * sci * s.i_coherent
+            np.minimum(min_abs_beta2,
+                       s.abs_beta2[:, act].min(axis=1, initial=np.inf),
+                       out=min_abs_beta2)
+    return NliTerms(transfer=span_transfer(link), base=base,
+                    coherent=coherent, rows=ch.active.all(axis=0),
+                    min_abs_beta2=min_abs_beta2)
+
+
+# ---------------------------------------------------------------------------
+# Views
+
+
+def _check_n_end(link: LinkSpec, n_end: int) -> None:
+    if not 1 <= n_end <= link.n_spans:
+        raise ValueError("n_end out of range")
+
+
+def cut_nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
+    """The kernel, with the low-dispersion policy applied to the CUT row."""
+    terms = nli_terms(link, variant)
+    if not terms.rows[link.cut_index]:
+        raise ValidationError("CUT inactive in some span")
+    check_dispersion(terms.min_abs_beta2[link.cut_index])
+    return terms
+
+
+def rx_nli_psd_truncations(link: LinkSpec, variant: ModelVariant
+                           ) -> np.ndarray:
+    """CUT NLI PSD (W/THz) at the receiver after 1, 2, ..., n_spans spans.
+
+    The coherent self-term of CFM3/CFM4 is evaluated with the truncated span
+    count for every span.
+    """
+    return cut_nli_terms(link, variant).rx_psd()[:, link.cut_index]
+
+
+def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
+    """Accumulated NLI PSD (W/THz) at the receiver of the truncated link."""
+    _check_n_end(link, n_end)
+    return float(rx_nli_psd_truncations(link, variant)[n_end - 1])
 
 
 def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
@@ -187,168 +389,24 @@ def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
     ``n_span_total`` binds the coherent self-term span count for CFM3/CFM4;
     it defaults to the full link length.
     """
-    span = link.spans[span_index]
-    comb = link.comb(span_index)
-    cut = comb[link.cut_index]
     if n_span_total is None:
         n_span_total = link.n_spans
-
-    if variant.kind.coherent_sci:
-        i_cut = i_cut_coherent(span, cut, n_span_total)
-    else:
-        i_cut = i_cut_incoherent(span, cut)
-    g_cut = cut.psd(span_index)
-    acc = rho_sci(variant, link, span_index, cut) * g_cut ** 2 * i_cut
-
-    for idx, nch in enumerate(comb):
-        if idx == link.cut_index or not nch.active:
-            continue
-        g_nch = nch.psd(span_index)
-        acc += (2.0 * rho_xci(variant, link, span_index, nch, cut)
-                * g_nch ** 2 * i_xci(span, cut, nch))
-
-    prefactor = ((16.0 / 27.0) * span.fiber.gamma ** 2
-                 * span.gain_lin(cut.f_center) * span.span_loss_lin)
-    return prefactor * g_cut * acc
-
-
-def propagation_factor(link: LinkSpec, first: int, last: int,
-                       f_thz: float) -> float:
-    """Power gain/loss product of spans ``first..last-1`` (0-based, half-open)."""
-    out = 1.0
-    for k in range(first, last):
-        span = link.spans[k]
-        out *= span.gain_lin(f_thz) * span.span_loss_lin
-    return out
-
-
-def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
-    """Accumulated NLI PSD (W/THz) at the receiver of the truncated link.
-
-    The coherent self-term of CFM3/CFM4 is evaluated with the truncated
-    span count ``n_end`` for every span.
-    """
-    if not 1 <= n_end <= link.n_spans:
-        raise ValueError("n_end out of range")
-    f_cut = link.cut.f_center
-    total = 0.0
-    for n in range(n_end):
-        term = span_nli_psd(link, n, variant, n_span_total=n_end)
-        total += term * propagation_factor(link, n + 1, n_end, f_cut)
-    return total
-
-
-def _combs_span_invariant(link: LinkSpec) -> bool:
-    first = link.combs[0]
-    return all(c is first or c == first for c in link.combs[1:])
+    terms = cut_nli_terms(link, variant)
+    cut = link.cut_index
+    return float(terms.base[span_index, cut] + coherence_bracket(n_span_total)
+                 * terms.coherent[span_index, cut])
 
 
 def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
                             n_end: int | None = None) -> np.ndarray:
-    """Receiver NLI PSD with every active channel treated as CUT in turn.
-
-    Vectorized over channel pairs; requires the comb to be identical at
-    every span (the generated/test-set systems satisfy this).  Inactive
-    channels yield NaN.
-    """
+    """Receiver NLI PSD with every active channel treated as CUT in turn;
+    channels inactive in some span yield NaN."""
     if n_end is None:
         n_end = link.n_spans
-    if not 1 <= n_end <= link.n_spans:
-        raise ValueError("n_end out of range")
-    if not _combs_span_invariant(link):
-        raise ValueError("vectorized evaluation requires span-invariant combs")
-
-    comb = link.combs[0]
-    nc = len(comb)
-    f = np.array([c.f_center for c in comb])
-    rate = np.array([c.symbol_rate for c in comb])
-    roll = np.array([c.roll_off for c in comb])
-    phi = np.array([phi_of_format(c.format) for c in comb])
-    act = np.array([c.active for c in comb], dtype=bool)
-    powers = np.array([[c.power_w_per_span[n] if c.active else 0.0
-                        for c in comb] for n in range(n_end)])
-    g = powers / rate  # [n, c] effective PSDs
-
-    kind = variant.kind
-    a = variant.coefficients.a if kind is not CfmKind.CFM1 else None
-
-    total = np.zeros(nc)
-    acc_b2 = np.zeros((nc, nc))  # pairwise accumulated dispersion (ps^2)
-    # Backward propagation factors from end of span n to Rx (flat gains).
-    prop = np.ones(n_end)
-    for n in range(n_end - 1, 0, -1):
-        span = link.spans[n]
-        prop[n - 1] = prop[n] * span.gain_lin(0.0) * span.span_loss_lin
-
-    eye = np.eye(nc, dtype=bool)
-    for n in range(n_end):
-        span = link.spans[n]
-        fib = span.fiber
-        two_alpha = fib.two_alpha
-        # Pairwise effective dispersion; row index = CUT, column = interferer.
-        m = fib.beta2 + math.pi * fib.beta3 * (f[:, None] + f[None, :]
-                                               - 2.0 * fib.f_ref)
-        m_abs = np.maximum(np.abs(m), _BETA2_FLOOR)
-
-        scale = math.pi ** 2 * (m_abs / two_alpha) * rate[:, None]
-        df = f[None, :] - f[:, None]
-        i_mat = (np.arcsinh(scale * (df + rate[None, :] / 2.0))
-                 - np.arcsinh(scale * (df - rate[None, :] / 2.0))) \
-            / (4.0 * math.pi * m_abs * two_alpha)
-
-        b2_diag = np.diagonal(m_abs)
-        arg = (math.pi ** 2 / 2.0) * (b2_diag / two_alpha) * rate ** 2
-        i_sci = np.arcsinh(arg) / (2.0 * math.pi * b2_diag * two_alpha)
-        if kind.coherent_sci:
-            bracket = coherence_bracket(n_end)
-            if bracket != 0.0:
-                si = sici(math.pi ** 2 * b2_diag * span.length_km
-                          * rate ** 2)[0]
-                alpha = two_alpha / 2.0
-                i_sci = i_sci + si * 2.0 * bracket \
-                    / (math.pi * alpha * span.length_km) \
-                    / (2.0 * math.pi * b2_diag * two_alpha)
-
-        if kind is CfmKind.CFM1:
-            rho_mat = np.ones((nc, nc))
-            rho_cut = np.ones(nc)
-        else:
-            br = np.maximum(np.abs(acc_b2) + a[6], _BRACKET_FLOOR)
-            rho_mat = (a[0] + a[1] * _pow_arr(phi, a[2])[None, :]
-                       + a[3] * _pow_arr(phi, a[4])[None, :]
-                       * (1.0 + a[5] * br ** a[7]))
-            br_cut = np.maximum(np.abs(np.diagonal(acc_b2)) + a[16],
-                                _BRACKET_FLOOR)
-            rho_cut = (a[8] + a[9] * _pow_arr(phi, a[10])
-                       + a[11] * _pow_arr(phi, a[12])
-                       * (1.0 + a[13] * rate ** a[14]
-                          + a[15] * br_cut ** a[17]))
-            if kind is CfmKind.CFM4:
-                rho_mat = rho_mat * (1.0 + a[18] * _pow_arr(roll, a[19])[:, None]
-                                     + a[20] * _pow_arr(roll, a[21])[None, :])
-                rho_cut = rho_cut * (1.0 + a[22] * _pow_arr(roll, a[23]))
-
-        g_n = g[n]
-        xci = rho_mat * (g_n ** 2)[None, :] * i_mat
-        xci[:, ~act] = 0.0
-        xci[eye] = 0.0
-        sci = rho_cut * g_n ** 2 * i_sci
-        prefactor = ((16.0 / 27.0) * fib.gamma ** 2
-                     * span.gain_lin(0.0) * span.span_loss_lin)
-        total += prefactor * g_n * (sci + 2.0 * xci.sum(axis=1)) * prop[n]
-
-        acc_b2 += m * span.length_km
-
-    total[~act] = np.nan
-    return total
-
-
-def _pow_arr(base: np.ndarray, exponent: float) -> np.ndarray:
-    out = np.power(base, exponent, where=(base != 0.0) | (exponent <= 0.0),
-                   out=np.zeros_like(base, dtype=float))
-    if exponent == 0.0:
-        out[base == 0.0] = 1.0
-    return out
+    _check_n_end(link, n_end)
+    terms = nli_terms(link, variant)
+    check_dispersion(terms.min_abs_beta2[terms.rows])
+    return terms.rx_psd()[n_end - 1]
 
 
 def cut_min_abs_beta2(link: LinkSpec) -> float:

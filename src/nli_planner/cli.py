@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import fileio
 from .campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                        GnOracleBenchmark, fit_coefficients, run_campaign)
-from .cfm import ZeroDispersionError
+from .cfm import ZeroDispersionError, one_low_dispersion_warning
 from .oracle import QuadratureConfig, QuadratureError, gn_rx_psd
 from .perf import (SensitivityPolicy, UnreachableError, evaluate_all_channels,
                    max_reach, snr_report)
@@ -30,19 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
-
-
-def _resolve_threads(value: int | None) -> int:
-    """--threads beats NLI_PLANNER_THREADS beats 1."""
-    if value is None:
-        env = os.environ.get("NLI_PLANNER_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise ValueError("thread count must be >= 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(value))
-    return value
 
 
 def _variant(args) -> "CfmKind":
@@ -69,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nli-planner",
         description="Closed-form NLI models for coherent WDM link planning")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker/BLAS thread cap "
-                             "(default: NLI_PLANNER_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="draw a randomized system")
@@ -251,6 +234,7 @@ _COMMANDS = {"generate": _cmd_generate, "evaluate": _cmd_evaluate,
              "oracle": _cmd_oracle}
 
 
+@one_low_dispersion_warning
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -258,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _resolve_threads(args.threads)
         return _COMMANDS[args.command](args)
     except (fileio.ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import propagation_factor
+from .cfm import propagate, span_transfer
 from .types import ChannelSpec, LinkSpec, SpanConfig
 
 
@@ -176,12 +176,9 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
     to the receiver exactly like the closed-form accumulation."""
     if n_end is None:
         n_end = link.n_spans
-    total = 0.0
-    for n in range(n_end):
-        psd = gn_span_psd(link.spans[n], link.comb(n), f_eval, q,
-                          span_index=n)
-        total += psd * propagation_factor(link, n + 1, n_end, f_eval)
-    return total
+    psds = [gn_span_psd(link.spans[n], link.comb(n), f_eval, q, span_index=n)
+            for n in range(n_end)]
+    return float(propagate(span_transfer(link)[:n_end], psds)[-1])
 
 
 def nli_power_matched(f_offsets: np.ndarray, psd_samples: np.ndarray,

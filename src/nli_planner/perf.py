@@ -10,8 +10,9 @@ import numpy as np
 from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import propagation_factor, rx_nli_psd, rx_nli_psd_all_channels
-from .types import LinkSpec, ModelVariant, ModulationFormat
+from .cfm import (propagate, rx_nli_psd, rx_nli_psd_all_channels,
+                  rx_nli_psd_truncations, span_transfer)
+from .types import LinkSpec, ModelVariant, ModulationFormat, SpanConfig
 
 _THZ = 1e12  # THz and TBaud to SI
 
@@ -61,35 +62,42 @@ class ReachResult:
     snr_at_reach_db: float
 
 
+def span_ase_psd(span: SpanConfig, f_thz):
+    """ASE PSD (W/THz) the span's amplifier adds at f (THz; arrays
+    broadcast): NF * h * f * (gain - 1), nothing for gains below 1."""
+    gain = span.gain_lin(f_thz)
+    nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
+    return nf_lin * PLANCK_J_S * (f_thz * _THZ) * max(gain - 1.0, 0.0) * _THZ
+
+
+def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
+    """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans."""
+    return propagate(span_transfer(link),
+                     [span_ase_psd(s, f_thz) for s in link.spans])
+
+
 def ase_power(link: LinkSpec, n_end: int, f_thz: float | None = None,
               r_tbaud: float | None = None) -> float:
-    """Dual-polarization ASE power (W) in the matched-filter bandwidth.
-
-    Each amplifier contributes NF * h * f * (gain - 1) in PSD, propagated
-    through the remaining spans; amplifiers with gain below 1 contribute
-    nothing.
-    """
+    """Dual-polarization ASE power (W) in the matched-filter bandwidth,
+    every amplifier's noise propagated through the remaining spans."""
     if n_end < 1:
         raise ValueError("n_end must be >= 1")
     cut = link.cut
     f = cut.f_center if f_thz is None else f_thz
     r = cut.symbol_rate if r_tbaud is None else r_tbaud
-    total = 0.0
-    for k in range(n_end):
-        span = link.spans[k]
-        gain = span.gain_lin(f)
-        if gain <= 1.0:
-            continue
-        nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
-        psd_w_per_hz = nf_lin * PLANCK_J_S * (f * _THZ) * (gain - 1.0)
-        total += psd_w_per_hz * (r * _THZ) \
-            * propagation_factor(link, k + 1, n_end, f)
-    return total
+    return float(rx_ase_psd(link, f)[n_end - 1]) * r
 
 
-def nli_power_cfm(psd_w_per_thz: float, r_cut_tbaud: float) -> float:
+def nli_power_cfm(psd_w_per_thz, r_cut_tbaud):
     """Flat-PSD approximation of the matched-filter NLI power."""
     return psd_w_per_thz * r_cut_tbaud
+
+
+def snr_from_powers(p_rx, p_ase, p_nli):
+    """SNR (dB) of a received power against ASE plus NLI noise power;
+    element-wise, NaN where an input is NaN."""
+    with np.errstate(invalid="ignore"):
+        return 10.0 * np.log10(p_rx / (p_ase + p_nli))
 
 
 def cut_rx_power(link: LinkSpec, n_end: int) -> float:
@@ -102,24 +110,24 @@ def cut_rx_power(link: LinkSpec, n_end: int) -> float:
 
 def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Received SNR (dB) of the CUT, inclusive of ASE and NLI noise."""
-    p_ase = ase_power(link, n_end)
     p_nli = nli_power_cfm(rx_nli_psd(link, variant, n_end),
                           link.cut.symbol_rate)
-    return 10.0 * math.log10(cut_rx_power(link, n_end) / (p_ase + p_nli))
+    return float(snr_from_powers(cut_rx_power(link, n_end),
+                                 ase_power(link, n_end), p_nli))
 
 
 def snr_report(link: LinkSpec, variant: ModelVariant) -> SnrReport:
-    snrs, ases, nlis = [], [], []
-    for n_end in range(1, link.n_spans + 1):
-        p_ase = ase_power(link, n_end)
-        p_nli = nli_power_cfm(rx_nli_psd(link, variant, n_end),
-                              link.cut.symbol_rate)
-        snrs.append(10.0 * math.log10(cut_rx_power(link, n_end)
-                                      / (p_ase + p_nli)))
-        ases.append(p_ase)
-        nlis.append(p_nli)
-    return SnrReport(per_span_snr_db=tuple(snrs), p_ase_w=tuple(ases),
-                     p_nli_w=tuple(nlis), variant=variant)
+    """CUT SNR, ASE and NLI power after 1, 2, ..., n_spans spans."""
+    cut = link.cut
+    p_nli = nli_power_cfm(rx_nli_psd_truncations(link, variant),
+                          cut.symbol_rate)
+    p_ase = rx_ase_psd(link, cut.f_center) * cut.symbol_rate
+    p_rx = np.array([cut_rx_power(link, n)
+                     for n in range(1, link.n_spans + 1)])
+    return SnrReport(
+        per_span_snr_db=tuple(snr_from_powers(p_rx, p_ase, p_nli).tolist()),
+        p_ase_w=tuple(p_ase.tolist()), p_nli_w=tuple(p_nli.tolist()),
+        variant=variant)
 
 
 def shannon_sensitivity(mi_target: float,
@@ -151,13 +159,8 @@ def max_reach_scan(snr_fn: Callable[[int], float], n_spans: int,
 
 def max_reach(link: LinkSpec, variant: ModelVariant,
               threshold_db: float) -> ReachResult:
-    return max_reach_scan(lambda n: snr(link, variant, n), link.n_spans,
-                          threshold_db)
-
-
-def delta_snr(snr_cfm_db: float, snr_bmk_db: float) -> float:
-    """SNR estimation error (dB) of a model against a benchmark."""
-    return snr_cfm_db - snr_bmk_db
+    snrs = snr_report(link, variant).per_span_snr_db
+    return max_reach_scan(lambda n: snrs[n - 1], link.n_spans, threshold_db)
 
 
 @dataclass(frozen=True)
@@ -175,35 +178,15 @@ def evaluate_all_channels(link: LinkSpec, variant: ModelVariant,
     """Vectorized SNR of every active channel (NaN entries are inactive)."""
     if n_end is None:
         n_end = link.n_spans
-    comb = link.combs[0]
-    nc = len(comb)
-    nli_psd = rx_nli_psd_all_channels(link, variant, n_end)
+    comb = link.comb(n_end - 1)
     rate = np.array([c.symbol_rate for c in comb])
     f = np.array([c.f_center for c in comb])
-    act = np.array([c.active for c in comb], dtype=bool)
-    p_nli = nli_psd * rate
-
-    # Per-amplifier ASE, propagated with the flat span gains.
-    p_ase = np.zeros(nc)
-    for k in range(n_end):
-        span = link.spans[k]
-        gain = span.gain_lin(0.0)
-        if gain <= 1.0:
-            continue
-        nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
-        prop = 1.0
-        for j in range(k + 1, n_end):
-            s = link.spans[j]
-            prop *= s.gain_lin(0.0) * s.span_loss_lin
-        p_ase += nf_lin * PLANCK_J_S * (f * _THZ) * (gain - 1.0) \
-            * (rate * _THZ) * prop
-
+    p_nli = nli_power_cfm(rx_nli_psd_all_channels(link, variant, n_end),
+                          rate)
+    p_ase = rx_ase_psd(link, f)[n_end - 1] * rate
     last = link.spans[n_end - 1]
     p_launch = np.array([c.power_w_per_span[n_end - 1] if c.active else np.nan
                          for c in comb])
     p_rx = p_launch * last.span_loss_lin * last.gain_lin(0.0)
-    with np.errstate(invalid="ignore"):
-        snr_db = 10.0 * np.log10(p_rx / (p_ase + p_nli))
-    snr_db[~act] = np.nan
-    return ChannelEvaluation(snr_db=snr_db, p_nli_w=p_nli, p_ase_w=p_ase,
-                             p_rx_w=p_rx)
+    return ChannelEvaluation(snr_db=snr_from_powers(p_rx, p_ase, p_nli),
+                             p_nli_w=p_nli, p_ase_w=p_ase, p_rx_w=p_rx)

@@ -13,14 +13,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import (i_cut_incoherent, i_xci, rx_nli_psd)
-from .perf import ase_power
-from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant, SpanConfig
-
-_THZ = 1e12
+from .cfm import cut_nli_terms, one_low_dispersion_warning, rx_nli_psd
+from .perf import ase_power, span_ase_psd
+from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant
 
 # Fallback CUT PSD (W/THz) when a span produces no NLI and the span-local
 # optimum is unbounded.
@@ -51,28 +48,19 @@ def randomize_launch(comb: tuple[ChannelSpec, ...], cut_index: int,
     return tuple(xi)
 
 
-def span_ase_psd(span: SpanConfig, f_thz: float) -> float:
-    """ASE PSD (W/THz) added by the span's amplifier."""
-    gain = span.gain_lin(f_thz)
-    if gain <= 1.0:
-        return 0.0
-    nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
-    return nf_lin * PLANCK_J_S * (f_thz * _THZ) * (gain - 1.0) * _THZ
+def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
+    """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
+    the CUT's through xi: the kernel on the link with powers xi * R."""
+    def tied(comb):
+        return tuple(ch.with_powers([x * ch.symbol_rate] * link.n_spans)
+                     for x, ch in zip(xi, comb))
 
-
-def span_eta(link: LinkSpec, span_index: int,
-             xi: tuple[float, ...]) -> float:
-    """Span NLI PSD at unit CUT PSD with all channels tied via xi (CFM1)."""
-    span = link.spans[span_index]
-    comb = link.comb(span_index)
-    cut = comb[link.cut_index]
-    acc = i_cut_incoherent(span, cut)
-    for idx, nch in enumerate(comb):
-        if idx == link.cut_index or not nch.active:
-            continue
-        acc += 2.0 * xi[idx] ** 2 * i_xci(span, cut, nch)
-    return ((16.0 / 27.0) * span.fiber.gamma ** 2
-            * span.gain_lin(cut.f_center) * span.span_loss_lin * acc)
+    first = tied(link.combs[0])
+    combs = tuple(first if comb is link.combs[0] else tied(comb)
+                  for comb in link.combs)
+    terms = cut_nli_terms(replace(link, combs=combs),
+                          assets.model(CfmKind.CFM1))
+    return terms.base[:, link.cut_index]
 
 
 def logo_optimize(link: LinkSpec,
@@ -83,14 +71,13 @@ def logo_optimize(link: LinkSpec,
         xi = tuple(1.0 for _ in link.combs[0])
     f_cut = link.cut.f_center
     out = []
-    for n in range(link.n_spans):
-        eta = span_eta(link, n, xi)
-        ase = span_ase_psd(link.spans[n], f_cut)
+    for span, eta in zip(link.spans, span_eta(link, xi).tolist()):
         if eta <= 0.0:
             warnings.warn("span produces no NLI; launch PSD capped",
                           stacklevel=2)
             out.append(PSD_CEILING_W_PER_THZ)
         else:
+            ase = span_ase_psd(span, f_cut)
             out.append((ase / (2.0 * eta)) ** (1.0 / 3.0))
     return tuple(out)
 
@@ -128,6 +115,7 @@ def refine_cut_launch(link: LinkSpec, eta: float) -> float:
     return (g_ase_rx / (2.0 * eta)) ** (1.0 / 3.0)
 
 
+@one_low_dispersion_warning
 def optimize_powers(link: LinkSpec, rng: np.random.Generator,
                     variant: ModelVariant | None = None
                     ) -> tuple[LinkSpec, PowerPlan]:

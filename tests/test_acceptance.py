@@ -18,7 +18,7 @@ from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, fit_coefficients,
                                   run_campaign)
-from nli_planner.cfm import (beta2_acc, coherence_bracket, rho_sci, rho_xci,
+from nli_planner.cfm import (coherence_bracket, rho_cross, rho_self,
                              rx_nli_psd)
 from nli_planner.perf import (SensitivityPolicy, UnreachableError, ase_power,
                               evaluate_all_channels, max_reach_scan, snr)
@@ -28,6 +28,7 @@ from nli_planner.sysgen import (LOW_DISPERSION_FLAG, GeneratorConfig,
 from nli_planner.types import (CfmKind, LinkSpec, ModelCoefficients,
                                ModelVariant, ModulationFormat, PHI_EXACT,
                                phi_of_format)
+from reference_cfm import beta2_acc
 
 mpmath.mp.dps = 50
 
@@ -78,7 +79,9 @@ def test_criterion_1_correction_factor_fidelity():
             if cfm4:
                 want *= (1 + a[18] * _mp_pow(cut.roll_off, a[19])
                          + a[20] * _mp_pow(nch.roll_off, a[21]))
-            got = rho_xci(variant, link, n, nch, cut)
+            got = rho_cross(kind, variant.coefficients.a,
+                            phi_of_format(nch.format), cut.roll_off,
+                            nch.roll_off)(float(acc))
             worst = max(worst, abs(got - float(want)) / abs(float(want)))
 
             phi_c = mpmath.mpf(phi_of_format(cut.format))
@@ -90,7 +93,9 @@ def test_criterion_1_correction_factor_fidelity():
                        + a[15] * br ** a[17]))
             if cfm4:
                 want *= 1 + a[22] * _mp_pow(cut.roll_off, a[23])
-            got = rho_sci(variant, link, n, cut)
+            got = rho_self(kind, variant.coefficients.a,
+                           phi_of_format(cut.format), cut.symbol_rate,
+                           cut.roll_off)(float(acc))
             worst = max(worst, abs(got - float(want)) / abs(float(want)))
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 1: worst relative error {worst:.3e} (<= 1e-10), "

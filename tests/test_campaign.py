@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_system
-from nli_planner import assets
+from nli_planner import assets, campaign
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, build_fit_data,
                                   error_stats, fit_coefficients, run_campaign,
@@ -125,3 +125,45 @@ def test_fit_improves_on_oracle():
     res = fit_coefficients(cfg, CfmKind.CFM2, bmk)
     assert res.improved
     assert res.cost_final < res.cost_initial
+
+
+def test_benchmarks_compute_each_link_once(monkeypatch):
+    # A benchmark keeps the last link's receiver PSDs of every truncation:
+    # one quadrature per span (one kernel call for a closed-form
+    # benchmark), however many truncations are asked about.
+    calls = []
+
+    def fake_span_psd(span, comb, f_eval, q=None, span_index=0):
+        calls.append(span_index)
+        return 1e-4 * (span_index + 1)
+
+    monkeypatch.setattr(campaign, "gn_span_psd", fake_span_psd)
+    kernel_calls = []
+    real_truncations = campaign.rx_nli_psd_truncations
+
+    def counting_truncations(link, variant):
+        kernel_calls.append(link)
+        return real_truncations(link, variant)
+
+    monkeypatch.setattr(campaign, "rx_nli_psd_truncations",
+                        counting_truncations)
+    link = make_system(71, n_spans=4)
+    oracle = GnOracleBenchmark()
+    closed = CfmBenchmark(assets.model(CfmKind.CFM2))
+    for _ in range(3):
+        for n in range(link.n_spans, 0, -1):
+            for bmk in (oracle, closed):
+                bmk.snr_db(link, n)
+                bmk.nli_power_w(link, n)
+    assert calls == list(range(link.n_spans))
+    assert len(kernel_calls) == 1
+    # The first span's PSD reaches the receiver of a one-span truncation
+    # unchanged.
+    assert oracle.rx_psd(link, 1) == 1e-4
+    other = make_system(72, n_spans=2)
+    oracle.rx_psd(other, 2)
+    closed.rx_psd(other, 2)
+    assert len(calls) == link.n_spans + other.n_spans
+    assert len(kernel_calls) == 2
+    with pytest.raises(ValueError):
+        oracle.rx_psd(other, 3)

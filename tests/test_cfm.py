@@ -1,8 +1,10 @@
 """Closed-form model kernels: independent numeric oracles and invariants."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,17 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_single_channel_link, make_system
+import reference_cfm as ref
+from conftest import (make_single_channel_link, make_system,
+                      make_zero_dispersion_link)
 from nli_planner import assets
-from nli_planner.cfm import (ZeroDispersionError, beta2_acc,
-                             coherence_bracket, effective_beta2_cut,
-                             effective_beta2_xci, harmonic_number,
-                             i_cut_coherent, i_cut_incoherent, i_xci,
-                             propagation_factor, rho_sci, rho_xci, rx_nli_psd,
+from nli_planner.cfm import (LowDispersionWarning, ZeroDispersionError,
+                             coherence_bracket, comb_arrays,
+                             effective_beta2_cut, effective_beta2_xci,
+                             harmonic_number, nli_terms, propagate,
+                             rho_cross, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, sine_integral,
-                             span_nli_psd)
+                             span_integrals, span_nli_psd, span_transfer)
+from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
+from nli_planner.poweropt import optimize_powers
+from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModelVariant, ModulationFormat, SpanConfig)
+                               ModelVariant, ModulationFormat, SpanConfig,
+                               ValidationError, phi_of_format)
+from reference_cfm import (beta2_acc, i_cut_coherent, i_cut_incoherent, i_xci,
+                           propagation_factor)
 
 mpmath.mp.dps = 50
 
@@ -79,7 +89,8 @@ def test_effective_beta2_forms():
 
 
 # ---------------------------------------------------------------------------
-# Kernel integrals against arbitrary-precision evaluation
+# Kernel integrals of the scalar reference against arbitrary-precision
+# evaluation
 
 
 def _mp_i_cut(two_alpha, b2_abs, rate):
@@ -161,7 +172,7 @@ def test_zero_dispersion_rejected():
                       gamma=1.3, f_ref=193.8)
     link = make_single_channel_link(fiber=fib)
     with pytest.raises(ZeroDispersionError):
-        i_cut_incoherent(link.spans[0], link.cut)
+        rx_nli_psd(link, assets.model(CfmKind.CFM1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +224,19 @@ def test_correction_factors_vs_mpmath(kind):
         others = [i for i in range(len(comb)) if i != link.cut_index]
         nch = comb[int(rng.choice(others))]
 
-        got = rho_xci(variant, link, span_index, nch, cut)
+        a_pkg = variant.coefficients.a
         acc = abs(beta2_acc(link, span_index, nch, cut))
+        got = rho_cross(kind, a_pkg, phi_of_format(nch.format), cut.roll_off,
+                        nch.roll_off)(acc)
         want = _mp_rho_xci(a, mpmath.mpf(repr(
             float(np.float64(assets.phi_table()[nch.format])))),
             mpmath.mpf(repr(acc)), mpmath.mpf(repr(cut.roll_off)),
             mpmath.mpf(repr(nch.roll_off)), cfm4)
         assert got == pytest.approx(float(want), rel=1e-10)
 
-        got = rho_sci(variant, link, span_index, cut)
         acc = abs(beta2_acc(link, span_index, cut))
+        got = rho_self(kind, a_pkg, phi_of_format(cut.format),
+                       cut.symbol_rate, cut.roll_off)(acc)
         want = _mp_rho_sci(a, mpmath.mpf(repr(
             float(np.float64(assets.phi_table()[cut.format])))),
             mpmath.mpf(repr(acc)), mpmath.mpf(repr(cut.symbol_rate)),
@@ -235,11 +249,14 @@ def test_identity_coefficients_give_unit_factors():
     cut = link.cut
     comb = link.comb(1)
     nch = comb[0 if link.cut_index != 0 else 1]
+    acc_x = abs(beta2_acc(link, 2, nch, cut))
+    acc_c = abs(beta2_acc(link, 2, cut))
     for kind in (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4):
-        variant = ModelVariant(kind=kind,
-                               coefficients=assets.identity_coefficients(kind))
-        assert rho_xci(variant, link, 2, nch, cut) == 1.0
-        assert rho_sci(variant, link, 2, cut) == 1.0
+        a = assets.identity_coefficients(kind).a
+        assert rho_cross(kind, a, phi_of_format(nch.format), cut.roll_off,
+                         nch.roll_off)(acc_x) == 1.0
+        assert rho_self(kind, a, phi_of_format(cut.format), cut.symbol_rate,
+                        cut.roll_off)(acc_c) == 1.0
 
 
 def test_identity_cfm2_equals_cfm1():
@@ -259,33 +276,46 @@ def test_identity_cfm2_equals_cfm1():
 # Accumulated dispersion and propagation
 
 
+def _abs_acc(link):
+    """The kernel's |accumulated dispersion| matrix at every span input."""
+    return [s.abs_acc for s in span_integrals(link, comb_arrays(link))]
+
+
 def test_beta2_acc_zero_at_first_span():
     link = make_system(5)
+    assert not _abs_acc(link)[0].any()
     assert beta2_acc(link, 0, link.cut) == 0.0
 
 
 def test_beta2_acc_is_cumulative():
     link = make_system(5)
-    cut = link.cut
+    cut, c = link.cut, link.cut_index
+    acc = _abs_acc(link)
     manual = 0.0
     for n in range(link.n_spans):
+        assert acc[n][c, c] == pytest.approx(abs(manual), rel=1e-12)
         assert beta2_acc(link, n, cut) == pytest.approx(manual, rel=1e-12)
         manual += effective_beta2_cut(link.spans[n].fiber, cut.f_center) \
             * link.spans[n].length_km
     # Pair form against an interferer differs from the self form.
-    nch = link.comb(0)[0 if link.cut_index != 0 else 1]
-    assert beta2_acc(link, 2, nch, cut) == pytest.approx(
-        sum(effective_beta2_xci(link.spans[k].fiber, nch.f_center,
-                                cut.f_center) * link.spans[k].length_km
-            for k in range(2)), rel=1e-12)
+    j = 0 if c != 0 else 1
+    nch = link.comb(0)[j]
+    want = sum(effective_beta2_xci(link.spans[k].fiber, nch.f_center,
+                                   cut.f_center) * link.spans[k].length_km
+               for k in range(2))
+    assert acc[2][c, j] == pytest.approx(abs(want), rel=1e-12)
+    assert beta2_acc(link, 2, nch, cut) == pytest.approx(want, rel=1e-12)
 
 
 def test_propagation_factor_transparent_link_is_unity():
     link = make_system(6, optimize=False)
-    f = link.cut.f_center
-    assert propagation_factor(link, 0, link.n_spans, f) == pytest.approx(
-        1.0, rel=1e-12)
-    assert propagation_factor(link, 2, 2, f) == 1.0
+    n = link.n_spans
+    # Row k, column m of propagating unit impulses is the transfer of spans
+    # m+1..k: one for an empty product, and one on a transparent link.
+    prop = propagate(span_transfer(link), np.eye(n))
+    assert np.all(np.diag(prop) == 1.0)
+    assert prop[-1] == pytest.approx(np.ones(n), rel=1e-12)
+    assert np.all(np.triu(prop, 1) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +377,7 @@ def test_vectorized_matches_scalar(kind):
         for n_end in (1, link.n_spans):
             vec = rx_nli_psd_all_channels(link, variant, n_end)
             got = vec[link.cut_index]
-            want = rx_nli_psd(link, variant, n_end)
+            want = ref.rx_nli_psd(link, variant, n_end)
             assert got == pytest.approx(want, rel=1e-9)
             # Every active channel agrees with a scalar run as CUT.
             comb = link.combs[0]
@@ -358,7 +388,7 @@ def test_vectorized_matches_scalar(kind):
                 relabeled = LinkSpec(spans=link.spans, combs=link.combs,
                                      cut_index=idx)
                 assert vec[idx] == pytest.approx(
-                    rx_nli_psd(relabeled, variant, n_end), rel=1e-9)
+                    ref.rx_nli_psd(relabeled, variant, n_end), rel=1e-9)
 
 
 def test_coherent_truncation_binding():
@@ -374,3 +404,147 @@ def test_coherent_truncation_binding():
     truncated_of_full = sum(t * propagation_factor(link, n + 1, 3, f)
                             for n, t in enumerate(span_terms))
     assert direct != pytest.approx(truncated_of_full, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the scalar reference
+
+
+@pytest.fixture(scope="module")
+def paper_link():
+    """The seed-8900 paper-scale link: 5 THz, 20 spans, optimized powers."""
+    cfg = GeneratorConfig(category=1, seed=8900, band_width=5.0, n_spans=20)
+    rng = np.random.default_rng(8900)
+    link, _ = optimize_powers(generate_system(cfg, rng), rng)
+    return link
+
+
+@pytest.mark.parametrize("kind", list(CfmKind))
+def test_kernel_matches_reference_paper_link(paper_link, kind):
+    # [DERIVED] every truncation of every active CUT against the scalar
+    # per-CUT reference, to 1e-12 relative.
+    link = paper_link
+    variant = assets.model(kind)
+    rx = nli_terms(link, variant).rx_psd()
+    worst = 0.0
+    for idx, ch in enumerate(link.combs[0]):
+        if not ch.active:
+            assert np.isnan(rx[:, idx]).all()
+            continue
+        relabeled = LinkSpec(spans=link.spans, combs=link.combs,
+                             cut_index=idx)
+        for n_end in range(1, link.n_spans + 1):
+            want = ref.rx_nli_psd(relabeled, variant, n_end)
+            worst = max(worst, abs(rx[n_end - 1, idx] - want) / want)
+    assert worst <= 1e-12
+
+
+def test_kernel_per_span_active_flags():
+    # Two interferers are switched off in the second and fourth spans only:
+    # the kernel's [span, channel] activity must match the scalar reference,
+    # which walks each span's own comb.
+    link = make_system(15, n_spans=4, optimize=False)
+    victims = [i for i in range(len(link.combs[0]))
+               if i != link.cut_index][:2]
+    combs = tuple(
+        tuple(replace(c, active=False) if n % 2 and i in victims else c
+              for i, c in enumerate(comb))
+        for n, comb in enumerate(link.combs))
+    varied = replace(link, combs=combs)
+    for kind in CfmKind:
+        variant = assets.model(kind)
+        for n_end in (1, 3, 4):
+            vec = rx_nli_psd_all_channels(varied, variant, n_end)
+            for idx, ch in enumerate(link.combs[0]):
+                if idx in victims or not ch.active:
+                    assert math.isnan(vec[idx])
+                    continue
+                relabeled = replace(varied, cut_index=idx)
+                assert vec[idx] == pytest.approx(
+                    ref.rx_nli_psd(relabeled, variant, n_end), rel=1e-12)
+        assert rx_nli_psd(varied, variant, 4) < rx_nli_psd(link, variant, 4)
+
+
+def test_mismatched_combs_rejected():
+    link = make_system(16, n_spans=3, optimize=False)
+    comb = link.combs[0]
+    j = 0 if link.cut_index != 0 else 1
+    changes = [dict(f_center=comb[j].f_center + 1e-3),
+               dict(symbol_rate=comb[j].symbol_rate * 2.0),
+               dict(roll_off=comb[j].roll_off / 2.0),
+               dict(format=ModulationFormat.PM_GAUSSIAN
+                    if comb[j].format is not ModulationFormat.PM_GAUSSIAN
+                    else ModulationFormat.PM_QPSK)]
+    bad_combs = [comb[:-1] if link.cut_index != len(comb) - 1 else comb[1:]]
+    bad_combs += [tuple(replace(c, **change) if i == j else c
+                        for i, c in enumerate(comb)) for change in changes]
+    cfm1 = assets.model(CfmKind.CFM1)
+    for bad in bad_combs:
+        mixed = replace(link, combs=(comb, bad, comb))
+        with pytest.raises(ValidationError):
+            rx_nli_psd(mixed, cfm1, 3)
+        with pytest.raises(ValidationError):
+            rx_nli_psd_all_channels(mixed, cfm1)
+    # A comb that differs only in powers and activity is accepted.
+    quiet = tuple(replace(c, active=False) if i == j else c
+                  for i, c in enumerate(comb))
+    assert rx_nli_psd(replace(link, combs=(comb, quiet, comb)), cfm1, 3) > 0
+
+
+# ---------------------------------------------------------------------------
+# One low-dispersion policy for every entry point
+
+
+def _rx_nli_psd_full(link):
+    return rx_nli_psd(link, assets.model(CfmKind.CFM4), link.n_spans)
+
+
+def _snr_report(link):
+    return snr_report(link, assets.model(CfmKind.CFM4))
+
+
+def _evaluate_all(link):
+    return evaluate_all_channels(link, assets.model(CfmKind.CFM4))
+
+
+@pytest.mark.parametrize("entry", [_rx_nli_psd_full, _snr_report,
+                                   _evaluate_all])
+def test_zero_dispersion_on_used_pair_raises(entry):
+    with pytest.raises(ZeroDispersionError):
+        entry(make_zero_dispersion_link(cut_index=0))
+
+
+def test_zero_dispersion_on_unused_pair_is_ignored():
+    cfm4 = assets.model(CfmKind.CFM4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowDispersionWarning)
+        # The zero pair's interferer is inactive: nothing uses it.
+        link = make_zero_dispersion_link(cut_index=0, inactive=(1,))
+        assert math.isfinite(_rx_nli_psd_full(link))
+        assert all(math.isfinite(v) for v in _snr_report(link).p_nli_w)
+        ev = _evaluate_all(link)
+        assert np.isfinite(ev.snr_db[[0, 2]]).all()
+        assert math.isnan(ev.snr_db[1])
+        # The zero pair is active but the CUT (channel 2) is in neither:
+        # CUT views do not raise, the all-channel view does.
+        link = make_zero_dispersion_link(cut_index=2)
+        assert math.isfinite(_rx_nli_psd_full(link))
+        assert all(math.isfinite(v) for v in _snr_report(link).p_nli_w)
+        with pytest.raises(ZeroDispersionError):
+            _evaluate_all(link)
+
+
+@pytest.mark.parametrize("entry", [
+    _rx_nli_psd_full, _snr_report, _evaluate_all,
+    lambda link: rx_nli_psd_all_channels(link, assets.model(CfmKind.CFM2)),
+    lambda link: span_nli_psd(link, 1, assets.model(CfmKind.CFM3)),
+    lambda link: snr(link, assets.model(CfmKind.CFM1), 2),
+    lambda link: max_reach(link, assets.model(CfmKind.CFM4), -100.0),
+    lambda link: optimize_powers(link, np.random.default_rng(0))])
+def test_one_low_dispersion_warning_per_call(entry):
+    link = make_zero_dispersion_link(cut_index=0, inactive=(1,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry(link)
+    low = [w for w in caught if issubclass(w.category, LowDispersionWarning)]
+    assert len(low) == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_system
+from conftest import make_system, make_zero_dispersion_link
 from nli_planner import assets, fileio
 from nli_planner.cli import main
 from nli_planner.types import CfmKind
@@ -210,11 +210,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_threads_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NLI_PLANNER_THREADS", "2")
-    sys_path = _gen(tmp_path)
-    assert main(["evaluate", str(sys_path)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("NLI_PLANNER_THREADS", "0")
-    assert main(["evaluate", str(sys_path)]) == 3
-    capsys.readouterr()
+def test_cli_zero_dispersion_exit_code(tmp_path, capsys):
+    # An exactly-zero effective dispersion on a pair the CUT uses is a
+    # numeric failure.
+    path = tmp_path / "zero.json"
+    fileio.save_system(make_zero_dispersion_link(cut_index=0), path)
+    assert main(["evaluate", str(path)]) == 4
+    assert "numeric error" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.constants import h as PLANCK_J_S
 
+import reference_cfm as ref
 from conftest import make_single_channel_link, make_system
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd
@@ -168,4 +169,4 @@ def test_evaluate_all_channels_matches_scalar():
         relabeled = LinkSpec(spans=link.spans, combs=link.combs,
                              cut_index=idx)
         assert ev.snr_db[idx] == pytest.approx(
-            snr(relabeled, variant, link.n_spans), rel=1e-9)
+            ref.snr(relabeled, variant, link.n_spans), rel=1e-9)
