@@ -171,6 +171,14 @@ def test_cli_oracle(tmp_path, capsys):
     assert doc["rx_nli_psd_w_per_thz"] > 0
 
 
+@pytest.mark.parametrize("flags", [["--rel-tol", "0"],
+                                   ["--points-per-channel", "0"]])
+def test_cli_oracle_rejects_unusable_quadrature(tmp_path, capsys, flags):
+    sys_path = _gen(tmp_path)
+    assert main(["oracle", str(sys_path), *flags]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_campaign(tmp_path):
     out = tmp_path / "campaign.json"
     hist = tmp_path / "hist.csv"

@@ -2,19 +2,22 @@
 and matched-filter properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import reference_oracle as ref
 from conftest import make_single_channel_link, make_system
 from nli_planner.cfm import rx_nli_psd
 from nli_planner import assets
 from nli_planner.oracle import (MatchedFilter, QuadratureConfig,
-                                QuadratureError, gn_rx_psd, gn_span_psd,
-                                nli_power_matched)
-from nli_planner.types import (CfmKind, ChannelSpec, LinkSpec,
-                               ModulationFormat)
+                                QuadratureError, _SpanIntegrand, gn_rx_psd,
+                                gn_span_psd, nli_power_matched)
+from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
+from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
+                               ModulationFormat, SpanConfig, ValidationError)
 
 
 def _reference_dblquad(span, comb, f_eval, span_index=0):
@@ -104,6 +107,119 @@ def test_quadrature_failure_carries_estimate():
     with pytest.raises(QuadratureError) as err:
         gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center, q)
     assert err.value.estimate > 0.0
+
+
+@pytest.mark.parametrize("points, cap, last", [(8, 16, 16), (24, 256, 192)])
+def test_quadrature_failure_reports_where_it_stopped(points, cap, last):
+    # The doubling stops at the last level within the cap (24 points per
+    # channel runs 12, 24, ..., 192 under a 256 cap, never 384) and reports
+    # that level and the relative change between the last two levels.
+    link = make_single_channel_link(rate=0.064)
+    span, comb, f = link.spans[0], link.combs[0], link.cut.f_center
+    q = QuadratureConfig(points_per_channel=points, rel_tol=1e-12,
+                         max_points_per_channel=cap)
+    with pytest.raises(QuadratureError) as err:
+        gn_span_psd(span, comb, f, q)
+    cur = ref._gn_span_psd_at_res(span, comb, f, 0, last)
+    prev = ref._gn_span_psd_at_res(span, comb, f, 0, last // 2)
+    rel = abs(cur - prev) / abs(cur)
+    assert err.value.points_per_channel == last
+    assert err.value.estimate == pytest.approx(cur, rel=1e-12)
+    assert err.value.rel_change == pytest.approx(rel, rel=1e-9)
+    assert f"{last} points per channel" in str(err.value)
+    assert f"{rel:.3g}" in str(err.value)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"points_per_channel": 0},
+    {"rel_tol": 0.0},
+    {"rel_tol": -0.02},
+    {"rel_tol": math.nan},
+    {"rel_tol": math.inf},
+    {"points_per_channel": 64, "max_points_per_channel": 32},
+    # The first convergence test compares 8 with 16 points per channel.
+    {"points_per_channel": 8, "max_points_per_channel": 8},
+])
+def test_quadrature_config_rejects_settings_it_cannot_honour(kwargs):
+    with pytest.raises(ValidationError):
+        QuadratureConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Batched quadrature level against the per-pair reference
+
+
+def _zero_dispersion_span() -> SpanConfig:
+    fiber = FiberParams(alpha_db_per_km=0.21, beta2=0.0, beta3=0.0,
+                        gamma=1.3, f_ref=193.8, name="dispersionless")
+    return SpanConfig(fiber=fiber, length_km=90.0)
+
+
+def _level_case(name: str):
+    """(span, comb, f_eval, span_index) of one parity case."""
+    if name.startswith("cat"):
+        category, position = int(name[3]), name[5:]
+        link = make_system(4100 + category, category=category,
+                           band_width=2.0, n_spans=6, cut_position=position)
+        n = category % link.n_spans
+        return link.spans[n], link.comb(n), link.cut.f_center, n
+    if name == "half-loaded":
+        link = make_system(4117, category=2, band_width=2.0, n_spans=6)
+        comb = link.comb(5)
+        assert 0 < sum(not c.active for c in comb) < len(comb) - 1
+        return link.spans[5], comb, link.cut.f_center, 5
+    if name == "ultra-dense-overlap":
+        cfg = GeneratorConfig(category=1, band_width=0.25, n_spans=2,
+                              ultra_dense_fraction=1.0,
+                              dense_separation="center_spacing")
+        link = generate_system(cfg, np.random.default_rng(4120))
+        comb = link.comb(1)
+        # Neighbouring channels overlap.
+        assert any(b.f_center - a.f_center
+                   < (a.symbol_rate + b.symbol_rate) / 2
+                   for a, b in zip(comb, comb[1:]))
+        return link.spans[1], comb, link.cut.f_center, 1
+    if name == "reversed":
+        link = make_system(4121, category=3, band_width=2.0, n_spans=6)
+        return link.spans[0], link.comb(0)[::-1], link.cut.f_center, 0
+    if name == "single-channel":
+        link = make_single_channel_link(rate=0.064, power_w=0.002)
+        return link.spans[0], link.comb(0), link.cut.f_center, 0
+    if name == "zero-dispersion":
+        link = make_system(4122, category=1, band_width=1.0, n_spans=2)
+        return _zero_dispersion_span(), link.comb(0), link.cut.f_center, 0
+    raise KeyError(name)
+
+
+_LEVEL_CASES = ([f"cat{c}-{p}" for c in range(1, 6) for p in CUT_POSITIONS]
+                + ["half-loaded", "ultra-dense-overlap", "reversed",
+                   "single-channel", "zero-dispersion"])
+
+
+@pytest.mark.parametrize("name", _LEVEL_CASES)
+def test_batched_level_matches_per_pair_reference(name):
+    span, comb, f_eval, n = _level_case(name)
+    integrand = _SpanIntegrand(span, comb, f_eval, n)
+    for res in (16, 32, 64, 128):
+        want = ref._gn_span_psd_at_res(span, comb, f_eval, n, res)
+        assert want > 0.0
+        assert integrand.level(res) == pytest.approx(want, rel=1e-12), res
+
+
+def test_quadrature_memory_does_not_grow_with_resolution():
+    # A 256-point level of a ~20-channel 2-THz link: the kernel is built in
+    # bounded chunks, never as a 256 x 256 block per channel pair.
+    link = make_system(4130, category=1, band_width=2.0, n_spans=6)
+    assert 15 <= len(link.comb(0)) <= 25
+    q = QuadratureConfig(points_per_channel=256, max_points_per_channel=256)
+    tracemalloc.start()
+    try:
+        psd = gn_span_psd(link.spans[0], link.comb(0), link.cut.f_center, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psd > 0.0
+    assert peak <= 2 * 2 ** 20
 
 
 def test_rx_accumulation_transparent_spans():
