@@ -10,15 +10,15 @@ from .types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
 from .assets import (fiber_presets, identity_coefficients, model,
                      shipped_coefficients)
 from .cfm import (LowDispersionWarning, ZeroDispersionError, rx_nli_psd,
-                  rx_nli_psd_all_channels, span_nli_psd)
+                  rx_nli_psd_all_channels)
 from .perf import (ReachResult, SensitivityPolicy, SnrReport,
                    UnreachableError, ase_power, evaluate_all_channels,
                    max_reach, shannon_sensitivity, snr, snr_report)
 from .sysgen import (GeneratorConfig, generate_system,
                      generate_system_from_seed)
 from .poweropt import PowerPlan, optimize_powers
-from .oracle import (MatchedFilter, QuadratureConfig, QuadratureError,
-                     gn_rx_psd, gn_span_psd, nli_power_matched)
+from .oracle import (QuadratureConfig, QuadratureError, gn_rx_psd,
+                     gn_span_psd)
 from .campaign import (CampaignConfig, CampaignResult, CfmBenchmark,
                        ErrorStats, FitConfig, FitResult, GnOracleBenchmark,
                        error_stats, fit_coefficients, run_campaign)
@@ -34,14 +34,13 @@ __all__ = [
     "fiber_presets", "identity_coefficients", "model",
     "shipped_coefficients",
     "LowDispersionWarning", "ZeroDispersionError", "rx_nli_psd",
-    "rx_nli_psd_all_channels", "span_nli_psd",
+    "rx_nli_psd_all_channels",
     "ReachResult", "SensitivityPolicy", "SnrReport", "UnreachableError",
     "ase_power", "evaluate_all_channels", "max_reach",
     "shannon_sensitivity", "snr", "snr_report",
     "GeneratorConfig", "generate_system", "generate_system_from_seed",
     "PowerPlan", "optimize_powers",
-    "MatchedFilter", "QuadratureConfig", "QuadratureError", "gn_rx_psd",
-    "gn_span_psd", "nli_power_matched",
+    "QuadratureConfig", "QuadratureError", "gn_rx_psd", "gn_span_psd",
     "CampaignConfig", "CampaignResult", "CfmBenchmark", "ErrorStats",
     "FitConfig", "FitResult", "GnOracleBenchmark", "error_stats",
     "fit_coefficients", "run_campaign",

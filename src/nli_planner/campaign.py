@@ -5,7 +5,9 @@ coefficient-fitting pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -133,13 +135,18 @@ def error_stats(samples: list[float], bin_width: float = 0.02) -> ErrorStats:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class SystemDraw:
+    """Which randomized systems a campaign or a fit draws.
+
+    Attempt k generates its system from an RNG seeded with ``[seed, k]``; the
+    category and CUT position rotate through ``categories`` x
+    ``cut_positions`` over the kept systems.
+    """
+
     n_systems: int = 100
     categories: tuple[int, ...] = (1,)
     cut_positions: tuple[str, ...] = ("center",)
-    variants: tuple[CfmKind, ...] = (CfmKind.CFM1,)
     seed: int = 0
-    bin_width_db: float = 0.02
     # Generator overrides (paper values by default; shrink for desk runs).
     band_width_thz: float = 5.0
     n_spans: int = 20
@@ -150,6 +157,74 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_systems < 1:
             raise ValueError("n_systems must be >= 1")
+        if not self.categories:
+            raise ValueError("categories must not be empty")
+        if not self.cut_positions:
+            raise ValueError("cut_positions must not be empty")
+
+
+UNREACHABLE = "unreachable"
+
+
+@dataclass(frozen=True)
+class DrawnSystem:
+    """One attempt of a draw.  A kept system has the power-optimized link
+    and the benchmark's max reach in spans.  An excluded one has ``reach``
+    None and ``excluded`` set to ``LOW_DISPERSION_FLAG`` (the link as
+    generated) or ``UNREACHABLE`` (the power-optimized link)."""
+
+    attempt: int
+    cut_position: str
+    link: LinkSpec
+    reach: int | None
+    excluded: str | None
+
+
+def draw_systems(draw: SystemDraw, benchmark,
+                 policy: SensitivityPolicy | None = None
+                 ) -> Iterator[DrawnSystem]:
+    """Generate, screen, power-optimize and reach-scan systems, yielding
+    every attempt, until ``draw.n_systems`` systems were kept.
+
+    A system is kept when the benchmark reaches the drawn sensitivity
+    threshold after at least one span.
+    """
+    policy = policy or SensitivityPolicy.default()
+    mixes = [(cat, pos) for cat in draw.categories
+             for pos in draw.cut_positions]
+    kept = 0
+    attempt = 0
+    while kept < draw.n_systems:
+        cat, pos = mixes[kept % len(mixes)]
+        attempt += 1
+        rng = np.random.default_rng([draw.seed, attempt])
+        gen = GeneratorConfig(category=cat, cut_position=pos,
+                              band_width=draw.band_width_thz,
+                              n_spans=draw.n_spans, nf_mode=draw.nf_mode,
+                              seed=draw.seed)
+        link = generate_system(gen, rng)
+        if draw.exclude_low_dispersion and LOW_DISPERSION_FLAG in link.flags:
+            yield DrawnSystem(attempt, pos, link, None, LOW_DISPERSION_FLAG)
+            continue
+        link, _plan = optimize_powers(link, rng)
+        threshold = policy.threshold_db(link.cut.format, rng)
+        try:
+            reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
+                                   link.n_spans, threshold)
+        except UnreachableError:
+            yield DrawnSystem(attempt, pos, link, None, UNREACHABLE)
+            continue
+        kept += 1
+        yield DrawnSystem(attempt, pos, link, reach.max_reach_spans, None)
+
+
+@dataclass(frozen=True)
+class CampaignConfig(SystemDraw):
+    variants: tuple[CfmKind, ...] = (CfmKind.CFM1,)
+    bin_width_db: float = 0.02
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.bin_width_db <= 0:
             raise ValueError("bin width must be > 0")
 
@@ -163,61 +238,35 @@ class CampaignResult:
     seeds_used: tuple[int, ...]
 
 
-def _variant_models(kinds: tuple[CfmKind, ...]) -> list[ModelVariant]:
-    return [assets.model(k) for k in kinds]
-
-
 @one_low_dispersion_warning
 def run_campaign(cfg: CampaignConfig, benchmark,
                  policy: SensitivityPolicy | None = None) -> CampaignResult:
-    """Generate, power-optimize and score systems against a benchmark.
+    """Score the variants against a benchmark on the drawn systems.
 
-    Each system's SNR error is measured at the benchmark's max reach; systems
-    unreachable at one span (or below the dispersion bound, when excluded)
-    are counted and skipped.
+    Each system's SNR error is measured at the benchmark's max reach; the
+    excluded attempts are counted by reason.
     """
-    policy = policy or SensitivityPolicy.default()
-    models = _variant_models(cfg.variants)
-    mixes = [(cat, pos) for cat in cfg.categories for pos in cfg.cut_positions]
+    models = [assets.model(k) for k in cfg.variants]
     samples: dict[tuple[str, str], list[float]] = {
-        (m.kind.value, pos): [] for m in models for _, pos in mixes}
-
-    n_low, n_unreachable, n_done = 0, 0, 0
+        (m.kind.value, pos): [] for m in models for pos in cfg.cut_positions}
+    excluded: Counter[str] = Counter()
     seeds = []
-    attempt = 0
-    while n_done < cfg.n_systems:
-        cat, pos = mixes[n_done % len(mixes)]
-        attempt += 1
-        rng = np.random.default_rng([cfg.seed, attempt])
-        gen = GeneratorConfig(category=cat, cut_position=pos,
-                              band_width=cfg.band_width_thz,
-                              n_spans=cfg.n_spans, nf_mode=cfg.nf_mode,
-                              seed=cfg.seed)
-        link = generate_system(gen, rng)
-        if cfg.exclude_low_dispersion and LOW_DISPERSION_FLAG in link.flags:
-            n_low += 1
+    for d in draw_systems(cfg, benchmark, policy):
+        if d.excluded is not None:
+            excluded[d.excluded] += 1
             continue
-        link, _plan = optimize_powers(link, rng)
-        threshold = policy.threshold_db(link.cut.format, rng)
-        try:
-            reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
-                                   link.n_spans, threshold)
-        except UnreachableError:
-            n_unreachable += 1
-            continue
-        bmk_snr = benchmark.snr_db(link, reach.max_reach_spans)
+        bmk_snr = benchmark.snr_db(d.link, d.reach)
         for model in models:
-            d = snr(link, model, reach.max_reach_spans) - bmk_snr
-            samples[(model.kind.value, pos)].append(d)
-        seeds.append(attempt)
-        n_done += 1
+            samples[(model.kind.value, d.cut_position)].append(
+                snr(d.link, model, d.reach) - bmk_snr)
+        seeds.append(d.attempt)
 
     stats = {key: error_stats(vals, cfg.bin_width_db)
              for key, vals in samples.items() if vals}
-    return CampaignResult(stats=stats, n_evaluated=n_done,
-                          n_excluded_low_dispersion=n_low,
-                          n_excluded_unreachable=n_unreachable,
-                          seeds_used=tuple(seeds))
+    return CampaignResult(
+        stats=stats, n_evaluated=len(seeds),
+        n_excluded_low_dispersion=excluded[LOW_DISPERSION_FLAG],
+        n_excluded_unreachable=excluded[UNREACHABLE], seeds_used=tuple(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +304,19 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
 
 
 @dataclass(frozen=True)
-class FitConfig:
+class FitConfig(SystemDraw):
     n_systems: int = 50
-    categories: tuple[int, ...] = (1,)
-    cut_positions: tuple[str, ...] = ("center",)
     seed: int = 1000
-    band_width_thz: float = 5.0
-    n_spans: int = 20
-    nf_mode: str = "mixed"
-    exclude_low_dispersion: bool = True
     max_iterations: int = 4000
     n_restarts: int = 1
     initial: ModelCoefficients | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.n_restarts < 0:
+            raise ValueError("n_restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -359,36 +409,15 @@ class _FitData:
 def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark,
                    policy: SensitivityPolicy | None = None
                    ) -> tuple[_FitData, tuple[int, ...]]:
-    """Generate the training systems and precompute the cost structure."""
-    policy = policy or SensitivityPolicy.default()
+    """Draw the training systems and precompute the cost structure."""
     data = _FitData(kind)
-    mixes = [(c, p) for c in fit.categories for p in fit.cut_positions]
     seeds = []
-    attempt, done = 0, 0
-    while done < fit.n_systems:
-        cat, pos = mixes[done % len(mixes)]
-        attempt += 1
-        rng = np.random.default_rng([fit.seed, attempt])
-        gen = GeneratorConfig(category=cat, cut_position=pos,
-                              band_width=fit.band_width_thz,
-                              n_spans=fit.n_spans, nf_mode=fit.nf_mode,
-                              seed=fit.seed)
-        link = generate_system(gen, rng)
-        if fit.exclude_low_dispersion and LOW_DISPERSION_FLAG in link.flags:
-            continue
-        link, _plan = optimize_powers(link, rng)
-        threshold = policy.threshold_db(link.cut.format, rng)
-        try:
-            reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
-                                   link.n_spans, threshold)
-        except UnreachableError:
-            continue
-        r = reach.max_reach_spans
-        p_bmk = np.array([benchmark.nli_power_w(link, n)
-                          for n in range(1, r + 1)])
-        data.add_system(link, r, p_bmk)
-        seeds.append(attempt)
-        done += 1
+    for d in draw_systems(fit, benchmark, policy):
+        if d.excluded is None:
+            p_bmk = np.array([benchmark.nli_power_w(d.link, n)
+                              for n in range(1, d.reach + 1)])
+            data.add_system(d.link, d.reach, p_bmk)
+            seeds.append(d.attempt)
     return data, tuple(seeds)
 
 

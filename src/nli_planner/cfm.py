@@ -382,21 +382,6 @@ def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     return float(rx_nli_psd_truncations(link, variant)[n_end - 1])
 
 
-def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
-                 n_span_total: int | None = None) -> float:
-    """NLI PSD (W/THz) generated in one span at the CUT frequency.
-
-    ``n_span_total`` binds the coherent self-term span count for CFM3/CFM4;
-    it defaults to the full link length.
-    """
-    if n_span_total is None:
-        n_span_total = link.n_spans
-    terms = cut_nli_terms(link, variant)
-    cut = link.cut_index
-    return float(terms.base[span_index, cut] + coherence_bracket(n_span_total)
-                 * terms.coherent[span_index, cut])
-
-
 def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
                             n_end: int | None = None) -> np.ndarray:
     """Receiver NLI PSD with every active channel treated as CUT in turn;

@@ -1,6 +1,5 @@
 """Numerical GN-model benchmark: 2-D quadrature of the single-span NLI PSD
-with rectangular channel spectra, incoherent multi-span accumulation, and
-the matched-filter NLI power integral.
+with rectangular channel spectra and incoherent multi-span accumulation.
 """
 
 from __future__ import annotations
@@ -51,36 +50,6 @@ class QuadratureConfig:
         """Points per channel of the first quadrature level; each further
         level doubles it."""
         return max(8, self.points_per_channel // 2)
-
-
-@dataclass(frozen=True)
-class MatchedFilter:
-    """Root-raised-cosine receiver filter; |H|^2 is the unit-peak
-    raised-cosine power response."""
-
-    f_center: float  # THz
-    symbol_rate: float  # TBaud
-    roll_off: float
-
-    def power_response(self, f_offset: np.ndarray) -> np.ndarray:
-        """|H(f)|^2 at baseband offsets f (THz) from the filter center."""
-        r = self.symbol_rate
-        b = self.roll_off
-        af = np.abs(np.asarray(f_offset, dtype=float))
-        flat_edge = (1.0 - b) * r / 2.0
-        stop_edge = (1.0 + b) * r / 2.0
-        out = np.zeros_like(af)
-        out[af <= flat_edge] = 1.0
-        if b > 0.0:
-            mask = (af > flat_edge) & (af < stop_edge)
-            out[mask] = 0.5 * (1.0 + np.cos(
-                math.pi / (b * r) * (af[mask] - flat_edge)))
-        return out
-
-    @property
-    def equivalent_bandwidth(self) -> float:
-        """Integral of |H|^2 over frequency: R for any roll-off."""
-        return self.symbol_rate
 
 
 def _active(comb: tuple[ChannelSpec, ...]) -> list[ChannelSpec]:
@@ -295,17 +264,3 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
             for n in range(n_end)]
     return float(propagate(span_transfer(link)[:n_end], psds)[-1])
 
-
-def nli_power_matched(f_offsets: np.ndarray, psd_samples: np.ndarray,
-                      filt: MatchedFilter) -> float:
-    """Matched-filter NLI power (W): trapezoid rule over the filter support.
-
-    ``f_offsets`` are baseband offsets (THz) from the filter center and must
-    cover the full (1+roll_off)*R support.
-    """
-    f = np.asarray(f_offsets, dtype=float)
-    g = np.asarray(psd_samples, dtype=float)
-    half = (1.0 + filt.roll_off) * filt.symbol_rate / 2.0
-    if f[0] > -half or f[-1] < half:
-        raise ValueError("PSD samples do not cover the filter support")
-    return float(np.trapezoid(g * filt.power_response(f), f))

@@ -16,15 +16,14 @@ import pytest
 from conftest import make_system
 from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
-                                  GnOracleBenchmark, fit_coefficients,
-                                  run_campaign)
+                                  GnOracleBenchmark, SystemDraw, draw_systems,
+                                  fit_coefficients, run_campaign)
 from nli_planner.cfm import (coherence_bracket, rho_cross, rho_self,
                              rx_nli_psd)
-from nli_planner.perf import (SensitivityPolicy, UnreachableError, ase_power,
-                              evaluate_all_channels, max_reach_scan, snr)
+from nli_planner.perf import ase_power, evaluate_all_channels, snr
 from nli_planner.poweropt import optimize_powers
-from nli_planner.sysgen import (LOW_DISPERSION_FLAG, GeneratorConfig,
-                                generate_comb, generate_link, generate_system)
+from nli_planner.sysgen import (GeneratorConfig, generate_comb, generate_link,
+                                generate_system)
 from nli_planner.types import (CfmKind, LinkSpec, ModelCoefficients,
                                ModelVariant, ModulationFormat, PHI_EXACT,
                                phi_of_format)
@@ -290,34 +289,16 @@ def test_criterion_7_launch_power_stationarity():
 # 8. Fitting round-trip and benchmark improvement
 
 
-def _held_out_errors(benchmark_factory, variants, seed, n_systems,
-                     band_width=0.8, n_spans=5):
-    policy = SensitivityPolicy.default()
-    mixes = [(c, p) for c in ALL_CATEGORIES for p in ALL_POSITIONS]
+def _held_out_errors(benchmark, variants, seed, n_systems):
+    draw = SystemDraw(n_systems=n_systems, categories=ALL_CATEGORIES,
+                      cut_positions=ALL_POSITIONS, seed=seed,
+                      band_width_thz=0.8, n_spans=5)
     errors = [[] for _ in variants]
-    done, attempt = 0, 0
-    while done < n_systems:
-        cat, pos = mixes[done % len(mixes)]
-        attempt += 1
-        rng = np.random.default_rng([seed, attempt])
-        gen = GeneratorConfig(category=cat, cut_position=pos,
-                              band_width=band_width, n_spans=n_spans,
-                              seed=seed)
-        link = generate_system(gen, rng)
-        if LOW_DISPERSION_FLAG in link.flags:
-            continue
-        link, _plan = optimize_powers(link, rng)
-        benchmark = benchmark_factory()
-        threshold = policy.threshold_db(link.cut.format, rng)
-        try:
-            reach = max_reach_scan(lambda m: benchmark.snr_db(link, m),
-                                   n_spans, threshold)
-        except UnreachableError:
-            continue
-        ref = benchmark.snr_db(link, reach.max_reach_spans)
-        for i, v in enumerate(variants):
-            errors[i].append(snr(link, v, reach.max_reach_spans) - ref)
-        done += 1
+    for d in draw_systems(draw, benchmark):
+        if d.excluded is None:
+            ref = benchmark.snr_db(d.link, d.reach)
+            for err, v in zip(errors, variants):
+                err.append(snr(d.link, v, d.reach) - ref)
     return [np.array(e) for e in errors]
 
 
@@ -339,7 +320,7 @@ def test_criterion_8_fit_round_trip_and_improvement():
     truth = CfmBenchmark(assets.model(CfmKind.CFM2))
     res_rt = fit_coefficients(cfg_rt, CfmKind.CFM2, truth)
     (rt_err,) = _held_out_errors(
-        lambda: CfmBenchmark(assets.model(CfmKind.CFM2)),
+        CfmBenchmark(assets.model(CfmKind.CFM2)),
         [res_rt.variant], seed=8701, n_systems=20)
     sigma_rt = float(rt_err.std())
 
@@ -349,7 +330,7 @@ def test_criterion_8_fit_round_trip_and_improvement():
                        n_restarts=0)
     res_or = fit_coefficients(cfg_or, CfmKind.CFM2, GnOracleBenchmark())
     cfm1_err, fit_err = _held_out_errors(
-        GnOracleBenchmark, [assets.model(CfmKind.CFM1), res_or.variant],
+        GnOracleBenchmark(), [assets.model(CfmKind.CFM1), res_or.variant],
         seed=601, n_systems=45)
     sigma_cfm1 = float(cfm1_err.std())
     sigma_fit = float(fit_err.std())

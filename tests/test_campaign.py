@@ -6,10 +6,11 @@ import pytest
 
 from conftest import make_system
 from nli_planner import assets, campaign
-from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
-                                  GnOracleBenchmark, build_fit_data,
-                                  error_stats, fit_coefficients, run_campaign,
-                                  span_increment_ratio)
+from nli_planner.campaign import (UNREACHABLE, CampaignConfig, CfmBenchmark,
+                                  FitConfig, GnOracleBenchmark, build_fit_data,
+                                  draw_systems, error_stats, fit_coefficients,
+                                  run_campaign, span_increment_ratio)
+from nli_planner.sysgen import LOW_DISPERSION_FLAG
 from nli_planner.types import CfmKind, ModelVariant
 
 
@@ -167,3 +168,66 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
     assert len(kernel_calls) == 2
     with pytest.raises(ValueError):
         oracle.rx_psd(other, 3)
+
+
+# ---------------------------------------------------------------------------
+# The system draw shared by campaigns and fits
+
+ALL_CATEGORIES = (1, 2, 3, 4, 5)
+ALL_POSITIONS = ("lowest", "center", "highest")
+
+
+@pytest.mark.parametrize(
+    "categories, positions, seeds, n_low, n_unreachable", [
+        (ALL_CATEGORIES, ALL_POSITIONS, (1, 2, 19, 20, 21, 27), 21, 0),
+        ((1,), ("center",), (1, 2, 3, 4, 6, 7), 0, 1)])
+def test_campaign_draw_is_pinned(categories, positions, seeds, n_low,
+                                 n_unreachable):
+    # Attempt seeds and exclusion counts recorded before the draw moved
+    # into one generator: the order of RNG use must not change.
+    cfg = CampaignConfig(n_systems=6, categories=categories,
+                         cut_positions=positions, seed=1,
+                         band_width_thz=0.8, n_spans=5)
+    res = run_campaign(cfg, CfmBenchmark(assets.model(CfmKind.CFM3)))
+    assert res.seeds_used == seeds
+    assert res.n_excluded_low_dispersion == n_low
+    assert res.n_excluded_unreachable == n_unreachable
+
+
+def test_fit_and_campaign_draw_the_same_systems():
+    # A fit trains on exactly the systems a campaign with the same draw
+    # fields scores, and the stream names the reason of every exclusion
+    # (this draw has both kinds).
+    draw = dict(n_systems=6, categories=ALL_CATEGORIES,
+                cut_positions=ALL_POSITIONS, seed=11, band_width_thz=0.8,
+                n_spans=5)
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
+    camp = run_campaign(CampaignConfig(**draw), bmk)
+    fit = fit_coefficients(FitConfig(**draw, max_iterations=1, n_restarts=0),
+                           CfmKind.CFM3, bmk)
+    assert fit.train_seeds == camp.seeds_used
+    draws = list(draw_systems(CampaignConfig(**draw), bmk))
+    assert [d.attempt for d in draws] == list(range(1, len(draws) + 1))
+    assert tuple(d.attempt for d in draws
+                 if d.excluded is None) == camp.seeds_used
+    reasons = [d.excluded for d in draws]
+    assert reasons.count(LOW_DISPERSION_FLAG) \
+        == camp.n_excluded_low_dispersion > 0
+    assert reasons.count(UNREACHABLE) == camp.n_excluded_unreachable > 0
+    assert all((d.reach is None) == (d.excluded is not None) for d in draws)
+
+
+@pytest.mark.parametrize("config", [CampaignConfig, FitConfig])
+@pytest.mark.parametrize("kwargs", [
+    {"n_systems": 0}, {"n_systems": -1}, {"categories": ()},
+    {"cut_positions": ()}])
+def test_configs_reject_empty_draws(config, kwargs):
+    with pytest.raises(ValueError):
+        config(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iterations": 0},
+                                    {"n_restarts": -1}])
+def test_fit_config_rejects_unusable_search(kwargs):
+    with pytest.raises(ValueError):
+        FitConfig(**kwargs)

@@ -23,7 +23,7 @@ from nli_planner.cfm import (LowDispersionWarning, ZeroDispersionError,
                              harmonic_number, nli_terms, propagate,
                              rho_cross, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, sine_integral,
-                             span_integrals, span_nli_psd, span_transfer)
+                             span_integrals, span_transfer)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
@@ -343,9 +343,12 @@ def test_span_psd_positive_and_additive():
     link = make_system(8)
     variant = assets.model(CfmKind.CFM1)
     f = link.cut.f_center
+    terms = nli_terms(link, variant)
+    cut = link.cut_index
+    bracket = coherence_bracket(link.n_spans)
     total = 0.0
     for n in range(link.n_spans):
-        term = span_nli_psd(link, n, variant)
+        term = terms.base[n, cut] + bracket * terms.coherent[n, cut]
         assert term > 0.0
         total += term * propagation_factor(link, n + 1, link.n_spans, f)
     assert rx_nli_psd(link, variant, link.n_spans) == pytest.approx(
@@ -398,7 +401,10 @@ def test_coherent_truncation_binding():
     link = make_system(14, n_spans=6)
     cfm3 = assets.model(CfmKind.CFM3)
     direct = rx_nli_psd(link, cfm3, 3)
-    span_terms = [span_nli_psd(link, n, cfm3, n_span_total=6)
+    terms = nli_terms(link, cfm3)
+    cut = link.cut_index
+    span_terms = [terms.base[n, cut]
+                  + coherence_bracket(6) * terms.coherent[n, cut]
                   for n in range(3)]
     f = link.cut.f_center
     truncated_of_full = sum(t * propagation_factor(link, n + 1, 3, f)
@@ -537,7 +543,6 @@ def test_zero_dispersion_on_unused_pair_is_ignored():
 @pytest.mark.parametrize("entry", [
     _rx_nli_psd_full, _snr_report, _evaluate_all,
     lambda link: rx_nli_psd_all_channels(link, assets.model(CfmKind.CFM2)),
-    lambda link: span_nli_psd(link, 1, assets.model(CfmKind.CFM3)),
     lambda link: snr(link, assets.model(CfmKind.CFM1), 2),
     lambda link: max_reach(link, assets.model(CfmKind.CFM4), -100.0),
     lambda link: optimize_powers(link, np.random.default_rng(0))])

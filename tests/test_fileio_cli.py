@@ -204,6 +204,15 @@ def test_cli_fit(tmp_path, capsys):
     assert summary["cost_final"] <= summary["cost_initial"]
 
 
+def test_cli_fit_rejects_empty_training_set(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    rc = main(["fit", "cfm2", "--benchmark", "cfm2", "--n-systems", "0",
+               "-o", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert "n_systems" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # Usage error.
     assert main(["no-such-command"]) == 2

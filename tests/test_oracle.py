@@ -1,5 +1,5 @@
-"""Quadrature benchmark: kernel correctness against independent integrators
-and matched-filter properties."""
+"""Quadrature benchmark: kernel correctness against independent
+integrators."""
 
 import math
 import tracemalloc
@@ -12,16 +12,25 @@ import reference_oracle as ref
 from conftest import make_single_channel_link, make_system
 from nli_planner.cfm import rx_nli_psd
 from nli_planner import assets
-from nli_planner.oracle import (MatchedFilter, QuadratureConfig,
-                                QuadratureError, _SpanIntegrand, gn_rx_psd,
-                                gn_span_psd, nli_power_matched)
+from nli_planner.oracle import (QuadratureConfig, QuadratureError,
+                                _SpanIntegrand, gn_rx_psd, gn_span_psd)
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat, SpanConfig, ValidationError)
 
 
-def _reference_dblquad(span, comb, f_eval, span_index=0):
-    """[DERIVED] adaptive 2-D integration of the four-wave-mixing kernel."""
+def _breakpoints(a, b, points):
+    """The points strictly inside [a, b], away from its ends, sorted."""
+    inside = sorted({p for p in points if a + 1e-12 < p < b - 1e-12})
+    return inside or None
+
+
+def _reference_iterated_quad(span, comb, f_eval, span_index=0):
+    """[DERIVED] iterated adaptive integration of the four-wave-mixing
+    kernel over each channel-pair square: an outer ``quad`` over f1 of an
+    inner ``quad`` over f2.  Both break at the lines where the integrand
+    has a ridge or a jump: f = f_eval (phase matching) and f1 + f2 - f_eval
+    on a channel edge."""
     fib = span.fiber
     two_alpha = fib.two_alpha
     loss = span.span_loss_lin
@@ -30,6 +39,7 @@ def _reference_dblquad(span, comb, f_eval, span_index=0):
     lo = [c.f_center - c.symbol_rate / 2 for c in channels]
     hi = [c.f_center + c.symbol_rate / 2 for c in channels]
     psd = [c.psd(span_index) for c in channels]
+    edges = lo + hi
 
     def comb_psd(x):
         return sum(g if l <= x < h else 0.0
@@ -44,13 +54,22 @@ def _reference_dblquad(span, comb, f_eval, span_index=0):
         num = 1 + loss ** 2 - 2 * loss * math.cos(phase * length)
         return g * num / (two_alpha ** 2 + phase ** 2)
 
+    def inner(f1, a, b):
+        points = _breakpoints(a, b, [f_eval] + [f_eval + e - f1
+                                                for e in edges])
+        return integrate.quad(kernel, a, b, args=(f1,), points=points,
+                              epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
     total = 0.0
     for i in range(len(channels)):
         for j in range(len(channels)):
-            val, _ = integrate.dblquad(kernel, lo[i], hi[i],
-                                       lo[j], hi[j], epsabs=0.0,
-                                       epsrel=1e-8)
-            total += val
+            # The inner integrand has a kink where an inner break point
+            # crosses an end of the f2 channel.
+            points = _breakpoints(lo[i], hi[i], [f_eval] + [
+                f_eval + e - end for e in edges for end in (lo[j], hi[j])])
+            total += integrate.quad(inner, lo[i], hi[i], args=(lo[j], hi[j]),
+                                    points=points, epsabs=0.0, epsrel=1e-8,
+                                    limit=200)[0]
     prefactor = (16 / 27) * fib.gamma ** 2 * span.gain_lin(f_eval) * loss
     return prefactor * total
 
@@ -59,7 +78,7 @@ def test_span_psd_single_channel_vs_dblquad():
     link = make_single_channel_link(rate=0.032, power_w=0.001)
     got = gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
-    want = _reference_dblquad(link.spans[0], link.combs[0],
+    want = _reference_iterated_quad(link.spans[0], link.combs[0],
                               link.cut.f_center)
     assert got == pytest.approx(want, rel=5e-3)
 
@@ -74,7 +93,7 @@ def test_span_psd_two_channels_vs_dblquad():
     link2 = LinkSpec(spans=link.spans, combs=(comb,), cut_index=0)
     got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
-    want = _reference_dblquad(link2.spans[0], comb, link2.cut.f_center)
+    want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
     assert got == pytest.approx(want, rel=5e-3)
 
 
@@ -235,29 +254,3 @@ def test_rx_psd_converges_on_generated_system():
     val = gn_rx_psd(link, link.cut.f_center)
     assert val > 0.0
 
-
-def test_matched_filter_shape():
-    filt = MatchedFilter(f_center=193.8, symbol_rate=0.064, roll_off=0.2)
-    assert filt.power_response(np.array([0.0]))[0] == 1.0
-    # Half-power point sits at +-R/2 for any roll-off.
-    assert filt.power_response(np.array([0.032]))[0] == pytest.approx(0.5)
-    # Zero beyond the null edge.
-    edge = (1 + 0.2) * 0.064 / 2
-    assert filt.power_response(np.array([edge + 1e-6]))[0] == 0.0
-    # |H|^2 integrates to R.
-    f = np.linspace(-0.06, 0.06, 20001)
-    assert np.trapezoid(filt.power_response(f), f) == pytest.approx(
-        0.064, rel=1e-6)
-    assert filt.equivalent_bandwidth == 0.064
-
-
-def test_matched_power_of_flat_psd():
-    filt = MatchedFilter(f_center=193.8, symbol_rate=0.064, roll_off=0.1)
-    f = np.linspace(-0.05, 0.05, 4001)
-    psd = np.full_like(f, 3.0e-4)
-    # Flat PSD: power = PSD * R exactly (the flat-PSD shortcut).
-    assert nli_power_matched(f, psd, filt) == pytest.approx(3.0e-4 * 0.064,
-                                                            rel=1e-6)
-    with pytest.raises(ValueError):
-        nli_power_matched(np.linspace(-0.01, 0.01, 101),
-                          np.zeros(101), filt)
