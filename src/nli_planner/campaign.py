@@ -89,7 +89,7 @@ class GnOracleBenchmark(_LastLinkBenchmark):
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         f_cut = link.cut.f_center
         return propagate(span_transfer(link), [
-            gn_span_psd(link.spans[n], link.comb(n), f_cut, self.quad,
+            gn_span_psd(link.spans[n], link.channels, f_cut, self.quad,
                         span_index=n)
             for n in range(link.n_spans)])
 
@@ -353,11 +353,10 @@ class _FitData:
         ch = comb_arrays(link)
         c = link.cut_index
         g = ch.power / ch.rate
-        others = np.arange(len(ch.f)) != c
+        idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
         sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
-        xb, xacc, xidx = [], [], []
+        xb, xacc = [], []
         for m, s in zip(range(reach), span_integrals(link, ch)):
-            idx = np.flatnonzero(ch.active[m] & others)
             base = s.prefactor * g[m, c]
             sci_inc[m] = base * g[m, c] ** 2 * s.i_self[c]
             if self.kind.coherent_sci:
@@ -365,9 +364,8 @@ class _FitData:
             sci_acc[m] = s.abs_acc[c, c]
             xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[c, idx])
             xacc.append(s.abs_acc[c, idx])
-            xidx.append(idx)
-        span_of_x = np.repeat(np.arange(reach), [i.size for i in xidx])
-        idx = np.concatenate(xidx)
+        span_of_x = np.repeat(np.arange(reach), idx.size)
+        xidx = np.tile(idx, reach)
         brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])
         # [truncation, span] propagation, in units of the benchmark power.
         prop = (propagate(span_transfer(link)[:reach], np.eye(reach))
@@ -376,8 +374,8 @@ class _FitData:
             "sci": prop * (sci_inc + brackets[:, None] * sci_coh),
             "xci": prop[:, span_of_x] * np.concatenate(xb),
             "rate": ch.rate[c], "phi_cut": ch.phi[c], "roll_cut": ch.roll[c],
-            "sci_acc": sci_acc, "xphi": ch.phi[idx],
-            "xacc": np.concatenate(xacc), "xroll": ch.roll[idx],
+            "sci_acc": sci_acc, "xphi": ch.phi[xidx],
+            "xacc": np.concatenate(xacc), "xroll": ch.roll[xidx],
             "m_count": reach,
         })
 

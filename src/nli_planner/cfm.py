@@ -204,8 +204,8 @@ def propagate(transfer: np.ndarray, terms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CombArrays:
-    """Channel parameters from ``combs[0]``; launch power (zero where
-    inactive) and activity as ``[span, channel]`` matrices."""
+    """Channel parameters and activity as ``[channel]`` arrays; launch power
+    (zero where inactive) as a ``[span, channel]`` matrix."""
 
     f: np.ndarray
     rate: np.ndarray
@@ -216,24 +216,16 @@ class CombArrays:
 
 
 def comb_arrays(link: LinkSpec) -> CombArrays:
-    """Array view of the link's combs; every span must list the same
-    channels (frequency, rate, roll-off, format) as the first."""
-    first = link.combs[0]
-    key = [(c.f_center, c.symbol_rate, c.roll_off, c.format) for c in first]
-    for n, comb in enumerate(link.combs):
-        if comb is not first and key != [
-                (c.f_center, c.symbol_rate, c.roll_off, c.format)
-                for c in comb]:
-            raise ValidationError(
-                f"comb of span {n} lists other channels than span 0")
+    """Array view of the link's channels."""
+    chans = link.channels
     return CombArrays(
-        f=np.array([c.f_center for c in first]),
-        rate=np.array([c.symbol_rate for c in first]),
-        roll=np.array([c.roll_off for c in first]),
-        phi=np.array([phi_of_format(c.format) for c in first]),
+        f=np.array([c.f_center for c in chans]),
+        rate=np.array([c.symbol_rate for c in chans]),
+        roll=np.array([c.roll_off for c in chans]),
+        phi=np.array([phi_of_format(c.format) for c in chans]),
         power=np.array([[c.power_w_per_span[n] if c.active else 0.0
-                         for c in comb] for n, comb in enumerate(link.combs)]),
-        active=np.array([[c.active for c in comb] for comb in link.combs]))
+                         for c in chans] for n in range(link.n_spans)]),
+        active=np.array([c.active for c in chans]))
 
 
 @dataclass(frozen=True)
@@ -293,7 +285,7 @@ class NliTerms:
     transfer: np.ndarray  # [span]
     base: np.ndarray  # [span, channel]
     coherent: np.ndarray  # [span, channel]; zero unless CFM3/CFM4
-    rows: np.ndarray  # [channel]: active at every span, so a possible CUT
+    rows: np.ndarray  # [channel]: active, so a possible CUT
     min_abs_beta2: np.ndarray  # [channel]: smallest |beta2| a row's terms use
 
     def rx_psd(self) -> np.ndarray:
@@ -327,9 +319,9 @@ def nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
     base = np.empty((n_spans, nc))
     coherent = np.zeros((n_spans, nc))
     min_abs_beta2 = np.full(nc, np.inf)
+    act = ch.active
     with np.errstate(invalid="ignore"):
         for n, s in enumerate(span_integrals(link, ch)):
-            act = ch.active[n]
             g2 = g[n] ** 2
             # Inactive interferers and the diagonal are no cross terms; zero
             # them so that their entries cannot turn a row NaN.
@@ -344,7 +336,7 @@ def nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
                        s.abs_beta2[:, act].min(axis=1, initial=np.inf),
                        out=min_abs_beta2)
     return NliTerms(transfer=span_transfer(link), base=base,
-                    coherent=coherent, rows=ch.active.all(axis=0),
+                    coherent=coherent, rows=ch.active,
                     min_abs_beta2=min_abs_beta2)
 
 
@@ -361,7 +353,7 @@ def cut_nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
     """The kernel, with the low-dispersion policy applied to the CUT row."""
     terms = nli_terms(link, variant)
     if not terms.rows[link.cut_index]:
-        raise ValidationError("CUT inactive in some span")
+        raise ValidationError("CUT inactive")
     check_dispersion(terms.min_abs_beta2[link.cut_index])
     return terms
 
@@ -385,7 +377,7 @@ def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
 def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
                             n_end: int | None = None) -> np.ndarray:
     """Receiver NLI PSD with every active channel treated as CUT in turn;
-    channels inactive in some span yield NaN."""
+    inactive channels yield NaN."""
     if n_end is None:
         n_end = link.n_spans
     _check_n_end(link, n_end)

@@ -164,14 +164,13 @@ def _cmd_evaluate(args) -> int:
         start = time.perf_counter()
         ev = evaluate_all_channels(link, variant)
         elapsed = 1e3 * (time.perf_counter() - start)
-        comb = link.combs[0]
 
         def _clean(arr):
             return [None if not np.isfinite(v) else float(v) for v in arr]
 
         doc["channels"] = {
-            "f_center_thz": [c.f_center for c in comb],
-            "active": [c.active for c in comb],
+            "f_center_thz": [c.f_center for c in link.channels],
+            "active": [c.active for c in link.channels],
             "snr_db": _clean(ev.snr_db),
             "p_nli_w": _clean(ev.p_nli_w),
             "p_ase_w": _clean(ev.p_ase_w),

@@ -55,11 +55,14 @@ def _parse_fiber(node: Any, pointer: str) -> FiberParams:
     if not isinstance(node, dict):
         raise ParseError(pointer, "fiber must be a preset name or an object")
     _require(node, pointer, _FIBER_FIELDS, _FIBER_FIELDS)
-    return FiberParams(alpha_db_per_km=float(node["alpha_db_per_km"]),
-                       beta2=float(node["beta2_ps2_per_km"]),
-                       beta3=float(node["beta3_ps3_per_km"]),
-                       gamma=float(node["gamma_per_w_km"]),
-                       f_ref=float(node["f_ref_thz"]))
+    try:
+        return FiberParams(alpha_db_per_km=float(node["alpha_db_per_km"]),
+                           beta2=float(node["beta2_ps2_per_km"]),
+                           beta3=float(node["beta3_ps3_per_km"]),
+                           gamma=float(node["gamma_per_w_km"]),
+                           f_ref=float(node["f_ref_thz"]))
+    except ValueError as exc:
+        raise ParseError(pointer, str(exc))
 
 
 def _fiber_to_json(fiber: FiberParams) -> Any:
@@ -93,10 +96,14 @@ def parse_system(doc: dict) -> LinkSpec:
         elif not isinstance(gain, (int, float)):
             raise ParseError(f"{ptr}/gain_db",
                              "must be a number or 'transparent'")
-        spans.append(SpanConfig(fiber=_parse_fiber(node["fiber"], f"{ptr}/fiber"),
-                                length_km=float(node["length_km"]),
-                                gain_db=gain,
-                                noise_figure_db=float(node["nf_db"])))
+        fiber = _parse_fiber(node["fiber"], f"{ptr}/fiber")
+        try:
+            spans.append(SpanConfig(fiber=fiber,
+                                    length_km=float(node["length_km"]),
+                                    gain_db=gain,
+                                    noise_figure_db=float(node["nf_db"])))
+        except ValueError as exc:
+            raise ParseError(ptr, str(exc))
     n_spans = len(spans)
     if n_spans == 0:
         raise ParseError("/spans", "at least one span required")
@@ -139,8 +146,7 @@ def parse_system(doc: dict) -> LinkSpec:
     cut_index = doc["cut_index"]
     if not isinstance(cut_index, int):
         raise ParseError("/cut_index", "must be an integer")
-    comb = tuple(channels)
-    link = LinkSpec(spans=tuple(spans), combs=tuple(comb for _ in spans),
+    link = LinkSpec(spans=tuple(spans), channels=tuple(channels),
                     cut_index=cut_index)
     try:
         link.validate()
@@ -150,8 +156,7 @@ def parse_system(doc: dict) -> LinkSpec:
 
 
 def system_to_json(link: LinkSpec) -> dict:
-    """Serialize a span-invariant-comb link to a SystemFileV1 document."""
-    comb = link.combs[0]
+    """Serialize a link to a SystemFileV1 document."""
     spans = []
     for span in link.spans:
         spans.append({"fiber": _fiber_to_json(span.fiber),
@@ -160,7 +165,7 @@ def system_to_json(link: LinkSpec) -> dict:
                       "gain_db": ("transparent" if span.gain_db is None
                                   else span.gain_db)})
     channels = []
-    for ch in comb:
+    for ch in link.channels:
         powers = list(ch.power_w_per_span)
         power: Any = powers[0] if len(set(powers)) == 1 else powers
         channels.append({"f_center_thz": ch.f_center,

@@ -260,7 +260,7 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
     to the receiver exactly like the closed-form accumulation."""
     if n_end is None:
         n_end = link.n_spans
-    psds = [gn_span_psd(link.spans[n], link.comb(n), f_eval, q, span_index=n)
+    psds = [gn_span_psd(link.spans[n], link.channels, f_eval, q, span_index=n)
             for n in range(n_end)]
     return float(propagate(span_transfer(link)[:n_end], psds)[-1])
 

@@ -103,7 +103,7 @@ def snr_from_powers(p_rx, p_ase, p_nli):
 def cut_rx_power(link: LinkSpec, n_end: int) -> float:
     """CUT power (W) at the receiver after the last span's loss and gain."""
     span = link.spans[n_end - 1]
-    cut = link.comb(n_end - 1)[link.cut_index]
+    cut = link.cut
     return (cut.power_w_per_span[n_end - 1] * span.span_loss_lin
             * span.gain_lin(cut.f_center))
 
@@ -178,15 +178,15 @@ def evaluate_all_channels(link: LinkSpec, variant: ModelVariant,
     """Vectorized SNR of every active channel (NaN entries are inactive)."""
     if n_end is None:
         n_end = link.n_spans
-    comb = link.comb(n_end - 1)
-    rate = np.array([c.symbol_rate for c in comb])
-    f = np.array([c.f_center for c in comb])
+    chans = link.channels
+    rate = np.array([c.symbol_rate for c in chans])
+    f = np.array([c.f_center for c in chans])
     p_nli = nli_power_cfm(rx_nli_psd_all_channels(link, variant, n_end),
                           rate)
     p_ase = rx_ase_psd(link, f)[n_end - 1] * rate
     last = link.spans[n_end - 1]
     p_launch = np.array([c.power_w_per_span[n_end - 1] if c.active else np.nan
-                         for c in comb])
+                         for c in chans])
     p_rx = p_launch * last.span_loss_lin * last.gain_lin(0.0)
     return ChannelEvaluation(snr_db=snr_from_powers(p_rx, p_ase, p_nli),
                              p_nli_w=p_nli, p_ase_w=p_ase, p_rx_w=p_rx)

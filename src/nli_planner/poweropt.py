@@ -29,7 +29,7 @@ class PowerPlan:
     """Per-span CUT launch PSD plus the per-channel multipliers."""
 
     g_cut_per_span: tuple[float, ...]
-    xi: tuple[float, ...]  # per comb index; 1.0 at the CUT
+    xi: tuple[float, ...]  # per channel index; 1.0 at the CUT
     eta_nli: float | None = None
 
     def scaled(self, factor: float) -> "PowerPlan":
@@ -37,13 +37,13 @@ class PowerPlan:
             g * factor for g in self.g_cut_per_span))
 
 
-def randomize_launch(comb: tuple[ChannelSpec, ...], cut_index: int,
+def randomize_launch(channels: tuple[ChannelSpec, ...], cut_index: int,
                      rng: np.random.Generator) -> tuple[float, ...]:
     """Per-channel power multipliers, uniform in [0.7, 1.3]; 1 at the CUT.
 
     Drawn once and reused at every span.
     """
-    xi = [float(rng.uniform(0.7, 1.3)) for _ in comb]
+    xi = [float(rng.uniform(0.7, 1.3)) for _ in channels]
     xi[cut_index] = 1.0
     return tuple(xi)
 
@@ -51,14 +51,9 @@ def randomize_launch(comb: tuple[ChannelSpec, ...], cut_index: int,
 def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
     """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
     the CUT's through xi: the kernel on the link with powers xi * R."""
-    def tied(comb):
-        return tuple(ch.with_powers([x * ch.symbol_rate] * link.n_spans)
-                     for x, ch in zip(xi, comb))
-
-    first = tied(link.combs[0])
-    combs = tuple(first if comb is link.combs[0] else tied(comb)
-                  for comb in link.combs)
-    terms = cut_nli_terms(replace(link, combs=combs),
+    tied = tuple(ch.with_powers([x * ch.symbol_rate] * link.n_spans)
+                 for x, ch in zip(xi, link.channels))
+    terms = cut_nli_terms(replace(link, channels=tied),
                           assets.model(CfmKind.CFM1))
     return terms.base[:, link.cut_index]
 
@@ -68,7 +63,7 @@ def logo_optimize(link: LinkSpec,
     """Span-local optimal CUT PSDs: the stationary point where each span's
     ASE PSD equals twice its NLI PSD."""
     if xi is None:
-        xi = tuple(1.0 for _ in link.combs[0])
+        xi = tuple(1.0 for _ in link.channels)
     f_cut = link.cut.f_center
     out = []
     for span, eta in zip(link.spans, span_eta(link, xi).tolist()):
@@ -86,18 +81,17 @@ def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
     """Set per-span channel powers from the plan and re-derive the lumped
     gains that realize the per-span CUT PSD profile on a transparent link."""
     g = plan.g_cut_per_span
-    comb = tuple(
+    channels = tuple(
         ch.with_powers([plan.xi[idx] * g[n] * ch.symbol_rate
                         for n in range(link.n_spans)])
-        for idx, ch in enumerate(link.combs[0]))
-    new_combs = [comb] * link.n_spans
+        for idx, ch in enumerate(link.channels))
     new_spans = []
     for n, span in enumerate(link.spans):
         gain_db = span.fiber.alpha_db_per_km * span.length_km
         if n + 1 < link.n_spans:
             gain_db += 10.0 * math.log10(g[n + 1] / g[n])
         new_spans.append(replace(span, gain_db=gain_db))
-    return replace(link, spans=tuple(new_spans), combs=tuple(new_combs))
+    return replace(link, spans=tuple(new_spans), channels=channels)
 
 
 def eta_nli(link: LinkSpec, variant: ModelVariant) -> float:
@@ -127,7 +121,7 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator,
     """
     if variant is None:
         variant = assets.model(CfmKind.CFM4)
-    xi = randomize_launch(link.combs[0], link.cut_index, rng)
+    xi = randomize_launch(link.channels, link.cut_index, rng)
     g = logo_optimize(link, xi)
     plan = PowerPlan(g_cut_per_span=g, xi=xi)
     staged = apply_power_plan(link, plan)

@@ -157,12 +157,10 @@ def generate_link(cfg: GeneratorConfig,
 
 def generate_system(cfg: GeneratorConfig,
                     rng: np.random.Generator) -> LinkSpec:
-    """Compose a comb and a link; the comb is replicated across spans."""
+    """Compose a comb and a link; every span carries the one comb."""
     channels, cut_index = generate_comb(cfg, rng)
     spans = generate_link(cfg, rng)
-    comb = tuple(channels)
-    link = LinkSpec(spans=tuple(spans),
-                    combs=tuple(comb for _ in spans),
+    link = LinkSpec(spans=tuple(spans), channels=tuple(channels),
                     cut_index=cut_index)
     link.validate()
     if cut_min_abs_beta2(link) < MIN_ABS_BETA2:

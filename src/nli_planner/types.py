@@ -53,6 +53,11 @@ class ValidationError(ValueError):
     """Raised when a domain object violates its invariants."""
 
 
+def _check_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} must be finite numbers")
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Per-span fiber parameters.
@@ -69,6 +74,8 @@ class FiberParams:
     name: str = ""
 
     def __post_init__(self) -> None:
+        _check_finite("fiber parameters", self.alpha_db_per_km, self.beta2,
+                      self.beta3, self.gamma, self.f_ref)
         if self.alpha_db_per_km <= 0:
             raise ValidationError("fiber attenuation must be > 0 dB/km")
         if self.gamma <= 0:
@@ -97,6 +104,9 @@ class SpanConfig:
     noise_figure_db: float = 6.0
 
     def __post_init__(self) -> None:
+        _check_finite("span length, gain and noise figure", self.length_km,
+                      0.0 if self.gain_db is None else self.gain_db,
+                      self.noise_figure_db)
         if self.length_km <= 0:
             raise ValidationError("span length must be > 0 km")
 
@@ -124,6 +134,9 @@ class ChannelSpec:
     active: bool = True
 
     def __post_init__(self) -> None:
+        _check_finite("channel frequency, rate, roll-off and powers",
+                      self.f_center, self.symbol_rate, self.roll_off,
+                      *self.power_w_per_span)
         if self.symbol_rate <= 0:
             raise ValidationError("symbol rate must be > 0")
         if not 0.0 <= self.roll_off <= 1.0:
@@ -148,15 +161,16 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Ordered spans with a per-span WDM comb snapshot and a designated CUT.
+    """Ordered spans with one WDM comb and a designated CUT.
 
-    ``combs[n]`` lists the channels present at the input of span ``n``; the
-    channel-under-test occupies index ``cut_index`` in every comb and keeps
-    identical frequency, rate, roll-off and format along the link.
+    Every channel is present at the input of every span with the same
+    frequency, rate, roll-off, format and activity; ``power_w_per_span[n]``
+    is its launch power into span ``n``.  The channel-under-test is
+    ``channels[cut_index]``.
     """
 
     spans: tuple[SpanConfig, ...]
-    combs: tuple[tuple[ChannelSpec, ...], ...]
+    channels: tuple[ChannelSpec, ...]
     cut_index: int
     flags: tuple[str, ...] = field(default_factory=tuple)
 
@@ -166,28 +180,19 @@ class LinkSpec:
 
     @property
     def cut(self) -> ChannelSpec:
-        return self.combs[0][self.cut_index]
-
-    def comb(self, span_index: int) -> tuple[ChannelSpec, ...]:
-        return self.combs[span_index]
+        return self.channels[self.cut_index]
 
     def validate(self) -> None:
         if not self.spans:
             raise ValidationError("link must contain at least one span")
-        if len(self.combs) != len(self.spans):
-            raise ValidationError("combs length must equal spans length")
-        ref = None
-        for n, comb in enumerate(self.combs):
-            if not 0 <= self.cut_index < len(comb):
-                raise ValidationError(f"cut_index out of range in span {n}")
-            cut = comb[self.cut_index]
-            if not cut.active:
-                raise ValidationError(f"CUT inactive in span {n}")
-            key = (cut.f_center, cut.symbol_rate, cut.roll_off, cut.format)
-            if ref is None:
-                ref = key
-            elif key != ref:
-                raise ValidationError("CUT parameters differ across spans")
+        if not 0 <= self.cut_index < len(self.channels):
+            raise ValidationError("cut_index out of range")
+        if not self.cut.active:
+            raise ValidationError("CUT inactive")
+        if any(len(c.power_w_per_span) != self.n_spans
+               for c in self.channels):
+            raise ValidationError(
+                "every channel needs one launch power per span")
 
     def with_flags(self, *extra: str) -> "LinkSpec":
         return replace(self, flags=self.flags + tuple(extra))

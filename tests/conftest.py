@@ -37,8 +37,7 @@ def make_single_channel_link(*, n_spans: int = 1, length_km: float = 100.0,
                              noise_figure_db=6.0) for _ in range(n_spans))
     ch = ChannelSpec(f_center=f_center, symbol_rate=rate, roll_off=0.1,
                      format=fmt, power_w_per_span=(power_w,) * n_spans)
-    comb = (ch,)
-    return LinkSpec(spans=spans, combs=tuple(comb for _ in spans), cut_index=0)
+    return LinkSpec(spans=spans, channels=(ch,), cut_index=0)
 
 
 def make_zero_dispersion_link(cut_index: int,
@@ -51,12 +50,12 @@ def make_zero_dispersion_link(cut_index: int,
     fiber = FiberParams(alpha_db_per_km=0.21, beta2=0.0, beta3=0.1452,
                         gamma=1.3, f_ref=193.8125, name="zero-at-f_ref")
     spans = tuple(SpanConfig(fiber=fiber, length_km=100.0) for _ in range(2))
-    comb = tuple(ChannelSpec(f_center=f, symbol_rate=0.064, roll_off=0.1,
-                             format=ModulationFormat.PM_16QAM,
-                             power_w_per_span=(1e-3, 1e-3),
-                             active=i not in inactive)
-                 for i, f in enumerate((193.75, 193.875, 194.125)))
-    return LinkSpec(spans=spans, combs=(comb, comb), cut_index=cut_index)
+    channels = tuple(ChannelSpec(f_center=f, symbol_rate=0.064, roll_off=0.1,
+                                 format=ModulationFormat.PM_16QAM,
+                                 power_w_per_span=(1e-3, 1e-3),
+                                 active=i not in inactive)
+                     for i, f in enumerate((193.75, 193.875, 194.125)))
+    return LinkSpec(spans=spans, channels=channels, cut_index=cut_index)
 
 
 @pytest.fixture

@@ -146,7 +146,7 @@ def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
     it defaults to the full link length.
     """
     span = link.spans[span_index]
-    comb = link.comb(span_index)
+    comb = link.channels
     cut = comb[link.cut_index]
     if n_span_total is None:
         n_span_total = link.n_spans
@@ -221,7 +221,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
 def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Received CUT SNR (dB), inclusive of ASE and NLI noise."""
     span = link.spans[n_end - 1]
-    cut = link.comb(n_end - 1)[link.cut_index]
+    cut = link.channels[link.cut_index]
     p_rx = (cut.power_w_per_span[n_end - 1] * span.span_loss_lin
             * span.gain_lin(cut.f_center))
     p_nli = rx_nli_psd(link, variant, n_end) * cut.symbol_rate

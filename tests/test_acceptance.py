@@ -66,7 +66,7 @@ def test_criterion_1_correction_factor_fidelity():
                                optimize=False)
             n = int(rng.integers(link.n_spans))
             cut = link.cut
-            comb = link.comb(n)
+            comb = link.channels
             others = [i for i in range(len(comb)) if i != link.cut_index]
             nch = comb[int(rng.choice(others))]
 
@@ -145,9 +145,8 @@ def test_criterion_3_cubic_homogeneity():
         base = rx_nli_psd(link, variant, link.n_spans)
         scaled = LinkSpec(
             spans=link.spans,
-            combs=tuple(tuple(c.with_powers([p * s
-                                             for p in c.power_w_per_span])
-                              for c in comb) for comb in link.combs),
+            channels=tuple(c.with_powers([p * s for p in c.power_w_per_span])
+                           for c in link.channels),
             cut_index=link.cut_index)
         got = rx_nli_psd(scaled, variant, link.n_spans)
         worst = max(worst, abs(got - base * s ** 3) / (base * s ** 3))
@@ -269,9 +268,9 @@ def test_criterion_7_launch_power_stationarity():
             s = math.exp(log_s)
             scaled = LinkSpec(
                 spans=link.spans,
-                combs=tuple(tuple(c.with_powers(
-                    [p * s for p in c.power_w_per_span]) for c in comb)
-                    for comb in link.combs),
+                channels=tuple(c.with_powers(
+                    [p * s for p in c.power_w_per_span])
+                    for c in link.channels),
                 cut_index=link.cut_index)
             return -snr(scaled, variant, link.n_spans)
 

@@ -29,7 +29,7 @@ from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModelVariant, ModulationFormat, SpanConfig,
-                               ValidationError, phi_of_format)
+                               phi_of_format)
 from reference_cfm import (beta2_acc, i_cut_coherent, i_cut_incoherent, i_xci,
                            propagation_factor)
 
@@ -42,9 +42,13 @@ mpmath.mp.dps = 50
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, math.pi, 10.0, 250.0, 4000.0])
 def test_sine_integral_vs_quadrature(x):
-    # [DERIVED] direct numerical integration of sin(t)/t.
-    expected, _ = quad(lambda t: math.sin(t) / t if t else 1.0, 0.0, x,
-                       limit=400)
+    # [DERIVED] direct numerical integration of sin(t)/t, one quadrature
+    # per stretch between multiples of pi, where the integrand is smooth
+    # and of one sign.
+    edges = [*np.arange(0.0, x, math.pi), x]
+    expected = math.fsum(
+        quad(lambda t: math.sin(t) / t if t else 1.0, lo, hi)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]))
     assert sine_integral(x) == pytest.approx(expected, abs=1e-9)
 
 
@@ -220,9 +224,9 @@ def test_correction_factors_vs_mpmath(kind):
                            band_width=0.5)
         span_index = int(rng.integers(n_spans))
         cut = link.cut
-        comb = link.comb(span_index)
-        others = [i for i in range(len(comb)) if i != link.cut_index]
-        nch = comb[int(rng.choice(others))]
+        others = [i for i in range(len(link.channels))
+                  if i != link.cut_index]
+        nch = link.channels[int(rng.choice(others))]
 
         a_pkg = variant.coefficients.a
         acc = abs(beta2_acc(link, span_index, nch, cut))
@@ -247,8 +251,7 @@ def test_correction_factors_vs_mpmath(kind):
 def test_identity_coefficients_give_unit_factors():
     link = make_system(3, n_spans=3)
     cut = link.cut
-    comb = link.comb(1)
-    nch = comb[0 if link.cut_index != 0 else 1]
+    nch = link.channels[0 if link.cut_index != 0 else 1]
     acc_x = abs(beta2_acc(link, 2, nch, cut))
     acc_c = abs(beta2_acc(link, 2, cut))
     for kind in (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4):
@@ -299,7 +302,7 @@ def test_beta2_acc_is_cumulative():
             * link.spans[n].length_km
     # Pair form against an interferer differs from the self form.
     j = 0 if c != 0 else 1
-    nch = link.comb(0)[j]
+    nch = link.channels[j]
     want = sum(effective_beta2_xci(link.spans[k].fiber, nch.f_center,
                                    cut.f_center) * link.spans[k].length_km
                for k in range(2))
@@ -331,9 +334,8 @@ def test_cubic_power_scaling_property(scale, seed):
     base = rx_nli_psd(link, variant, link.n_spans)
     scaled = LinkSpec(
         spans=link.spans,
-        combs=tuple(tuple(c.with_powers([p * scale
-                                         for p in c.power_w_per_span])
-                          for c in comb) for comb in link.combs),
+        channels=tuple(c.with_powers([p * scale for p in c.power_w_per_span])
+                       for c in link.channels),
         cut_index=link.cut_index)
     assert rx_nli_psd(scaled, variant, link.n_spans) == pytest.approx(
         base * scale ** 3, rel=1e-9)
@@ -359,15 +361,9 @@ def test_inactive_channels_do_not_contribute():
     link = make_system(9, optimize=False)
     variant = assets.model(CfmKind.CFM1)
     victim = 0 if link.cut_index != 0 else 1
-    pruned_combs = tuple(
-        tuple(ChannelSpec(f_center=c.f_center, symbol_rate=c.symbol_rate,
-                          roll_off=c.roll_off, format=c.format,
-                          power_w_per_span=c.power_w_per_span, active=False)
-              if i == victim else c
-              for i, c in enumerate(comb))
-        for comb in link.combs)
-    pruned = LinkSpec(spans=link.spans, combs=pruned_combs,
-                      cut_index=link.cut_index)
+    pruned = replace(link, channels=tuple(
+        replace(c, active=False) if i == victim else c
+        for i, c in enumerate(link.channels)))
     assert rx_nli_psd(pruned, variant, link.n_spans) \
         < rx_nli_psd(link, variant, link.n_spans)
 
@@ -383,13 +379,11 @@ def test_vectorized_matches_scalar(kind):
             want = ref.rx_nli_psd(link, variant, n_end)
             assert got == pytest.approx(want, rel=1e-9)
             # Every active channel agrees with a scalar run as CUT.
-            comb = link.combs[0]
-            for idx, ch in enumerate(comb):
+            for idx, ch in enumerate(link.channels):
                 if not ch.active:
                     assert math.isnan(vec[idx])
                     continue
-                relabeled = LinkSpec(spans=link.spans, combs=link.combs,
-                                     cut_index=idx)
+                relabeled = replace(link, cut_index=idx)
                 assert vec[idx] == pytest.approx(
                     ref.rx_nli_psd(relabeled, variant, n_end), rel=1e-9)
 
@@ -433,68 +427,15 @@ def test_kernel_matches_reference_paper_link(paper_link, kind):
     variant = assets.model(kind)
     rx = nli_terms(link, variant).rx_psd()
     worst = 0.0
-    for idx, ch in enumerate(link.combs[0]):
+    for idx, ch in enumerate(link.channels):
         if not ch.active:
             assert np.isnan(rx[:, idx]).all()
             continue
-        relabeled = LinkSpec(spans=link.spans, combs=link.combs,
-                             cut_index=idx)
+        relabeled = replace(link, cut_index=idx)
         for n_end in range(1, link.n_spans + 1):
             want = ref.rx_nli_psd(relabeled, variant, n_end)
             worst = max(worst, abs(rx[n_end - 1, idx] - want) / want)
     assert worst <= 1e-12
-
-
-def test_kernel_per_span_active_flags():
-    # Two interferers are switched off in the second and fourth spans only:
-    # the kernel's [span, channel] activity must match the scalar reference,
-    # which walks each span's own comb.
-    link = make_system(15, n_spans=4, optimize=False)
-    victims = [i for i in range(len(link.combs[0]))
-               if i != link.cut_index][:2]
-    combs = tuple(
-        tuple(replace(c, active=False) if n % 2 and i in victims else c
-              for i, c in enumerate(comb))
-        for n, comb in enumerate(link.combs))
-    varied = replace(link, combs=combs)
-    for kind in CfmKind:
-        variant = assets.model(kind)
-        for n_end in (1, 3, 4):
-            vec = rx_nli_psd_all_channels(varied, variant, n_end)
-            for idx, ch in enumerate(link.combs[0]):
-                if idx in victims or not ch.active:
-                    assert math.isnan(vec[idx])
-                    continue
-                relabeled = replace(varied, cut_index=idx)
-                assert vec[idx] == pytest.approx(
-                    ref.rx_nli_psd(relabeled, variant, n_end), rel=1e-12)
-        assert rx_nli_psd(varied, variant, 4) < rx_nli_psd(link, variant, 4)
-
-
-def test_mismatched_combs_rejected():
-    link = make_system(16, n_spans=3, optimize=False)
-    comb = link.combs[0]
-    j = 0 if link.cut_index != 0 else 1
-    changes = [dict(f_center=comb[j].f_center + 1e-3),
-               dict(symbol_rate=comb[j].symbol_rate * 2.0),
-               dict(roll_off=comb[j].roll_off / 2.0),
-               dict(format=ModulationFormat.PM_GAUSSIAN
-                    if comb[j].format is not ModulationFormat.PM_GAUSSIAN
-                    else ModulationFormat.PM_QPSK)]
-    bad_combs = [comb[:-1] if link.cut_index != len(comb) - 1 else comb[1:]]
-    bad_combs += [tuple(replace(c, **change) if i == j else c
-                        for i, c in enumerate(comb)) for change in changes]
-    cfm1 = assets.model(CfmKind.CFM1)
-    for bad in bad_combs:
-        mixed = replace(link, combs=(comb, bad, comb))
-        with pytest.raises(ValidationError):
-            rx_nli_psd(mixed, cfm1, 3)
-        with pytest.raises(ValidationError):
-            rx_nli_psd_all_channels(mixed, cfm1)
-    # A comb that differs only in powers and activity is accepted.
-    quiet = tuple(replace(c, active=False) if i == j else c
-                  for i, c in enumerate(comb))
-    assert rx_nli_psd(replace(link, combs=(comb, quiet, comb)), cfm1, 3) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def test_system_round_trip():
     assert fileio.parse_system(doc2) == fileio.parse_system(doc)
     restored = fileio.parse_system(doc)
     assert restored.spans == link.spans
-    assert restored.combs == link.combs
+    assert restored.channels == link.channels
     assert restored.cut_index == link.cut_index
 
 
@@ -30,7 +30,7 @@ def test_system_file_io(tmp_path):
     link = make_system(81)
     path = tmp_path / "sys.json"
     fileio.save_system(link, path)
-    assert fileio.load_system(path).combs == link.combs
+    assert fileio.load_system(path).channels == link.channels
 
 
 def test_unknown_fields_rejected():
@@ -225,6 +225,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text('{"version": 1}')
     assert main(["evaluate", str(bad)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", [
+    "/channels/0/power_w", "/channels/0/f_center_thz",
+    "/channels/0/rate_tbaud", "/spans/0/length_km", "/spans/0/nf_db",
+    "/spans/0/gain_db", "/spans/0/fiber/alpha_db_per_km"])
+def test_cli_non_finite_value_exit_code(tmp_path, capsys, where):
+    # JSON readers accept NaN and Infinity; no such number reaches a model.
+    doc = fileio.system_to_json(make_system(86))
+    doc["spans"][0]["fiber"] = {
+        "alpha_db_per_km": 0.2, "beta2_ps2_per_km": -20.0,
+        "beta3_ps3_per_km": 0.0, "gamma_per_w_km": 1.1, "f_ref_thz": 193.0}
+    *parents, leaf = where.strip("/").split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key) if key.isdigit() else key]
+    node[leaf] = float("nan")
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "must be finite" in err and where.rsplit("/", 1)[0] in err
 
 
 def test_cli_zero_dispersion_exit_code(tmp_path, capsys):

@@ -76,9 +76,9 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
 
 def test_span_psd_single_channel_vs_dblquad():
     link = make_single_channel_link(rate=0.032, power_w=0.001)
-    got = gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center,
+    got = gn_span_psd(link.spans[0], link.channels, link.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
-    want = _reference_iterated_quad(link.spans[0], link.combs[0],
+    want = _reference_iterated_quad(link.spans[0], link.channels,
                               link.cut.f_center)
     assert got == pytest.approx(want, rel=5e-3)
 
@@ -89,8 +89,8 @@ def test_span_psd_two_channels_vs_dblquad():
                       symbol_rate=0.032, roll_off=0.1,
                       format=ModulationFormat.PM_64QAM,
                       power_w_per_span=(0.0012,))
-    comb = (link.combs[0][0], nch)
-    link2 = LinkSpec(spans=link.spans, combs=(comb,), cut_index=0)
+    comb = (link.channels[0], nch)
+    link2 = LinkSpec(spans=link.spans, channels=comb, cut_index=0)
     got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
     want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
@@ -103,7 +103,7 @@ def test_closed_form_tracks_oracle_single_channel():
     link = make_single_channel_link(rate=0.064, power_w=0.002)
     variant = assets.model(CfmKind.CFM1)
     cf = rx_nli_psd(link, variant, 1)
-    num = gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center)
+    num = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
     assert cf == pytest.approx(num, rel=0.15)
 
 
@@ -113,9 +113,9 @@ def test_inactive_channels_excluded():
                         symbol_rate=0.032, roll_off=0.1,
                         format=ModulationFormat.PM_64QAM,
                         power_w_per_span=(0.0012,), active=False)
-    comb = (link.combs[0][0], ghost)
+    comb = (link.channels[0], ghost)
     with_ghost = gn_span_psd(link.spans[0], comb, link.cut.f_center)
-    alone = gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center)
+    alone = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
     assert with_ghost == pytest.approx(alone, rel=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_quadrature_failure_carries_estimate():
     q = QuadratureConfig(points_per_channel=8, rel_tol=1e-12,
                          max_points_per_channel=16)
     with pytest.raises(QuadratureError) as err:
-        gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center, q)
+        gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
     assert err.value.estimate > 0.0
 
 
@@ -134,7 +134,7 @@ def test_quadrature_failure_reports_where_it_stopped(points, cap, last):
     # channel runs 12, 24, ..., 192 under a 256 cap, never 384) and reports
     # that level and the relative change between the last two levels.
     link = make_single_channel_link(rate=0.064)
-    span, comb, f = link.spans[0], link.combs[0], link.cut.f_center
+    span, comb, f = link.spans[0], link.channels, link.cut.f_center
     q = QuadratureConfig(points_per_channel=points, rel_tol=1e-12,
                          max_points_per_channel=cap)
     with pytest.raises(QuadratureError) as err:
@@ -181,10 +181,10 @@ def _level_case(name: str):
         link = make_system(4100 + category, category=category,
                            band_width=2.0, n_spans=6, cut_position=position)
         n = category % link.n_spans
-        return link.spans[n], link.comb(n), link.cut.f_center, n
+        return link.spans[n], link.channels, link.cut.f_center, n
     if name == "half-loaded":
         link = make_system(4117, category=2, band_width=2.0, n_spans=6)
-        comb = link.comb(5)
+        comb = link.channels
         assert 0 < sum(not c.active for c in comb) < len(comb) - 1
         return link.spans[5], comb, link.cut.f_center, 5
     if name == "ultra-dense-overlap":
@@ -192,7 +192,7 @@ def _level_case(name: str):
                               ultra_dense_fraction=1.0,
                               dense_separation="center_spacing")
         link = generate_system(cfg, np.random.default_rng(4120))
-        comb = link.comb(1)
+        comb = link.channels
         # Neighbouring channels overlap.
         assert any(b.f_center - a.f_center
                    < (a.symbol_rate + b.symbol_rate) / 2
@@ -200,13 +200,13 @@ def _level_case(name: str):
         return link.spans[1], comb, link.cut.f_center, 1
     if name == "reversed":
         link = make_system(4121, category=3, band_width=2.0, n_spans=6)
-        return link.spans[0], link.comb(0)[::-1], link.cut.f_center, 0
+        return link.spans[0], link.channels[::-1], link.cut.f_center, 0
     if name == "single-channel":
         link = make_single_channel_link(rate=0.064, power_w=0.002)
-        return link.spans[0], link.comb(0), link.cut.f_center, 0
+        return link.spans[0], link.channels, link.cut.f_center, 0
     if name == "zero-dispersion":
         link = make_system(4122, category=1, band_width=1.0, n_spans=2)
-        return _zero_dispersion_span(), link.comb(0), link.cut.f_center, 0
+        return _zero_dispersion_span(), link.channels, link.cut.f_center, 0
     raise KeyError(name)
 
 
@@ -229,11 +229,11 @@ def test_quadrature_memory_does_not_grow_with_resolution():
     # A 256-point level of a ~20-channel 2-THz link: the kernel is built in
     # bounded chunks, never as a 256 x 256 block per channel pair.
     link = make_system(4130, category=1, band_width=2.0, n_spans=6)
-    assert 15 <= len(link.comb(0)) <= 25
+    assert 15 <= len(link.channels) <= 25
     q = QuadratureConfig(points_per_channel=256, max_points_per_channel=256)
     tracemalloc.start()
     try:
-        psd = gn_span_psd(link.spans[0], link.comb(0), link.cut.f_center, q)
+        psd = gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,7 +243,7 @@ def test_quadrature_memory_does_not_grow_with_resolution():
 
 def test_rx_accumulation_transparent_spans():
     link = make_single_channel_link(n_spans=3)
-    per_span = gn_span_psd(link.spans[0], link.combs[0], link.cut.f_center)
+    per_span = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
     # Identical transparent spans: the receiver PSD is three times one span.
     total = gn_rx_psd(link, link.cut.f_center)
     assert total == pytest.approx(3 * per_span, rel=1e-6)

@@ -45,7 +45,7 @@ def test_ase_power_ignores_gain_below_unity():
     link = make_single_channel_link(n_spans=1)
     spans = (link.spans[0].__class__(fiber=link.spans[0].fiber,
                                      length_km=100.0, gain_db=-3.0),)
-    lossy = LinkSpec(spans=spans, combs=link.combs, cut_index=0)
+    lossy = LinkSpec(spans=spans, channels=link.channels, cut_index=0)
     assert ase_power(lossy, 1) == 0.0
 
 
@@ -161,12 +161,11 @@ def test_evaluate_all_channels_matches_scalar():
     link = make_system(34, category=2)
     variant = assets.model(CfmKind.CFM4)
     ev = evaluate_all_channels(link, variant)
-    comb = link.combs[0]
-    for idx, ch in enumerate(comb):
+    for idx, ch in enumerate(link.channels):
         if not ch.active:
             assert math.isnan(ev.snr_db[idx])
             continue
-        relabeled = LinkSpec(spans=link.spans, combs=link.combs,
+        relabeled = LinkSpec(spans=link.spans, channels=link.channels,
                              cut_index=idx)
         assert ev.snr_db[idx] == pytest.approx(
             ref.snr(relabeled, variant, link.n_spans), rel=1e-9)

@@ -22,7 +22,7 @@ from nli_planner.types import CfmKind, LinkSpec
 def test_randomize_launch_bounds():
     link = make_system(40, optimize=False)
     rng = np.random.default_rng(0)
-    xi = randomize_launch(link.combs[0], link.cut_index, rng)
+    xi = randomize_launch(link.channels, link.cut_index, rng)
     assert xi[link.cut_index] == 1.0
     assert all(0.7 <= v <= 1.3 for v in xi)
     assert len(set(xi)) > 1
@@ -31,7 +31,7 @@ def test_randomize_launch_bounds():
 def test_span_local_optimum_condition():
     # At the span-local optimal PSD g*, ASE = 2 * eta * g*^3 by construction.
     link = make_system(41, optimize=False)
-    xi = tuple(1.0 for _ in link.combs[0])
+    xi = tuple(1.0 for _ in link.channels)
     g = logo_optimize(link, xi)
     f_cut = link.cut.f_center
     etas = span_eta(link, xi)
@@ -44,7 +44,7 @@ def test_span_local_optimum_condition():
 def test_apply_power_plan_realizes_profile():
     link = make_system(42, optimize=False)
     rng = np.random.default_rng(1)
-    xi = randomize_launch(link.combs[0], link.cut_index, rng)
+    xi = randomize_launch(link.channels, link.cut_index, rng)
     g = logo_optimize(link, xi)
     staged = apply_power_plan(link, PowerPlan(g_cut_per_span=g, xi=xi))
     staged.validate()
@@ -52,7 +52,7 @@ def test_apply_power_plan_realizes_profile():
     for n in range(staged.n_spans):
         assert staged.cut.psd(n) == pytest.approx(g[n], rel=1e-12)
     # Other channels keep their fixed multipliers.
-    for idx, ch in enumerate(staged.combs[0]):
+    for idx, ch in enumerate(staged.channels):
         for n in range(staged.n_spans):
             assert ch.psd(n) == pytest.approx(xi[idx] * g[n], rel=1e-12)
     # The last span's amplifier is transparent; earlier gains telescope.
@@ -67,8 +67,8 @@ def test_eta_scale_invariance():
     eta = eta_nli(link, variant)
     scaled = LinkSpec(
         spans=link.spans,
-        combs=tuple(tuple(c.with_powers([p * 1.7 for p in c.power_w_per_span])
-                          for c in comb) for comb in link.combs),
+        channels=tuple(c.with_powers([p * 1.7 for p in c.power_w_per_span])
+                       for c in link.channels),
         cut_index=link.cut_index)
     # Uniform power scaling cancels in PSD^3 normalization, but the gains of
     # the original link were derived for the original profile; rescaling all
@@ -104,9 +104,8 @@ def test_optimum_is_snr_maximum():
         s = math.exp(log_s)
         scaled = LinkSpec(
             spans=link.spans,
-            combs=tuple(tuple(c.with_powers([p * s
-                                             for p in c.power_w_per_span])
-                              for c in comb) for comb in link.combs),
+            channels=tuple(c.with_powers([p * s for p in c.power_w_per_span])
+                           for c in link.channels),
             cut_index=link.cut_index)
         return -snr(scaled, variant, link.n_spans)
 
@@ -125,7 +124,7 @@ def test_pipeline_keeps_link_shape():
     assert len(plan.g_cut_per_span) == link.n_spans
     assert plan.eta_nli is not None and plan.eta_nli > 0
     # Inactive channels stay inactive.
-    for a, b in zip(link.combs[0], opt.combs[0]):
+    for a, b in zip(link.channels, opt.channels):
         assert a.active == b.active
 
 

@@ -136,8 +136,7 @@ def test_generated_system_shape():
     cfg = GeneratorConfig(category=1, seed=9, band_width=1.0, n_spans=7)
     link = generate_system(cfg, np.random.default_rng(9))
     assert link.n_spans == 7
-    assert len(link.combs) == 7
-    assert all(link.combs[0] == c for c in link.combs)
+    assert all(len(c.power_w_per_span) == 7 for c in link.channels)
     link.validate()
 
 

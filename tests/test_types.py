@@ -58,13 +58,28 @@ def test_explicit_gain():
     assert span.gain_lin(190.0) == pytest.approx(100.0)
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 def test_fiber_validation():
-    with pytest.raises(ValidationError):
-        FiberParams(alpha_db_per_km=0.0, beta2=-21.3, beta3=0.0, gamma=1.3,
-                    f_ref=193.8)
-    with pytest.raises(ValidationError):
-        FiberParams(alpha_db_per_km=0.2, beta2=-21.3, beta3=0.0, gamma=-1.0,
-                    f_ref=193.8)
+    good = dict(alpha_db_per_km=0.2, beta2=-21.3, beta3=0.0, gamma=1.3,
+                f_ref=193.8)
+    bad = [dict(alpha_db_per_km=0.0), dict(gamma=-1.0)]
+    bad += [{name: v} for name in good for v in _NON_FINITE]
+    for change in bad:
+        with pytest.raises(ValidationError):
+            FiberParams(**{**good, **change})
+
+
+def test_span_validation():
+    fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
+                      gamma=1.3, f_ref=193.8)
+    bad = [dict(length_km=0.0)]
+    bad += [{name: v} for name in ("length_km", "gain_db", "noise_figure_db")
+            for v in _NON_FINITE]
+    for change in bad:
+        with pytest.raises(ValidationError):
+            SpanConfig(**{"fiber": fib, "length_km": 100.0, **change})
 
 
 def test_channel_validation():
@@ -77,6 +92,15 @@ def test_channel_validation():
     with pytest.raises(ValidationError):
         ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                     format=ModulationFormat.PM_QPSK, power_w_per_span=(0.0,))
+    good = dict(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
+                format=ModulationFormat.PM_QPSK)
+    for v in _NON_FINITE:
+        for change in (dict(f_center=v), dict(symbol_rate=v),
+                       dict(roll_off=v), dict(power_w_per_span=(1e-3, v))):
+            for active in (True, False):
+                with pytest.raises(ValidationError):
+                    ChannelSpec(**{**good, "power_w_per_span": (1e-3, 1e-3),
+                                   "active": active, **change})
 
 
 def test_inactive_channel_psd_rejected():
@@ -93,14 +117,14 @@ def test_occupied_bandwidth():
     assert ch.occupied_bandwidth == pytest.approx(0.08)
 
 
-def _one_span_link(cut_active=True, cut_index=0):
+def _one_span_link(cut_active=True, cut_index=0, powers=(1e-3,)):
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
     span = SpanConfig(fiber=fib, length_km=100.0)
     ch = ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                      format=ModulationFormat.PM_QPSK,
-                     power_w_per_span=(1e-3,), active=cut_active)
-    return LinkSpec(spans=(span,), combs=((ch,),), cut_index=cut_index)
+                     power_w_per_span=powers, active=cut_active)
+    return LinkSpec(spans=(span,), channels=(ch,), cut_index=cut_index)
 
 
 def test_link_validation():
@@ -109,6 +133,10 @@ def test_link_validation():
         _one_span_link(cut_index=5).validate()
     with pytest.raises(ValidationError):
         _one_span_link(cut_active=False).validate()
+    # One launch power per span: a short tuple and a long one are rejected.
+    for powers in ((), (1e-3, 1e-3)):
+        with pytest.raises(ValidationError, match="per span"):
+            _one_span_link(powers=powers).validate()
 
 
 def test_model_variant_arity():
