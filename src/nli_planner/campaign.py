@@ -10,15 +10,17 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# minimize is imported for callers that time calls through this module's
+# names (bench/tracing.py); the fit here solves with least_squares.
+from scipy.optimize import least_squares, minimize
 
 from . import assets
 # rx_nli_psd is imported for callers that time calls through this module's
 # names (bench/tracing.py); the benchmarks here read whole truncation vectors.
-from .cfm import (coherence_bracket, comb_arrays, effective_beta2_cut,
-                  one_low_dispersion_warning, propagate, rho_cross, rho_self,
-                  rx_nli_psd, rx_nli_psd_truncations, span_integrals,
-                  span_transfer)
+from .cfm import (_BRACKET_FLOOR, coherence_bracket, comb_arrays,
+                  effective_beta2_cut, one_low_dispersion_warning, propagate,
+                  rho_cross, rho_self, rx_nli_psd, rx_nli_psd_truncations,
+                  span_integrals, span_transfer, zero_safe_pow)
 from .oracle import QuadratureConfig, gn_span_psd
 from .perf import (SensitivityPolicy, UnreachableError, ase_power,
                    cut_rx_power, max_reach_scan, snr, snr_from_powers)
@@ -305,6 +307,12 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
 
 @dataclass(frozen=True)
 class FitConfig(SystemDraw):
+    """A draw of training systems and the solver's budget.
+
+    ``max_iterations`` is the number of residual evaluations each start of
+    the least-squares solve may spend.
+    """
+
     n_systems: int = 50
     seed: int = 1000
     max_iterations: int = 4000
@@ -327,6 +335,7 @@ class FitResult:
     cost_final: float
     improved: bool
     n_terms: int
+    n_evaluations: int  # residual evaluations, summed over all starts
     train_seeds: tuple[int, ...]
 
     @property
@@ -334,20 +343,110 @@ class FitResult:
         return ModelVariant(kind=self.kind, coefficients=self.coefficients)
 
 
+@dataclass(frozen=True)
+class _TermBlock:
+    """One kind of correction-factor term (self or cross) of every training
+    system, stacked.
+
+    The block's [residual row, term] matrix is kept as (row, term, value)
+    triplets; ``feat`` holds the features its correction factor reads, one
+    value per term, and ``log`` their natural logarithms, taken as 0 where
+    the feature is 0.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    feat: dict[str, np.ndarray]
+    log: dict[str, np.ndarray]
+
+    def times(self, per_term: np.ndarray, n_rows: int) -> np.ndarray:
+        """The block's matrix times a per-term vector: one segment sum."""
+        return np.bincount(self.row, self.val * per_term[self.col],
+                           minlength=n_rows)
+
+
+# Coefficient layout (0-based) of rho_cross and rho_self: the first of the
+# five offset and scale slots, the rate pair, the bracket trio, and the
+# CFM4 roll-off pairs with the feature each reads.
+_LAYOUT = {
+    "self": (8, (13, 14), (15, 16, 17), ((22, 23, "roll_cut"),)),
+    "cross": (0, None, (5, 6, 7),
+              ((18, 19, "roll_cut"), (20, 21, "roll_nch"))),
+}
+
+
+def _block_partials(a, t: _TermBlock, first: int, rate, bracket, rolls):
+    """Yield ``(k, d rho / d a_k)`` over the terms of one block, for every
+    coefficient its correction factor reads.
+
+    Written from :func:`~nli_planner.cfm.rho_cross` and
+    :func:`~nli_planner.cfm.rho_self`, which share one form: an offset
+    ``a[first] + a[first+1] * phi**a[first+2]``, a scale
+    ``a[first+3] * phi**a[first+4]`` times ``1 (+ c * rate**e) + b * br**p``
+    with the bracket ``br = max(acc + o, floor)`` for ``(b, o, p) =
+    bracket``, and, for CFM4, a factor ``1 + sum c * x**e`` over ``rolls``
+    ``(c, e, feature)``.  The power of a zero feature follows
+    :func:`~nli_planner.cfm.zero_safe_pow`, and so does its derivative in
+    the exponent: zero.  A floored bracket does not move with its offset.
+    """
+    i = first
+    phi, ln_phi = t.feat["phi"], t.log["phi"]
+    p_off, p_sc = zero_safe_pow(phi, a[i + 2]), zero_safe_pow(phi, a[i + 4])
+    scale = a[i + 3] * p_sc
+    b, o, p = bracket
+    raw = t.feat["acc"] + a[o]
+    br = np.maximum(raw, _BRACKET_FLOOR)
+    pow_br = br ** a[p]
+    inner = 1.0 + a[b] * pow_br
+    if rate is not None:
+        rc, re = rate
+        pow_rate = t.feat["rate"] ** a[re]
+        inner = inner + a[rc] * pow_rate
+    roll = np.ones_like(phi)
+    roll_pows = []
+    for c, e, name in rolls:
+        pow_roll = zero_safe_pow(t.feat[name], a[e])
+        roll_pows.append((c, e, pow_roll, t.log[name]))
+        roll = roll + a[c] * pow_roll
+    yield i, roll
+    yield i + 1, p_off * roll
+    yield i + 2, a[i + 1] * p_off * ln_phi * roll
+    yield i + 3, p_sc * inner * roll
+    yield i + 4, a[i + 3] * p_sc * ln_phi * inner * roll
+    if rate is not None:
+        yield rc, scale * pow_rate * roll
+        yield re, scale * a[rc] * pow_rate * t.log["rate"] * roll
+    yield b, scale * pow_br * roll
+    yield o, np.where(raw > _BRACKET_FLOOR,
+                      scale * a[b] * a[p] * pow_br / br * roll, 0.0)
+    yield p, scale * a[b] * pow_br * np.log(br) * roll
+    core = a[i] + a[i + 1] * p_off + scale * inner
+    for c, e, pow_roll, ln_roll in roll_pows:
+        yield c, core * pow_roll
+        yield e, core * a[c] * pow_roll * ln_roll
+
+
 class _FitData:
     """Precomputed coefficient-independent structure of the training cost.
 
-    For each system, from the kernel's span integrals of the CUT row: the
-    self-term bases of every span and the cross-term base of every active
-    interferer and span, each propagated to every truncation and divided by
-    the benchmark NLI power there (``sci``, ``xci``: [truncation, term]),
-    plus the features the correction factors read.  A model then matches
-    the benchmark exactly when ``sci @ rho_self + xci @ rho_cross`` is one.
+    One residual row per system and truncation.  From the kernel's span
+    integrals of the CUT row, every system contributes a self term per span
+    and a cross term per active interferer and span; each term's base is
+    propagated to every truncation and divided by the benchmark NLI power
+    there, giving the matrices ``S`` (self terms) and ``X`` (cross terms).
+    A model then matches the benchmark exactly when the residual
+    ``r(a) = S @ rho_self(a) + X @ rho_cross(a) - 1`` is zero.  All systems
+    are stacked into one block of each kind, so that evaluating ``r`` or
+    its Jacobian costs a fixed number of NumPy calls.
     """
 
     def __init__(self, kind: CfmKind):
         self.kind = kind
-        self.systems: list[dict] = []
+        self.n_rows = 0  # one per system and truncation
+        self._parts: dict[str, dict[str, list]] = {"self": {}, "cross": {}}
+        self._n_cols = {"self": 0, "cross": 0}
+        self._stacked: dict[str, _TermBlock] | None = None
 
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
         ch = comb_arrays(link)
@@ -370,37 +469,79 @@ class _FitData:
         # [truncation, span] propagation, in units of the benchmark power.
         prop = (propagate(span_transfer(link)[:reach], np.eye(reach))
                 * (ch.rate[c] / p_bmk)[:, None])
-        self.systems.append({
-            "sci": prop * (sci_inc + brackets[:, None] * sci_coh),
-            "xci": prop[:, span_of_x] * np.concatenate(xb),
-            "rate": ch.rate[c], "phi_cut": ch.phi[c], "roll_cut": ch.roll[c],
-            "sci_acc": sci_acc, "xphi": ch.phi[xidx],
-            "xacc": np.concatenate(xacc), "xroll": ch.roll[xidx],
-            "m_count": reach,
-        })
+        self._append("self", prop * (sci_inc + brackets[:, None] * sci_coh),
+                     phi=ch.phi[c], rate=ch.rate[c], roll_cut=ch.roll[c],
+                     acc=sci_acc)
+        self._append("cross", prop[:, span_of_x] * np.concatenate(xb),
+                     phi=ch.phi[xidx], roll_cut=ch.roll[c],
+                     roll_nch=ch.roll[xidx], acc=np.concatenate(xacc))
+        self.n_rows += reach
+
+    def _append(self, block: str, matrix: np.ndarray, **features) -> None:
+        """Append one system's [truncation, term] matrix as triplets, and
+        its term features with per-system scalars repeated per term."""
+        n_trunc, n_terms = matrix.shape
+        parts = self._parts[block]
+        entries = {
+            "row": np.repeat(self.n_rows + np.arange(n_trunc), n_terms),
+            "col": np.tile(self._n_cols[block] + np.arange(n_terms), n_trunc),
+            "val": matrix.ravel()}
+        entries.update({k: np.broadcast_to(np.asarray(v, dtype=float),
+                                           (n_terms,))
+                        for k, v in features.items()})
+        for key, value in entries.items():
+            parts.setdefault(key, []).append(value)
+        self._n_cols[block] += n_terms
+        self._stacked = None
+
+    def _blocks(self) -> dict[str, _TermBlock]:
+        if self._stacked is None:
+            self._stacked = {}
+            for block, parts in self._parts.items():
+                arrays = {k: np.concatenate(v) for k, v in parts.items()}
+                # Keep one copy: later systems append to the stacked arrays.
+                self._parts[block] = {k: [v] for k, v in arrays.items()}
+                row, col, val = (arrays.pop(k) for k in ("row", "col", "val"))
+                log = {k: np.log(v, where=v > 0.0, out=np.zeros_like(v))
+                       for k, v in arrays.items() if k != "acc"}
+                self._stacked[block] = _TermBlock(row, col, val, arrays, log)
+        return self._stacked
+
+    def residual(self, a: np.ndarray) -> np.ndarray:
+        """Relative NLI-power error of every system and truncation.
+
+        Trial points can overflow to inf/NaN; those propagate into the
+        residual, and the solver steps back from them.
+        """
+        blocks = self._blocks()
+        s, x = blocks["self"], blocks["cross"]
+        kind = self.kind
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            rho_s = rho_self(kind, a, s.feat["phi"], s.feat["rate"],
+                             s.feat["roll_cut"])(s.feat["acc"])
+            rho_x = rho_cross(kind, a, x.feat["phi"], x.feat["roll_cut"],
+                              x.feat["roll_nch"])(x.feat["acc"])
+            return (s.times(rho_s, self.n_rows) + x.times(rho_x, self.n_rows)
+                    - 1.0)
 
     def cost(self, a: np.ndarray) -> float:
         """Sum over systems and truncations of the squared relative
-        NLI-power error.
+        NLI-power error."""
+        r = self.residual(a)
+        return float(r @ r)
 
-        Wild simplex trial points can overflow to inf/NaN; those propagate
-        into a non-finite cost, which the optimizer treats as arbitrarily bad.
-        """
-        kind = self.kind
-        total = 0.0
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """d residual / d a as [row, coefficient], built column by column
+        from the analytic partial derivatives of the correction factors."""
+        cfm4 = self.kind is CfmKind.CFM4
+        jac = np.empty((self.n_rows, self.kind.n_coefficients))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for s in self.systems:
-                rho_x = rho_cross(kind, a, s["xphi"], s["roll_cut"],
-                                  s["xroll"])(s["xacc"])
-                rho_c = rho_self(kind, a, s["phi_cut"], s["rate"],
-                                 s["roll_cut"])(s["sci_acc"])
-                rel = s["sci"] @ rho_c + s["xci"] @ rho_x - 1.0
-                total += float(rel @ rel)
-        return total
-
-    @property
-    def n_terms(self) -> int:
-        return sum(s["m_count"] for s in self.systems)
+            for block, t in self._blocks().items():
+                first, rate, bracket, rolls = _LAYOUT[block]
+                for k, d in _block_partials(a, t, first, rate, bracket,
+                                            rolls if cfm4 else ()):
+                    jac[:, k] = t.times(d, self.n_rows)
+        return jac
 
 
 @one_low_dispersion_warning
@@ -419,13 +560,23 @@ def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark,
     return data, tuple(seeds)
 
 
+# The first trust region of each solve, as a fraction of the shipped
+# coefficient magnitudes.  Started at the solver's default, the scaled norm
+# of a table near the shipped one (~5 for 24 coefficients), a CFM4 fit from
+# a 5% perturbation could leave for a valley of cost ~0.3 and stall there.
+_FIRST_STEP = 0.2
+
+
 def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
                      policy: SensitivityPolicy | None = None) -> FitResult:
-    """Minimize the summed relative NLI-power error over the free parameters.
+    """Minimize the summed squared relative NLI-power error over the free
+    parameters.
 
-    Derivative-free local search (Nelder-Mead) from the shipped table, the
-    identity point and optional perturbed restarts; the result never has a
-    higher cost than the initial point.
+    A trust-region least-squares solve (TRF) of the stacked residual with
+    its analytic Jacobian, scaled by the magnitudes of the shipped table,
+    from the initial table, the identity point and optional perturbed
+    restarts; each start may spend ``fit.max_iterations`` residual
+    evaluations.  The result never has a higher cost than the initial point.
     """
     if kind is CfmKind.CFM1:
         raise ValueError("CFM1 has no free parameters to fit")
@@ -439,17 +590,32 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
     for _ in range(fit.n_restarts):
         starts.append(starts[1] * (1.0 + 0.05 * rng.standard_normal(len(x0))))
 
-    best_x, best_cost = x0, cost0
+    x_scale = _FIRST_STEP * np.abs(assets.shipped_coefficients(kind).a)
+    # A non-finite (inf or NaN) initial cost is worse than any finite one.
+    bound0 = cost0 if np.isfinite(cost0) else np.inf
+    best_x, best_cost = x0, bound0
+    n_evaluations = 0
     for start in starts:
-        res = minimize(data.cost, start, method="Nelder-Mead",
-                       options={"maxiter": fit.max_iterations,
-                                "xatol": 1e-8, "fatol": 1e-12})
-        if res.fun < best_cost:
-            best_x, best_cost = res.x, res.fun
+        if not np.isfinite(data.cost(start)):
+            continue  # the solver needs a finite residual to start from
+        # TRF's first trust region is the scaled norm of its initial
+        # vector; solving for the offset from the start makes that a step
+        # of _FIRST_STEP times the shipped magnitudes.
+        res = least_squares(lambda d: data.residual(start + d),
+                            np.zeros_like(start),
+                            jac=lambda d: data.jacobian(start + d),
+                            method="trf", x_scale=x_scale,
+                            max_nfev=fit.max_iterations)
+        n_evaluations += res.nfev
+        cost = float(res.fun @ res.fun)
+        if cost < best_cost:
+            best_x, best_cost = start + res.x, cost
 
-    improved = best_cost < cost0
+    improved = best_cost < bound0
     coeffs = ModelCoefficients(a=tuple(float(v) for v in
                                        (best_x if improved else x0)))
     return FitResult(kind=kind, coefficients=coeffs, cost_initial=cost0,
-                     cost_final=min(best_cost, cost0), improved=improved,
-                     n_terms=data.n_terms, train_seeds=seeds)
+                     cost_final=best_cost if improved else cost0,
+                     improved=improved,
+                     n_terms=data.n_rows, n_evaluations=n_evaluations,
+                     train_seeds=seeds)

@@ -102,9 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=int, default=1000)
     f.add_argument("--categories", type=int, nargs="+", default=[1],
                    choices=range(1, 6))
+    f.add_argument("--cut-positions", nargs="+", default=["center"],
+                   choices=CUT_POSITIONS)
     f.add_argument("--band-width-thz", type=float, default=5.0)
     f.add_argument("--n-spans", type=int, default=20)
-    f.add_argument("--max-iterations", type=int, default=4000)
+    f.add_argument("--max-iterations", type=int, default=4000,
+                   help="residual evaluations per start of the solve")
     f.add_argument("-o", "--output", required=True,
                    help="fitted coefficient JSON path")
 
@@ -198,6 +201,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = FitConfig(n_systems=args.n_systems, seed=args.seed,
                     categories=tuple(args.categories),
+                    cut_positions=tuple(args.cut_positions),
                     band_width_thz=args.band_width_thz,
                     n_spans=args.n_spans,
                     max_iterations=args.max_iterations)
@@ -207,7 +211,8 @@ def _cmd_fit(args) -> int:
     summary = {"version": 1, "variant": result.kind.value,
                "cost_initial": result.cost_initial,
                "cost_final": result.cost_final,
-               "improved": result.improved, "n_terms": result.n_terms}
+               "improved": result.improved, "n_terms": result.n_terms,
+               "n_evaluations": result.n_evaluations}
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -36,6 +37,30 @@ def _require(obj: dict, pointer: str, allowed: set[str],
         raise ParseError(pointer, f"missing fields {sorted(missing)}")
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number; ``true``/``false`` are not numbers here, although
+    Python's ``bool`` is an ``int``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(node: dict | list, key: str | int, pointer: str) -> float:
+    """``node[key]`` as a float; ``pointer`` locates ``node``."""
+    value = node[key]
+    if not _is_number(value):
+        raise ParseError(f"{pointer}/{key}", "must be a number")
+    return float(value)
+
+
+def _numbers(values: list, pointer: str) -> tuple[float, ...]:
+    """A JSON array of numbers as floats; ``pointer`` locates the array."""
+    if not set(map(type, values)) <= {int, float}:
+        # Name the first entry that is no number; subclasses of float, such
+        # as numpy.float64 in a document built in Python, pass.
+        for i in range(len(values)):
+            _number(values, i, pointer)
+    return tuple(map(float, values))
+
+
 def _check_version(doc: dict, pointer: str) -> None:
     v = doc.get("version")
     if v != 1:
@@ -55,12 +80,13 @@ def _parse_fiber(node: Any, pointer: str) -> FiberParams:
     if not isinstance(node, dict):
         raise ParseError(pointer, "fiber must be a preset name or an object")
     _require(node, pointer, _FIBER_FIELDS, _FIBER_FIELDS)
+    values = {k: _number(node, k, pointer) for k in _FIBER_FIELDS}
     try:
-        return FiberParams(alpha_db_per_km=float(node["alpha_db_per_km"]),
-                           beta2=float(node["beta2_ps2_per_km"]),
-                           beta3=float(node["beta3_ps3_per_km"]),
-                           gamma=float(node["gamma_per_w_km"]),
-                           f_ref=float(node["f_ref_thz"]))
+        return FiberParams(alpha_db_per_km=values["alpha_db_per_km"],
+                           beta2=values["beta2_ps2_per_km"],
+                           beta3=values["beta3_ps3_per_km"],
+                           gamma=values["gamma_per_w_km"],
+                           f_ref=values["f_ref_thz"])
     except ValueError as exc:
         raise ParseError(pointer, str(exc))
 
@@ -93,15 +119,15 @@ def parse_system(doc: dict) -> LinkSpec:
         gain = node.get("gain_db", "transparent")
         if gain == "transparent":
             gain = None
-        elif not isinstance(gain, (int, float)):
+        elif not _is_number(gain):
             raise ParseError(f"{ptr}/gain_db",
                              "must be a number or 'transparent'")
         fiber = _parse_fiber(node["fiber"], f"{ptr}/fiber")
+        length_km = _number(node, "length_km", ptr)
+        nf_db = _number(node, "nf_db", ptr)
         try:
-            spans.append(SpanConfig(fiber=fiber,
-                                    length_km=float(node["length_km"]),
-                                    gain_db=gain,
-                                    noise_figure_db=float(node["nf_db"])))
+            spans.append(SpanConfig(fiber=fiber, length_km=length_km,
+                                    gain_db=gain, noise_figure_db=nf_db))
         except ValueError as exc:
             raise ParseError(ptr, str(exc))
     n_spans = len(spans)
@@ -124,27 +150,30 @@ def parse_system(doc: dict) -> LinkSpec:
             raise ParseError(f"{ptr}/format",
                              f"unknown format {node['format']!r}")
         power = node["power_w"]
-        if isinstance(power, (int, float)):
+        if _is_number(power):
             powers = tuple([float(power)] * n_spans)
         elif isinstance(power, list):
             if len(power) != n_spans:
                 raise ParseError(f"{ptr}/power_w",
                                  f"expected {n_spans} per-span values")
-            powers = tuple(float(p) for p in power)
+            powers = _numbers(power, f"{ptr}/power_w")
         else:
             raise ParseError(f"{ptr}/power_w", "must be a number or array")
+        active = node.get("active", True)
+        if not isinstance(active, bool):
+            raise ParseError(f"{ptr}/active", "must be true or false")
+        f_center = _number(node, "f_center_thz", ptr)
+        rate = _number(node, "rate_tbaud", ptr)
+        roll_off = _number(node, "roll_off", ptr)
         try:
             channels.append(ChannelSpec(
-                f_center=float(node["f_center_thz"]),
-                symbol_rate=float(node["rate_tbaud"]),
-                roll_off=float(node["roll_off"]), format=fmt,
-                power_w_per_span=powers,
-                active=bool(node.get("active", True))))
+                f_center=f_center, symbol_rate=rate, roll_off=roll_off,
+                format=fmt, power_w_per_span=powers, active=active))
         except ValueError as exc:
             raise ParseError(ptr, str(exc))
 
     cut_index = doc["cut_index"]
-    if not isinstance(cut_index, int):
+    if isinstance(cut_index, bool) or not isinstance(cut_index, int):
         raise ParseError("/cut_index", "must be an integer")
     link = LinkSpec(spans=tuple(spans), channels=tuple(channels),
                     cut_index=cut_index)
@@ -201,7 +230,13 @@ def parse_coefficients(doc: dict) -> tuple[CfmKind, ModelCoefficients]:
         kind = CfmKind(doc["variant"])
     except ValueError:
         raise ParseError("/variant", f"unknown variant {doc['variant']!r}")
-    coeffs = ModelCoefficients(a=tuple(float(x) for x in doc["a"]))
+    values = doc["a"]
+    if not isinstance(values, list):
+        raise ParseError("/a", "must be an array")
+    coeffs = ModelCoefficients(a=_numbers(values, "/a"))
+    for i, x in enumerate(coeffs.a):
+        if not math.isfinite(x):
+            raise ParseError(f"/a/{i}", "must be finite")
     if len(coeffs) != kind.n_coefficients:
         raise ParseError("/a", f"{kind.value} expects "
                                f"{kind.n_coefficients} values")

@@ -7,11 +7,13 @@ import pytest
 from conftest import make_system
 from nli_planner import assets, campaign
 from nli_planner.campaign import (UNREACHABLE, CampaignConfig, CfmBenchmark,
-                                  FitConfig, GnOracleBenchmark, build_fit_data,
-                                  draw_systems, error_stats, fit_coefficients,
-                                  run_campaign, span_increment_ratio)
+                                  FitConfig, GnOracleBenchmark, _FitData,
+                                  build_fit_data, draw_systems, error_stats,
+                                  fit_coefficients, run_campaign,
+                                  span_increment_ratio)
 from nli_planner.sysgen import LOW_DISPERSION_FLAG
-from nli_planner.types import CfmKind, ModelVariant
+from nli_planner.types import CfmKind, ModelCoefficients, ModelVariant
+from reference_fit import LoopFitData
 
 
 def test_error_stats_basic():
@@ -117,6 +119,31 @@ def test_fit_never_worsens():
     assert len(res.coefficients) == 18
     variant = res.variant
     assert isinstance(variant, ModelVariant)
+
+
+def test_fit_counts_residual_evaluations():
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    cfg = FitConfig(n_systems=2, band_width_thz=0.4, n_spans=3, seed=9,
+                    max_iterations=7, n_restarts=1)
+    res = fit_coefficients(cfg, CfmKind.CFM2, bmk)
+    # Three starts (initial, identity, one restart), each within budget.
+    assert 3 <= res.n_evaluations <= 3 * 7
+
+
+def test_fit_skips_a_start_with_non_finite_cost():
+    # A huge bracket exponent overflows the cross terms, and the cost is
+    # NaN: the solve starts from the identity point only, and any finite
+    # result improves on the start.
+    a = list(assets.shipped_coefficients(CfmKind.CFM2).a)
+    a[7] = 1e6
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    cfg = FitConfig(n_systems=2, band_width_thz=0.4, n_spans=3, seed=9,
+                    max_iterations=20, n_restarts=0,
+                    initial=ModelCoefficients(a=tuple(a)))
+    res = fit_coefficients(cfg, CfmKind.CFM2, bmk)
+    assert not np.isfinite(res.cost_initial)
+    assert res.improved and np.isfinite(res.cost_final)
+    assert 1 <= res.n_evaluations <= 20
 
 
 def test_fit_improves_on_oracle():
@@ -231,3 +258,110 @@ def test_configs_reject_empty_draws(config, kwargs):
 def test_fit_config_rejects_unusable_search(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The stacked fit residual against the per-system loop
+
+
+CRITERION_8A_DRAW = dict(n_systems=30, categories=ALL_CATEGORIES,
+                         cut_positions=ALL_POSITIONS, seed=8700,
+                         band_width_thz=0.8, n_spans=5)
+FIT_KINDS = (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4)
+
+
+@pytest.fixture(scope="module")
+def criterion_8a_data():
+    """The criterion-8a training set against the shipped CFM2 table, as the
+    stacked structure and as the per-system reference, for each fitted
+    variant."""
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    kept = [d for d in draw_systems(FitConfig(**CRITERION_8A_DRAW), bmk)
+            if d.excluded is None]
+    out = {}
+    for kind in FIT_KINDS:
+        stacked, loop = _FitData(kind), LoopFitData(kind)
+        for d in kept:
+            p_bmk = np.array([bmk.nli_power_w(d.link, n)
+                              for n in range(1, d.reach + 1)])
+            stacked.add_system(d.link, d.reach, p_bmk)
+            loop.add_system(d.link, d.reach, p_bmk)
+        out[kind] = stacked, loop
+    return out
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_stacked_cost_matches_per_system_loop(criterion_8a_data, kind):
+    stacked, loop = criterion_8a_data[kind]
+    assert stacked.n_rows == loop.n_terms
+    shipped = np.array(assets.shipped_coefficients(kind).a)
+    rng = np.random.default_rng(8702)
+    points = [shipped, np.array(assets.identity_coefficients(kind).a)] + [
+        shipped * (1.0 + rng.standard_normal(shipped.size))
+        for _ in range(20)]
+    n_finite = 0
+    for a in points:
+        got, want = stacked.cost(a), loop.cost(a)
+        if np.isfinite(want):
+            n_finite += 1
+            # At the truth table (CFM2) both costs are rounding noise of
+            # ~1e-30; the absolute floor is far below any fitted cost.
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-24)
+        else:
+            assert np.isnan(got) == np.isnan(want)
+            assert np.isinf(got) == np.isinf(want)
+    # The points cover both finite and overflowing costs.
+    assert 2 <= n_finite < len(points)
+
+
+def _central_differences(data, a, rel_step=1e-5):
+    out = np.empty((data.n_rows, a.size))
+    for k in range(a.size):
+        h = rel_step * max(abs(a[k]), 1e-3)
+        step = np.zeros_like(a)
+        step[k] = h
+        out[:, k] = (data.residual(a + step) - data.residual(a - step)) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_jacobian_matches_central_differences(criterion_8a_data, kind):
+    stacked, _loop = criterion_8a_data[kind]
+    cross = stacked._blocks()["cross"]
+    # The set has Gaussian interferers (phi = 0, whose powers of phi have
+    # no exponent derivative).
+    assert np.any(cross.feat["phi"] == 0.0)
+    shipped = np.array(assets.shipped_coefficients(kind).a)
+    rng = np.random.default_rng(8703)
+    floored = shipped.copy()
+    # A negative cross bracket offset floors every first-span cross term
+    # (zero accumulated dispersion), whose bracket then ignores the offset.
+    floored[6] = -1.0
+    assert np.any(cross.feat["acc"] + floored[6] <= 1e-12)
+    for a in (shipped, shipped * (1.0 + 0.05 * rng.standard_normal(
+            shipped.size)), floored):
+        jac = stacked.jacobian(a)
+        assert jac.shape == (stacked.n_rows, kind.n_coefficients)
+        assert np.all(np.isfinite(jac))
+        numeric = _central_differences(stacked, a)
+        scale = np.abs(numeric).max(axis=0)
+        assert np.all(scale > 0.0)
+        np.testing.assert_array_less(np.abs(jac - numeric).max(axis=0),
+                                     1e-5 * scale)
+
+
+@pytest.mark.parametrize("seed, case", [(3, 71), (11, 11), (13, 50)])
+def test_fit_recovers_from_starts_that_stalled(seed, case):
+    # Fit-roundtrip CFM4 starts: from case 71 of seed 3, Nelder-Mead
+    # stopped at cost 0.284; from the other two, TRF with its default first
+    # trust region (the scaled norm of the start) stopped at cost ~0.28.
+    kind = CfmKind.CFM4
+    shipped = np.array(assets.shipped_coefficients(kind).a)
+    start = shipped * (1.0 + 0.05 * np.random.default_rng(
+        [seed, case, 2]).standard_normal(shipped.size))
+    cfg = FitConfig(**CRITERION_8A_DRAW, max_iterations=500, n_restarts=0,
+                    initial=ModelCoefficients(a=tuple(start.tolist())))
+    res = fit_coefficients(cfg, kind, CfmBenchmark(assets.model(kind)))
+    assert res.improved
+    assert res.cost_final < 1e-6
+    assert 0 < res.n_evaluations <= 2 * 500

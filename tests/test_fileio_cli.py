@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import make_system, make_zero_dispersion_link
-from nli_planner import assets, fileio
+from nli_planner import assets, cli, fileio
 from nli_planner.cli import main
 from nli_planner.types import CfmKind
 
@@ -52,6 +52,32 @@ def test_future_version_rejected():
         fileio.parse_system(doc)
 
 
+# JSON booleans are no numbers (Python's bool is an int), and a flag takes
+# nothing but a boolean.
+BOOLEAN_CASES = [("/spans/0/gain_db", True), ("/spans/0/length_km", True),
+                 ("/spans/0/nf_db", False), ("/channels/0/power_w", True),
+                 ("/channels/0/f_center_thz", True),
+                 ("/channels/0/rate_tbaud", True),
+                 ("/channels/0/roll_off", False), ("/cut_index", False),
+                 ("/channels/0/active", "no"), ("/channels/0/active", 0),
+                 ("/spans/0/fiber/gamma_per_w_km", True)]
+
+
+def _with_value(doc: dict, where: str, value) -> dict:
+    """A copy of a system document, with an inline first fiber, whose field
+    at the JSON pointer ``where`` holds ``value``."""
+    doc = json.loads(json.dumps(doc))
+    doc["spans"][0]["fiber"] = {
+        "alpha_db_per_km": 0.2, "beta2_ps2_per_km": -20.0,
+        "beta3_ps3_per_km": 0.0, "gamma_per_w_km": 1.1, "f_ref_thz": 193.0}
+    *parents, leaf = where.strip("/").split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key) if key.isdigit() else key]
+    node[leaf] = value
+    return doc
+
+
 def test_bad_values_rejected():
     base = fileio.system_to_json(make_system(84))
 
@@ -74,6 +100,18 @@ def test_bad_values_rejected():
     doc["cut_index"] = 10 ** 6
     with pytest.raises(fileio.ParseError):
         fileio.parse_system(doc)
+
+    for where, value in BOOLEAN_CASES:
+        doc = _with_value(base, where, value)
+        with pytest.raises(fileio.ParseError) as info:
+            fileio.parse_system(doc)
+        assert info.value.pointer == where
+
+    doc = json.loads(json.dumps(base))
+    doc["channels"][1]["power_w"] = [1e-3, True, 1e-3, 1e-3]
+    with pytest.raises(fileio.ParseError) as info:
+        fileio.parse_system(doc)
+    assert info.value.pointer == "/channels/1/power_w/1"
 
 
 def test_inline_fiber_round_trip():
@@ -99,6 +137,17 @@ def test_coefficients_round_trip(tmp_path):
     kind, loaded = fileio.load_coefficients(path)
     assert kind is CfmKind.CFM4
     assert loaded == coeffs
+
+
+@pytest.mark.parametrize("a, where", [
+    ([1.0] * 17 + [True], "/a/17"), ([False] + [1.0] * 17, "/a/0"),
+    (["1.0"] + [1.0] * 17, "/a/0"), (1.0, "/a"),
+    ([1.0] * 5 + [float("nan")] + [1.0] * 12, "/a/5"),
+    ([1.0] * 17 + [float("-inf")], "/a/17")])
+def test_coefficients_reject_bad_values(a, where):
+    with pytest.raises(fileio.ParseError) as info:
+        fileio.parse_coefficients({"version": 1, "variant": "cfm2", "a": a})
+    assert info.value.pointer == where
 
 
 def test_coefficients_arity_checked():
@@ -192,16 +241,29 @@ def test_cli_campaign(tmp_path):
     assert header.startswith("variant,cut_position,bin_left_db")
 
 
-def test_cli_fit(tmp_path, capsys):
+def test_cli_fit(tmp_path, capsys, monkeypatch):
+    configs = []
+    real_fit = cli.fit_coefficients
+
+    def recording_fit(cfg, kind, benchmark):
+        configs.append(cfg)
+        return real_fit(cfg, kind, benchmark)
+
+    monkeypatch.setattr(cli, "fit_coefficients", recording_fit)
     out = tmp_path / "fit.json"
     rc = main(["fit", "cfm2", "--benchmark", "cfm2", "--n-systems", "2",
                "--band-width-thz", "0.4", "--n-spans", "3",
+               "--cut-positions", "lowest", "highest",
                "--max-iterations", "50", "-o", str(out)])
     assert rc == 0
+    assert configs[0].cut_positions == ("lowest", "highest")
     kind, coeffs = fileio.load_coefficients(out)
     assert kind is CfmKind.CFM2
     summary = json.loads(capsys.readouterr().out)
     assert summary["cost_final"] <= summary["cost_initial"]
+    assert summary["n_evaluations"] > 0
+    assert main(["fit", "cfm2", "--cut-positions", "middle",
+                 "-o", str(out)]) == 2
 
 
 def test_cli_fit_rejects_empty_training_set(tmp_path, capsys):
@@ -233,20 +295,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     "/spans/0/gain_db", "/spans/0/fiber/alpha_db_per_km"])
 def test_cli_non_finite_value_exit_code(tmp_path, capsys, where):
     # JSON readers accept NaN and Infinity; no such number reaches a model.
-    doc = fileio.system_to_json(make_system(86))
-    doc["spans"][0]["fiber"] = {
-        "alpha_db_per_km": 0.2, "beta2_ps2_per_km": -20.0,
-        "beta3_ps3_per_km": 0.0, "gamma_per_w_km": 1.1, "f_ref_thz": 193.0}
-    *parents, leaf = where.strip("/").split("/")
-    node = doc
-    for key in parents:
-        node = node[int(key) if key.isdigit() else key]
-    node[leaf] = float("nan")
+    doc = _with_value(fileio.system_to_json(make_system(86)), where,
+                      float("nan"))
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
     assert main(["evaluate", str(path)]) == 3
     err = capsys.readouterr().err
     assert "must be finite" in err and where.rsplit("/", 1)[0] in err
+
+
+@pytest.mark.parametrize("where, value", BOOLEAN_CASES)
+def test_cli_boolean_value_exit_code(tmp_path, capsys, where, value):
+    doc = _with_value(fileio.system_to_json(make_system(86)), where, value)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", str(path)]) == 3
+    assert f"error: {where}:" in capsys.readouterr().err
 
 
 def test_cli_zero_dispersion_exit_code(tmp_path, capsys):
