@@ -17,7 +17,7 @@ from scipy.optimize import least_squares, minimize
 from . import assets
 # rx_nli_psd is imported for callers that time calls through this module's
 # names (bench/tracing.py); the benchmarks here read whole truncation vectors.
-from .cfm import (_BRACKET_FLOOR, coherence_bracket, comb_arrays,
+from .cfm import (_BRACKET_FLOOR, coherence_brackets, comb_arrays,
                   effective_beta2_cut, one_low_dispersion_warning, propagate,
                   rho_cross, rho_self, rx_nli_psd, rx_nli_psd_truncations,
                   span_integrals, span_transfer, zero_safe_pow)
@@ -451,30 +451,30 @@ class _FitData:
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
         ch = comb_arrays(link)
         c = link.cut_index
-        g = ch.power / ch.rate
+        g = ch.power[:reach] / ch.rate
         idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
-        sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
-        xb, xacc = [], []
-        for m, s in zip(range(reach), span_integrals(link, ch)):
-            base = s.prefactor * g[m, c]
-            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[c]
-            if self.kind.coherent_sci:
-                sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[c]
-            sci_acc[m] = s.abs_acc[c, c]
-            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[c, idx])
-            xacc.append(s.abs_acc[c, idx])
+        s = span_integrals(link, ch, rows=c)
+        base = s.prefactor[:reach] * g[:, c]  # [span]
+        sci_inc = base * g[:, c] ** 2 * s.i_self[:reach, 0]
+        sci_coh = (base * g[:, c] ** 2 * s.i_coherent[:reach, 0]
+                   if self.kind.coherent_sci else np.zeros(reach))
+        sci_acc = s.abs_acc[:reach, 0, c]
+        # Cross terms span by span, interferer by interferer.
+        xb = (base[:, None] * 2.0 * g[:, idx] ** 2
+              * s.i_cross[:reach, 0, idx]).ravel()
+        xacc = s.abs_acc[:reach, 0, idx].ravel()
         span_of_x = np.repeat(np.arange(reach), idx.size)
         xidx = np.tile(idx, reach)
-        brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])
+        brackets = coherence_brackets(reach)
         # [truncation, span] propagation, in units of the benchmark power.
-        prop = (propagate(span_transfer(link)[:reach], np.eye(reach))
+        prop = (propagate(s.transfer[:reach], np.eye(reach))
                 * (ch.rate[c] / p_bmk)[:, None])
         self._append("self", prop * (sci_inc + brackets[:, None] * sci_coh),
                      phi=ch.phi[c], rate=ch.rate[c], roll_cut=ch.roll[c],
                      acc=sci_acc)
-        self._append("cross", prop[:, span_of_x] * np.concatenate(xb),
+        self._append("cross", prop[:, span_of_x] * xb,
                      phi=ch.phi[xidx], roll_cut=ch.roll[c],
-                     roll_nch=ch.roll[xidx], acc=np.concatenate(xacc))
+                     roll_nch=ch.roll[xidx], acc=xacc)
         self.n_rows += reach
 
     def _append(self, block: str, matrix: np.ndarray, **features) -> None:
@@ -567,6 +567,16 @@ def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark,
 _FIRST_STEP = 0.2
 
 
+def _restart_points(kind: CfmKind, n: int, rng) -> list[np.ndarray]:
+    """``n`` random starts around the identity point: each coefficient moved
+    by a normal step of 5% of its shipped magnitude, so the identity's zero
+    entries move too."""
+    identity = np.array(assets.identity_coefficients(kind).a)
+    step = 0.05 * np.abs(assets.shipped_coefficients(kind).a)
+    return [identity + step * rng.standard_normal(identity.size)
+            for _ in range(n)]
+
+
 def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
                      policy: SensitivityPolicy | None = None) -> FitResult:
     """Minimize the summed squared relative NLI-power error over the free
@@ -585,11 +595,9 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
     x0 = np.array(initial.a)
     cost0 = data.cost(x0)
 
-    starts = [x0, np.array(assets.identity_coefficients(kind).a)]
-    rng = np.random.default_rng(fit.seed + 17)
-    for _ in range(fit.n_restarts):
-        starts.append(starts[1] * (1.0 + 0.05 * rng.standard_normal(len(x0))))
-
+    starts = [x0, np.array(assets.identity_coefficients(kind).a),
+              *_restart_points(kind, fit.n_restarts,
+                               np.random.default_rng(fit.seed + 17))]
     x_scale = _FIRST_STEP * np.abs(assets.shipped_coefficients(kind).a)
     # A non-finite (inf or NaN) initial cost is worse than any finite one.
     bound0 = cost0 if np.isfinite(cost0) else np.inf

@@ -6,9 +6,15 @@ from asinh closed forms of the underlying four-wave-mixing integrals.
 CFM2-CFM4 multiply those terms by fitted correction factors; CFM3/CFM4
 additionally model coherent accumulation of the self term.
 
-:func:`nli_terms` computes all of it in one pass over the spans, for every
-channel as CUT; :func:`propagate` carries per-span values to the receiver of
-every truncation.  The PSD functions at the end are views on the two.
+:func:`nli_terms` computes all of it with spans as a leading array axis,
+in ``[span, row, channel]`` arrays whose rows are the channels taken as
+CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
+:func:`propagate` carries per-span values to the receiver of every
+truncation.  The PSD functions at the end are views on the two.  The CUT
+views (and so ``perf.snr``, ``snr_report``, ``max_reach``,
+``CfmBenchmark`` and ``poweropt.eta_nli``), ``poweropt.span_eta`` and the
+fit's ``_FitData.add_system`` compute the CUT row only;
+:func:`rx_nli_psd_all_channels` alone computes every row.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import math
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import sici
@@ -54,10 +61,15 @@ def effective_beta2_xci(fiber: FiberParams, f_nch, f_cut):
 
 
 def harmonic_number(m: int) -> float:
-    """HN(m) = sum_{k=1..m} 1/k by direct summation (m stays small here)."""
+    """HN(m) = sum_{k=1..m} 1/k by direct summation (m stays small here),
+    left to right as :func:`coherence_brackets` adds (``sum`` compensates
+    float sums from Python 3.12 on)."""
     if m < 0:
         raise ValueError("harmonic number of a negative integer")
-    return sum(1.0 / k for k in range(1, m + 1))
+    total = 0.0
+    for k in range(1, m + 1):
+        total += 1.0 / k
+    return total
 
 
 def sine_integral(x: float) -> float:
@@ -218,126 +230,189 @@ class CombArrays:
 def comb_arrays(link: LinkSpec) -> CombArrays:
     """Array view of the link's channels."""
     chans = link.channels
+    active = np.array([c.active for c in chans])
+    powers = np.fromiter(chain.from_iterable(c.power_w_per_span
+                                             for c in chans),
+                         float, count=len(chans) * link.n_spans)
     return CombArrays(
         f=np.array([c.f_center for c in chans]),
         rate=np.array([c.symbol_rate for c in chans]),
         roll=np.array([c.roll_off for c in chans]),
         phi=np.array([phi_of_format(c.format) for c in chans]),
-        power=np.array([[c.power_w_per_span[n] if c.active else 0.0
-                         for c in chans] for n in range(link.n_spans)]),
-        active=np.array([c.active for c in chans]))
+        power=np.where(active, powers.reshape(len(chans), -1).T, 0.0),
+        active=active)
+
+
+def _own_column(rows, n_channels: int):
+    """Index of every row's own channel in a ``[span, row, channel]`` array:
+    the CUT/CUT pair of each row.  ``rows`` is None (every channel), one
+    channel index or an array of them."""
+    col = np.arange(n_channels) if rows is None else np.atleast_1d(rows)
+    return slice(None), np.arange(col.size), col
 
 
 @dataclass(frozen=True)
 class SpanIntegrals:
-    """Closed-form kernel integrals of one span for every channel pair; row
-    index = CUT, column = interferer."""
+    """Closed-form kernel integrals of every span, spans as the leading
+    axis; a row is a channel taken as CUT, a column an interferer."""
 
-    prefactor: float  # 16/27 gamma^2 times the span's gain and loss
-    abs_beta2: np.ndarray  # |effective beta2| (ps^2/km)
-    abs_acc: np.ndarray  # |accumulated dispersion| (ps^2) at the span input
-    i_cross: np.ndarray
-    i_self: np.ndarray  # [channel], incoherent accumulation
-    i_coherent: np.ndarray  # [channel], coefficient of coherence_bracket
+    transfer: np.ndarray  # [span]: gain times loss
+    prefactor: np.ndarray  # [span]: 16/27 gamma^2 times the transfer
+    abs_beta2: np.ndarray  # [span, row, channel]: |effective beta2| (ps^2/km)
+    abs_acc: np.ndarray  # [span, row, channel]: |accumulated dispersion|
+    #                      (ps^2) at the span input
+    i_cross: np.ndarray  # [span, row, channel]
+    i_self: np.ndarray  # [span, row], incoherent accumulation
+    i_coherent: np.ndarray  # [span, row], coefficient of coherence_bracket
 
 
-def span_integrals(link: LinkSpec, ch: CombArrays) -> Iterator[SpanIntegrals]:
-    """The integrals of every span in order.  A pair with zero dispersion
-    gives inf or NaN entries; callers mask the ones they do not use."""
+def span_integrals(link: LinkSpec, ch: CombArrays,
+                   rows: int | np.ndarray | None = None) -> SpanIntegrals:
+    """The integrals of every span, with every channel as CUT
+    (``rows=None``) or only channel(s) ``rows``.  A pair with zero
+    dispersion gives inf or NaN entries; callers mask the ones they do not
+    use."""
+    transfer = span_transfer(link)
+    # Fiber parameters and lengths as [span, 1, 1] columns.
+    beta2, beta3, f_ref, two_alpha, gamma, length = np.array(
+        [(s.fiber.beta2, s.fiber.beta3, s.fiber.f_ref, s.fiber.two_alpha,
+          s.fiber.gamma, s.length_km) for s in link.spans]).T[:, :, None, None]
+    fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
+    own = _own_column(rows, len(ch.f))
     f, rate = ch.f, ch.rate
-    df = f[None, :] - f[:, None]
-    upper = df + rate[None, :] / 2.0
-    lower = df - rate[None, :] / 2.0
-    acc = np.zeros(df.shape)
-    for span, t in zip(link.spans, span_transfer(link)):
-        fib = span.fiber
-        two_alpha = fib.two_alpha
-        b2 = effective_beta2_xci(fib, f[None, :], f[:, None])
-        m = np.abs(b2)
-        d = np.diagonal(m)
-        scale = math.pi ** 2 * (m / two_alpha) * rate[:, None]
-        den = 2.0 * math.pi * d * two_alpha
-        arg = (math.pi ** 2 / 2.0) * (d / two_alpha) * rate ** 2
-        si = sici(math.pi ** 2 * d * span.length_km * rate ** 2)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = SpanIntegrals(
-                prefactor=(16.0 / 27.0) * fib.gamma ** 2 * t,
-                abs_beta2=m, abs_acc=np.abs(acc),
-                i_cross=(np.arcsinh(scale * upper)
-                         - np.arcsinh(scale * lower))
-                / (4.0 * math.pi * m * two_alpha),
-                i_self=np.arcsinh(arg) / den,
-                i_coherent=2.0 * si / (math.pi * (two_alpha / 2.0)
-                                       * span.length_km) / den)
-        yield out
-        acc = acc + b2 * span.length_km
+    f_cut, rate_cut = f[own[2]], rate[own[2]]  # [row]
+    df = f - f_cut[:, None]
+    upper = df + rate / 2.0
+    lower = df - rate / 2.0
+    b2 = effective_beta2_xci(fib, f, f_cut[:, None])
+    # Exclusive running sum: span n sees the dispersion of spans 0..n-1.
+    acc = np.zeros_like(b2)
+    np.cumsum(b2[:-1] * length[:-1], axis=0, out=acc[1:])
+    m = np.abs(b2, out=b2)
+    # The self terms read the CUT/CUT pair: [span, row] against [span, 1].
+    d = m[own]
+    two_alpha_s, length_s = two_alpha[:, 0], length[:, 0]
+    den = 2.0 * math.pi * d * two_alpha_s
+    arg = (math.pi ** 2 / 2.0) * (d / two_alpha_s) * rate_cut ** 2
+    si = sici(math.pi ** 2 * d * length_s * rate_cut ** 2)[0]
+    # i_cross = (asinh(scale * upper) - asinh(scale * lower))
+    #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
+    # with R the CUT's symbol rate, computed in place: fresh temporaries
+    # would double a block's peak memory and the page faults it costs.
+    scale = m / two_alpha
+    scale *= math.pi ** 2
+    scale *= rate_cut[:, None]
+    i_cross = np.arcsinh(scale * upper)
+    scale *= lower
+    i_cross -= np.arcsinh(scale, out=scale)
+    den_cross = np.multiply(m, 4.0 * math.pi, out=scale)
+    den_cross *= two_alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i_cross /= den_cross
+        return SpanIntegrals(
+            transfer=transfer,
+            prefactor=(16.0 / 27.0) * gamma[:, 0, 0] ** 2 * transfer,
+            abs_beta2=m, abs_acc=np.abs(acc, out=acc), i_cross=i_cross,
+            i_self=np.arcsinh(arg) / den,
+            i_coherent=2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
+            / den)
+
+
+def coherence_brackets(n_spans: int) -> np.ndarray:
+    """``coherence_bracket(n)`` for n = 1..n_spans from one running
+    harmonic sum, added in the order :func:`harmonic_number` adds."""
+    n = np.arange(1, n_spans + 1)
+    hn = np.concatenate(([0.0], np.cumsum(1.0 / n[:-1])))
+    return hn + (1 - n) / n
 
 
 @dataclass(frozen=True)
 class NliTerms:
-    """Per-span NLI of one link with every channel taken as CUT.
+    """Per-span NLI of one link, for the channels the kernel took as CUT.
 
     For a link truncated after ``n_end`` spans, span ``n`` adds the PSD
-    ``base[n, c] + coherence_bracket(n_end) * coherent[n, c]`` (W/THz) at
-    channel ``c``; ``transfer[n]`` is the span's gain times its loss.
+    ``base[n, r] + coherence_bracket(n_end) * coherent[n, r]`` (W/THz) at
+    row ``r``'s channel; ``transfer[n]`` is the span's gain times its loss.
     """
 
     transfer: np.ndarray  # [span]
-    base: np.ndarray  # [span, channel]
-    coherent: np.ndarray  # [span, channel]; zero unless CFM3/CFM4
-    rows: np.ndarray  # [channel]: active, so a possible CUT
-    min_abs_beta2: np.ndarray  # [channel]: smallest |beta2| a row's terms use
+    base: np.ndarray  # [span, row]
+    coherent: np.ndarray  # [span, row]; zero unless CFM3/CFM4
+    active: np.ndarray  # [row]: the row's channel is active, so a CUT
+    min_abs_beta2: np.ndarray  # [row]: smallest |beta2| a row's terms use
 
     def rx_psd(self) -> np.ndarray:
-        """Receiver NLI PSD (W/THz) as ``[n_end - 1, channel]``, for every
-        truncation; NaN in the columns of channels that cannot be CUT."""
-        brackets = np.array([coherence_bracket(n)
-                             for n in range(1, len(self.transfer) + 1)])
-        out = (propagate(self.transfer, self.base)
-               + brackets[:, None] * propagate(self.transfer, self.coherent))
-        out[:, ~self.rows] = np.nan
+        """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]``, for every
+        truncation; NaN in the rows of channels that cannot be CUT."""
+        base, coherent = np.split(propagate(
+            self.transfer, np.hstack((self.base, self.coherent))), 2, axis=1)
+        out = base + coherence_brackets(len(self.transfer))[:, None] * coherent
+        out[:, ~self.active] = np.nan
         return out
 
 
-def nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
-    """The NLI kernel: one pass over the spans, every channel as CUT.
+# The kernel takes its rows in blocks whose [span, row, channel] arrays hold
+# at most about this many elements (~125 kB).  Whole arrays at paper scale
+# (0.35 MB each, every channel as CUT) would be page-faulted in anew on
+# every call, and would raise the peak memory by megabytes.
+_BLOCK_ELEMENTS = 16_000
+
+
+def nli_terms(link: LinkSpec, variant: ModelVariant,
+              rows: int | None = None) -> NliTerms:
+    """The NLI kernel: one array pass over the spans, with every channel as
+    CUT (``rows=None``) or only channel ``rows``, usually
+    ``link.cut_index``, which must be active.
 
     Applies no low-dispersion policy, since only the caller knows which rows
     it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
     A row with a zero-dispersion term holds inf or NaN.
     """
     ch = comb_arrays(link)
+    if rows is not None and not ch.active[rows]:
+        raise ValidationError("CUT inactive")
+    cuts = _own_column(rows, len(ch.f))[2]
+    step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
+    blocks = [_row_block(link, variant, ch, cuts[i:i + step])
+              for i in range(0, cuts.size, step)]
+    base, coherent, min_abs_beta2 = (np.concatenate(part, axis=-1)
+                                     for part in list(zip(*blocks))[:3])
+    return NliTerms(transfer=blocks[0][3], base=base, coherent=coherent,
+                    active=ch.active[cuts], min_abs_beta2=min_abs_beta2)
+
+
+def _row_block(link: LinkSpec, variant: ModelVariant, ch: CombArrays,
+               cuts: np.ndarray):
+    """``base``, ``coherent``, ``min_abs_beta2`` and ``transfer`` of
+    :class:`NliTerms` for the rows of channels ``cuts``."""
+    own = _own_column(cuts, len(ch.f))
     kind = variant.kind
     cross_factor = self_factor = lambda abs_acc: 1.0  # CFM1
     if kind is not CfmKind.CFM1:
         a = variant.coefficients.a
-        cross_factor = rho_cross(kind, a, ch.phi[None, :], ch.roll[:, None],
-                                 ch.roll[None, :])
-        self_factor = rho_self(kind, a, ch.phi, ch.rate, ch.roll)
+        cross_factor = rho_cross(kind, a, ch.phi, ch.roll[cuts, None],
+                                 ch.roll)
+        self_factor = rho_self(kind, a, ch.phi[cuts], ch.rate[cuts],
+                               ch.roll[cuts])
+    s = span_integrals(link, ch, cuts)
     g = ch.power / ch.rate  # [span, channel] effective PSDs
-    n_spans, nc = g.shape
-    base = np.empty((n_spans, nc))
-    coherent = np.zeros((n_spans, nc))
-    min_abs_beta2 = np.full(nc, np.inf)
-    act = ch.active
+    g_cut = g[:, cuts]
     with np.errstate(invalid="ignore"):
-        for n, s in enumerate(span_integrals(link, ch)):
-            g2 = g[n] ** 2
-            # Inactive interferers and the diagonal are no cross terms; zero
-            # them so that their entries cannot turn a row NaN.
-            xci = cross_factor(s.abs_acc) * s.i_cross
-            xci[:, ~act] = 0.0
-            np.fill_diagonal(xci, 0.0)
-            sci = self_factor(np.diagonal(s.abs_acc)) * g2
-            base[n] = s.prefactor * g[n] * (sci * s.i_self + 2.0 * (xci @ g2))
-            if kind.coherent_sci:
-                coherent[n] = s.prefactor * g[n] * sci * s.i_coherent
-            np.minimum(min_abs_beta2,
-                       s.abs_beta2[:, act].min(axis=1, initial=np.inf),
-                       out=min_abs_beta2)
-    return NliTerms(transfer=span_transfer(link), base=base,
-                    coherent=coherent, rows=ch.active,
-                    min_abs_beta2=min_abs_beta2)
+        # Inactive interferers and each row's own channel are no cross
+        # terms; zero them so that their entries cannot turn a row NaN.
+        xci = s.i_cross
+        xci *= cross_factor(s.abs_acc)
+        xci[:, :, ~ch.active] = 0.0
+        xci[own] = 0.0
+        sci = self_factor(s.abs_acc[own]) * g_cut ** 2
+        psd = s.prefactor[:, None] * g_cut
+        base = psd * (sci * s.i_self
+                      + 2.0 * (xci @ (g ** 2)[:, :, None])[:, :, 0])
+        coherent = (psd * sci * s.i_coherent if kind.coherent_sci
+                    else np.zeros_like(base))
+    return (base, coherent, np.min(s.abs_beta2, axis=(0, 2),
+                                   where=ch.active, initial=np.inf),
+            s.transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +424,6 @@ def _check_n_end(link: LinkSpec, n_end: int) -> None:
         raise ValueError("n_end out of range")
 
 
-def cut_nli_terms(link: LinkSpec, variant: ModelVariant) -> NliTerms:
-    """The kernel, with the low-dispersion policy applied to the CUT row."""
-    terms = nli_terms(link, variant)
-    if not terms.rows[link.cut_index]:
-        raise ValidationError("CUT inactive")
-    check_dispersion(terms.min_abs_beta2[link.cut_index])
-    return terms
-
-
 def rx_nli_psd_truncations(link: LinkSpec, variant: ModelVariant
                            ) -> np.ndarray:
     """CUT NLI PSD (W/THz) at the receiver after 1, 2, ..., n_spans spans.
@@ -365,7 +431,9 @@ def rx_nli_psd_truncations(link: LinkSpec, variant: ModelVariant
     The coherent self-term of CFM3/CFM4 is evaluated with the truncated span
     count for every span.
     """
-    return cut_nli_terms(link, variant).rx_psd()[:, link.cut_index]
+    terms = nli_terms(link, variant, rows=link.cut_index)
+    check_dispersion(terms.min_abs_beta2)
+    return terms.rx_psd()[:, 0]
 
 
 def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
@@ -382,7 +450,7 @@ def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
         n_end = link.n_spans
     _check_n_end(link, n_end)
     terms = nli_terms(link, variant)
-    check_dispersion(terms.min_abs_beta2[terms.rows])
+    check_dispersion(terms.min_abs_beta2[terms.active])
     return terms.rx_psd()[n_end - 1]
 
 

@@ -18,8 +18,10 @@ from .campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                        GnOracleBenchmark, fit_coefficients, run_campaign)
 from .cfm import ZeroDispersionError, one_low_dispersion_warning
 from .oracle import QuadratureConfig, QuadratureError, gn_rx_psd
+# max_reach is imported for callers that time calls through this module's
+# names (bench/tracing.py); evaluate reads the reach from its SNR report.
 from .perf import (SensitivityPolicy, UnreachableError, evaluate_all_channels,
-                   max_reach, snr_report)
+                   max_reach, max_reach_scan, snr_report)
 from .poweropt import optimize_powers
 from .sysgen import (CUT_POSITIONS, NF_MODES, GeneratorConfig,
                      generate_system_from_seed)
@@ -156,7 +158,8 @@ def _cmd_evaluate(args) -> int:
                   "p_nli_w": list(report.p_nli_w)}
     if args.threshold_db is not None:
         try:
-            reach = max_reach(link, variant, args.threshold_db)
+            reach = max_reach_scan(lambda n: report.per_span_snr_db[n - 1],
+                                   link.n_spans, args.threshold_db)
             doc["reach"] = {"threshold_db": reach.threshold_db,
                             "max_reach_spans": reach.max_reach_spans,
                             "snr_at_reach_db": reach.snr_at_reach_db}

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assets
-from .cfm import cut_nli_terms, one_low_dispersion_warning, rx_nli_psd
+from .cfm import (check_dispersion, nli_terms, one_low_dispersion_warning,
+                  rx_nli_psd)
 from .perf import ase_power, span_ase_psd
 from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant
 
@@ -53,9 +54,10 @@ def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
     the CUT's through xi: the kernel on the link with powers xi * R."""
     tied = tuple(ch.with_powers([x * ch.symbol_rate] * link.n_spans)
                  for x, ch in zip(xi, link.channels))
-    terms = cut_nli_terms(replace(link, channels=tied),
-                          assets.model(CfmKind.CFM1))
-    return terms.base[:, link.cut_index]
+    terms = nli_terms(replace(link, channels=tied),
+                      assets.model(CfmKind.CFM1), rows=link.cut_index)
+    check_dispersion(terms.min_abs_beta2)
+    return terms.base[:, 0]
 
 
 def logo_optimize(link: LinkSpec,

@@ -30,7 +30,7 @@ class ModulationFormat(enum.Enum):
 
 
 # Second-moment excess-kurtosis constant of each constellation, used by the
-# format-dependent correction factors.  Exact rationals, evaluated lazily.
+# format-dependent correction factors, as exact rationals.
 PHI_EXACT: dict[ModulationFormat, Fraction] = {
     ModulationFormat.PM_BPSK: Fraction(1),
     ModulationFormat.PM_QPSK: Fraction(1),
@@ -44,9 +44,13 @@ PHI_EXACT: dict[ModulationFormat, Fraction] = {
 }
 
 
+_PHI_FLOAT = {fmt: float(phi) for fmt, phi in PHI_EXACT.items()}
+
+
 def phi_of_format(fmt: ModulationFormat) -> float:
-    """Format constant Phi (0 for Gaussian, 1 for BPSK/QPSK)."""
-    return float(PHI_EXACT[fmt])
+    """Format constant Phi (0 for Gaussian, 1 for BPSK/QPSK), the float
+    nearest the exact rational."""
+    return _PHI_FLOAT[fmt]
 
 
 class ValidationError(ValueError):

@@ -39,14 +39,15 @@ class LoopFitData:
         idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
         sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
         xb, xacc = [], []
-        for m, s in zip(range(reach), span_integrals(link, ch)):
-            base = s.prefactor * g[m, c]
-            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[c]
+        s = span_integrals(link, ch)  # every channel as CUT
+        for m in range(reach):
+            base = s.prefactor[m] * g[m, c]
+            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[m, c]
             if self.kind.coherent_sci:
-                sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[c]
-            sci_acc[m] = s.abs_acc[c, c]
-            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[c, idx])
-            xacc.append(s.abs_acc[c, idx])
+                sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[m, c]
+            sci_acc[m] = s.abs_acc[m, c, c]
+            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[m, c, idx])
+            xacc.append(s.abs_acc[m, c, idx])
         span_of_x = np.repeat(np.arange(reach), idx.size)
         xidx = np.tile(idx, reach)
         brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])

@@ -130,6 +130,19 @@ def test_fit_counts_residual_evaluations():
     assert 3 <= res.n_evaluations <= 3 * 7
 
 
+@pytest.mark.parametrize("kind", [CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4])
+def test_fit_restarts_move_every_coefficient(kind):
+    # A restart steps every coefficient away from the identity point, its
+    # zero entries included, on the scale of the shipped magnitudes.
+    identity = np.array(assets.identity_coefficients(kind).a)
+    shipped = np.abs(assets.shipped_coefficients(kind).a)
+    points = campaign._restart_points(kind, 3, np.random.default_rng(0))
+    assert len(points) == 3
+    for point in points:
+        assert np.all(point != identity)
+        assert np.all(np.abs(point - identity) < 6 * 0.05 * shipped)
+
+
 def test_fit_skips_a_start_with_non_finite_cost():
     # A huge bracket exponent overflows the cross terms, and the cost is
     # NaN: the solve starts from the identity point only, and any finite

@@ -18,10 +18,10 @@ from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets
 from nli_planner.cfm import (LowDispersionWarning, ZeroDispersionError,
-                             coherence_bracket, comb_arrays,
-                             effective_beta2_cut, effective_beta2_xci,
-                             harmonic_number, nli_terms, propagate,
-                             rho_cross, rho_self, rx_nli_psd,
+                             coherence_bracket, coherence_brackets,
+                             comb_arrays, effective_beta2_cut,
+                             effective_beta2_xci, harmonic_number, nli_terms,
+                             propagate, rho_cross, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, sine_integral,
                              span_integrals, span_transfer)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
@@ -76,6 +76,12 @@ def test_coherence_bracket_direct_sum():
     for n in range(1, 41):
         exact = sum(Fraction(n - k, n * k) for k in range(1, n))
         assert coherence_bracket(n) == pytest.approx(float(exact), abs=1e-13)
+
+
+def test_coherence_brackets_equal_the_scalar_bracket():
+    # One running harmonic sum, added in the scalar's order: bit-identical.
+    assert coherence_brackets(40).tolist() == [coherence_bracket(n)
+                                               for n in range(1, 41)]
 
 
 def test_effective_beta2_forms():
@@ -281,7 +287,7 @@ def test_identity_cfm2_equals_cfm1():
 
 def _abs_acc(link):
     """The kernel's |accumulated dispersion| matrix at every span input."""
-    return [s.abs_acc for s in span_integrals(link, comb_arrays(link))]
+    return span_integrals(link, comb_arrays(link)).abs_acc
 
 
 def test_beta2_acc_zero_at_first_span():
@@ -436,6 +442,36 @@ def test_kernel_matches_reference_paper_link(paper_link, kind):
             want = ref.rx_nli_psd(relabeled, variant, n_end)
             worst = max(worst, abs(rx[n_end - 1, idx] - want) / want)
     assert worst <= 1e-12
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       n_spans=st.integers(1, 6),
+       position=st.sampled_from(["lowest", "center", "highest"]),
+       kind=st.sampled_from(list(CfmKind)), zero_cut=st.integers(0, 2),
+       zero_off=st.sets(st.integers(0, 2)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
+                                  zero_cut, zero_off):
+    # The CUT-row mode computes the CUT column of the all-row kernel: equal
+    # values, the same smallest |beta2|, and the same inf/NaN entries where
+    # a pair has zero dispersion.
+    variant = assets.model(kind)
+    zero = make_zero_dispersion_link(zero_cut,
+                                     inactive=tuple(zero_off - {zero_cut}))
+    link = make_system(seed, category=category, band_width=2.0,
+                       n_spans=n_spans, cut_position=position, optimize=False)
+    for lk in (link, zero):
+        full = nli_terms(lk, variant)
+        row = nli_terms(lk, variant, rows=lk.cut_index)
+        c = lk.cut_index
+        assert row.base.shape == row.coherent.shape == (lk.n_spans, 1)
+        for got, want in ((row.base[:, 0], full.base[:, c]),
+                          (row.coherent[:, 0], full.coherent[:, c])):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            ok = np.isfinite(want)
+            assert got[ok] == pytest.approx(want[ok], rel=1e-12, abs=0.0)
+        assert row.min_abs_beta2[0] == full.min_abs_beta2[c]
 
 
 # ---------------------------------------------------------------------------
