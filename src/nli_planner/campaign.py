@@ -10,23 +10,24 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-# minimize is imported for callers that time calls through this module's
-# names (bench/tracing.py); the fit here solves with least_squares.
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from . import assets
-# rx_nli_psd is imported for callers that time calls through this module's
-# names (bench/tracing.py); the benchmarks here read whole truncation vectors.
-from .cfm import (_BRACKET_FLOOR, coherence_brackets, comb_arrays,
-                  effective_beta2_cut, one_low_dispersion_warning, propagate,
-                  rho_cross, rho_self, rx_nli_psd, rx_nli_psd_truncations,
-                  span_integrals, span_transfer, zero_safe_pow)
+from .cfm import (_BRACKET_FLOOR, _check_n_end, coherence_brackets,
+                  comb_arrays, effective_beta2_cut, one_low_dispersion_warning,
+                  propagate, rho_cross, rho_self, rx_nli_psds, span_integrals,
+                  span_transfer, zero_safe_pow)
 from .oracle import QuadratureConfig, gn_span_psd
-from .perf import (SensitivityPolicy, UnreachableError, ase_power,
-                   cut_rx_power, max_reach_scan, snr, snr_from_powers)
+from .perf import (SensitivityPolicy, UnreachableError, link_report,
+                   max_reach_scan, snr)
 from .poweropt import optimize_powers
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, generate_system
 from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
+
+# Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
+from scipy.optimize import minimize
+from .cfm import rx_nli_psd
+from .perf import ase_power
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
 
 class _LastLinkBenchmark:
     """A reference model that computes the CUT's receiver NLI PSD of every
-    truncation of a link at once.
+    truncation of a link at once, and the link's report from it.
 
     Campaigns and fits ask about every truncation of one link before moving
     to the next, so one slot holding the last link, matched by identity,
@@ -44,26 +45,28 @@ class _LastLinkBenchmark:
 
     def __init__(self) -> None:
         self._link: LinkSpec | None = None
-        self._psds: np.ndarray | None = None
+        self._last = None  # the link's rx PSDs and report
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
+        """The CUT's receiver NLI PSD (W/THz) as ``[truncation, 1]``."""
         raise NotImplementedError
 
-    def rx_psd(self, link: LinkSpec, n_end: int) -> float:
-        if not 1 <= n_end <= link.n_spans:
-            raise ValueError("n_end out of range")
+    def _read(self, link: LinkSpec, n_end: int):
+        _check_n_end(link, n_end)
         if link is not self._link:
-            self._psds = self._rx_psds(link)
+            psds = self._rx_psds(link)
+            self._last = psds, link_report(link, psds, link.cut_index)
             self._link = link
-        return float(self._psds[n_end - 1])
+        return self._last
+
+    def rx_psd(self, link: LinkSpec, n_end: int) -> float:
+        return float(self._read(link, n_end)[0][n_end - 1, 0])
 
     def nli_power_w(self, link: LinkSpec, n_end: int) -> float:
-        return self.rx_psd(link, n_end) * link.cut.symbol_rate
+        return float(self._read(link, n_end)[1].p_nli_w[n_end - 1, 0])
 
     def snr_db(self, link: LinkSpec, n_end: int) -> float:
-        return float(snr_from_powers(cut_rx_power(link, n_end),
-                                     ase_power(link, n_end),
-                                     self.nli_power_w(link, n_end)))
+        return float(self._read(link, n_end)[1].snr_db[n_end - 1, 0])
 
 
 class CfmBenchmark(_LastLinkBenchmark):
@@ -75,7 +78,7 @@ class CfmBenchmark(_LastLinkBenchmark):
         self.name = variant.kind.value
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
-        return rx_nli_psd_truncations(link, self.variant)
+        return rx_nli_psds(link, self.variant, link.cut_index)
 
 
 class GnOracleBenchmark(_LastLinkBenchmark):
@@ -93,7 +96,7 @@ class GnOracleBenchmark(_LastLinkBenchmark):
         return propagate(span_transfer(link), [
             gn_span_psd(link.spans[n], link.channels, f_cut, self.quad,
                         span_index=n)
-            for n in range(link.n_spans)])
+            for n in range(link.n_spans)])[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ additionally model coherent accumulation of the self term.
 in ``[span, row, channel]`` arrays whose rows are the channels taken as
 CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
 :func:`propagate` carries per-span values to the receiver of every
-truncation.  The PSD functions at the end are views on the two.  The CUT
-views (and so ``perf.snr``, ``snr_report``, ``max_reach``,
-``CfmBenchmark`` and ``poweropt.eta_nli``), ``poweropt.span_eta`` and the
-fit's ``_FitData.add_system`` compute the CUT row only;
-:func:`rx_nli_psd_all_channels` alone computes every row.
+truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
+one pass, the low-dispersion policy on the rows it returns, and the
+receiver PSD of every truncation.  ``perf.link_report`` turns its output
+into SNRs; :func:`rx_nli_psd` and :func:`rx_nli_psd_all_channels` read
+one truncation of it.  ``poweropt.span_eta`` and the fit's
+``_FitData.add_system`` read the kernel's per-span terms directly.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
 
 def span_transfer(link: LinkSpec) -> np.ndarray:
     """Lumped gain times fiber loss of every span (flat in frequency)."""
-    return np.array([s.gain_lin(0.0) * s.span_loss_lin for s in link.spans])
+    return np.array([s.gain_lin * s.span_loss_lin for s in link.spans])
 
 
 def propagate(transfer: np.ndarray, terms) -> np.ndarray:
@@ -419,39 +420,37 @@ def _row_block(link: LinkSpec, variant: ModelVariant, ch: CombArrays,
 # Views
 
 
-def _check_n_end(link: LinkSpec, n_end: int) -> None:
+def _check_n_end(link: LinkSpec, n_end: int | None = None) -> int:
+    """``n_end``, or the span count for None; ValueError out of range."""
+    if n_end is None:
+        return link.n_spans
     if not 1 <= n_end <= link.n_spans:
         raise ValueError("n_end out of range")
+    return n_end
 
 
-def rx_nli_psd_truncations(link: LinkSpec, variant: ModelVariant
-                           ) -> np.ndarray:
-    """CUT NLI PSD (W/THz) at the receiver after 1, 2, ..., n_spans spans.
-
-    The coherent self-term of CFM3/CFM4 is evaluated with the truncated span
-    count for every span.
-    """
-    terms = nli_terms(link, variant, rows=link.cut_index)
-    check_dispersion(terms.min_abs_beta2)
-    return terms.rx_psd()[:, 0]
+def rx_nli_psds(link: LinkSpec, variant: ModelVariant,
+                rows: int | None = None) -> np.ndarray:
+    """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]`` (see
+    :func:`nli_terms` for ``rows``): one kernel pass, the low-dispersion
+    policy applied to the active rows it returns.  Inactive rows are NaN."""
+    terms = nli_terms(link, variant, rows)
+    check_dispersion(terms.min_abs_beta2[terms.active])
+    return terms.rx_psd()
 
 
 def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Accumulated NLI PSD (W/THz) at the receiver of the truncated link."""
     _check_n_end(link, n_end)
-    return float(rx_nli_psd_truncations(link, variant)[n_end - 1])
+    return float(rx_nli_psds(link, variant, link.cut_index)[n_end - 1, 0])
 
 
 def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
                             n_end: int | None = None) -> np.ndarray:
     """Receiver NLI PSD with every active channel treated as CUT in turn;
     inactive channels yield NaN."""
-    if n_end is None:
-        n_end = link.n_spans
-    _check_n_end(link, n_end)
-    terms = nli_terms(link, variant)
-    check_dispersion(terms.min_abs_beta2[terms.active])
-    return terms.rx_psd()[n_end - 1]
+    n_end = _check_n_end(link, n_end)
+    return rx_nli_psds(link, variant)[n_end - 1]
 
 
 def cut_min_abs_beta2(link: LinkSpec) -> float:

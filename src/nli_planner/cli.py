@@ -7,6 +7,7 @@ Commands: generate, evaluate, campaign, fit, oracle.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -16,16 +17,17 @@ import numpy as np
 from . import fileio
 from .campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                        GnOracleBenchmark, fit_coefficients, run_campaign)
-from .cfm import ZeroDispersionError, one_low_dispersion_warning
+from .cfm import (ZeroDispersionError, _check_n_end,
+                  one_low_dispersion_warning, rx_nli_psds)
 from .oracle import QuadratureConfig, QuadratureError, gn_rx_psd
-# max_reach is imported for callers that time calls through this module's
-# names (bench/tracing.py); evaluate reads the reach from its SNR report.
-from .perf import (SensitivityPolicy, UnreachableError, evaluate_all_channels,
-                   max_reach, max_reach_scan, snr_report)
+from .perf import UnreachableError, link_report, max_reach_scan
 from .poweropt import optimize_powers
 from .sysgen import (CUT_POSITIONS, NF_MODES, GeneratorConfig,
                      generate_system_from_seed)
 from .types import CfmKind, ValidationError
+
+# Only for bench/tracing.py's LAYERS to patch here; nothing here calls them.
+from .perf import evaluate_all_channels, max_reach, snr_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,6 +55,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="JSON coefficient file overriding the shipped table")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nli-planner",
@@ -152,14 +155,20 @@ def _cmd_evaluate(args) -> int:
     doc: dict = {"version": 1, "model": variant.kind.value,
                  "n_spans": link.n_spans, "cut_index": link.cut_index}
 
-    report = snr_report(link, variant)
-    doc["cut"] = {"per_span_snr_db": list(report.per_span_snr_db),
-                  "p_ase_w": list(report.p_ase_w),
-                  "p_nli_w": list(report.p_nli_w)}
+    # One kernel pass: every row with --all-channels, else the CUT row.
+    rows = None if args.all_channels else link.cut_index
+    start = time.perf_counter()
+    report = link_report(link, rx_nli_psds(link, variant, rows), rows)
+    elapsed = 1e3 * (time.perf_counter() - start)
+    col = link.cut_index if rows is None else 0
+    snrs = report.snr_db[:, col].tolist()
+    doc["cut"] = {"per_span_snr_db": snrs,
+                  "p_ase_w": report.p_ase_w[:, col].tolist(),
+                  "p_nli_w": report.p_nli_w[:, col].tolist()}
     if args.threshold_db is not None:
         try:
-            reach = max_reach_scan(lambda n: report.per_span_snr_db[n - 1],
-                                   link.n_spans, args.threshold_db)
+            reach = max_reach_scan(lambda n: snrs[n - 1], link.n_spans,
+                                   args.threshold_db)
             doc["reach"] = {"threshold_db": reach.threshold_db,
                             "max_reach_spans": reach.max_reach_spans,
                             "snr_at_reach_db": reach.snr_at_reach_db}
@@ -167,9 +176,6 @@ def _cmd_evaluate(args) -> int:
             doc["reach"] = {"threshold_db": args.threshold_db,
                             "max_reach_spans": 0}
     if args.all_channels:
-        start = time.perf_counter()
-        ev = evaluate_all_channels(link, variant)
-        elapsed = 1e3 * (time.perf_counter() - start)
 
         def _clean(arr):
             return [None if not np.isfinite(v) else float(v) for v in arr]
@@ -177,9 +183,9 @@ def _cmd_evaluate(args) -> int:
         doc["channels"] = {
             "f_center_thz": [c.f_center for c in link.channels],
             "active": [c.active for c in link.channels],
-            "snr_db": _clean(ev.snr_db),
-            "p_nli_w": _clean(ev.p_nli_w),
-            "p_ase_w": _clean(ev.p_ase_w),
+            "snr_db": _clean(report.snr_db[-1]),
+            "p_nli_w": _clean(report.p_nli_w[-1]),
+            "p_ase_w": _clean(report.p_ase_w[-1]),
             "elapsed_ms": elapsed,
         }
     _emit(doc, args.output)
@@ -224,9 +230,7 @@ def _cmd_oracle(args) -> int:
     link = fileio.load_system(args.system)
     f_eval = args.f_eval_thz if args.f_eval_thz is not None \
         else link.cut.f_center
-    n_end = args.n_spans if args.n_spans is not None else link.n_spans
-    if not 1 <= n_end <= link.n_spans:
-        raise ValidationError("--n-spans outside the link length")
+    n_end = _check_n_end(link, args.n_spans)
     quad = QuadratureConfig(points_per_channel=args.points_per_channel,
                             rel_tol=args.rel_tol)
     psd = gn_rx_psd(link, f_eval, quad, n_end)

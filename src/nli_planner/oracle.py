@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import propagate, span_transfer
+from .cfm import _check_n_end, propagate, span_transfer
 from .types import ChannelSpec, LinkSpec, SpanConfig, ValidationError
 
 
@@ -215,7 +215,7 @@ class _SpanIntegrand:
         total = np.add.accumulate(self.pair_weight * sums)[-1] if n_pairs \
             else 0.0
         prefactor = ((16.0 / 27.0) * fib.gamma ** 2
-                     * span.gain_lin(f_eval) * loss)
+                     * span.gain_lin * loss)
         return float(prefactor * total)
 
 
@@ -258,8 +258,7 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
               n_end: int | None = None) -> float:
     """Incoherent accumulation of the per-span quadrature values, propagated
     to the receiver exactly like the closed-form accumulation."""
-    if n_end is None:
-        n_end = link.n_spans
+    n_end = _check_n_end(link, n_end)
     psds = [gn_span_psd(link.spans[n], link.channels, f_eval, q, span_index=n)
             for n in range(n_end)]
     return float(propagate(span_transfer(link)[:n_end], psds)[-1])

@@ -1,4 +1,5 @@
-"""SNR, ASE, sensitivity thresholds and maximum reach."""
+"""SNR, ASE, sensitivity thresholds and maximum reach.  :func:`link_report`
+is the one place where received power, ASE and NLI power make an SNR."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import numpy as np
 from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import (propagate, rx_nli_psd, rx_nli_psd_all_channels,
-                  rx_nli_psd_truncations, span_transfer)
+from .cfm import _check_n_end, propagate, rx_nli_psds, span_transfer
 from .types import LinkSpec, ModelVariant, ModulationFormat, SpanConfig
+
+# Only for bench/tracing.py's LAYERS to patch here; nothing here calls them.
+from .cfm import rx_nli_psd, rx_nli_psd_all_channels
 
 _THZ = 1e12  # THz and TBaud to SI
 
@@ -65,9 +68,9 @@ class ReachResult:
 def span_ase_psd(span: SpanConfig, f_thz):
     """ASE PSD (W/THz) the span's amplifier adds at f (THz; arrays
     broadcast): NF * h * f * (gain - 1), nothing for gains below 1."""
-    gain = span.gain_lin(f_thz)
     nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
-    return nf_lin * PLANCK_J_S * (f_thz * _THZ) * max(gain - 1.0, 0.0) * _THZ
+    return (nf_lin * PLANCK_J_S * (f_thz * _THZ)
+            * max(span.gain_lin - 1.0, 0.0) * _THZ)
 
 
 def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
@@ -76,58 +79,65 @@ def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
                      [span_ase_psd(s, f_thz) for s in link.spans])
 
 
-def ase_power(link: LinkSpec, n_end: int, f_thz: float | None = None,
-              r_tbaud: float | None = None) -> float:
-    """Dual-polarization ASE power (W) in the matched-filter bandwidth,
+def ase_power(link: LinkSpec, n_end: int) -> float:
+    """Dual-polarization ASE power (W) in the CUT's matched-filter bandwidth,
     every amplifier's noise propagated through the remaining spans."""
-    if n_end < 1:
-        raise ValueError("n_end must be >= 1")
+    _check_n_end(link, n_end)
     cut = link.cut
-    f = cut.f_center if f_thz is None else f_thz
-    r = cut.symbol_rate if r_tbaud is None else r_tbaud
-    return float(rx_ase_psd(link, f)[n_end - 1]) * r
+    return float(rx_ase_psd(link, cut.f_center)[n_end - 1]) * cut.symbol_rate
 
 
-def nli_power_cfm(psd_w_per_thz, r_cut_tbaud):
-    """Flat-PSD approximation of the matched-filter NLI power."""
-    return psd_w_per_thz * r_cut_tbaud
+@dataclass(frozen=True)
+class LinkReport:
+    """Receiver metrics as ``[n_end - 1, row]`` arrays (one truncation's
+    ``[row]`` from :func:`evaluate_all_channels`), a row being a channel
+    taken as CUT; NaN in inactive rows, except the ASE."""
+
+    snr_db: np.ndarray
+    p_nli_w: np.ndarray
+    p_ase_w: np.ndarray
+    p_rx_w: np.ndarray
 
 
-def snr_from_powers(p_rx, p_ase, p_nli):
-    """SNR (dB) of a received power against ASE plus NLI noise power;
-    element-wise, NaN where an input is NaN."""
+def link_report(link: LinkSpec, rx_nli_psd: np.ndarray,
+                rows: int | None = None) -> LinkReport:
+    """Received power, ASE, NLI power and SNR of every truncation, from
+    the receiver NLI PSD (W/THz) of ``cfm.rx_nli_psds`` or a quadrature:
+    ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows``."""
+    chans = link.channels if rows is None else (link.channels[rows],)
+    rate = np.array([c.symbol_rate for c in chans])
+    p_launch = np.array([c.power_w_per_span if c.active
+                         else (math.nan,) * link.n_spans for c in chans]).T
+    loss, gain = np.array([(s.span_loss_lin, s.gain_lin)
+                           for s in link.spans]).T[:, :, None]
+    p_rx = p_launch * loss * gain
+    p_ase = rx_ase_psd(link, np.array([c.f_center for c in chans])) * rate
+    p_nli = rx_nli_psd * rate
     with np.errstate(invalid="ignore"):
-        return 10.0 * np.log10(p_rx / (p_ase + p_nli))
+        snr_db = 10.0 * np.log10(p_rx / (p_ase + p_nli))
+    return LinkReport(snr_db=snr_db, p_nli_w=p_nli, p_ase_w=p_ase,
+                      p_rx_w=p_rx)
 
 
-def cut_rx_power(link: LinkSpec, n_end: int) -> float:
-    """CUT power (W) at the receiver after the last span's loss and gain."""
-    span = link.spans[n_end - 1]
-    cut = link.cut
-    return (cut.power_w_per_span[n_end - 1] * span.span_loss_lin
-            * span.gain_lin(cut.f_center))
+def _cut_report(link: LinkSpec, variant: ModelVariant) -> LinkReport:
+    """The CUT's report: one column, from the kernel's CUT-row mode."""
+    rows = link.cut_index
+    return link_report(link, rx_nli_psds(link, variant, rows), rows)
 
 
 def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Received SNR (dB) of the CUT, inclusive of ASE and NLI noise."""
-    p_nli = nli_power_cfm(rx_nli_psd(link, variant, n_end),
-                          link.cut.symbol_rate)
-    return float(snr_from_powers(cut_rx_power(link, n_end),
-                                 ase_power(link, n_end), p_nli))
+    _check_n_end(link, n_end)
+    return float(_cut_report(link, variant).snr_db[n_end - 1, 0])
 
 
 def snr_report(link: LinkSpec, variant: ModelVariant) -> SnrReport:
     """CUT SNR, ASE and NLI power after 1, 2, ..., n_spans spans."""
-    cut = link.cut
-    p_nli = nli_power_cfm(rx_nli_psd_truncations(link, variant),
-                          cut.symbol_rate)
-    p_ase = rx_ase_psd(link, cut.f_center) * cut.symbol_rate
-    p_rx = np.array([cut_rx_power(link, n)
-                     for n in range(1, link.n_spans + 1)])
-    return SnrReport(
-        per_span_snr_db=tuple(snr_from_powers(p_rx, p_ase, p_nli).tolist()),
-        p_ase_w=tuple(p_ase.tolist()), p_nli_w=tuple(p_nli.tolist()),
-        variant=variant)
+    report = _cut_report(link, variant)
+    return SnrReport(per_span_snr_db=tuple(report.snr_db[:, 0].tolist()),
+                     p_ase_w=tuple(report.p_ase_w[:, 0].tolist()),
+                     p_nli_w=tuple(report.p_nli_w[:, 0].tolist()),
+                     variant=variant)
 
 
 def shannon_sensitivity(mi_target: float,
@@ -163,30 +173,11 @@ def max_reach(link: LinkSpec, variant: ModelVariant,
     return max_reach_scan(lambda n: snrs[n - 1], link.n_spans, threshold_db)
 
 
-@dataclass(frozen=True)
-class ChannelEvaluation:
-    """Per-channel receiver metrics with each channel treated as CUT."""
-
-    snr_db: np.ndarray
-    p_nli_w: np.ndarray
-    p_ase_w: np.ndarray
-    p_rx_w: np.ndarray
-
-
 def evaluate_all_channels(link: LinkSpec, variant: ModelVariant,
-                          n_end: int | None = None) -> ChannelEvaluation:
-    """Vectorized SNR of every active channel (NaN entries are inactive)."""
-    if n_end is None:
-        n_end = link.n_spans
-    chans = link.channels
-    rate = np.array([c.symbol_rate for c in chans])
-    f = np.array([c.f_center for c in chans])
-    p_nli = nli_power_cfm(rx_nli_psd_all_channels(link, variant, n_end),
-                          rate)
-    p_ase = rx_ase_psd(link, f)[n_end - 1] * rate
-    last = link.spans[n_end - 1]
-    p_launch = np.array([c.power_w_per_span[n_end - 1] if c.active else np.nan
-                         for c in chans])
-    p_rx = p_launch * last.span_loss_lin * last.gain_lin(0.0)
-    return ChannelEvaluation(snr_db=snr_from_powers(p_rx, p_ase, p_nli),
-                             p_nli_w=p_nli, p_ase_w=p_ase, p_rx_w=p_rx)
+                          n_end: int | None = None) -> LinkReport:
+    """SNR of every channel taken as CUT after ``n_end`` spans (default all
+    of them), as ``[channel]`` arrays; NaN entries are inactive."""
+    i = _check_n_end(link, n_end) - 1
+    r = link_report(link, rx_nli_psds(link, variant))
+    return LinkReport(snr_db=r.snr_db[i], p_nli_w=r.p_nli_w[i],
+                      p_ase_w=r.p_ase_w[i], p_rx_w=r.p_rx_w[i])

@@ -114,8 +114,9 @@ class SpanConfig:
         if self.length_km <= 0:
             raise ValidationError("span length must be > 0 km")
 
-    def gain_lin(self, f_thz: float) -> float:
-        """Lumped power gain at frequency f (flat in f for scalar gains)."""
+    @property
+    def gain_lin(self) -> float:
+        """Lumped power gain (flat in frequency)."""
         if self.gain_db is None:
             return 10.0 ** (self.fiber.alpha_db_per_km * self.length_km / 10.0)
         return 10.0 ** (self.gain_db / 10.0)

@@ -166,7 +166,7 @@ def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
                 * g_nch ** 2 * i_xci(span, cut, nch))
 
     prefactor = ((16.0 / 27.0) * span.fiber.gamma ** 2
-                 * span.gain_lin(cut.f_center) * span.span_loss_lin)
+                 * span.gain_lin * span.span_loss_lin)
     return prefactor * g_cut * acc
 
 
@@ -176,7 +176,7 @@ def propagation_factor(link: LinkSpec, first: int, last: int,
     out = 1.0
     for k in range(first, last):
         span = link.spans[k]
-        out *= span.gain_lin(f_thz) * span.span_loss_lin
+        out *= span.gain_lin * span.span_loss_lin
     return out
 
 
@@ -208,7 +208,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
     total = 0.0
     for k in range(n_end):
         span = link.spans[k]
-        gain = span.gain_lin(f)
+        gain = span.gain_lin
         if gain <= 1.0:
             continue
         nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
@@ -223,6 +223,6 @@ def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     span = link.spans[n_end - 1]
     cut = link.channels[link.cut_index]
     p_rx = (cut.power_w_per_span[n_end - 1] * span.span_loss_lin
-            * span.gain_lin(cut.f_center))
+            * span.gain_lin)
     p_nli = rx_nli_psd(link, variant, n_end) * cut.symbol_rate
     return 10.0 * math.log10(p_rx / (ase_power(link, n_end) + p_nli))

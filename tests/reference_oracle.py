@@ -69,7 +69,7 @@ def _gn_span_psd_at_res(span: SpanConfig, comb: tuple[ChannelSpec, ...],
                                            * w1[:, None] * w2[None, :])
             total += val if i == j else 2.0 * val
     prefactor = ((16.0 / 27.0) * fib.gamma ** 2
-                 * span.gain_lin(f_eval) * loss)
+                 * span.gain_lin * loss)
     return prefactor * total
 
 

@@ -180,14 +180,13 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
 
     monkeypatch.setattr(campaign, "gn_span_psd", fake_span_psd)
     kernel_calls = []
-    real_truncations = campaign.rx_nli_psd_truncations
+    real_psds = campaign.rx_nli_psds
 
-    def counting_truncations(link, variant):
+    def counting_psds(link, variant, rows=None):
         kernel_calls.append(link)
-        return real_truncations(link, variant)
+        return real_psds(link, variant, rows)
 
-    monkeypatch.setattr(campaign, "rx_nli_psd_truncations",
-                        counting_truncations)
+    monkeypatch.setattr(campaign, "rx_nli_psds", counting_psds)
     link = make_system(71, n_spans=4)
     oracle = GnOracleBenchmark()
     closed = CfmBenchmark(assets.model(CfmKind.CFM2))

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_system, make_zero_dispersion_link
-from nli_planner import assets, cli, fileio
+from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
 from nli_planner.types import CfmKind
 
@@ -198,6 +199,42 @@ def test_cli_evaluate(tmp_path):
     assert doc["model"] == "cfm4"
     assert len(doc["cut"]["per_span_snr_db"]) == 3
     assert "reach" in doc and "channels" in doc
+
+
+def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
+    # --all-channels reads the CUT block, the reach and every channel from
+    # one all-row kernel pass; the CUT-only evaluate reads the CUT row.
+    sys_path = _gen(tmp_path)
+    calls = []
+    real_terms = cfm.nli_terms
+
+    def counting_terms(link, variant, rows=None):
+        calls.append(rows)
+        return real_terms(link, variant, rows)
+
+    monkeypatch.setattr(cfm, "nli_terms", counting_terms)
+    docs = []
+    for extra in (["--all-channels"], []):
+        out = tmp_path / "res.json"
+        assert main(["evaluate", str(sys_path), "--threshold-db", "12",
+                     *extra, "-o", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    full, cut_only = docs
+    assert calls == [None, full["cut_index"]]
+    for key, values in full["cut"].items():
+        np.testing.assert_allclose(values, cut_only["cut"][key], rtol=1e-12,
+                                   atol=0.0)
+    assert full["reach"] == cut_only["reach"]
+
+
+def test_cli_main_calls_do_not_share_arguments(tmp_path, capsys):
+    # The parser is built once per process; each call parses afresh.
+    sys_path = _gen(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["evaluate", str(sys_path), "--all-channels"]) == 0
+    assert "channels" in json.loads(capsys.readouterr().out)
+    assert main(["evaluate", str(sys_path)]) == 0
+    assert "channels" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_evaluate_with_coefficients(tmp_path, capsys):

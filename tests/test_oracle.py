@@ -70,7 +70,7 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
             total += integrate.quad(inner, lo[i], hi[i], args=(lo[j], hi[j]),
                                     points=points, epsabs=0.0, epsrel=1e-8,
                                     limit=200)[0]
-    prefactor = (16 / 27) * fib.gamma ** 2 * span.gain_lin(f_eval) * loss
+    prefactor = (16 / 27) * fib.gamma ** 2 * span.gain_lin * loss
     return prefactor * total
 
 
@@ -247,6 +247,14 @@ def test_rx_accumulation_transparent_spans():
     # Identical transparent spans: the receiver PSD is three times one span.
     total = gn_rx_psd(link, link.cut.f_center)
     assert total == pytest.approx(3 * per_span, rel=1e-6)
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_rx_psd_rejects_truncations_outside_the_link(past_end):
+    link = make_single_channel_link(n_spans=2)
+    n_end = link.n_spans + 1 if past_end else 0
+    with pytest.raises(ValueError):
+        gn_rx_psd(link, link.cut.f_center, QuadratureConfig(), n_end)
 
 
 def test_rx_psd_converges_on_generated_system():

@@ -5,16 +5,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import h as PLANCK_J_S
 
 import reference_cfm as ref
 from conftest import make_single_channel_link, make_system
 from nli_planner import assets
-from nli_planner.cfm import rx_nli_psd
+from nli_planner.campaign import CfmBenchmark
+from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import (ReachResult, SensitivityPolicy, UnreachableError,
-                              ase_power, cut_rx_power, evaluate_all_channels,
-                              max_reach, max_reach_scan, nli_power_cfm,
-                              shannon_sensitivity, snr, snr_report)
+                              ase_power, evaluate_all_channels, link_report,
+                              max_reach, max_reach_scan, shannon_sensitivity,
+                              snr, snr_report)
 from nli_planner.types import CfmKind, LinkSpec, ModulationFormat
 
 mpmath.mp.dps = 40
@@ -55,14 +58,18 @@ def test_ase_power_rejects_zero_spans():
         ase_power(link, 0)
 
 
+def test_ase_power_rejects_spans_past_the_link():
+    link = make_single_channel_link(n_spans=2)
+    with pytest.raises(ValueError):
+        ase_power(link, link.n_spans + 1)
+
+
 def test_cut_rx_power_transparent():
     link = make_single_channel_link(n_spans=2, power_w=0.003)
+    psds = rx_nli_psds(link, assets.model(CfmKind.CFM1), link.cut_index)
+    p_rx = link_report(link, psds, link.cut_index).p_rx_w
     # Transparent spans return the launch power of the last span.
-    assert cut_rx_power(link, 2) == pytest.approx(0.003, rel=1e-12)
-
-
-def test_nli_power_flat_psd():
-    assert nli_power_cfm(2.5e-4, 0.064) == pytest.approx(1.6e-5)
+    assert p_rx[1, 0] == pytest.approx(0.003, rel=1e-12)
 
 
 def test_snr_matches_components():
@@ -71,8 +78,33 @@ def test_snr_matches_components():
     n = link.n_spans
     p_ase = ase_power(link, n)
     p_nli = rx_nli_psd(link, variant, n) * link.cut.symbol_rate
-    expected = 10 * math.log10(cut_rx_power(link, n) / (p_ase + p_nli))
+    last = link.spans[n - 1]
+    p_rx = link.cut.power_w_per_span[n - 1] * last.span_loss_lin * last.gain_lin
+    expected = 10 * math.log10(p_rx / (p_ase + p_nli))
     assert snr(link, variant, n) == pytest.approx(expected, rel=1e-12)
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       n_spans=st.integers(1, 6),
+       position=st.sampled_from(["lowest", "center", "highest"]),
+       kind=st.sampled_from(list(CfmKind)), optimize=st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_snr_views_agree(seed, category, n_spans, position, kind, optimize):
+    # The scalar SNR, the SNR report, the all-channel evaluation and the
+    # closed-form benchmark read one link report: the same CUT SNR at every
+    # truncation, whether from the CUT row or from every row.
+    link = make_system(seed, category=category, band_width=2.0,
+                       n_spans=n_spans, cut_position=position,
+                       optimize=optimize)
+    variant = assets.model(kind)
+    report = snr_report(link, variant).per_span_snr_db
+    benchmark = CfmBenchmark(variant)
+    for n in range(1, link.n_spans + 1):
+        want = snr(link, variant, n)
+        got = (report[n - 1],
+               evaluate_all_channels(link, variant, n).snr_db[link.cut_index],
+               benchmark.snr_db(link, n))
+        assert got == pytest.approx((want,) * 3, rel=1e-12, abs=0.0)
 
 
 def test_snr_report_consistency():

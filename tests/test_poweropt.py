@@ -9,8 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from conftest import make_system
 from nli_planner import assets
-from nli_planner.cfm import rx_nli_psd
-from nli_planner.perf import ase_power, cut_rx_power, snr, span_ase_psd
+from nli_planner.cfm import rx_nli_psd, rx_nli_psds
+from nli_planner.perf import ase_power, link_report, snr, span_ase_psd
 from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
                                   logo_optimize, optimize_powers,
                                   randomize_launch, refine_cut_launch,
@@ -57,8 +57,8 @@ def test_apply_power_plan_realizes_profile():
             assert ch.psd(n) == pytest.approx(xi[idx] * g[n], rel=1e-12)
     # The last span's amplifier is transparent; earlier gains telescope.
     last = staged.spans[-1]
-    assert last.gain_lin(0.0) * last.span_loss_lin == pytest.approx(1.0,
-                                                                    rel=1e-12)
+    assert last.gain_lin * last.span_loss_lin == pytest.approx(1.0,
+                                                               rel=1e-12)
 
 
 def test_eta_scale_invariance():
@@ -130,4 +130,6 @@ def test_pipeline_keeps_link_shape():
 
 def test_rx_power_positive_after_plan():
     link = make_system(50)
-    assert cut_rx_power(link, link.n_spans) > 0.0
+    psds = rx_nli_psds(link, assets.model(CfmKind.CFM1), link.cut_index)
+    p_rx = link_report(link, psds, link.cut_index).p_rx_w
+    assert p_rx[-1, 0] > 0.0

@@ -48,14 +48,14 @@ def test_transparent_span_gain_offsets_loss():
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
     span = SpanConfig(fiber=fib, length_km=100.0, gain_db=None)
-    assert span.gain_lin(193.8) * span.span_loss_lin == pytest.approx(1.0, rel=1e-12)
+    assert span.gain_lin * span.span_loss_lin == pytest.approx(1.0, rel=1e-12)
 
 
 def test_explicit_gain():
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
     span = SpanConfig(fiber=fib, length_km=100.0, gain_db=20.0)
-    assert span.gain_lin(190.0) == pytest.approx(100.0)
+    assert span.gain_lin == pytest.approx(100.0)
 
 
 _NON_FINITE = (math.nan, math.inf, -math.inf)
