@@ -17,8 +17,8 @@ from .perf import (ReachResult, SensitivityPolicy, SnrReport,
 from .sysgen import (GeneratorConfig, generate_system,
                      generate_system_from_seed)
 from .poweropt import PowerPlan, optimize_powers
-from .oracle import (QuadratureConfig, QuadratureError, gn_rx_psd,
-                     gn_span_psd)
+from .oracle import (QuadratureConfig, QuadratureError, QuadratureStats,
+                     gn_rx_psd, gn_span_psd, gn_span_psds)
 from .campaign import (CampaignConfig, CampaignResult, CfmBenchmark,
                        ErrorStats, FitConfig, FitResult, GnOracleBenchmark,
                        error_stats, fit_coefficients, run_campaign)
@@ -40,7 +40,8 @@ __all__ = [
     "shannon_sensitivity", "snr", "snr_report",
     "GeneratorConfig", "generate_system", "generate_system_from_seed",
     "PowerPlan", "optimize_powers",
-    "QuadratureConfig", "QuadratureError", "gn_rx_psd", "gn_span_psd",
+    "QuadratureConfig", "QuadratureError", "QuadratureStats", "gn_rx_psd",
+    "gn_span_psd", "gn_span_psds",
     "CampaignConfig", "CampaignResult", "CfmBenchmark", "ErrorStats",
     "FitConfig", "FitResult", "GnOracleBenchmark", "error_stats",
     "fit_coefficients", "run_campaign",

@@ -17,7 +17,7 @@ from .cfm import (_BRACKET_FLOOR, _check_n_end, coherence_brackets,
                   comb_arrays, effective_beta2_cut, one_low_dispersion_warning,
                   propagate, rho_cross, rho_self, rx_nli_psds, span_integrals,
                   span_transfer, zero_safe_pow)
-from .oracle import QuadratureConfig, gn_span_psd
+from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (SensitivityPolicy, UnreachableError, link_report,
                    max_reach_scan, snr)
 from .poweropt import optimize_powers
@@ -27,6 +27,7 @@ from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
 from scipy.optimize import minimize
 from .cfm import rx_nli_psd
+from .oracle import gn_span_psd
 from .perf import ase_power
 
 
@@ -83,20 +84,20 @@ class CfmBenchmark(_LastLinkBenchmark):
 
 class GnOracleBenchmark(_LastLinkBenchmark):
     """2-D quadrature GN model with incoherent span accumulation: one
-    quadrature per span of a link, whatever truncations are asked for."""
+    quadrature per span of a link, whatever truncations are asked for.
+    ``last_stats`` holds how each span of the last link converged."""
 
     name = "gn-oracle"
 
     def __init__(self, quad: QuadratureConfig | None = None):
         super().__init__()
         self.quad = quad or QuadratureConfig()
+        self.last_stats: tuple[QuadratureStats, ...] = ()
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
-        f_cut = link.cut.f_center
-        return propagate(span_transfer(link), [
-            gn_span_psd(link.spans[n], link.channels, f_cut, self.quad,
-                        span_index=n)
-            for n in range(link.n_spans)])[:, None]
+        psds, self.last_stats = gn_span_psds(link, link.cut.f_center,
+                                             self.quad)
+        return propagate(span_transfer(link), psds)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -234,9 +234,15 @@ def _cmd_oracle(args) -> int:
     quad = QuadratureConfig(points_per_channel=args.points_per_channel,
                             rel_tol=args.rel_tol)
     psd = gn_rx_psd(link, f_eval, quad, n_end)
+    # The NLI power in the band [f_c - R/2, f_c + R/2) of the active
+    # channel holding f_eval, the CUT first where channels overlap; none
+    # in a gap between channels.
+    rates = [c.symbol_rate for c in (link.cut, *link.channels)
+             if c.active and c.f_center - c.symbol_rate / 2.0 <= f_eval
+             < c.f_center + c.symbol_rate / 2.0]
     _emit({"version": 1, "f_eval_thz": f_eval, "n_spans": n_end,
            "rx_nli_psd_w_per_thz": psd,
-           "nli_power_w": psd * link.cut.symbol_rate}, args.output)
+           "nli_power_w": psd * rates[0] if rates else None}, args.output)
     return EXIT_OK
 
 

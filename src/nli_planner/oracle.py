@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfm import _check_n_end, propagate, span_transfer
-from .types import ChannelSpec, LinkSpec, SpanConfig, ValidationError
+from .types import (ChannelSpec, FiberParams, LinkSpec, SpanConfig,
+                    ValidationError)
 
 
 class QuadratureError(RuntimeError):
@@ -52,75 +53,116 @@ class QuadratureConfig:
         return max(8, self.points_per_channel // 2)
 
 
+@dataclass(frozen=True)
+class QuadratureStats:
+    """How the quadrature of one span converged."""
+
+    points_per_channel: int  # final level; 0 when no channel is active
+    rel_change: float  # between the last two levels
+    pairs_kept: int  # channel pairs (i <= j) integrated
+    pairs_pruned: int  # pairs whose third frequency misses the comb
+
+
 def _active(comb: tuple[ChannelSpec, ...]) -> list[ChannelSpec]:
     return [c for c in comb if c.active]
 
 
 # Kernel elements (pairs x rows of f1 x points of f2) per chunk of one
-# quadrature level, whatever the resolution and the number of channel
-# pairs.  Each of the four buffers is 64 KiB.  On 2 CPUs, chunks of 16384
-# elements ran ~5% faster but raised an oracle campaign's peak RSS ~0.4 MB.
+# quadrature level, whatever the resolution, the number of channel pairs
+# and the number of spans in a fiber group.  Each of the four buffers is
+# 64 KiB.  On 2 CPUs, chunks of 16384 elements ran ~5% faster but raised an
+# oracle campaign's peak RSS ~0.4 MB.
 _CHUNK_ELEMENTS = 1 << 13
 
 
-class _SpanIntegrand:
-    """The GN integrand of one span at ``f_eval``, set up once per
-    quadrature; :meth:`level` evaluates one quadrature level.
-
-    The set-up holds the comb PSD as a table over the sorted channel edges,
-    the channel pairs whose third frequency f1 + f2 - f can land in the
-    comb, and the parameters of each pair's grids.  A level evaluates the
-    four-wave-mixing kernel for many pairs at once, in chunks of at most
-    ``_CHUNK_ELEMENTS`` points.
+class _CombPairs:
+    """The part of the GN integrand at ``f_eval`` that depends on the comb
+    alone, shared by every span of a link: the active channels' edges, the
+    sorted edges ``breaks`` that a comb PSD table is read over, and the
+    channel pairs whose third frequency f1 + f2 - f can land in the comb.
     """
 
-    def __init__(self, span: SpanConfig, comb: tuple[ChannelSpec, ...],
-                 f_eval: float, span_index: int):
-        channels = _active(comb)
-        fib = span.fiber
-        self.span = span
+    def __init__(self, comb: tuple[ChannelSpec, ...], f_eval: float):
+        self.channels = _active(comb)
         self.f_eval = f_eval
-        lo = np.array([c.f_center - c.symbol_rate / 2.0 for c in channels])
-        hi = np.array([c.f_center + c.symbol_rate / 2.0 for c in channels])
-        psd = np.array([c.psd(span_index) for c in channels])
-        centers = np.array([c.f_center for c in channels])
-
-        # The comb PSD on [breaks[k-1], breaks[k]) is table[k], so that
-        # table[searchsorted(breaks, x, side="right")] samples it with the
-        # channels' [lo, hi) edges; outside the comb it reads zero.  Each
-        # interval adds its channels' PSDs in comb order, so overlapping
-        # channels sum exactly as a per-channel loop would.
+        lo = np.array([c.f_center - c.symbol_rate / 2.0
+                       for c in self.channels])
+        hi = np.array([c.f_center + c.symbol_rate / 2.0
+                       for c in self.channels])
+        self.lo, self.hi = lo, hi
+        self.centers = np.array([c.f_center for c in self.channels])
         self.breaks = np.unique(np.concatenate((lo, hi)))
-        self.table = np.zeros(len(self.breaks) + 1)
-        for a, b, g in zip(np.searchsorted(self.breaks, lo),
-                           np.searchsorted(self.breaks, hi), psd):
-            self.table[a + 1:b + 1] += g
+        self.edge_index = (np.searchsorted(self.breaks, lo),
+                           np.searchsorted(self.breaks, hi))
 
         # The third frequency of pair (i, j) spans (x_lo, x_hi); the pair
         # counts when a channel overlaps that range, that is when, among
         # the channels starting below x_hi, the furthest-reaching one ends
         # above x_lo.
-        i, j = np.triu_indices(len(channels))
+        i, j = np.triu_indices(len(self.channels))
         x_lo = lo[i] + lo[j] - f_eval
         x_hi = hi[i] + hi[j] - f_eval
         by_lo = np.argsort(lo, kind="stable")
         reach = np.maximum.accumulate(hi[by_lo])
         below = np.searchsorted(lo[by_lo], x_hi, side="left")
         keep = (below > 0) & (reach[np.maximum(below - 1, 0)] > x_lo)
-        i, j = i[keep], j[keep]
+        self.i, self.j = i[keep], j[keep]
+        self.n_pruned = len(keep) - len(self.i)
 
+
+class _SpanTerms:
+    """The part of the integrand that is one span's own: the comb PSD table
+    of its launch powers, the pair weights, its length, loss and
+    prefactor."""
+
+    def __init__(self, pairs: _CombPairs, span: SpanConfig, span_index: int):
+        psd = np.array([c.psd(span_index) for c in pairs.channels])
+        self.index = span_index
+        # The comb PSD on [breaks[k-1], breaks[k]) is table[k], so that
+        # table[searchsorted(breaks, x, side="right")] samples it with the
+        # channels' [lo, hi) edges; outside the comb it reads zero.  Each
+        # interval adds its channels' PSDs in comb order, so overlapping
+        # channels sum exactly as a per-channel loop would.
+        self.table = np.zeros(len(pairs.breaks) + 1)
+        for a, b, g in zip(*pairs.edge_index, psd):
+            self.table[a + 1:b + 1] += g
+        # psd_i psd_j, doubled off the diagonal for the (j, i) term.
+        self.pair_weight = psd[pairs.i] * psd[pairs.j]
+        self.pair_weight[pairs.i != pairs.j] *= 2.0
+        self.length = span.length_km
+        self.loss = span.span_loss_lin
+        self.prefactor = ((16.0 / 27.0) * span.fiber.gamma ** 2
+                          * span.gain_lin * self.loss)
+
+
+class _FiberGroup:
+    """The spans of a link that share one fiber, at ``f_eval``.
+
+    The group holds the parameters of each kept pair's two grids;
+    :meth:`levels` evaluates one quadrature level for several of its spans
+    at once.  The grids, the comb-table indices of the third frequency, the
+    phase and the denominator depend on the fiber alone and are computed
+    once per chunk; each span then applies its own comb table, cos(phase L)
+    and loss terms.  A level evaluates the four-wave-mixing kernel for many
+    pairs at once, in chunks of at most ``_CHUNK_ELEMENTS`` points.
+    """
+
+    def __init__(self, pairs: _CombPairs, fiber: FiberParams,
+                 spans: list[_SpanTerms]):
+        self.pairs, self.fiber, self.spans = pairs, fiber, spans
+        f_eval, lo, hi = pairs.f_eval, pairs.lo, pairs.hi
         # Each pair integrates f1 over channel i and f2 over channel j.
         # A grid is uniform, or sinh-graded across the phase-matching ridge
         # when its channel straddles f_eval while the conjugate channel sits
         # nu away: the Lorentzian's half-width is then 2a / (4 pi^2 |b2| nu).
-        b2_scale = abs(fib.beta2 + math.pi * fib.beta3
-                       * 2.0 * (f_eval - fib.f_ref))
-        nu = np.abs(centers - f_eval)
-        ridge = np.full(len(channels), math.inf)
+        b2_scale = abs(fiber.beta2 + math.pi * fiber.beta3
+                       * 2.0 * (f_eval - fiber.f_ref))
+        nu = np.abs(pairs.centers - f_eval)
+        ridge = np.full(len(pairs.channels), math.inf)
         if b2_scale > 0.0:
             near = nu > 0.0
-            ridge[near] = fib.two_alpha / (4.0 * math.pi ** 2 * b2_scale
-                                           * nu[near])
+            ridge[near] = fiber.two_alpha / (4.0 * math.pi ** 2 * b2_scale
+                                             * nu[near])
         straddle = (lo < f_eval) & (f_eval < hi)
 
         def grid_params(own, other):
@@ -132,11 +174,8 @@ class _SpanIntegrand:
                 start[p], width[p] = u_lo, u_hi - u_lo
             return start, width, r, graded
 
-        self.grid1 = grid_params(i, j)
-        self.grid2 = grid_params(j, i)
-        # psd_i psd_j, doubled off the diagonal for the (j, i) term.
-        self.pair_weight = psd[i] * psd[j]
-        self.pair_weight[i != j] *= 2.0
+        self.grid1 = grid_params(pairs.i, pairs.j)
+        self.grid2 = grid_params(pairs.j, pairs.i)
 
     def _grid(self, params, res: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights [pairs, res] of midpoint grids, uniform in f
@@ -147,16 +186,15 @@ class _SpanIntegrand:
         w = np.repeat(step, res, axis=1)
         if graded.any():
             u, r = x[graded], ridge[graded, None]
-            x[graded] = self.f_eval + r * np.sinh(u)
+            x[graded] = self.pairs.f_eval + r * np.sinh(u)
             w[graded] = r * np.cosh(u) * step[graded]
         return x, w
 
-    def level(self, res: int) -> float:
-        """Single-span NLI PSD with ``res`` grid points per channel."""
-        span, f_eval = self.span, self.f_eval
-        fib = span.fiber
-        loss = span.span_loss_lin
-        n_pairs = len(self.pair_weight)
+    def levels(self, res: int, spans: list[_SpanTerms]) -> list[float]:
+        """Single-span NLI PSD of each of ``spans``, members of this group,
+        with ``res`` grid points per channel."""
+        fib, f_eval, breaks = self.fiber, self.pairs.f_eval, self.pairs.breaks
+        n_pairs = len(self.pairs.i)
         if res * res <= _CHUNK_ELEMENTS:
             chunk_pairs, chunk_rows = _CHUNK_ELEMENTS // (res * res), res
         else:
@@ -165,7 +203,7 @@ class _SpanIntegrand:
             np.empty(min(n_pairs, chunk_pairs) * chunk_rows * res)
             for _ in range(4))
         n_chunks = -(-res // chunk_rows)
-        sums = np.empty(n_pairs)
+        sums = np.empty((len(spans), n_pairs))
         for p0 in range(0, n_pairs, chunk_pairs):
             pairs = slice(p0, p0 + chunk_pairs)
             f1, w1 = self._grid([a[pairs] for a in self.grid1], res)
@@ -174,7 +212,7 @@ class _SpanIntegrand:
             f2, w2 = self._grid([a[pairs] for a in self.grid2], res)
             nu2 = (f2 - f_eval)[:, None, :]
             f2, w2 = f2[:, None, :], w2[:, None, :]
-            parts = np.empty((len(f2), n_chunks))
+            parts = np.empty((len(spans), len(f2), n_chunks))
             for c, r0 in enumerate(range(0, res, chunk_rows)):
                 rows = slice(r0, min(r0 + chunk_rows, res))
                 shape = (len(f2), rows.stop - r0, res)
@@ -183,9 +221,7 @@ class _SpanIntegrand:
                                 for buf in (f_sum, phase, num, val))
                 np.add(f1[:, rows], f2, out=s)
                 np.subtract(s, f_eval, out=ph)
-                np.take(self.table,
-                        np.searchsorted(self.breaks, ph, side="right"),
-                        out=v, mode="clip")
+                third = np.searchsorted(breaks, ph, side="right")
                 # phase = 4 pi^2 b2(f1 + f2) (f1 - f) (f2 - f)
                 np.subtract(s, 2.0 * fib.f_ref, out=ph)
                 ph *= math.pi * fib.beta3
@@ -193,30 +229,92 @@ class _SpanIntegrand:
                 ph *= 4.0 * math.pi ** 2
                 ph *= nu1[:, rows]
                 ph *= nu2
-                np.multiply(ph, span.length_km, out=nm)
-                np.cos(nm, out=nm)
-                nm *= 2.0 * loss
-                np.subtract(1.0 + loss ** 2, nm, out=nm)
-                np.square(ph, out=ph)
-                ph += fib.two_alpha ** 2
-                v *= nm
-                v /= ph
-                v *= w1[:, rows]
-                v *= w2
-                parts[:, c] = v.reshape(shape[0], -1).sum(axis=1)
-            # NumPy sums a contiguous array by halves.  Adding the row
-            # chunks' sums by halves too makes a pair's sum, for a
-            # power-of-two resolution, bit-identical to np.sum over its
-            # whole grid.
-            while parts.shape[1] % 2 == 0:
-                parts = parts[:, 0::2] + parts[:, 1::2]
-            sums[pairs] = parts.sum(axis=1)
+                # The denominator phase^2 + (2a)^2 takes the place of f1 + f2.
+                den = s
+                np.square(ph, out=den)
+                den += fib.two_alpha ** 2
+                for m, span in enumerate(spans):
+                    np.take(span.table, third, out=v, mode="clip")
+                    np.multiply(ph, span.length, out=nm)
+                    np.cos(nm, out=nm)
+                    nm *= 2.0 * span.loss
+                    np.subtract(1.0 + span.loss ** 2, nm, out=nm)
+                    v *= nm
+                    v /= den
+                    v *= w1[:, rows]
+                    v *= w2
+                    parts[m, :, c] = v.reshape(shape[0], -1).sum(axis=1)
+            for m, part in enumerate(parts):
+                # NumPy sums a contiguous array by halves.  Adding the row
+                # chunks' sums by halves too makes a pair's sum, for a
+                # power-of-two resolution, bit-identical to np.sum over its
+                # whole grid.
+                while part.shape[1] % 2 == 0:
+                    part = part[:, 0::2] + part[:, 1::2]
+                sums[m, pairs] = part.sum(axis=1)
         # Accumulate the pair terms one after another, in pair order.
-        total = np.add.accumulate(self.pair_weight * sums)[-1] if n_pairs \
-            else 0.0
-        prefactor = ((16.0 / 27.0) * fib.gamma ** 2
-                     * span.gain_lin * loss)
-        return float(prefactor * total)
+        return [float(span.prefactor
+                      * (np.add.accumulate(span.pair_weight * row)[-1]
+                         if n_pairs else 0.0))
+                for span, row in zip(spans, sums)]
+
+
+class _SpanIntegrand(_FiberGroup):
+    """The GN integrand of one span at ``f_eval``: a fiber group of one."""
+
+    def __init__(self, span: SpanConfig, comb: tuple[ChannelSpec, ...],
+                 f_eval: float, span_index: int):
+        pairs = _CombPairs(comb, f_eval)
+        super().__init__(pairs, span.fiber,
+                         [_SpanTerms(pairs, span, span_index)])
+
+    def level(self, res: int) -> float:
+        """Single-span NLI PSD with ``res`` grid points per channel."""
+        return self.levels(res, self.spans)[0]
+
+
+def _converge(groups: list[_FiberGroup], q: QuadratureConfig,
+              ) -> dict[int, tuple[float, QuadratureStats]]:
+    """Each span's PSD and stats, by span index.
+
+    Every span doubles its per-channel resolution until two successive
+    levels agree within ``q.rel_tol``; a level is evaluated once per fiber
+    group, for the group's spans that have not converged.  Raises the
+    :class:`QuadratureError` of the lowest span index that would need a
+    level above ``q.max_points_per_channel``.
+    """
+    out: dict[int, tuple[float, QuadratureStats]] = {}
+    failed: dict[int, QuadratureError] = {}
+    for group in groups:
+        kept, pruned = len(group.pairs.i), group.pairs.n_pruned
+        res = q.first_level
+        todo = group.spans
+        prev = group.levels(res, todo)
+        while todo:
+            res *= 2
+            cur = group.levels(res, todo)
+            left = []
+            for span, c, p in zip(todo, cur, prev):
+                if c == 0.0 and p == 0.0:
+                    out[span.index] = 0.0, QuadratureStats(res, 0.0, kept,
+                                                           pruned)
+                elif abs(c - p) <= q.rel_tol * abs(c):
+                    out[span.index] = c, QuadratureStats(
+                        res, abs(c - p) / abs(c), kept, pruned)
+                elif 2 * res > q.max_points_per_channel:
+                    rel = abs(c - p) / abs(c) if c else math.inf
+                    failed[span.index] = QuadratureError(
+                        f"quadrature not converged at {res} points per "
+                        f"channel: relative change {rel:.3g} between the "
+                        f"last two levels exceeds rel_tol {q.rel_tol:g}",
+                        estimate=c, points_per_channel=res, rel_change=rel)
+                else:
+                    left.append((span, c))
+            todo = [span for span, _ in left]
+            prev = [c for _, c in left]
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
@@ -229,28 +327,36 @@ def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
     :class:`QuadratureError` rather than evaluate a level above
     ``q.max_points_per_channel``.
     """
-    if q is None:
-        q = QuadratureConfig()
     if not _active(comb):
         return 0.0
     integrand = _SpanIntegrand(span, comb, f_eval, span_index)
-    res = q.first_level
-    prev = integrand.level(res)
-    while True:
-        res *= 2
-        cur = integrand.level(res)
-        if cur == 0.0 and prev == 0.0:
-            return 0.0
-        if abs(cur - prev) <= q.rel_tol * abs(cur):
-            return cur
-        if 2 * res > q.max_points_per_channel:
-            rel = abs(cur - prev) / abs(cur) if cur else math.inf
-            raise QuadratureError(
-                f"quadrature not converged at {res} points per channel: "
-                f"relative change {rel:.3g} between the last two levels "
-                f"exceeds rel_tol {q.rel_tol:g}",
-                estimate=cur, points_per_channel=res, rel_change=rel)
-        prev = cur
+    return _converge([integrand], q or QuadratureConfig())[span_index][0]
+
+
+def gn_span_psds(link: LinkSpec, f_eval: float,
+                 q: QuadratureConfig | None = None, n_end: int | None = None,
+                 ) -> tuple[np.ndarray, tuple[QuadratureStats, ...]]:
+    """The GN-model NLI PSD (W/THz) at ``f_eval`` of each of the first
+    ``n_end`` spans, with how each span's quadrature converged.
+
+    Each value is the one :func:`gn_span_psd` gives for that span.  The
+    comb set-up is built once per link and each level is evaluated once
+    per group of spans sharing a fiber, while every span keeps its own
+    doubling and stopping level.  If several spans fail to converge, the
+    :class:`QuadratureError` of the lowest span index is raised.
+    """
+    n_end = _check_n_end(link, n_end)
+    if not _active(link.channels):
+        return np.zeros(n_end), (QuadratureStats(0, 0.0, 0, 0),) * n_end
+    pairs = _CombPairs(link.channels, f_eval)
+    by_fiber: dict[FiberParams, list[_SpanTerms]] = {}
+    for n, span in enumerate(link.spans[:n_end]):
+        by_fiber.setdefault(span.fiber, []).append(_SpanTerms(pairs, span, n))
+    done = _converge([_FiberGroup(pairs, fiber, spans)
+                      for fiber, spans in by_fiber.items()],
+                     q or QuadratureConfig())
+    return (np.array([done[n][0] for n in range(n_end)]),
+            tuple(done[n][1] for n in range(n_end)))
 
 
 def gn_rx_psd(link: LinkSpec, f_eval: float,
@@ -258,8 +364,5 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
               n_end: int | None = None) -> float:
     """Incoherent accumulation of the per-span quadrature values, propagated
     to the receiver exactly like the closed-form accumulation."""
-    n_end = _check_n_end(link, n_end)
-    psds = [gn_span_psd(link.spans[n], link.channels, f_eval, q, span_index=n)
-            for n in range(n_end)]
-    return float(propagate(span_transfer(link)[:n_end], psds)[-1])
-
+    psds, _ = gn_span_psds(link, f_eval, q, n_end)
+    return float(propagate(span_transfer(link)[:len(psds)], psds)[-1])

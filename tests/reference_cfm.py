@@ -170,8 +170,7 @@ def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
     return prefactor * g_cut * acc
 
 
-def propagation_factor(link: LinkSpec, first: int, last: int,
-                       f_thz: float) -> float:
+def propagation_factor(link: LinkSpec, first: int, last: int) -> float:
     """Power gain/loss product of spans ``first..last-1`` (0-based, half-open)."""
     out = 1.0
     for k in range(first, last):
@@ -188,11 +187,10 @@ def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """
     if not 1 <= n_end <= link.n_spans:
         raise ValueError("n_end out of range")
-    f_cut = link.cut.f_center
     total = 0.0
     for n in range(n_end):
         term = span_nli_psd(link, n, variant, n_span_total=n_end)
-        total += term * propagation_factor(link, n + 1, n_end, f_cut)
+        total += term * propagation_factor(link, n + 1, n_end)
     return total
 
 
@@ -214,7 +212,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
         nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
         psd_w_per_hz = nf_lin * PLANCK_J_S * (f * _THZ) * (gain - 1.0)
         total += psd_w_per_hz * (r * _THZ) \
-            * propagation_factor(link, k + 1, n_end, f)
+            * propagation_factor(link, k + 1, n_end)
     return total
 
 

@@ -170,15 +170,15 @@ def test_fit_improves_on_oracle():
 
 def test_benchmarks_compute_each_link_once(monkeypatch):
     # A benchmark keeps the last link's receiver PSDs of every truncation:
-    # one quadrature per span (one kernel call for a closed-form
+    # one quadrature of the link's spans (one kernel call for a closed-form
     # benchmark), however many truncations are asked about.
     calls = []
 
-    def fake_span_psd(span, comb, f_eval, q=None, span_index=0):
-        calls.append(span_index)
-        return 1e-4 * (span_index + 1)
+    def fake_span_psds(link, f_eval, q=None, n_end=None):
+        calls.append(link)
+        return 1e-4 * np.arange(1.0, link.n_spans + 1), ()
 
-    monkeypatch.setattr(campaign, "gn_span_psd", fake_span_psd)
+    monkeypatch.setattr(campaign, "gn_span_psds", fake_span_psds)
     kernel_calls = []
     real_psds = campaign.rx_nli_psds
 
@@ -195,7 +195,7 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
             for bmk in (oracle, closed):
                 bmk.snr_db(link, n)
                 bmk.nli_power_w(link, n)
-    assert calls == list(range(link.n_spans))
+    assert calls == [link]
     assert len(kernel_calls) == 1
     # The first span's PSD reaches the receiver of a one-span truncation
     # unchanged.
@@ -203,7 +203,7 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
     other = make_system(72, n_spans=2)
     oracle.rx_psd(other, 2)
     closed.rx_psd(other, 2)
-    assert len(calls) == link.n_spans + other.n_spans
+    assert calls == [link, other]
     assert len(kernel_calls) == 2
     with pytest.raises(ValueError):
         oracle.rx_psd(other, 3)

@@ -350,7 +350,6 @@ def test_cubic_power_scaling_property(scale, seed):
 def test_span_psd_positive_and_additive():
     link = make_system(8)
     variant = assets.model(CfmKind.CFM1)
-    f = link.cut.f_center
     terms = nli_terms(link, variant)
     cut = link.cut_index
     bracket = coherence_bracket(link.n_spans)
@@ -358,7 +357,7 @@ def test_span_psd_positive_and_additive():
     for n in range(link.n_spans):
         term = terms.base[n, cut] + bracket * terms.coherent[n, cut]
         assert term > 0.0
-        total += term * propagation_factor(link, n + 1, link.n_spans, f)
+        total += term * propagation_factor(link, n + 1, link.n_spans)
     assert rx_nli_psd(link, variant, link.n_spans) == pytest.approx(
         total, rel=1e-12)
 
@@ -406,8 +405,7 @@ def test_coherent_truncation_binding():
     span_terms = [terms.base[n, cut]
                   + coherence_bracket(6) * terms.coherent[n, cut]
                   for n in range(3)]
-    f = link.cut.f_center
-    truncated_of_full = sum(t * propagation_factor(link, n + 1, 3, f)
+    truncated_of_full = sum(t * propagation_factor(link, n + 1, 3)
                             for n, t in enumerate(span_terms))
     assert direct != pytest.approx(truncated_of_full, rel=1e-12)
 

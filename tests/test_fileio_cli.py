@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_system, make_zero_dispersion_link
+from conftest import (make_single_channel_link, make_system,
+                      make_zero_dispersion_link)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
-from nli_planner.types import CfmKind
+from nli_planner.types import CfmKind, ChannelSpec, LinkSpec, ModulationFormat
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,30 @@ def test_cli_oracle(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rx_nli_psd_w_per_thz"] > 0
+
+
+@pytest.mark.parametrize("f_eval, rate", [
+    (193.9, 0.032),  # inside the 32-GBd neighbour, off the 64-GBd CUT
+    (193.85, None),  # in the gap between the CUT and the neighbour
+])
+def test_cli_oracle_power_uses_the_band_holding_f_eval(tmp_path, capsys,
+                                                       f_eval, rate):
+    link = make_single_channel_link(rate=0.064, f_center=193.8)
+    nch = ChannelSpec(f_center=193.9, symbol_rate=0.032, roll_off=0.1,
+                      format=ModulationFormat.PM_16QAM,
+                      power_w_per_span=(0.001,))
+    sys_path = tmp_path / "sys.json"
+    fileio.save_system(LinkSpec(spans=link.spans,
+                                channels=(link.channels[0], nch),
+                                cut_index=0), sys_path)
+    assert main(["oracle", str(sys_path), "--f-eval-thz", str(f_eval)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    psd = doc["rx_nli_psd_w_per_thz"]
+    assert psd > 0.0
+    if rate is None:
+        assert doc["nli_power_w"] is None
+    else:
+        assert doc["nli_power_w"] == psd * rate
 
 
 @pytest.mark.parametrize("flags", [["--rel-tol", "0"],

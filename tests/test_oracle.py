@@ -3,17 +3,22 @@ integrators."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import reference_oracle as ref
 from conftest import make_single_channel_link, make_system
-from nli_planner.cfm import rx_nli_psd
+from nli_planner.campaign import GnOracleBenchmark
+from nli_planner.cfm import propagate, rx_nli_psd, span_transfer
 from nli_planner import assets
 from nli_planner.oracle import (QuadratureConfig, QuadratureError,
-                                _SpanIntegrand, gn_rx_psd, gn_span_psd)
+                                _SpanIntegrand, gn_rx_psd, gn_span_psd,
+                                gn_span_psds)
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat, SpanConfig, ValidationError)
@@ -239,6 +244,20 @@ def test_quadrature_memory_does_not_grow_with_resolution():
         tracemalloc.stop()
     assert psd > 0.0
     assert peak <= 2 * 2 ** 20
+    # Six spans on one fiber make one group; its buffers are shared, so
+    # the group stays within the same bound.
+    fiber = link.spans[0].fiber
+    one_fiber = LinkSpec(spans=tuple(replace(s, fiber=fiber)
+                                     for s in link.spans),
+                         channels=link.channels, cut_index=link.cut_index)
+    tracemalloc.start()
+    try:
+        psds, _ = gn_span_psds(one_fiber, link.cut.f_center, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(psds) == 6 and np.all(psds > 0.0)
+    assert peak <= 2 * 2 ** 20
 
 
 def test_rx_accumulation_transparent_spans():
@@ -262,3 +281,153 @@ def test_rx_psd_converges_on_generated_system():
     val = gn_rx_psd(link, link.cut.f_center)
     assert val > 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# All spans of a link at once, one level pass per fiber group
+
+
+def _one_fiber_link() -> LinkSpec:
+    """Six spans on one fiber, all of different lengths, with per-span
+    powers that are not proportional across spans."""
+    link = make_system(4150, category=1, band_width=1.0, n_spans=6)
+    spans = tuple(SpanConfig(fiber=link.spans[0].fiber,
+                             length_km=70.0 + 7.0 * n) for n in range(6))
+    rng = np.random.default_rng(4150)
+    channels = tuple(replace(c, power_w_per_span=tuple(
+        c.power_w_per_span[0] * rng.uniform(0.5, 2.0, 6)))
+        for c in link.channels)
+    return LinkSpec(spans=spans, channels=channels, cut_index=link.cut_index)
+
+
+def _span_psds_case(name: str) -> LinkSpec:
+    if name.startswith("cat"):
+        category = int(name[3])
+        position = CUT_POSITIONS[category % len(CUT_POSITIONS)]
+        return make_system(4100 + category, category=category,
+                           band_width=2.0, n_spans=6, cut_position=position)
+    if name == "one-fiber":
+        link = _one_fiber_link()
+        assert len({s.fiber for s in link.spans}) == 1
+        assert len({s.length_km for s in link.spans}) == 6
+        ratios = {c.power_w_per_span[1] / c.power_w_per_span[0]
+                  for c in link.channels}
+        assert len(ratios) == len(link.channels)
+        return link
+    if name == "half-loaded":
+        link = make_system(4117, category=2, band_width=2.0, n_spans=6)
+        assert 0 < sum(not c.active for c in link.channels)
+        return link
+    if name == "zero-dispersion":
+        link = make_system(4122, category=1, band_width=1.0, n_spans=3)
+        spans = (link.spans[0], _zero_dispersion_span(), link.spans[2])
+        return LinkSpec(spans=spans, channels=link.channels,
+                        cut_index=link.cut_index)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", [f"cat{c}" for c in range(1, 6)]
+                         + ["one-fiber", "half-loaded", "zero-dispersion"])
+def test_span_psds_equal_span_by_span(name):
+    link = _span_psds_case(name)
+    f = link.cut.f_center
+    psds, stats = gn_span_psds(link, f)
+    want = [gn_span_psd(span, link.channels, f, None, n)
+            for n, span in enumerate(link.spans)]
+    assert psds.tolist() == want
+    assert len(stats) == link.n_spans
+    assert gn_rx_psd(link, f, n_end=2) == float(
+        propagate(span_transfer(link)[:2], want[:2])[-1])
+
+
+def test_span_psds_report_how_each_span_converged():
+    link = _span_psds_case("half-loaded")
+    f = link.cut.f_center
+    q = QuadratureConfig()
+    psds, stats = gn_span_psds(link, f, q)
+    channels = [c for c in link.channels if c.active]
+    lo = [c.f_center - c.symbol_rate / 2.0 for c in channels]
+    hi = [c.f_center + c.symbol_rate / 2.0 for c in channels]
+    n_ch = len(channels)
+    kept = sum(any(h > lo[i] + lo[j] - f and l < hi[i] + hi[j] - f
+                   for l, h in zip(lo, hi))
+               for i in range(n_ch) for j in range(i, n_ch))
+    assert 0 < kept < n_ch * (n_ch + 1) // 2
+    for n, (psd, stat) in enumerate(zip(psds, stats)):
+        integrand = _SpanIntegrand(link.spans[n], link.channels, f, n)
+        res = stat.points_per_channel
+        cur, prev = integrand.level(res), integrand.level(res // 2)
+        assert psd == cur
+        assert stat.rel_change == abs(cur - prev) / abs(cur) <= q.rel_tol
+        if res > 2 * q.first_level:
+            # The level before did not converge.
+            before = integrand.level(res // 4)
+            assert abs(prev - before) > q.rel_tol * abs(prev)
+        assert (stat.pairs_kept, stat.pairs_pruned) == (
+            kept, n_ch * (n_ch + 1) // 2 - kept)
+
+
+def test_span_psds_of_a_comb_with_no_active_channel():
+    link = make_single_channel_link(n_spans=2)
+    dark = LinkSpec(spans=link.spans, cut_index=0, channels=(
+        replace(link.channels[0], active=False),))
+    psds, stats = gn_span_psds(dark, link.cut.f_center)
+    assert psds.tolist() == [0.0, 0.0]
+    assert [s.points_per_channel for s in stats] == [0, 0]
+
+
+def test_span_psds_raise_the_lowest_failing_span():
+    link = make_system(4140, category=1, band_width=1.0, n_spans=6)
+    f = link.cut.f_center
+    q = QuadratureConfig(points_per_channel=16, rel_tol=0.0023,
+                         max_points_per_channel=16)
+    errors = {}
+    for n, span in enumerate(link.spans):
+        try:
+            gn_span_psd(span, link.channels, f, q, n)
+        except QuadratureError as exc:
+            errors[n] = exc
+    # Span 0 converges, and its fiber group fails on a later span than
+    # another group does, so the group evaluated first does not hold the
+    # lowest failing span.
+    first = min(errors)
+    fiber0 = link.spans[0].fiber
+    assert 0 not in errors and link.spans[first].fiber != fiber0
+    assert any(link.spans[n].fiber == fiber0 for n in errors)
+    with pytest.raises(QuadratureError) as err:
+        gn_span_psds(link, f, q)
+    want = errors[first]
+    assert str(err.value) == str(want)
+    assert (err.value.estimate, err.value.points_per_channel,
+            err.value.rel_change) == (want.estimate, want.points_per_channel,
+                                      want.rel_change)
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       order=st.permutations(range(4)))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_permuting_spans_permutes_span_psds(seed, category, order):
+    # Span n's value depends on span n and its launch powers alone, so
+    # permuting the spans, with each channel's per-span powers permuted the
+    # same way, permutes the values exactly.
+    link = make_system(seed, category=category, n_spans=4)
+    permuted = LinkSpec(
+        spans=tuple(link.spans[k] for k in order),
+        channels=tuple(replace(c, power_w_per_span=tuple(
+            c.power_w_per_span[k] for k in order)) for c in link.channels),
+        cut_index=link.cut_index)
+    f = link.cut.f_center
+    psds, stats = gn_span_psds(link, f)
+    got, got_stats = gn_span_psds(permuted, f)
+    assert got.tolist() == [psds[k] for k in order]
+    assert got_stats == tuple(stats[k] for k in order)
+
+
+def test_oracle_benchmark_keeps_the_last_links_stats():
+    link = make_system(60, band_width=0.5, n_spans=3)
+    bench = GnOracleBenchmark()
+    assert bench.last_stats == ()
+    bench.snr_db(link, 3)
+    psds, stats = gn_span_psds(link, link.cut.f_center)
+    assert bench.last_stats == stats
+    assert bench.rx_psd(link, 3) == gn_rx_psd(link, link.cut.f_center)
