@@ -458,15 +458,17 @@ class _FitData:
         g = ch.power[:reach] / ch.rate
         idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
         s = span_integrals(link, ch, rows=c)
+        fiber = s.fiber[:reach]
+        abs_acc = s.abs_acc()[:reach, 0]
         base = s.prefactor[:reach] * g[:, c]  # [span]
-        sci_inc = base * g[:, c] ** 2 * s.i_self[:reach, 0]
+        sci_inc = base * g[:, c] ** 2 * s.i_self[fiber, 0]
         sci_coh = (base * g[:, c] ** 2 * s.i_coherent[:reach, 0]
                    if self.kind.coherent_sci else np.zeros(reach))
-        sci_acc = s.abs_acc[:reach, 0, c]
+        sci_acc = abs_acc[:, c]
         # Cross terms span by span, interferer by interferer.
         xb = (base[:, None] * 2.0 * g[:, idx] ** 2
-              * s.i_cross[:reach, 0, idx]).ravel()
-        xacc = s.abs_acc[:reach, 0, idx].ravel()
+              * s.i_cross[fiber, 0][:, idx]).ravel()
+        xacc = abs_acc[:, idx].ravel()
         span_of_x = np.repeat(np.arange(reach), idx.size)
         xidx = np.tile(idx, reach)
         brackets = coherence_brackets(reach)

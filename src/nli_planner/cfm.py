@@ -6,16 +6,25 @@ from asinh closed forms of the underlying four-wave-mixing integrals.
 CFM2-CFM4 multiply those terms by fitted correction factors; CFM3/CFM4
 additionally model coherent accumulation of the self term.
 
-:func:`nli_terms` computes all of it with spans as a leading array axis,
-in ``[span, row, channel]`` arrays whose rows are the channels taken as
-CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
+:func:`nli_terms` computes all of it for rows that are the channels taken
+as CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
+The power-independent closed forms depend on a span only through its
+fiber, so :func:`span_integrals` computes them once per distinct fiber,
+as ``[fiber, row, channel]`` (|beta2| and the cross integral) and
+``[fiber, row]`` (the self integral) arrays; only what depends on the span
+length is per span (``[span]`` transfer and prefactor, ``[span, row]``
+coherent coefficient).  The |accumulated dispersion| that the correction
+factors read is a ``[span, row, channel]`` running sum, built only for
+CFM2-CFM4, in row blocks; CFM1 contracts each fiber's cross integrals
+against the PSDs of its spans directly.  :func:`comb_nli_terms` is the
+kernel on a comb given as arrays, for callers that plan launch powers.
 :func:`propagate` carries per-span values to the receiver of every
 truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
 one pass, the low-dispersion policy on the rows it returns, and the
 receiver PSD of every truncation.  ``perf.link_report`` turns its output
 into SNRs; :func:`rx_nli_psd` and :func:`rx_nli_psd_all_channels` read
-one truncation of it.  ``poweropt.span_eta`` and the fit's
-``_FitData.add_system`` read the kernel's per-span terms directly.
+one truncation of it.  ``poweropt`` and the fit's ``_FitData.add_system``
+read the kernel's per-span terms directly.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 from scipy.special import sici
 
 from .types import (CfmKind, FiberParams, LinkSpec, ModelVariant,
-                    ValidationError, phi_of_format)
+                    ValidationError, fiber_groups, phi_of_format)
 
 # Validity bound: below this effective |beta2| (ps^2/km) the closed forms
 # degrade and results are flagged rather than trusted.
@@ -228,56 +237,83 @@ class CombArrays:
     active: np.ndarray
 
 
-def comb_arrays(link: LinkSpec) -> CombArrays:
-    """Array view of the link's channels."""
+def comb_arrays(link: LinkSpec, power: np.ndarray | None = None
+                ) -> CombArrays:
+    """Array view of the link's channels, with their launch powers or, if
+    given, the ``[span, channel]`` matrix ``power``."""
     chans = link.channels
     active = np.array([c.active for c in chans])
-    powers = np.fromiter(chain.from_iterable(c.power_w_per_span
-                                             for c in chans),
-                         float, count=len(chans) * link.n_spans)
+    if power is None:
+        power = np.fromiter(chain.from_iterable(c.power_w_per_span
+                                                for c in chans),
+                            float, count=len(chans) * link.n_spans
+                            ).reshape(len(chans), -1).T
     return CombArrays(
         f=np.array([c.f_center for c in chans]),
         rate=np.array([c.symbol_rate for c in chans]),
         roll=np.array([c.roll_off for c in chans]),
         phi=np.array([phi_of_format(c.format) for c in chans]),
-        power=np.where(active, powers.reshape(len(chans), -1).T, 0.0),
-        active=active)
+        power=np.where(active, power, 0.0), active=active)
 
 
 def _own_column(rows, n_channels: int):
-    """Index of every row's own channel in a ``[span, row, channel]`` array:
-    the CUT/CUT pair of each row.  ``rows`` is None (every channel), one
-    channel index or an array of them."""
+    """Index of every row's own channel in a ``[fiber or span, row,
+    channel]`` array: the CUT/CUT pair of each row.  ``rows`` is None
+    (every channel), one channel index or an array of them."""
     col = np.arange(n_channels) if rows is None else np.atleast_1d(rows)
     return slice(None), np.arange(col.size), col
 
 
 @dataclass(frozen=True)
 class SpanIntegrals:
-    """Closed-form kernel integrals of every span, spans as the leading
-    axis; a row is a channel taken as CUT, a column an interferer."""
+    """Closed-form kernel integrals of a link; a row is a channel taken as
+    CUT, a column an interferer.
+
+    The power-independent closed forms depend on a span only through its
+    fiber, so they are held once per distinct fiber, ``fiber[n]`` being the
+    one of span ``n``; what depends on the span length is held per span.
+    """
 
     transfer: np.ndarray  # [span]: gain times loss
     prefactor: np.ndarray  # [span]: 16/27 gamma^2 times the transfer
-    abs_beta2: np.ndarray  # [span, row, channel]: |effective beta2| (ps^2/km)
-    abs_acc: np.ndarray  # [span, row, channel]: |accumulated dispersion|
-    #                      (ps^2) at the span input
-    i_cross: np.ndarray  # [span, row, channel]
-    i_self: np.ndarray  # [span, row], incoherent accumulation
+    length: np.ndarray  # [span] (km)
+    fiber: np.ndarray  # [span]: index of the span's fiber
+    spans_of_fiber: tuple[list[int], ...]  # [fiber]: its span indices
+    beta2: np.ndarray  # [fiber, row, channel]: effective beta2 (ps^2/km)
+    abs_beta2: np.ndarray  # [fiber, row, channel]
+    i_cross: np.ndarray  # [fiber, row, channel]
+    i_self: np.ndarray  # [fiber, row], incoherent accumulation
     i_coherent: np.ndarray  # [span, row], coefficient of coherence_bracket
+
+    def abs_acc(self, rows=slice(None)) -> np.ndarray:
+        """|Accumulated dispersion| (ps^2) at every span input, as
+        ``[span, row, channel]`` for the rows ``rows`` of this result: the
+        exclusive running sum of beta2 * L over the spans, in span order."""
+        b2 = self.beta2[:, rows]
+        acc = np.zeros((len(self.fiber),) + b2.shape[1:])
+        step = b2[self.fiber[:-1]]
+        step *= self.length[:-1, None, None]
+        np.cumsum(step, axis=0, out=acc[1:])
+        return np.abs(acc, out=acc)
 
 
 def span_integrals(link: LinkSpec, ch: CombArrays,
                    rows: int | np.ndarray | None = None) -> SpanIntegrals:
-    """The integrals of every span, with every channel as CUT
-    (``rows=None``) or only channel(s) ``rows``.  A pair with zero
+    """The integrals of every fiber and span of the link, with every channel
+    as CUT (``rows=None``) or only channel(s) ``rows``.  A pair with zero
     dispersion gives inf or NaN entries; callers mask the ones they do not
     use."""
+    groups = fiber_groups(link.spans)
+    fiber = np.empty(link.n_spans, dtype=np.intp)
+    for k, spans in enumerate(groups.values()):
+        fiber[spans] = k
+    # Fiber parameters as [fiber, 1, 1] columns.
+    beta2, beta3, f_ref, two_alpha = np.array(
+        [(fb.beta2, fb.beta3, fb.f_ref, fb.two_alpha)
+         for fb in groups]).T[:, :, None, None]
+    gamma, length = np.array([(s.fiber.gamma, s.length_km)
+                              for s in link.spans]).T
     transfer = span_transfer(link)
-    # Fiber parameters and lengths as [span, 1, 1] columns.
-    beta2, beta3, f_ref, two_alpha, gamma, length = np.array(
-        [(s.fiber.beta2, s.fiber.beta3, s.fiber.f_ref, s.fiber.two_alpha,
-          s.fiber.gamma, s.length_km) for s in link.spans]).T[:, :, None, None]
     fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
     own = _own_column(rows, len(ch.f))
     f, rate = ch.f, ch.rate
@@ -286,20 +322,19 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     upper = df + rate / 2.0
     lower = df - rate / 2.0
     b2 = effective_beta2_xci(fib, f, f_cut[:, None])
-    # Exclusive running sum: span n sees the dispersion of spans 0..n-1.
-    acc = np.zeros_like(b2)
-    np.cumsum(b2[:-1] * length[:-1], axis=0, out=acc[1:])
-    m = np.abs(b2, out=b2)
-    # The self terms read the CUT/CUT pair: [span, row] against [span, 1].
+    m = np.abs(b2)
+    # The self terms read the CUT/CUT pair: [fiber, row] against
+    # [fiber, 1], and per span [span, row] against [span, 1].
     d = m[own]
-    two_alpha_s, length_s = two_alpha[:, 0], length[:, 0]
-    den = 2.0 * math.pi * d * two_alpha_s
-    arg = (math.pi ** 2 / 2.0) * (d / two_alpha_s) * rate_cut ** 2
-    si = sici(math.pi ** 2 * d * length_s * rate_cut ** 2)[0]
+    two_alpha_f = two_alpha[:, 0]
+    den = 2.0 * math.pi * d * two_alpha_f
+    arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
+    d_s, den_s, two_alpha_s = d[fiber], den[fiber], two_alpha_f[fiber]
+    length_s = length[:, None]
+    si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
     # i_cross = (asinh(scale * upper) - asinh(scale * lower))
     #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
-    # with R the CUT's symbol rate, computed in place: fresh temporaries
-    # would double a block's peak memory and the page faults it costs.
+    # with R the CUT's symbol rate, computed in place.
     scale = m / two_alpha
     scale *= math.pi ** 2
     scale *= rate_cut[:, None]
@@ -312,11 +347,13 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
         i_cross /= den_cross
         return SpanIntegrals(
             transfer=transfer,
-            prefactor=(16.0 / 27.0) * gamma[:, 0, 0] ** 2 * transfer,
-            abs_beta2=m, abs_acc=np.abs(acc, out=acc), i_cross=i_cross,
+            prefactor=(16.0 / 27.0) * gamma ** 2 * transfer,
+            length=length, fiber=fiber,
+            spans_of_fiber=tuple(groups.values()),
+            beta2=b2, abs_beta2=m, i_cross=i_cross,
             i_self=np.arcsinh(arg) / den,
             i_coherent=2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
-            / den)
+            / den_s)
 
 
 def coherence_brackets(n_spans: int) -> np.ndarray:
@@ -352,7 +389,7 @@ class NliTerms:
         return out
 
 
-# The kernel takes its rows in blocks whose [span, row, channel] arrays hold
+# CFM2-CFM4 take the rows in blocks whose [span, row, channel] arrays hold
 # at most about this many elements (~125 kB).  Whole arrays at paper scale
 # (0.35 MB each, every channel as CUT) would be page-faulted in anew on
 # every call, and would raise the peak memory by megabytes.
@@ -369,51 +406,90 @@ def nli_terms(link: LinkSpec, variant: ModelVariant,
     it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
     A row with a zero-dispersion term holds inf or NaN.
     """
-    ch = comb_arrays(link)
+    return comb_nli_terms(link, comb_arrays(link), variant, rows)
+
+
+def _zero_non_cross(xci: np.ndarray, active: np.ndarray,
+                    own: tuple) -> np.ndarray:
+    """Zero, in place, the entries of a ``[fiber or span, row, channel]``
+    array that are no cross term: inactive interferers and each row's own
+    channel, so that their inf or NaN cannot turn a row NaN."""
+    xci[:, :, ~active] = 0.0
+    xci[own] = 0.0
+    return xci
+
+
+def _plain_cross(s: SpanIntegrals, ch: CombArrays, own: tuple,
+                 g2: np.ndarray) -> np.ndarray:
+    """CFM1's cross-term sum, ``[span, row]``: with no correction factor,
+    one contraction per fiber of its cross integrals against the squared
+    PSDs of its spans, the spans of each fiber adjacent in one matrix."""
+    xci = _zero_non_cross(s.i_cross, ch.active, own)
+    by_fiber = np.take(g2, np.concatenate(s.spans_of_fiber), axis=0,
+                       out=np.empty(g2.shape, order="F"))
+    cross = np.empty((len(g2), xci.shape[1]))
+    start = 0
+    for k, spans in enumerate(s.spans_of_fiber):
+        part = by_fiber[start:start + len(spans), :, None]
+        cross[spans] = np.matmul(xci[k], part)[:, :, 0]
+        start += len(spans)
+    return cross
+
+
+def _corrected_cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
+                     g2: np.ndarray, cuts: np.ndarray, block: slice
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """CFM2-CFM4, for the rows ``block`` (channels ``cuts[block]``): the
+    cross-term sum weighted by the correction factors, and each row's own
+    |accumulated dispersion|, as ``[span, row]`` arrays.  The cross terms
+    are built as ``[span, row, channel]`` arrays."""
+    own = _own_column(cuts[block], len(ch.f))
+    acc = s.abs_acc(block)
+    xci = rho_cross(variant.kind, variant.coefficients.a, ch.phi,
+                    ch.roll[cuts[block], None], ch.roll)(acc)
+    xci *= s.i_cross[:, block][s.fiber]
+    _zero_non_cross(xci, ch.active, own)
+    return (xci @ g2[:, :, None])[:, :, 0], acc[own]
+
+
+def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
+                   rows: int | None = None) -> NliTerms:
+    """:func:`nli_terms` on the spans of ``link`` with the channels ``ch``,
+    whose launch powers may differ from the link's."""
     if rows is not None and not ch.active[rows]:
         raise ValidationError("CUT inactive")
-    cuts = _own_column(rows, len(ch.f))[2]
-    step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
-    blocks = [_row_block(link, variant, ch, cuts[i:i + step])
-              for i in range(0, cuts.size, step)]
-    base, coherent, min_abs_beta2 = (np.concatenate(part, axis=-1)
-                                     for part in list(zip(*blocks))[:3])
-    return NliTerms(transfer=blocks[0][3], base=base, coherent=coherent,
-                    active=ch.active[cuts], min_abs_beta2=min_abs_beta2)
-
-
-def _row_block(link: LinkSpec, variant: ModelVariant, ch: CombArrays,
-               cuts: np.ndarray):
-    """``base``, ``coherent``, ``min_abs_beta2`` and ``transfer`` of
-    :class:`NliTerms` for the rows of channels ``cuts``."""
-    own = _own_column(cuts, len(ch.f))
-    kind = variant.kind
-    cross_factor = self_factor = lambda abs_acc: 1.0  # CFM1
-    if kind is not CfmKind.CFM1:
-        a = variant.coefficients.a
-        cross_factor = rho_cross(kind, a, ch.phi, ch.roll[cuts, None],
-                                 ch.roll)
-        self_factor = rho_self(kind, a, ch.phi[cuts], ch.rate[cuts],
-                               ch.roll[cuts])
-    s = span_integrals(link, ch, cuts)
+    s = span_integrals(link, ch, rows)
+    own = _own_column(rows, len(ch.f))
+    cuts = own[2]
     g = ch.power / ch.rate  # [span, channel] effective PSDs
     g_cut = g[:, cuts]
+    # The squared PSDs are contracted as column-major [span, channel]
+    # matrices, the layout comb_arrays gives a link's powers: BLAS sums
+    # each span's dot product in an order set by that layout, so every
+    # caller and variant gets the same sums.
+    g2 = np.square(g, out=np.empty(g.shape, order="F"))
+    kind = variant.kind
     with np.errstate(invalid="ignore"):
-        # Inactive interferers and each row's own channel are no cross
-        # terms; zero them so that their entries cannot turn a row NaN.
-        xci = s.i_cross
-        xci *= cross_factor(s.abs_acc)
-        xci[:, :, ~ch.active] = 0.0
-        xci[own] = 0.0
-        sci = self_factor(s.abs_acc[own]) * g_cut ** 2
+        if kind is CfmKind.CFM1:
+            cross = _plain_cross(s, ch, own, g2)
+            sci = g_cut ** 2
+        else:
+            cross, acc_own = np.empty((2,) + g_cut.shape)
+            step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
+            for i in range(0, cuts.size, step):
+                block = slice(i, i + step)
+                cross[:, block], acc_own[:, block] = _corrected_cross(
+                    s, ch, variant, g2, cuts, block)
+            sci = rho_self(kind, variant.coefficients.a, ch.phi[cuts],
+                           ch.rate[cuts], ch.roll[cuts])(acc_own) * g_cut ** 2
         psd = s.prefactor[:, None] * g_cut
-        base = psd * (sci * s.i_self
-                      + 2.0 * (xci @ (g ** 2)[:, :, None])[:, :, 0])
+        base = psd * (sci * s.i_self[s.fiber] + 2.0 * cross)
         coherent = (psd * sci * s.i_coherent if kind.coherent_sci
                     else np.zeros_like(base))
-    return (base, coherent, np.min(s.abs_beta2, axis=(0, 2),
-                                   where=ch.active, initial=np.inf),
-            s.transfer)
+    return NliTerms(transfer=s.transfer, base=base, coherent=coherent,
+                    active=ch.active[cuts],
+                    min_abs_beta2=np.min(s.abs_beta2, axis=(0, 2),
+                                         where=ch.active, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -40,7 +39,7 @@ def _variant(args) -> "CfmKind":
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = fileio.json_text(doc)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -222,7 +221,7 @@ def _cmd_fit(args) -> int:
                "cost_final": result.cost_final,
                "improved": result.improved, "n_terms": result.n_terms,
                "n_evaluations": result.n_evaluations}
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _emit(summary, None)
     return EXIT_OK
 
 

@@ -207,14 +207,28 @@ def system_to_json(link: LinkSpec) -> dict:
             "cut_index": link.cut_index}
 
 
+def json_text(doc: dict) -> str:
+    """A document as JSON text, one top-level field per line and each
+    element of a top-level array (a span, a channel, a coefficient) on a
+    line of its own.  Every record goes through the C encoder, which
+    ``json.dumps`` skips when asked to indent."""
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def load_system(path: str | Path) -> LinkSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_system(json.load(handle))
 
 
 def save_system(link: LinkSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(system_to_json(link), indent=2) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json_text(system_to_json(link)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +265,7 @@ def load_coefficients(path: str | Path) -> tuple[CfmKind, ModelCoefficients]:
 def save_coefficients(kind: CfmKind, coeffs: ModelCoefficients,
                       path: str | Path) -> None:
     doc = {"version": 1, "variant": kind.value, "a": list(coeffs.a)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
 def variant_from_files(kind: CfmKind,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cfm import _check_n_end, propagate, span_transfer
 from .types import (ChannelSpec, FiberParams, LinkSpec, SpanConfig,
-                    ValidationError)
+                    ValidationError, fiber_groups)
 
 
 class QuadratureError(RuntimeError):
@@ -349,11 +349,11 @@ def gn_span_psds(link: LinkSpec, f_eval: float,
     if not _active(link.channels):
         return np.zeros(n_end), (QuadratureStats(0, 0.0, 0, 0),) * n_end
     pairs = _CombPairs(link.channels, f_eval)
-    by_fiber: dict[FiberParams, list[_SpanTerms]] = {}
-    for n, span in enumerate(link.spans[:n_end]):
-        by_fiber.setdefault(span.fiber, []).append(_SpanTerms(pairs, span, n))
-    done = _converge([_FiberGroup(pairs, fiber, spans)
-                      for fiber, spans in by_fiber.items()],
+    done = _converge([_FiberGroup(pairs, fiber,
+                                  [_SpanTerms(pairs, link.spans[n], n)
+                                   for n in spans])
+                      for fiber, spans in
+                      fiber_groups(link.spans[:n_end]).items()],
                      q or QuadratureConfig())
     return (np.array([done[n][0] for n in range(n_end)]),
             tuple(done[n][1] for n in range(n_end)))

@@ -15,10 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assets
-from .cfm import (check_dispersion, nli_terms, one_low_dispersion_warning,
-                  rx_nli_psd)
+from .cfm import (CombArrays, check_dispersion, comb_arrays, comb_nli_terms,
+                  one_low_dispersion_warning)
 from .perf import ase_power, span_ase_psd
-from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant
+from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant, SpanConfig
+
+# Only for bench/tracing.py's LAYERS to patch here; nothing here calls it.
+from .cfm import rx_nli_psd
 
 # Fallback CUT PSD (W/THz) when a span produces no NLI and the span-local
 # optimum is unbounded.
@@ -44,18 +47,24 @@ def randomize_launch(channels: tuple[ChannelSpec, ...], cut_index: int,
 
     Drawn once and reused at every span.
     """
-    xi = [float(rng.uniform(0.7, 1.3)) for _ in channels]
+    xi = rng.uniform(0.7, 1.3, size=len(channels)).tolist()
     xi[cut_index] = 1.0
     return tuple(xi)
+
+
+def _tied_power(link: LinkSpec, xi, g) -> np.ndarray:
+    """Launch power ``[span, channel]`` for the PSD ``xi[i] * g[n]`` of
+    channel ``i`` at span ``n``: every channel's PSD tied to the CUT's."""
+    rate = np.array([ch.symbol_rate for ch in link.channels])
+    return np.multiply.outer(g, xi) * rate
 
 
 def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
     """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
     the CUT's through xi: the kernel on the link with powers xi * R."""
-    tied = tuple(ch.with_powers([x * ch.symbol_rate] * link.n_spans)
-                 for x, ch in zip(xi, link.channels))
-    terms = nli_terms(replace(link, channels=tied),
-                      assets.model(CfmKind.CFM1), rows=link.cut_index)
+    unit = comb_arrays(link, _tied_power(link, xi, np.ones(link.n_spans)))
+    terms = comb_nli_terms(link, unit, assets.model(CfmKind.CFM1),
+                           rows=link.cut_index)
     check_dispersion(terms.min_abs_beta2)
     return terms.base[:, 0]
 
@@ -79,28 +88,42 @@ def logo_optimize(link: LinkSpec,
     return tuple(out)
 
 
-def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
-    """Set per-span channel powers from the plan and re-derive the lumped
-    gains that realize the per-span CUT PSD profile on a transparent link."""
-    g = plan.g_cut_per_span
-    channels = tuple(
-        ch.with_powers([plan.xi[idx] * g[n] * ch.symbol_rate
-                        for n in range(link.n_spans)])
-        for idx, ch in enumerate(link.channels))
+def _planned_spans(link: LinkSpec, g) -> tuple[SpanConfig, ...]:
+    """The link's spans with the lumped gains that realize the CUT PSD
+    profile ``g`` on a transparent link."""
     new_spans = []
     for n, span in enumerate(link.spans):
         gain_db = span.fiber.alpha_db_per_km * span.length_km
         if n + 1 < link.n_spans:
             gain_db += 10.0 * math.log10(g[n + 1] / g[n])
-        new_spans.append(replace(span, gain_db=gain_db))
-    return replace(link, spans=tuple(new_spans), channels=channels)
+        new_spans.append(SpanConfig(span.fiber, span.length_km, gain_db,
+                                    span.noise_figure_db))
+    return tuple(new_spans)
+
+
+def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
+    """Set per-span channel powers from the plan and re-derive the lumped
+    gains that realize the per-span CUT PSD profile on a transparent link."""
+    g = plan.g_cut_per_span
+    powers = _tied_power(link, plan.xi, g).T.tolist()
+    channels = tuple(ch.with_powers(p)
+                     for ch, p in zip(link.channels, powers))
+    return replace(link, spans=_planned_spans(link, g), channels=channels)
+
+
+def _eta(link: LinkSpec, ch: CombArrays, variant: ModelVariant) -> float:
+    """:func:`eta_nli` of the link's spans with the channels ``ch``."""
+    c = link.cut_index
+    terms = comb_nli_terms(link, ch, variant, rows=c)
+    check_dispersion(terms.min_abs_beta2)
+    g1 = float(ch.power[0, c] / ch.rate[c])
+    return float(terms.rx_psd()[-1, 0]) / g1 ** 3
 
 
 def eta_nli(link: LinkSpec, variant: ModelVariant) -> float:
     """Link nonlinearity coefficient: Rx NLI PSD normalized by the cube of
     the first-span CUT PSD.  Invariant under uniform power scaling."""
-    g1 = link.cut.psd(0)
-    return rx_nli_psd(link, variant, link.n_spans) / g1 ** 3
+    return _eta(link, comb_arrays(link), variant)
 
 
 def refine_cut_launch(link: LinkSpec, eta: float) -> float:
@@ -126,8 +149,9 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator,
     xi = randomize_launch(link.channels, link.cut_index, rng)
     g = logo_optimize(link, xi)
     plan = PowerPlan(g_cut_per_span=g, xi=xi)
-    staged = apply_power_plan(link, plan)
-    eta = eta_nli(staged, variant)
+    # The link with the span-local plan applied, its powers kept as arrays.
+    staged = replace(link, spans=_planned_spans(link, g))
+    eta = _eta(staged, comb_arrays(link, _tied_power(link, xi, g)), variant)
     g_opt = refine_cut_launch(staged, eta)
     plan = replace(plan.scaled(g_opt / g[0]), eta_nli=eta)
     return apply_power_plan(link, plan), plan

@@ -127,6 +127,22 @@ class SpanConfig:
         return math.exp(-self.fiber.two_alpha * self.length_km)
 
 
+def fiber_groups(spans: Sequence[SpanConfig]
+                 ) -> dict[FiberParams, list[int]]:
+    """The indices of the spans that share each fiber, fibers compared by
+    value, in order of first appearance."""
+    groups: dict[FiberParams, list[int]] = {}
+    # Spans usually share fiber objects; hash each object once, since a
+    # frozen dataclass rehashes all its fields on every lookup.
+    by_object: dict[int, list[int]] = {}
+    for n, span in enumerate(spans):
+        key = id(span.fiber)
+        if key not in by_object:
+            by_object[key] = groups.setdefault(span.fiber, [])
+        by_object[key].append(n)
+    return groups
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One WDM channel with its per-span launch powers."""
@@ -156,7 +172,8 @@ class ChannelSpec:
         return self.power_w_per_span[span_index] / self.symbol_rate
 
     def with_powers(self, powers: Sequence[float]) -> "ChannelSpec":
-        return replace(self, power_w_per_span=tuple(powers))
+        return ChannelSpec(self.f_center, self.symbol_rate, self.roll_off,
+                           self.format, tuple(powers), self.active)
 
     @property
     def occupied_bandwidth(self) -> float:

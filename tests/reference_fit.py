@@ -40,14 +40,16 @@ class LoopFitData:
         sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
         xb, xacc = [], []
         s = span_integrals(link, ch)  # every channel as CUT
+        abs_acc = s.abs_acc()
         for m in range(reach):
             base = s.prefactor[m] * g[m, c]
-            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[m, c]
+            f = s.fiber[m]
+            sci_inc[m] = base * g[m, c] ** 2 * s.i_self[f, c]
             if self.kind.coherent_sci:
                 sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[m, c]
-            sci_acc[m] = s.abs_acc[m, c, c]
-            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[m, c, idx])
-            xacc.append(s.abs_acc[m, c, idx])
+            sci_acc[m] = abs_acc[m, c, c]
+            xb.append(base * 2.0 * g[m, idx] ** 2 * s.i_cross[f, c, idx])
+            xacc.append(abs_acc[m, c, idx])
         span_of_x = np.repeat(np.arange(reach), idx.size)
         xidx = np.tile(idx, reach)
         brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])

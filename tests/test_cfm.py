@@ -3,7 +3,9 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -16,7 +18,7 @@ from scipy.integrate import quad
 import reference_cfm as ref
 from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
-from nli_planner import assets
+from nli_planner import assets, fileio
 from nli_planner.cfm import (LowDispersionWarning, ZeroDispersionError,
                              coherence_bracket, coherence_brackets,
                              comb_arrays, effective_beta2_cut,
@@ -287,7 +289,7 @@ def test_identity_cfm2_equals_cfm1():
 
 def _abs_acc(link):
     """The kernel's |accumulated dispersion| matrix at every span input."""
-    return span_integrals(link, comb_arrays(link)).abs_acc
+    return span_integrals(link, comb_arrays(link)).abs_acc()
 
 
 def test_beta2_acc_zero_at_first_span():
@@ -470,6 +472,105 @@ def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
             ok = np.isfinite(want)
             assert got[ok] == pytest.approx(want[ok], rel=1e-12, abs=0.0)
         assert row.min_abs_beta2[0] == full.min_abs_beta2[c]
+
+
+def test_all_row_kernel_memory_peak(paper_link):
+    # Every row of the paper link in CFM4: the [span, row, channel] arrays
+    # are built in row blocks, so the call's temporaries stay below 0.86 MB
+    # (whole arrays of every row would take megabytes).
+    variant = assets.model(CfmKind.CFM4)
+    nli_terms(paper_link, variant)
+    tracemalloc.start()
+    try:
+        nli_terms(paper_link, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 860_000
+
+
+def _reference_rx_psd(link, variant, n_end):
+    """The scalar reference, NaN where a term it needs has zero
+    dispersion."""
+    try:
+        return ref.rx_nli_psd(link, variant, n_end)
+    except ZeroDispersionError:
+        return math.nan
+
+
+def _assert_kernel_matches_reference(link):
+    # Every row and the CUT row, every truncation, CFM1-CFM4: equal to the
+    # reference to 1e-12, non-finite exactly where the reference cannot be
+    # evaluated, and NaN in inactive rows.
+    for kind in CfmKind:
+        variant = assets.model(kind)
+        full = nli_terms(link, variant).rx_psd()
+        cut = nli_terms(link, variant, rows=link.cut_index).rx_psd()[:, 0]
+        for idx, ch in enumerate(link.channels):
+            if not ch.active:
+                assert np.isnan(full[:, idx]).all()
+                continue
+            relabeled = replace(link, cut_index=idx)
+            want = np.array([_reference_rx_psd(relabeled, variant, n)
+                             for n in range(1, link.n_spans + 1)])
+            ok = np.isfinite(want)
+            for got in ((full[:, idx], cut) if idx == link.cut_index
+                        else (full[:, idx],)):
+                assert np.array_equal(np.isfinite(got), ok)
+                assert got[ok] == pytest.approx(want[ok], rel=1e-12, abs=0.0)
+
+
+def _drawn_fiber(rng) -> FiberParams:
+    return FiberParams(alpha_db_per_km=rng.uniform(0.17, 0.25),
+                       beta2=rng.choice((-1.0, 1.0)) * rng.uniform(3.0, 25.0),
+                       beta3=rng.uniform(0.0, 0.15),
+                       gamma=rng.uniform(0.8, 2.0),
+                       f_ref=rng.uniform(193.0, 195.0))
+
+
+def _drawn_link(rng, fibers) -> LinkSpec:
+    """A link with one span per entry of ``fibers`` and a few drawn
+    channels, some inactive, with their own launch power in every span."""
+    n_ch = int(rng.integers(2, 5))
+    cut = int(rng.integers(n_ch))
+    channels = tuple(ChannelSpec(
+        f_center=193.6 + 0.08 * k + rng.uniform(-0.005, 0.005),
+        symbol_rate=rng.uniform(0.032, 0.064),
+        roll_off=rng.uniform(0.0, 0.2),
+        format=ModulationFormat(rng.choice([f.value
+                                            for f in ModulationFormat])),
+        power_w_per_span=tuple(rng.uniform(2e-4, 2e-3, len(fibers))),
+        active=k == cut or rng.random() < 0.8) for k in range(n_ch))
+    spans = tuple(SpanConfig(fiber=fb, length_km=rng.uniform(40.0, 120.0),
+                             gain_db=rng.uniform(10.0, 25.0))
+                  for fb in fibers)
+    return LinkSpec(spans=spans, channels=channels, cut_index=cut)
+
+
+@given(seed=st.integers(0, 10_000), n_spans=st.integers(1, 3),
+       zero_cut=st.integers(0, 2), zero_off=st.sets(st.integers(0, 2)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fiber_grouping_matches_reference(seed, n_spans, zero_cut, zero_off):
+    # The kernel evaluates its closed forms once per distinct fiber, fibers
+    # compared by value.  Whatever the grouping, it matches the scalar
+    # per-span reference.
+    rng = np.random.default_rng(seed)
+    preset = list(assets.fiber_presets().values())[seed % 3]
+    one_fiber = _drawn_link(rng, [preset] * n_spans)
+    per_span = _drawn_link(rng, [_drawn_fiber(rng) for _ in range(n_spans)])
+    # Two inline fibers: parsing gives each span its own FiberParams,
+    # equal in value to those of the other spans drawn from the same one.
+    pool = [_drawn_fiber(rng) for _ in range(2)]
+    drawn = [pool[int(i)] for i in rng.integers(2, size=n_spans)]
+    parsed = fileio.parse_system(json.loads(fileio.json_text(
+        fileio.system_to_json(_drawn_link(rng, drawn)))))
+    zero = make_zero_dispersion_link(zero_cut,
+                                     inactive=tuple(zero_off - {zero_cut}))
+    for link, n_fibers in ((one_fiber, 1), (per_span, n_spans),
+                           (parsed, len(set(drawn))), (zero, 1)):
+        ints = span_integrals(link, comb_arrays(link))
+        assert ints.i_self.shape[0] == n_fibers
+        _assert_kernel_matches_reference(link)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
-from nli_planner.types import CfmKind, ChannelSpec, LinkSpec, ModulationFormat
+from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
+                               ModulationFormat)
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +35,24 @@ def test_system_file_io(tmp_path):
     path = tmp_path / "sys.json"
     fileio.save_system(link, path)
     assert fileio.load_system(path).channels == link.channels
+
+
+def test_saved_system_is_the_json_document(tmp_path):
+    # The saved text is the document of system_to_json, one span or channel
+    # per line, and loads back to the same link, fibers inline or preset.
+    link = make_system(86, category=3, band_width=1.0)
+    inline = FiberParams(alpha_db_per_km=0.2, beta2=-20.0, beta3=0.1,
+                         gamma=1.1, f_ref=193.0)
+    link = replace(link, spans=(replace(link.spans[0], fiber=inline),
+                                *link.spans[1:]), flags=())
+    path = tmp_path / "sys.json"
+    fileio.save_system(link, path)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == fileio.system_to_json(link)
+    assert len(text.splitlines()) == link.n_spans + len(link.channels) + 8
+    assert fileio.load_system(path) == link
+    fileio.save_system(fileio.load_system(path), path)
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_unknown_fields_rejected():

@@ -16,7 +16,7 @@ from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
                                   randomize_launch, refine_cut_launch,
                                   span_eta)
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import CfmKind, LinkSpec
+from nli_planner.types import CfmKind, ChannelSpec, LinkSpec
 
 
 def test_randomize_launch_bounds():
@@ -133,3 +133,20 @@ def test_rx_power_positive_after_plan():
     psds = rx_nli_psds(link, assets.model(CfmKind.CFM1), link.cut_index)
     p_rx = link_report(link, psds, link.cut_index).p_rx_w
     assert p_rx[-1, 0] > 0.0
+
+
+def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
+    # The plan is worked out on power arrays: the only ChannelSpecs built
+    # are the returned link's.
+    link = make_system(51, band_width=1.0, optimize=False)
+    built = []
+    check = ChannelSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChannelSpec, "__post_init__", counting)
+    opt, _ = optimize_powers(link, np.random.default_rng(51))
+    assert len(built) == len(opt.channels)
+    assert all(a is b for a, b in zip(built, opt.channels))
