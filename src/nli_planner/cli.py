@@ -7,6 +7,7 @@ Commands: generate, evaluate, campaign, fit, oracle.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -17,8 +18,9 @@ from . import fileio
 from .campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                        GnOracleBenchmark, fit_coefficients, run_campaign)
 from .cfm import (ZeroDispersionError, _check_n_end,
-                  one_low_dispersion_warning, rx_nli_psds)
-from .oracle import QuadratureConfig, QuadratureError, gn_rx_psd
+                  one_low_dispersion_warning, propagate, rx_nli_psds,
+                  span_transfer)
+from .oracle import QuadratureConfig, QuadratureError, gn_span_psds
 from .perf import UnreachableError, link_report, max_reach_scan
 from .poweropt import optimize_powers
 from .sysgen import (CUT_POSITIONS, NF_MODES, GeneratorConfig,
@@ -232,7 +234,8 @@ def _cmd_oracle(args) -> int:
     n_end = _check_n_end(link, args.n_spans)
     quad = QuadratureConfig(points_per_channel=args.points_per_channel,
                             rel_tol=args.rel_tol)
-    psd = gn_rx_psd(link, f_eval, quad, n_end)
+    psds, stats = gn_span_psds(link, f_eval, quad, n_end)
+    psd = float(propagate(span_transfer(link)[:n_end], psds)[-1])
     # The NLI power in the band [f_c - R/2, f_c + R/2) of the active
     # channel holding f_eval, the CUT first where channels overlap; none
     # in a gap between channels.
@@ -241,7 +244,8 @@ def _cmd_oracle(args) -> int:
              < c.f_center + c.symbol_rate / 2.0]
     _emit({"version": 1, "f_eval_thz": f_eval, "n_spans": n_end,
            "rx_nli_psd_w_per_thz": psd,
-           "nli_power_w": psd * rates[0] if rates else None}, args.output)
+           "nli_power_w": psd * rates[0] if rates else None,
+           "spans": [dataclasses.asdict(stat) for stat in stats]}, args.output)
     return EXIT_OK
 
 

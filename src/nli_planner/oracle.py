@@ -5,6 +5,10 @@ with rectangular channel spectra and incoherent multi-span accumulation.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,10 @@ class QuadratureConfig:
     max_points_per_channel: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("points_per_channel", "max_points_per_channel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer")
         if self.points_per_channel < 1:
             raise ValidationError("points_per_channel must be >= 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
@@ -69,10 +77,81 @@ def _active(comb: tuple[ChannelSpec, ...]) -> list[ChannelSpec]:
 
 # Kernel elements (pairs x rows of f1 x points of f2) per chunk of one
 # quadrature level, whatever the resolution, the number of channel pairs
-# and the number of spans in a fiber group.  Each of the four buffers is
-# 64 KiB.  On 2 CPUs, chunks of 16384 elements ran ~5% faster but raised an
-# oracle campaign's peak RSS ~0.4 MB.
+# and the number of spans in a fiber group.  Each of a worker's four
+# buffers is 64 KiB.  On 2 CPUs, chunks of 16384 elements ran ~5% faster
+# but raised an oracle campaign's peak RSS ~0.4 MB.
 _CHUNK_ELEMENTS = 1 << 13
+
+# A level's chunks run on up to W threads, W being the CPUs this process may
+# use (``taskset`` confines it), capped at one per chunk and at
+# _MAX_WORKERS.  Each worker has its own buffers, ~0.45 MB of traced peak
+# memory at 256 points per channel, so working memory is bounded per worker
+# and in total, whatever the CPU count.  Values do not depend on W: a
+# pair's sum is formed by one worker, and the calling thread accumulates the
+# pairs in pair order.
+_MAX_WORKERS = 4
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class _Shared:
+    """Items that several threads iterate over together: each item goes to
+    exactly one of them, the next free one."""
+
+    def __init__(self, items):
+        self._items, self._lock = iter(items), threading.Lock()
+
+    def __iter__(self):
+        while True:
+            with self._lock:
+                item = next(self._items, None)
+            if item is None:
+                return
+            yield item
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """This process's worker threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_MAX_WORKERS - 1,
+                                       thread_name_prefix="nli-oracle")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a child made by ``os.fork()``: the parent's worker threads do not
+    exist there, and one of its threads may have held the lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_workers(work, workers: int) -> None:
+    """Calls ``work()`` on the calling thread and on ``workers - 1`` threads
+    of the pool.  Returns, or raises the first exception, only once every
+    call has ended, so no worker writes afterwards."""
+    futures = []
+    try:
+        for _ in range(workers - 1):
+            futures.append(_worker_pool().submit(work))
+        work()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 class _CombPairs:
@@ -144,7 +223,8 @@ class _FiberGroup:
     phase and the denominator depend on the fiber alone and are computed
     once per chunk; each span then applies its own comb table, cos(phase L)
     and loss terms.  A level evaluates the four-wave-mixing kernel for many
-    pairs at once, in chunks of at most ``_CHUNK_ELEMENTS`` points.
+    pairs at once, in chunks of at most ``_CHUNK_ELEMENTS`` points, which
+    up to W threads share.
     """
 
     def __init__(self, pairs: _CombPairs, fiber: FiberParams,
@@ -193,18 +273,36 @@ class _FiberGroup:
     def levels(self, res: int, spans: list[_SpanTerms]) -> list[float]:
         """Single-span NLI PSD of each of ``spans``, members of this group,
         with ``res`` grid points per channel."""
-        fib, f_eval, breaks = self.fiber, self.pairs.f_eval, self.pairs.breaks
         n_pairs = len(self.pairs.i)
         if res * res <= _CHUNK_ELEMENTS:
             chunk_pairs, chunk_rows = _CHUNK_ELEMENTS // (res * res), res
         else:
             chunk_pairs, chunk_rows = 1, max(1, _CHUNK_ELEMENTS // res)
+        sums = np.empty((len(spans), n_pairs))
+        # The workers draw the chunks one at a time, so a worker that is
+        # slowed down takes fewer of them.
+        starts = range(0, n_pairs, chunk_pairs)
+        shared = _Shared(starts)
+        _run_workers(lambda: self._chunks(res, spans, shared, chunk_pairs,
+                                          chunk_rows, sums),
+                     min(_cpu_count(), _MAX_WORKERS, len(starts)))
+        # Accumulate the pair terms one after another, in pair order.
+        return [float(span.prefactor
+                      * (np.add.accumulate(span.pair_weight * row)[-1]
+                         if n_pairs else 0.0))
+                for span, row in zip(spans, sums)]
+
+    def _chunks(self, res: int, spans: list[_SpanTerms], starts: Iterable[int],
+                chunk_pairs: int, chunk_rows: int, sums: np.ndarray) -> None:
+        """Writes the kernel sum of each pair of the chunks at ``starts``,
+        and of each of ``spans``, into the pair's column of ``sums``."""
+        fib, f_eval, breaks = self.fiber, self.pairs.f_eval, self.pairs.breaks
+        n_pairs = len(self.pairs.i)
         f_sum, phase, num, val = (
             np.empty(min(n_pairs, chunk_pairs) * chunk_rows * res)
             for _ in range(4))
         n_chunks = -(-res // chunk_rows)
-        sums = np.empty((len(spans), n_pairs))
-        for p0 in range(0, n_pairs, chunk_pairs):
+        for p0 in starts:
             pairs = slice(p0, p0 + chunk_pairs)
             f1, w1 = self._grid([a[pairs] for a in self.grid1], res)
             nu1 = (f1 - f_eval)[:, :, None]
@@ -252,11 +350,6 @@ class _FiberGroup:
                 while part.shape[1] % 2 == 0:
                     part = part[:, 0::2] + part[:, 1::2]
                 sums[m, pairs] = part.sum(axis=1)
-        # Accumulate the pair terms one after another, in pair order.
-        return [float(span.prefactor
-                      * (np.add.accumulate(span.pair_weight * row)[-1]
-                         if n_pairs else 0.0))
-                for span, row in zip(spans, sums)]
 
 
 class _SpanIntegrand(_FiberGroup):

@@ -10,6 +10,7 @@ from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
+from nli_planner.oracle import gn_rx_psd, gn_span_psds
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat)
 
@@ -276,6 +277,17 @@ def test_cli_oracle(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rx_nli_psd_w_per_thz"] > 0
+    link = fileio.load_system(sys_path)
+    f = link.cut.f_center
+    assert doc["rx_nli_psd_w_per_thz"] == gn_rx_psd(link, f, n_end=2)
+    # One object per evaluated span: how its quadrature converged.
+    _, stats = gn_span_psds(link, f, n_end=2)
+    assert doc["spans"] == [
+        {"points_per_channel": s.points_per_channel,
+         "rel_change": s.rel_change, "pairs_kept": s.pairs_kept,
+         "pairs_pruned": s.pairs_pruned} for s in stats]
+    assert all(s["points_per_channel"] >= 32 and s["pairs_kept"] > 0
+               for s in doc["spans"])
 
 
 @pytest.mark.parametrize("f_eval, rate", [

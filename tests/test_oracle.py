@@ -2,6 +2,11 @@
 integrators."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +20,7 @@ import reference_oracle as ref
 from conftest import make_single_channel_link, make_system
 from nli_planner.campaign import GnOracleBenchmark
 from nli_planner.cfm import propagate, rx_nli_psd, span_transfer
-from nli_planner import assets
+from nli_planner import assets, oracle
 from nli_planner.oracle import (QuadratureConfig, QuadratureError,
                                 _SpanIntegrand, gn_rx_psd, gn_span_psd,
                                 gn_span_psds)
@@ -163,6 +168,12 @@ def test_quadrature_failure_reports_where_it_stopped(points, cap, last):
     {"points_per_channel": 64, "max_points_per_channel": 32},
     # The first convergence test compares 8 with 16 points per channel.
     {"points_per_channel": 8, "max_points_per_channel": 8},
+    # Resolutions are whole numbers of points, and a bool is not one.
+    {"points_per_channel": 20.5},
+    {"points_per_channel": 32.0},
+    {"points_per_channel": True},
+    {"max_points_per_channel": 100.5},
+    {"max_points_per_channel": 256.0},
 ])
 def test_quadrature_config_rejects_settings_it_cannot_honour(kwargs):
     with pytest.raises(ValidationError):
@@ -230,7 +241,7 @@ def test_batched_level_matches_per_pair_reference(name):
         assert integrand.level(res) == pytest.approx(want, rel=1e-12), res
 
 
-def test_quadrature_memory_does_not_grow_with_resolution():
+def _assert_quadrature_memory_bounded():
     # A 256-point level of a ~20-channel 2-THz link: the kernel is built in
     # bounded chunks, never as a 256 x 256 block per channel pair.
     link = make_system(4130, category=1, band_width=2.0, n_spans=6)
@@ -258,6 +269,19 @@ def test_quadrature_memory_does_not_grow_with_resolution():
         tracemalloc.stop()
     assert len(psds) == 6 and np.all(psds > 0.0)
     assert peak <= 2 * 2 ** 20
+
+
+def test_quadrature_memory_does_not_grow_with_resolution():
+    _assert_quadrature_memory_bounded()
+
+
+def test_quadrature_memory_does_not_grow_with_the_cpu_count(monkeypatch):
+    # Each worker has its own buffers; the worker cap keeps their sum
+    # within the same bound on a 64-CPU affinity.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert oracle._cpu_count() == 64
+    _assert_quadrature_memory_bounded()
 
 
 def test_rx_accumulation_transparent_spans():
@@ -431,3 +455,122 @@ def test_oracle_benchmark_keeps_the_last_links_stats():
     psds, stats = gn_span_psds(link, link.cut.f_center)
     assert bench.last_stats == stats
     assert bench.rx_psd(link, 3) == gn_rx_psd(link, link.cut.f_center)
+
+
+# ---------------------------------------------------------------------------
+# A level's chunks on worker threads
+
+
+def _record_worker_threads(monkeypatch) -> list[str]:
+    """The names of the threads that share each level's chunks."""
+    names = []
+    chunks = oracle._FiberGroup._chunks
+
+    def recorded(self, *args):
+        names.append(threading.current_thread().name)
+        chunks(self, *args)
+
+    monkeypatch.setattr(oracle._FiberGroup, "_chunks", recorded)
+    return names
+
+
+def test_shared_items_go_to_exactly_one_thread():
+    # More threads than cores, starting together and switching as often as
+    # the interpreter allows: an item drawn twice or lost would show in the
+    # union.
+    n_items, n_threads = 200_000, 8
+    shared = oracle._Shared(range(n_items))
+    start = threading.Barrier(n_threads)
+    drawn = [[] for _ in range(n_threads)]
+
+    def draw(mine):
+        start.wait(timeout=60)
+        mine.extend(shared)
+
+    threads = [threading.Thread(target=draw, args=(mine,)) for mine in drawn]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(item for mine in drawn for item in mine) == list(
+        range(n_items))
+    assert sum(len(mine) > 0 for mine in drawn) > 1
+
+
+@pytest.mark.parametrize("category", range(1, 6))
+@pytest.mark.parametrize("position", CUT_POSITIONS)
+def test_span_psds_do_not_depend_on_the_worker_count(monkeypatch, category,
+                                                     position):
+    link = make_system(4300 + 10 * category + CUT_POSITIONS.index(position),
+                       category=category, band_width=2.0, n_spans=6,
+                       cut_position=position)
+    f = link.cut.f_center
+    names = _record_worker_threads(monkeypatch)
+    got = {}
+    for workers in (1, 2, oracle._MAX_WORKERS):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+        names.clear()
+        psds, stats = gn_span_psds(link, f)
+        got[workers] = psds.tolist(), stats
+        on_workers = sum(name != threading.current_thread().name
+                         for name in names)
+        assert (on_workers > 0) == (workers > 1)
+    assert got[2] == got[1]
+    assert got[oracle._MAX_WORKERS] == got[1]
+
+
+class _WorkerFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_worker_raises_in_the_caller_once_every_worker_ended(
+        monkeypatch, failing):
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    chunks = oracle._FiberGroup._chunks
+    started, ended = [], []
+
+    def chunks_or_fail(self, *args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise _WorkerFailed
+        started.append(1)
+        time.sleep(0.05)
+        chunks(self, *args)
+        ended.append(1)
+
+    monkeypatch.setattr(oracle._FiberGroup, "_chunks", chunks_or_fail)
+    link = make_system(4130, category=1, band_width=2.0, n_spans=6)
+    with pytest.raises(_WorkerFailed):
+        gn_span_psds(link, link.cut.f_center)
+    assert len(started) == len(ended) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_runs_the_oracle_after_a_parallel_call(monkeypatch):
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    names = _record_worker_threads(monkeypatch)
+    link = make_system(4130, category=1, band_width=2.0, n_spans=6)
+    f = link.cut.f_center
+    psds, stats = gn_span_psds(link, f)
+    assert set(names) != {threading.current_thread().name}
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # A child that waits on its parent's worker threads never ends.
+            signal.alarm(20)
+            again, again_stats = gn_span_psds(link, f)
+            code = 0 if (again.tolist() == psds.tolist()
+                         and again_stats == stats) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
