@@ -1,5 +1,6 @@
 """Multi-system evaluation campaigns, the span-increment diagnostic, and the
-coefficient-fitting pipeline.
+coefficient-fitting pipeline, whose residual and Jacobian read the
+correction factors and their partials from ``cfm``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import assets
-from .cfm import (_BRACKET_FLOOR, _check_n_end, coherence_brackets,
-                  comb_arrays, effective_beta2_cut, one_low_dispersion_warning,
-                  propagate, rho_cross, rho_self, rx_nli_psds, span_integrals,
-                  span_transfer, zero_safe_pow)
+from .cfm import (RHO_LAYOUT, _check_n_end, coherence_brackets, comb_arrays,
+                  one_low_dispersion_warning, propagate, rho_cross,
+                  rho_partials, rho_self, rx_nli_psds, span_integrals,
+                  span_transfer)
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (SensitivityPolicy, UnreachableError, link_report,
                    max_reach_scan, snr)
@@ -289,9 +290,8 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
     """
     if link.n_spans < 2:
         raise ValueError("diagnostic needs at least two spans")
-    f_cut = link.cut.f_center
-    acc = np.cumsum([0.0] + [effective_beta2_cut(s.fiber, f_cut) * s.length_km
-                             for s in link.spans[:-1]])
+    c = link.cut_index
+    acc = span_integrals(link, comb_arrays(link), rows=c).abs_acc()[:, 0, c]
     out = []
     prev_a, prev_b = 0.0, 0.0
     for n in range(1, link.n_spans + 1):
@@ -301,7 +301,7 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
         prev_a, prev_b = cur_a, cur_b
         if db == 0.0:
             continue
-        out.append((abs(float(acc[n - 1])), da / db))
+        out.append((float(acc[n - 1]), da / db))
     return out
 
 
@@ -368,67 +368,6 @@ class _TermBlock:
         """The block's matrix times a per-term vector: one segment sum."""
         return np.bincount(self.row, self.val * per_term[self.col],
                            minlength=n_rows)
-
-
-# Coefficient layout (0-based) of rho_cross and rho_self: the first of the
-# five offset and scale slots, the rate pair, the bracket trio, and the
-# CFM4 roll-off pairs with the feature each reads.
-_LAYOUT = {
-    "self": (8, (13, 14), (15, 16, 17), ((22, 23, "roll_cut"),)),
-    "cross": (0, None, (5, 6, 7),
-              ((18, 19, "roll_cut"), (20, 21, "roll_nch"))),
-}
-
-
-def _block_partials(a, t: _TermBlock, first: int, rate, bracket, rolls):
-    """Yield ``(k, d rho / d a_k)`` over the terms of one block, for every
-    coefficient its correction factor reads.
-
-    Written from :func:`~nli_planner.cfm.rho_cross` and
-    :func:`~nli_planner.cfm.rho_self`, which share one form: an offset
-    ``a[first] + a[first+1] * phi**a[first+2]``, a scale
-    ``a[first+3] * phi**a[first+4]`` times ``1 (+ c * rate**e) + b * br**p``
-    with the bracket ``br = max(acc + o, floor)`` for ``(b, o, p) =
-    bracket``, and, for CFM4, a factor ``1 + sum c * x**e`` over ``rolls``
-    ``(c, e, feature)``.  The power of a zero feature follows
-    :func:`~nli_planner.cfm.zero_safe_pow`, and so does its derivative in
-    the exponent: zero.  A floored bracket does not move with its offset.
-    """
-    i = first
-    phi, ln_phi = t.feat["phi"], t.log["phi"]
-    p_off, p_sc = zero_safe_pow(phi, a[i + 2]), zero_safe_pow(phi, a[i + 4])
-    scale = a[i + 3] * p_sc
-    b, o, p = bracket
-    raw = t.feat["acc"] + a[o]
-    br = np.maximum(raw, _BRACKET_FLOOR)
-    pow_br = br ** a[p]
-    inner = 1.0 + a[b] * pow_br
-    if rate is not None:
-        rc, re = rate
-        pow_rate = t.feat["rate"] ** a[re]
-        inner = inner + a[rc] * pow_rate
-    roll = np.ones_like(phi)
-    roll_pows = []
-    for c, e, name in rolls:
-        pow_roll = zero_safe_pow(t.feat[name], a[e])
-        roll_pows.append((c, e, pow_roll, t.log[name]))
-        roll = roll + a[c] * pow_roll
-    yield i, roll
-    yield i + 1, p_off * roll
-    yield i + 2, a[i + 1] * p_off * ln_phi * roll
-    yield i + 3, p_sc * inner * roll
-    yield i + 4, a[i + 3] * p_sc * ln_phi * inner * roll
-    if rate is not None:
-        yield rc, scale * pow_rate * roll
-        yield re, scale * a[rc] * pow_rate * t.log["rate"] * roll
-    yield b, scale * pow_br * roll
-    yield o, np.where(raw > _BRACKET_FLOOR,
-                      scale * a[b] * a[p] * pow_br / br * roll, 0.0)
-    yield p, scale * a[b] * pow_br * np.log(br) * roll
-    core = a[i] + a[i + 1] * p_off + scale * inner
-    for c, e, pow_roll, ln_roll in roll_pows:
-        yield c, core * pow_roll
-        yield e, core * a[c] * pow_roll * ln_roll
 
 
 class _FitData:
@@ -543,9 +482,8 @@ class _FitData:
         jac = np.empty((self.n_rows, self.kind.n_coefficients))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for block, t in self._blocks().items():
-                first, rate, bracket, rolls = _LAYOUT[block]
-                for k, d in _block_partials(a, t, first, rate, bracket,
-                                            rolls if cfm4 else ()):
+                for k, d in rho_partials(RHO_LAYOUT[block], a, t.feat, t.log,
+                                         cfm4):
                     jac[:, k] = t.times(d, self.n_rows)
         return jac
 

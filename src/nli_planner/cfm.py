@@ -3,8 +3,10 @@
 The per-span NLI PSD at the channel-under-test combines a self-interference
 term and one cross-interference term per co-propagating channel, each built
 from asinh closed forms of the underlying four-wave-mixing integrals.
-CFM2-CFM4 multiply those terms by fitted correction factors; CFM3/CFM4
-additionally model coherent accumulation of the self term.
+CFM2-CFM4 multiply those terms by fitted correction factors, laid out by
+:data:`RHO_LAYOUT`; CFM3/CFM4 additionally model coherent accumulation of
+the self term.  A link becomes arrays here alone: :func:`comb_arrays` and
+:func:`span_columns`.
 
 :func:`nli_terms` computes all of it for rows that are the channels taken
 as CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
@@ -12,8 +14,8 @@ The power-independent closed forms depend on a span only through its
 fiber, so :func:`span_integrals` computes them once per distinct fiber,
 as ``[fiber, row, channel]`` (|beta2| and the cross integral) and
 ``[fiber, row]`` (the self integral) arrays; only what depends on the span
-length is per span (``[span]`` transfer and prefactor, ``[span, row]``
-coherent coefficient).  The |accumulated dispersion| that the correction
+length is per span (the ``[span]`` columns, ``[span, row]`` coherent
+coefficient).  The |accumulated dispersion| that the correction
 factors read is a ``[span, row, channel]`` running sum, built only for
 CFM2-CFM4, in row blocks; CFM1 contracts each fiber's cross integrals
 against the PSDs of its spans directly.  :func:`comb_nli_terms` is the
@@ -157,51 +159,134 @@ def zero_safe_pow(base, exponent: float):
                     out=np.zeros_like(b))
 
 
-def rho_cross(kind: CfmKind, a, phi_nch, roll_cut, roll_nch):
-    """Correction factor of a cross-interference term (CFM2-CFM4), as a
-    function of the |accumulated dispersion| (ps^2) of the interferer/CUT
-    pair at the span input, the one feature that changes from span to span.
+@dataclass(frozen=True)
+class RhoLayout:
+    """Where a correction factor reads a1..a24 (0-based).  Both factors are
+    ``a[i] + a[i+1] phi^a[i+2] + a[i+3] phi^a[i+4] (1 (+ c rate^e) + b br^p)``
+    with ``i = first``, ``(c, e) = rate`` and ``br = max(acc + o, floor)``
+    for ``(b, o, p) = bracket``, times ``1 + sum c x^e`` over ``rolls``
+    ``(c, e, feature x)`` for CFM4.  Features that can be 0 take
+    :func:`zero_safe_pow`."""
 
-    ``a`` holds the coefficients a1..a24 0-based.  Arguments broadcast.
-    """
-    offset = a[0] + a[1] * zero_safe_pow(phi_nch, a[2])
-    scale = a[3] * zero_safe_pow(phi_nch, a[4])
+    first: int
+    rate: tuple[int, int] | None
+    bracket: tuple[int, int, int]
+    rolls: tuple[tuple[int, int, str], ...]
+
+
+# The layout of each correction factor, by the term it weights.
+RHO_LAYOUT = {
+    "self": RhoLayout(8, (13, 14), (15, 16, 17), ((22, 23, "roll_cut"),)),
+    "cross": RhoLayout(0, None, (5, 6, 7),
+                       ((18, 19, "roll_cut"), (20, 21, "roll_nch"))),
+}
+
+
+def _rho(layout: RhoLayout, kind: CfmKind, a, phi, rate=None, **rolls):
+    """The correction factor of ``layout`` as a function of the
+    |accumulated dispersion| (ps^2) at the span input, the one feature that
+    changes from span to span; ``rolls`` by feature name.  Broadcasts."""
+    i = layout.first
+    offset = a[i] + a[i + 1] * zero_safe_pow(phi, a[i + 2])
+    scale = a[i + 3] * zero_safe_pow(phi, a[i + 4])
+    inner = (1.0 if layout.rate is None
+             else 1.0 + a[layout.rate[0]] * rate ** a[layout.rate[1]])
     roll = None
     if kind is CfmKind.CFM4:
-        roll = (1.0 + a[18] * zero_safe_pow(roll_cut, a[19])
-                + a[20] * zero_safe_pow(roll_nch, a[21]))
+        roll = 1.0
+        for c, e, name in layout.rolls:
+            roll = roll + a[c] * zero_safe_pow(rolls[name], a[e])
+    b, o, p = layout.bracket
 
     def rho(abs_acc):
-        br = np.maximum(abs_acc + a[6], _BRACKET_FLOOR)
-        out = offset + scale * (1.0 + a[5] * br ** a[7])
+        br = np.maximum(abs_acc + a[o], _BRACKET_FLOOR)
+        out = offset + scale * (inner + a[b] * br ** a[p])
         return out if roll is None else out * roll
     return rho
+
+
+def rho_cross(kind: CfmKind, a, phi_nch, roll_cut, roll_nch):
+    """Correction factor of a cross-interference term (CFM2-CFM4), as a
+    function of the |accumulated dispersion| of the interferer/CUT pair."""
+    return _rho(RHO_LAYOUT["cross"], kind, a, phi_nch, roll_cut=roll_cut,
+                roll_nch=roll_nch)
 
 
 def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
     """Correction factor of the self-interference term (CFM2-CFM4), as a
-    function of the CUT's |accumulated dispersion|; see :func:`rho_cross`."""
-    offset = a[8] + a[9] * zero_safe_pow(phi_cut, a[10])
-    scale = a[11] * zero_safe_pow(phi_cut, a[12])
-    rate_term = 1.0 + a[13] * rate ** a[14]
-    roll = None
-    if kind is CfmKind.CFM4:
-        roll = 1.0 + a[22] * zero_safe_pow(roll_cut, a[23])
+    function of the CUT's |accumulated dispersion|."""
+    return _rho(RHO_LAYOUT["self"], kind, a, phi_cut, rate, roll_cut=roll_cut)
 
-    def rho(abs_acc):
-        br = np.maximum(abs_acc + a[16], _BRACKET_FLOOR)
-        out = offset + scale * (rate_term + a[15] * br ** a[17])
-        return out if roll is None else out * roll
-    return rho
+
+def rho_partials(layout: RhoLayout, a, feat: dict, log: dict, cfm4: bool):
+    """Yield ``(k, d rho / d a_k)`` for every coefficient the correction
+    factor of ``layout`` reads (the roll-offs only if ``cfm4``), from the
+    features ``feat`` by name and their logarithms ``log``, 0 where the
+    feature is 0: a zero-safe power does not move with its exponent.  A
+    floored bracket does not move with its offset."""
+    i = layout.first
+    phi, ln_phi = feat["phi"], log["phi"]
+    p_off, p_sc = zero_safe_pow(phi, a[i + 2]), zero_safe_pow(phi, a[i + 4])
+    scale = a[i + 3] * p_sc
+    b, o, p = layout.bracket
+    raw = feat["acc"] + a[o]
+    br = np.maximum(raw, _BRACKET_FLOOR)
+    pow_br = br ** a[p]
+    inner = 1.0 + a[b] * pow_br
+    if layout.rate is not None:
+        rc, re = layout.rate
+        pow_rate = feat["rate"] ** a[re]
+        inner = inner + a[rc] * pow_rate
+    roll = np.ones_like(phi)
+    roll_pows = []
+    for c, e, name in layout.rolls if cfm4 else ():
+        pow_roll = zero_safe_pow(feat[name], a[e])
+        roll_pows.append((c, e, pow_roll, log[name]))
+        roll = roll + a[c] * pow_roll
+    yield i, roll
+    yield i + 1, p_off * roll
+    yield i + 2, a[i + 1] * p_off * ln_phi * roll
+    yield i + 3, p_sc * inner * roll
+    yield i + 4, a[i + 3] * p_sc * ln_phi * inner * roll
+    if layout.rate is not None:
+        yield rc, scale * pow_rate * roll
+        yield re, scale * a[rc] * pow_rate * log["rate"] * roll
+    yield b, scale * pow_br * roll
+    yield o, np.where(raw > _BRACKET_FLOOR,
+                      scale * a[b] * a[p] * pow_br / br * roll, 0.0)
+    yield p, scale * a[b] * pow_br * np.log(br) * roll
+    core = a[i] + a[i + 1] * p_off + scale * inner
+    for c, e, pow_roll, ln_roll in roll_pows:
+        yield c, core * pow_roll
+        yield e, core * a[c] * pow_roll * ln_roll
 
 
 # ---------------------------------------------------------------------------
 # Propagation
 
 
+@dataclass(frozen=True)
+class SpanColumns:
+    """A link's spans as ``[span]`` arrays, flat in frequency."""
+
+    length: np.ndarray  # (km)
+    loss: np.ndarray  # fiber power transmission exp(-2 alpha L)
+    transfer: np.ndarray  # lumped gain times loss
+    prefactor: np.ndarray  # 16/27 gamma^2 times the transfer
+
+
 def span_transfer(link: LinkSpec) -> np.ndarray:
     """Lumped gain times fiber loss of every span (flat in frequency)."""
     return np.array([s.gain_lin * s.span_loss_lin for s in link.spans])
+
+
+def span_columns(link: LinkSpec) -> SpanColumns:
+    """The link's span columns."""
+    gamma, length, loss = np.array([(s.fiber.gamma, s.length_km,
+                                     s.span_loss_lin) for s in link.spans]).T
+    transfer = span_transfer(link)
+    return SpanColumns(length=length, loss=loss, transfer=transfer,
+                       prefactor=(16.0 / 27.0) * gamma ** 2 * transfer)
 
 
 def propagate(transfer: np.ndarray, terms) -> np.ndarray:
@@ -247,7 +332,7 @@ def comb_arrays(link: LinkSpec, power: np.ndarray | None = None
         power = np.fromiter(chain.from_iterable(c.power_w_per_span
                                                 for c in chans),
                             float, count=len(chans) * link.n_spans
-                            ).reshape(len(chans), -1).T
+                            ).reshape(len(chans), link.n_spans).T
     return CombArrays(
         f=np.array([c.f_center for c in chans]),
         rate=np.array([c.symbol_rate for c in chans]),
@@ -265,18 +350,15 @@ def _own_column(rows, n_channels: int):
 
 
 @dataclass(frozen=True)
-class SpanIntegrals:
-    """Closed-form kernel integrals of a link; a row is a channel taken as
-    CUT, a column an interferer.
+class SpanIntegrals(SpanColumns):
+    """Closed-form kernel integrals of a link, with its span columns; a row
+    is a channel taken as CUT, a column an interferer.
 
     The power-independent closed forms depend on a span only through its
     fiber, so they are held once per distinct fiber, ``fiber[n]`` being the
     one of span ``n``; what depends on the span length is held per span.
     """
 
-    transfer: np.ndarray  # [span]: gain times loss
-    prefactor: np.ndarray  # [span]: 16/27 gamma^2 times the transfer
-    length: np.ndarray  # [span] (km)
     fiber: np.ndarray  # [span]: index of the span's fiber
     spans_of_fiber: tuple[list[int], ...]  # [fiber]: its span indices
     beta2: np.ndarray  # [fiber, row, channel]: effective beta2 (ps^2/km)
@@ -311,9 +393,7 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     beta2, beta3, f_ref, two_alpha = np.array(
         [(fb.beta2, fb.beta3, fb.f_ref, fb.two_alpha)
          for fb in groups]).T[:, :, None, None]
-    gamma, length = np.array([(s.fiber.gamma, s.length_km)
-                              for s in link.spans]).T
-    transfer = span_transfer(link)
+    cols = span_columns(link)
     fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
     own = _own_column(rows, len(ch.f))
     f, rate = ch.f, ch.rate
@@ -330,7 +410,7 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     den = 2.0 * math.pi * d * two_alpha_f
     arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
     d_s, den_s, two_alpha_s = d[fiber], den[fiber], two_alpha_f[fiber]
-    length_s = length[:, None]
+    length_s = cols.length[:, None]
     si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
     # i_cross = (asinh(scale * upper) - asinh(scale * lower))
     #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
@@ -346,9 +426,7 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     with np.errstate(divide="ignore", invalid="ignore"):
         i_cross /= den_cross
         return SpanIntegrals(
-            transfer=transfer,
-            prefactor=(16.0 / 27.0) * gamma ** 2 * transfer,
-            length=length, fiber=fiber,
+            **vars(cols), fiber=fiber,
             spans_of_fiber=tuple(groups.values()),
             beta2=b2, abs_beta2=m, i_cross=i_cross,
             i_self=np.arcsinh(arg) / den,

@@ -108,6 +108,9 @@ def parse_system(doc: dict) -> LinkSpec:
     _require(doc, "", {"version", "spans", "channels", "cut_index"},
              {"version", "spans", "channels", "cut_index"})
     _check_version(doc, "")
+    for key in ("spans", "channels"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"/{key}", "must be an array")
 
     spans = []
     for i, node in enumerate(doc["spans"]):

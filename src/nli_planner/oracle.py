@@ -1,5 +1,7 @@
 """Numerical GN-model benchmark: 2-D quadrature of the single-span NLI PSD
 with rectangular channel spectra and incoherent multi-span accumulation.
+The comb and spans are read as ``cfm.comb_arrays`` and
+``cfm.span_columns`` give them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import _check_n_end, propagate, span_transfer
+from .cfm import (CombArrays, SpanColumns, _check_n_end, comb_arrays,
+                  propagate, span_columns, span_transfer)
 from .types import (ChannelSpec, FiberParams, LinkSpec, SpanConfig,
                     ValidationError, fiber_groups)
 
@@ -69,10 +72,6 @@ class QuadratureStats:
     rel_change: float  # between the last two levels
     pairs_kept: int  # channel pairs (i <= j) integrated
     pairs_pruned: int  # pairs whose third frequency misses the comb
-
-
-def _active(comb: tuple[ChannelSpec, ...]) -> list[ChannelSpec]:
-    return [c for c in comb if c.active]
 
 
 # Kernel elements (pairs x rows of f1 x points of f2) per chunk of one
@@ -161,15 +160,13 @@ class _CombPairs:
     channel pairs whose third frequency f1 + f2 - f can land in the comb.
     """
 
-    def __init__(self, comb: tuple[ChannelSpec, ...], f_eval: float):
-        self.channels = _active(comb)
+    def __init__(self, ch: CombArrays, f_eval: float):
+        self.channels = np.flatnonzero(ch.active)  # comb indices
         self.f_eval = f_eval
-        lo = np.array([c.f_center - c.symbol_rate / 2.0
-                       for c in self.channels])
-        hi = np.array([c.f_center + c.symbol_rate / 2.0
-                       for c in self.channels])
+        self.centers = ch.f[self.channels]
+        half = ch.rate[self.channels] / 2.0
+        lo, hi = self.centers - half, self.centers + half
         self.lo, self.hi = lo, hi
-        self.centers = np.array([c.f_center for c in self.channels])
         self.breaks = np.unique(np.concatenate((lo, hi)))
         self.edge_index = (np.searchsorted(self.breaks, lo),
                            np.searchsorted(self.breaks, hi))
@@ -190,13 +187,13 @@ class _CombPairs:
 
 
 class _SpanTerms:
-    """The part of the integrand that is one span's own: the comb PSD table
-    of its launch powers, the pair weights, its length, loss and
-    prefactor."""
+    """The part of the integrand that is span ``index``'s own: the comb PSD
+    table of its launch PSDs ``psd`` (W/THz) of the active channels, the pair
+    weights, its length, loss and prefactor."""
 
-    def __init__(self, pairs: _CombPairs, span: SpanConfig, span_index: int):
-        psd = np.array([c.psd(span_index) for c in pairs.channels])
-        self.index = span_index
+    def __init__(self, pairs: _CombPairs, psd: np.ndarray, cols: SpanColumns,
+                 index: int):
+        self.index = index
         # The comb PSD on [breaks[k-1], breaks[k]) is table[k], so that
         # table[searchsorted(breaks, x, side="right")] samples it with the
         # channels' [lo, hi) edges; outside the comb it reads zero.  Each
@@ -208,10 +205,9 @@ class _SpanTerms:
         # psd_i psd_j, doubled off the diagonal for the (j, i) term.
         self.pair_weight = psd[pairs.i] * psd[pairs.j]
         self.pair_weight[pairs.i != pairs.j] *= 2.0
-        self.length = span.length_km
-        self.loss = span.span_loss_lin
-        self.prefactor = ((16.0 / 27.0) * span.fiber.gamma ** 2
-                          * span.gain_lin * self.loss)
+        self.length, self.loss, self.prefactor = (
+            float(col[index]) for col in (cols.length, cols.loss,
+                                           cols.prefactor))
 
 
 class _FiberGroup:
@@ -238,7 +234,7 @@ class _FiberGroup:
         b2_scale = abs(fiber.beta2 + math.pi * fiber.beta3
                        * 2.0 * (f_eval - fiber.f_ref))
         nu = np.abs(pairs.centers - f_eval)
-        ridge = np.full(len(pairs.channels), math.inf)
+        ridge = np.full(len(pairs.centers), math.inf)
         if b2_scale > 0.0:
             near = nu > 0.0
             ridge[near] = fiber.two_alpha / (4.0 * math.pi ** 2 * b2_scale
@@ -352,20 +348,6 @@ class _FiberGroup:
                 sums[m, pairs] = part.sum(axis=1)
 
 
-class _SpanIntegrand(_FiberGroup):
-    """The GN integrand of one span at ``f_eval``: a fiber group of one."""
-
-    def __init__(self, span: SpanConfig, comb: tuple[ChannelSpec, ...],
-                 f_eval: float, span_index: int):
-        pairs = _CombPairs(comb, f_eval)
-        super().__init__(pairs, span.fiber,
-                         [_SpanTerms(pairs, span, span_index)])
-
-    def level(self, res: int) -> float:
-        """Single-span NLI PSD with ``res`` grid points per channel."""
-        return self.levels(res, self.spans)[0]
-
-
 def _converge(groups: list[_FiberGroup], q: QuadratureConfig,
               ) -> dict[int, tuple[float, QuadratureStats]]:
     """Each span's PSD and stats, by span index.
@@ -410,20 +392,15 @@ def _converge(groups: list[_FiberGroup], q: QuadratureConfig,
     return out
 
 
-def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
-                f_eval: float, q: QuadratureConfig | None = None,
-                span_index: int = 0) -> float:
-    """Single-span GN-model NLI PSD (W/THz) at ``f_eval`` by 2-D quadrature.
-
-    Converges by doubling the per-channel resolution until two successive
-    results agree within the configured tolerance; raises
-    :class:`QuadratureError` rather than evaluate a level above
-    ``q.max_points_per_channel``.
-    """
-    if not _active(comb):
-        return 0.0
-    integrand = _SpanIntegrand(span, comb, f_eval, span_index)
-    return _converge([integrand], q or QuadratureConfig())[span_index][0]
+def _fiber_groups(link: LinkSpec, ch: CombArrays, f_eval: float,
+                  n_end: int) -> list[_FiberGroup]:
+    """The first ``n_end`` spans of a link with comb ``ch``, by fiber."""
+    pairs = _CombPairs(ch, f_eval)
+    cols = span_columns(link)
+    psd = ch.power[:, pairs.channels] / ch.rate[pairs.channels]
+    return [_FiberGroup(pairs, fiber, [_SpanTerms(pairs, psd[n], cols, n)
+                                       for n in spans])
+            for fiber, spans in fiber_groups(link.spans[:n_end]).items()]
 
 
 def gn_span_psds(link: LinkSpec, f_eval: float,
@@ -432,24 +409,32 @@ def gn_span_psds(link: LinkSpec, f_eval: float,
     """The GN-model NLI PSD (W/THz) at ``f_eval`` of each of the first
     ``n_end`` spans, with how each span's quadrature converged.
 
-    Each value is the one :func:`gn_span_psd` gives for that span.  The
-    comb set-up is built once per link and each level is evaluated once
-    per group of spans sharing a fiber, while every span keeps its own
-    doubling and stopping level.  If several spans fail to converge, the
-    :class:`QuadratureError` of the lowest span index is raised.
+    Each span doubles its resolution until two levels agree within
+    ``q.rel_tol``.  The comb set-up is built once per link and a level
+    once per group of spans sharing a fiber.  A span that would need a
+    level above ``q.max_points_per_channel`` raises
+    :class:`QuadratureError`, the lowest such span's if several do.
     """
     n_end = _check_n_end(link, n_end)
-    if not _active(link.channels):
+    ch = comb_arrays(link)
+    if not ch.active.any():
         return np.zeros(n_end), (QuadratureStats(0, 0.0, 0, 0),) * n_end
-    pairs = _CombPairs(link.channels, f_eval)
-    done = _converge([_FiberGroup(pairs, fiber,
-                                  [_SpanTerms(pairs, link.spans[n], n)
-                                   for n in spans])
-                      for fiber, spans in
-                      fiber_groups(link.spans[:n_end]).items()],
+    done = _converge(_fiber_groups(link, ch, f_eval, n_end),
                      q or QuadratureConfig())
     return (np.array([done[n][0] for n in range(n_end)]),
             tuple(done[n][1] for n in range(n_end)))
+
+
+def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
+                f_eval: float, q: QuadratureConfig | None = None,
+                span_index: int = 0) -> float:
+    """Single-span GN-model NLI PSD (W/THz) at ``f_eval``, the channels of
+    ``comb`` launched with their powers into span ``span_index``: the
+    :func:`gn_span_psds` of a one-span link."""
+    channels = tuple(c.with_powers((c.power_w_per_span[span_index],))
+                     for c in comb)
+    link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
+    return float(gn_span_psds(link, f_eval, q)[0][0])
 
 
 def gn_rx_psd(link: LinkSpec, f_eval: float,

@@ -11,7 +11,8 @@ import numpy as np
 from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import _check_n_end, propagate, rx_nli_psds, span_transfer
+from .cfm import (_check_n_end, comb_arrays, propagate, rx_nli_psds,
+                  span_transfer)
 from .types import LinkSpec, ModelVariant, ModulationFormat, SpanConfig
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls them.
@@ -104,14 +105,12 @@ def link_report(link: LinkSpec, rx_nli_psd: np.ndarray,
     """Received power, ASE, NLI power and SNR of every truncation, from
     the receiver NLI PSD (W/THz) of ``cfm.rx_nli_psds`` or a quadrature:
     ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows``."""
-    chans = link.channels if rows is None else (link.channels[rows],)
-    rate = np.array([c.symbol_rate for c in chans])
-    p_launch = np.array([c.power_w_per_span if c.active
-                         else (math.nan,) * link.n_spans for c in chans]).T
-    loss, gain = np.array([(s.span_loss_lin, s.gain_lin)
-                           for s in link.spans]).T[:, :, None]
-    p_rx = p_launch * loss * gain
-    p_ase = rx_ase_psd(link, np.array([c.f_center for c in chans])) * rate
+    ch = comb_arrays(link)
+    cols = slice(None) if rows is None else [rows]
+    rate = ch.rate[cols]
+    p_launch = np.where(ch.active, ch.power, math.nan)[:, cols]
+    p_rx = p_launch * span_transfer(link)[:, None]
+    p_ase = rx_ase_psd(link, ch.f[cols]) * rate
     p_nli = rx_nli_psd * rate
     with np.errstate(invalid="ignore"):
         snr_db = 10.0 * np.log10(p_rx / (p_ase + p_nli))

@@ -8,7 +8,7 @@ seed fully determines a system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,21 +119,15 @@ def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
 
     if cfg.category == 5:
         forced = (ModulationFormat.PM_QPSK, ModulationFormat.PM_8QAM)
-        cut = channels[cut_index]
-        channels[cut_index] = ChannelSpec(
-            f_center=cut.f_center, symbol_rate=cut.symbol_rate,
-            roll_off=cut.roll_off, format=forced[rng.integers(2)],
-            power_w_per_span=cut.power_w_per_span, active=True)
+        channels[cut_index] = replace(channels[cut_index],
+                                      format=forced[rng.integers(2)])
 
     if cfg.category in (2, 4):
         for i, ch in enumerate(channels):
             if i == cut_index:
                 continue
             if rng.random() < 0.5:
-                channels[i] = ChannelSpec(
-                    f_center=ch.f_center, symbol_rate=ch.symbol_rate,
-                    roll_off=ch.roll_off, format=ch.format,
-                    power_w_per_span=ch.power_w_per_span, active=False)
+                channels[i] = replace(ch, active=False)
 
     return channels, cut_index
 

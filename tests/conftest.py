@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def make_system(seed: int, *, category: int = 1, band_width: float = 0.6,
     if optimize:
         link, _ = optimize_powers(link, rng)
     return link
+
+
+def permute_comb(link: LinkSpec, seed: int) -> tuple[LinkSpec, np.ndarray]:
+    """The link with its channels in a random order and ``cut_index``
+    pointing at the same channel, and the order: channel ``k`` of the
+    permuted link is channel ``perm[k]`` of ``link``."""
+    perm = np.random.default_rng(seed).permutation(len(link.channels))
+    return replace(link, channels=tuple(link.channels[i] for i in perm),
+                   cut_index=int(np.argmax(perm == link.cut_index))), perm
 
 
 def make_single_channel_link(*, n_spans: int = 1, length_km: float = 100.0,

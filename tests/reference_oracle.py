@@ -2,8 +2,9 @@
 
 One channel pair at a time, with the third-frequency PSD sampled by a loop
 over every channel and each pair's midpoint / sinh-graded grids built on
-their own.  The package evaluates the same level for many pairs at once
-(:class:`nli_planner.oracle._SpanIntegrand`); the tests compare the two.
+their own.  The package evaluates the same level for many pairs and spans
+at once (:meth:`nli_planner.oracle._FiberGroup.levels`); the tests compare
+the two.
 """
 
 from __future__ import annotations

@@ -19,11 +19,12 @@ import reference_cfm as ref
 from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, fileio
-from nli_planner.cfm import (LowDispersionWarning, ZeroDispersionError,
-                             coherence_bracket, coherence_brackets,
-                             comb_arrays, effective_beta2_cut,
-                             effective_beta2_xci, harmonic_number, nli_terms,
-                             propagate, rho_cross, rho_self, rx_nli_psd,
+from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
+                             ZeroDispersionError, coherence_bracket,
+                             coherence_brackets, comb_arrays,
+                             effective_beta2_cut, effective_beta2_xci,
+                             harmonic_number, nli_terms, propagate,
+                             rho_cross, rho_partials, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, sine_integral,
                              span_integrals, span_transfer)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
@@ -254,6 +255,26 @@ def test_correction_factors_vs_mpmath(kind):
             mpmath.mpf(repr(acc)), mpmath.mpf(repr(cut.symbol_rate)),
             mpmath.mpf(repr(cut.roll_off)), cfm4)
         assert got == pytest.approx(float(want), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", [CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4])
+def test_layout_assigns_each_coefficient_once(kind):
+    # The one coefficient table that both correction factors and their
+    # partial derivatives read: each coefficient of the variant belongs to
+    # exactly one factor and one slot of it, and the partials cover those.
+    cfm4 = kind is CfmKind.CFM4
+    feat = {name: np.array([0.5]) for name in
+            ("phi", "acc", "rate", "roll_cut", "roll_nch")}
+    log = {name: np.log(v) for name, v in feat.items()}
+    used = []
+    for layout in RHO_LAYOUT.values():
+        slots = [*range(layout.first, layout.first + 5), *(layout.rate or ()),
+                 *layout.bracket,
+                 *(k for c, e, _ in layout.rolls if cfm4 for k in (c, e))]
+        partials = rho_partials(layout, np.ones(24), feat, log, cfm4)
+        assert sorted(k for k, _ in partials) == sorted(slots)
+        used += slots
+    assert sorted(used) == list(range(kind.n_coefficients))
 
 
 def test_identity_coefficients_give_unit_factors():

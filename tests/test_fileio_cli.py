@@ -68,6 +68,20 @@ def test_unknown_fields_rejected():
         fileio.parse_system(doc)
 
 
+# A list field that holds no array.
+NOT_ARRAY_CASES = [("/spans", 5), ("/spans", {"0": {}}), ("/channels", 5),
+                   ("/channels", {"0": {}})]
+
+
+@pytest.mark.parametrize("where, value", NOT_ARRAY_CASES)
+def test_list_fields_must_be_arrays(where, value):
+    doc = fileio.system_to_json(make_system(82))
+    doc[where[1:]] = value
+    with pytest.raises(fileio.ParseError, match="must be an array") as info:
+        fileio.parse_system(doc)
+    assert info.value.pointer == where
+
+
 def test_future_version_rejected():
     doc = fileio.system_to_json(make_system(83))
     doc["version"] = 2
@@ -381,6 +395,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text('{"version": 1}')
     assert main(["evaluate", str(bad)]) == 3
     capsys.readouterr()
+    # Validation error: a list field that holds no array.
+    doc = fileio.system_to_json(make_system(86))
+    for where, value in NOT_ARRAY_CASES:
+        bad.write_text(json.dumps({**doc, where[1:]: value}))
+        assert main(["evaluate", str(bad)]) == 3
+        assert f"error: {where}: must be an array" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", [

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import reference_oracle as ref
-from conftest import make_single_channel_link, make_system
+from conftest import make_single_channel_link, make_system, permute_comb
 from nli_planner.campaign import GnOracleBenchmark
-from nli_planner.cfm import propagate, rx_nli_psd, span_transfer
+from nli_planner.cfm import (comb_arrays, propagate, rx_nli_psd,
+                             span_transfer)
 from nli_planner import assets, oracle
 from nli_planner.oracle import (QuadratureConfig, QuadratureError,
-                                _SpanIntegrand, gn_rx_psd, gn_span_psd,
-                                gn_span_psds)
+                                gn_rx_psd, gn_span_psd, gn_span_psds)
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat, SpanConfig, ValidationError)
@@ -231,14 +231,25 @@ _LEVEL_CASES = ([f"cat{c}-{p}" for c in range(1, 6) for p in CUT_POSITIONS]
                    "single-channel", "zero-dispersion"])
 
 
+def _span_level(span, comb, f_eval, span_index):
+    """The batched quadrature level of one span, as a function of the
+    points per channel: the one fiber group of a one-span link that
+    carries the comb's powers into span ``span_index``."""
+    channels = tuple(c.with_powers((c.power_w_per_span[span_index],))
+                     for c in comb)
+    link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
+    (group,) = oracle._fiber_groups(link, comb_arrays(link), f_eval, 1)
+    return lambda res: group.levels(res, group.spans)[0]
+
+
 @pytest.mark.parametrize("name", _LEVEL_CASES)
 def test_batched_level_matches_per_pair_reference(name):
     span, comb, f_eval, n = _level_case(name)
-    integrand = _SpanIntegrand(span, comb, f_eval, n)
+    level = _span_level(span, comb, f_eval, n)
     for res in (16, 32, 64, 128):
         want = ref._gn_span_psd_at_res(span, comb, f_eval, n, res)
         assert want > 0.0
-        assert integrand.level(res) == pytest.approx(want, rel=1e-12), res
+        assert level(res) == pytest.approx(want, rel=1e-12), res
 
 
 def _assert_quadrature_memory_bounded():
@@ -378,17 +389,38 @@ def test_span_psds_report_how_each_span_converged():
                for i in range(n_ch) for j in range(i, n_ch))
     assert 0 < kept < n_ch * (n_ch + 1) // 2
     for n, (psd, stat) in enumerate(zip(psds, stats)):
-        integrand = _SpanIntegrand(link.spans[n], link.channels, f, n)
+        level = _span_level(link.spans[n], link.channels, f, n)
         res = stat.points_per_channel
-        cur, prev = integrand.level(res), integrand.level(res // 2)
+        cur, prev = level(res), level(res // 2)
         assert psd == cur
         assert stat.rel_change == abs(cur - prev) / abs(cur) <= q.rel_tol
         if res > 2 * q.first_level:
             # The level before did not converge.
-            before = integrand.level(res // 4)
+            before = level(res // 4)
             assert abs(prev - before) > q.rel_tol * abs(prev)
         assert (stat.pairs_kept, stat.pairs_pruned) == (
             kept, n_ch * (n_ch + 1) // 2 - kept)
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       position=st.sampled_from(CUT_POSITIONS),
+       perm_seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_span_psds_do_not_depend_on_comb_order(seed, category, position,
+                                               perm_seed):
+    # The pair set and the comb tables come from the comb's arrays: listing
+    # the channels in another order keeps every span's pairs, and its PSD
+    # within the quadrature's tolerance.
+    link = make_system(seed, category=category, band_width=2.0, n_spans=6,
+                       cut_position=position)
+    shuffled, _ = permute_comb(link, perm_seed)
+    f = link.cut.f_center
+    q = QuadratureConfig()
+    want, want_stats = gn_span_psds(link, f, q)
+    got, got_stats = gn_span_psds(shuffled, f, q)
+    assert got == pytest.approx(want, rel=q.rel_tol, abs=0.0)
+    assert [(s.pairs_kept, s.pairs_pruned) for s in got_stats] == [
+        (s.pairs_kept, s.pairs_pruned) for s in want_stats]
 
 
 def test_span_psds_of_a_comb_with_no_active_channel():

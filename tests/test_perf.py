@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.constants import h as PLANCK_J_S
 
 import reference_cfm as ref
-from conftest import make_single_channel_link, make_system
+from conftest import make_single_channel_link, make_system, permute_comb
 from nli_planner import assets
 from nli_planner.campaign import CfmBenchmark
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
@@ -18,6 +18,7 @@ from nli_planner.perf import (ReachResult, SensitivityPolicy, UnreachableError,
                               ase_power, evaluate_all_channels, link_report,
                               max_reach, max_reach_scan, shannon_sensitivity,
                               snr, snr_report)
+from nli_planner.sysgen import CUT_POSITIONS
 from nli_planner.types import CfmKind, LinkSpec, ModulationFormat
 
 mpmath.mp.dps = 40
@@ -82,6 +83,30 @@ def test_snr_matches_components():
     p_rx = link.cut.power_w_per_span[n - 1] * last.span_loss_lin * last.gain_lin
     expected = 10 * math.log10(p_rx / (p_ase + p_nli))
     assert snr(link, variant, n) == pytest.approx(expected, rel=1e-12)
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       n_spans=st.integers(1, 6), position=st.sampled_from(CUT_POSITIONS),
+       perm_seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_snr_does_not_depend_on_comb_order(seed, category, n_spans, position,
+                                           perm_seed):
+    # Listing the channels in another order, the CUT remapped with them,
+    # gives every channel the same SNR at every truncation, for every
+    # variant, from every row and from the CUT row.
+    link = make_system(seed, category=category, band_width=2.0,
+                       n_spans=n_spans, cut_position=position)
+    shuffled, perm = permute_comb(link, perm_seed)
+    for kind in CfmKind:
+        variant = assets.model(kind)
+        want = link_report(link, rx_nli_psds(link, variant)).snr_db[:, perm]
+        got = link_report(shuffled, rx_nli_psds(shuffled, variant)).snr_db
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert got[ok] == pytest.approx(want[ok], rel=1e-12, abs=0.0)
+        cut = [snr(shuffled, variant, n) for n in range(1, n_spans + 1)]
+        assert cut == pytest.approx(want[:, shuffled.cut_index].tolist(),
+                                    rel=1e-12, abs=0.0)
 
 
 @given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
