@@ -14,10 +14,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import assets
-from .cfm import (RHO_LAYOUT, _check_n_end, coherence_brackets, comb_arrays,
+from .cfm import (RHO_LAYOUT, _check_n_end, coherence_brackets,
                   one_low_dispersion_warning, propagate, rho_cross,
-                  rho_partials, rho_self, rx_nli_psds, span_integrals,
-                  span_transfer)
+                  rho_partials, rho_self, rx_nli_psds, span_integrals)
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (SensitivityPolicy, UnreachableError, link_report,
                    max_reach_scan, snr)
@@ -98,7 +97,7 @@ class GnOracleBenchmark(_LastLinkBenchmark):
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         psds, self.last_stats = gn_span_psds(link, link.cut.f_center,
                                              self.quad)
-        return propagate(span_transfer(link), psds)[:, None]
+        return propagate(link.span_arrays.transfer, psds)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
     if link.n_spans < 2:
         raise ValueError("diagnostic needs at least two spans")
     c = link.cut_index
-    acc = span_integrals(link, comb_arrays(link), rows=c).abs_acc()[:, 0, c]
+    acc = span_integrals(link, rows=c).abs_acc()[:, 0, c]
     out = []
     prev_a, prev_b = 0.0, 0.0
     for n in range(1, link.n_spans + 1):
@@ -392,12 +391,12 @@ class _FitData:
         self._stacked: dict[str, _TermBlock] | None = None
 
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
-        ch = comb_arrays(link)
+        ch = link.comb
         c = link.cut_index
         g = ch.power[:reach] / ch.rate
         idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
-        s = span_integrals(link, ch, rows=c)
-        fiber = s.fiber[:reach]
+        s = span_integrals(link, rows=c)
+        fiber = s.spans.fiber[:reach]
         abs_acc = s.abs_acc()[:reach, 0]
         base = s.prefactor[:reach] * g[:, c]  # [span]
         sci_inc = base * g[:, c] ** 2 * s.i_self[fiber, 0]
@@ -412,7 +411,7 @@ class _FitData:
         xidx = np.tile(idx, reach)
         brackets = coherence_brackets(reach)
         # [truncation, span] propagation, in units of the benchmark power.
-        prop = (propagate(s.transfer[:reach], np.eye(reach))
+        prop = (propagate(s.spans.transfer[:reach], np.eye(reach))
                 * (ch.rate[c] / p_bmk)[:, None])
         self._append("self", prop * (sci_inc + brackets[:, None] * sci_coh),
                      phi=ch.phi[c], rate=ch.rate[c], roll_cut=ch.roll[c],

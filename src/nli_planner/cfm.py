@@ -5,8 +5,8 @@ term and one cross-interference term per co-propagating channel, each built
 from asinh closed forms of the underlying four-wave-mixing integrals.
 CFM2-CFM4 multiply those terms by fitted correction factors, laid out by
 :data:`RHO_LAYOUT`; CFM3/CFM4 additionally model coherent accumulation of
-the self term.  A link becomes arrays here alone: :func:`comb_arrays` and
-:func:`span_columns`.
+the self term.  The kernel reads the arrays a link carries (``link.comb``
+and ``link.span_arrays``); the span prefactor is :func:`span_prefactor`.
 
 :func:`nli_terms` computes all of it for rows that are the channels taken
 as CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
@@ -36,14 +36,13 @@ import math
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import sici
 
-from .types import (CfmKind, FiberParams, LinkSpec, ModelVariant,
-                    ValidationError, fiber_groups, phi_of_format)
+from .types import (CfmKind, CombArrays, FiberParams, LinkSpec,
+                    ModelVariant, SpanArrays, ValidationError)
 
 # Validity bound: below this effective |beta2| (ps^2/km) the closed forms
 # degrade and results are flagged rather than trusted.
@@ -265,28 +264,10 @@ def rho_partials(layout: RhoLayout, a, feat: dict, log: dict, cfm4: bool):
 # Propagation
 
 
-@dataclass(frozen=True)
-class SpanColumns:
-    """A link's spans as ``[span]`` arrays, flat in frequency."""
-
-    length: np.ndarray  # (km)
-    loss: np.ndarray  # fiber power transmission exp(-2 alpha L)
-    transfer: np.ndarray  # lumped gain times loss
-    prefactor: np.ndarray  # 16/27 gamma^2 times the transfer
-
-
-def span_transfer(link: LinkSpec) -> np.ndarray:
-    """Lumped gain times fiber loss of every span (flat in frequency)."""
-    return np.array([s.gain_lin * s.span_loss_lin for s in link.spans])
-
-
-def span_columns(link: LinkSpec) -> SpanColumns:
-    """The link's span columns."""
-    gamma, length, loss = np.array([(s.fiber.gamma, s.length_km,
-                                     s.span_loss_lin) for s in link.spans]).T
-    transfer = span_transfer(link)
-    return SpanColumns(length=length, loss=loss, transfer=transfer,
-                       prefactor=(16.0 / 27.0) * gamma ** 2 * transfer)
+def span_prefactor(spans: SpanArrays) -> np.ndarray:
+    """16/27 gamma^2 times the transfer of every span: the factor of the
+    NLI PSD that a span adds at its receiver end."""
+    return (16.0 / 27.0) * spans.gamma ** 2 * spans.transfer
 
 
 def propagate(transfer: np.ndarray, terms) -> np.ndarray:
@@ -309,38 +290,6 @@ def propagate(transfer: np.ndarray, terms) -> np.ndarray:
 # The kernel
 
 
-@dataclass(frozen=True)
-class CombArrays:
-    """Channel parameters and activity as ``[channel]`` arrays; launch power
-    (zero where inactive) as a ``[span, channel]`` matrix."""
-
-    f: np.ndarray
-    rate: np.ndarray
-    roll: np.ndarray
-    phi: np.ndarray
-    power: np.ndarray
-    active: np.ndarray
-
-
-def comb_arrays(link: LinkSpec, power: np.ndarray | None = None
-                ) -> CombArrays:
-    """Array view of the link's channels, with their launch powers or, if
-    given, the ``[span, channel]`` matrix ``power``."""
-    chans = link.channels
-    active = np.array([c.active for c in chans])
-    if power is None:
-        power = np.fromiter(chain.from_iterable(c.power_w_per_span
-                                                for c in chans),
-                            float, count=len(chans) * link.n_spans
-                            ).reshape(len(chans), link.n_spans).T
-    return CombArrays(
-        f=np.array([c.f_center for c in chans]),
-        rate=np.array([c.symbol_rate for c in chans]),
-        roll=np.array([c.roll_off for c in chans]),
-        phi=np.array([phi_of_format(c.format) for c in chans]),
-        power=np.where(active, power, 0.0), active=active)
-
-
 def _own_column(rows, n_channels: int):
     """Index of every row's own channel in a ``[fiber or span, row,
     channel]`` array: the CUT/CUT pair of each row.  ``rows`` is None
@@ -350,17 +299,17 @@ def _own_column(rows, n_channels: int):
 
 
 @dataclass(frozen=True)
-class SpanIntegrals(SpanColumns):
-    """Closed-form kernel integrals of a link, with its span columns; a row
+class SpanIntegrals:
+    """Closed-form kernel integrals of a link, with its span arrays; a row
     is a channel taken as CUT, a column an interferer.
 
     The power-independent closed forms depend on a span only through its
-    fiber, so they are held once per distinct fiber, ``fiber[n]`` being the
-    one of span ``n``; what depends on the span length is held per span.
+    fiber, so they are held once per distinct fiber (``spans.fiber``);
+    what depends on the span length is held per span.
     """
 
-    fiber: np.ndarray  # [span]: index of the span's fiber
-    spans_of_fiber: tuple[list[int], ...]  # [fiber]: its span indices
+    spans: SpanArrays
+    prefactor: np.ndarray  # [span]: span_prefactor(spans)
     beta2: np.ndarray  # [fiber, row, channel]: effective beta2 (ps^2/km)
     abs_beta2: np.ndarray  # [fiber, row, channel]
     i_cross: np.ndarray  # [fiber, row, channel]
@@ -372,31 +321,26 @@ class SpanIntegrals(SpanColumns):
         ``[span, row, channel]`` for the rows ``rows`` of this result: the
         exclusive running sum of beta2 * L over the spans, in span order."""
         b2 = self.beta2[:, rows]
-        acc = np.zeros((len(self.fiber),) + b2.shape[1:])
-        step = b2[self.fiber[:-1]]
-        step *= self.length[:-1, None, None]
+        acc = np.zeros((len(self.prefactor),) + b2.shape[1:])
+        step = b2[self.spans.fiber[:-1]]
+        step *= self.spans.length[:-1, None, None]
         np.cumsum(step, axis=0, out=acc[1:])
         return np.abs(acc, out=acc)
 
 
-def span_integrals(link: LinkSpec, ch: CombArrays,
+def span_integrals(link: LinkSpec,
                    rows: int | np.ndarray | None = None) -> SpanIntegrals:
     """The integrals of every fiber and span of the link, with every channel
     as CUT (``rows=None``) or only channel(s) ``rows``.  A pair with zero
     dispersion gives inf or NaN entries; callers mask the ones they do not
     use."""
-    groups = fiber_groups(link.spans)
-    fiber = np.empty(link.n_spans, dtype=np.intp)
-    for k, spans in enumerate(groups.values()):
-        fiber[spans] = k
+    spans, f, rate = link.span_arrays, link.comb.f, link.comb.rate
     # Fiber parameters as [fiber, 1, 1] columns.
     beta2, beta3, f_ref, two_alpha = np.array(
         [(fb.beta2, fb.beta3, fb.f_ref, fb.two_alpha)
-         for fb in groups]).T[:, :, None, None]
-    cols = span_columns(link)
+         for fb in spans.fibers]).T[:, :, None, None]
     fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
-    own = _own_column(rows, len(ch.f))
-    f, rate = ch.f, ch.rate
+    own = _own_column(rows, len(f))
     f_cut, rate_cut = f[own[2]], rate[own[2]]  # [row]
     df = f - f_cut[:, None]
     upper = df + rate / 2.0
@@ -409,8 +353,8 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     two_alpha_f = two_alpha[:, 0]
     den = 2.0 * math.pi * d * two_alpha_f
     arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
-    d_s, den_s, two_alpha_s = d[fiber], den[fiber], two_alpha_f[fiber]
-    length_s = cols.length[:, None]
+    d_s, den_s, two_alpha_s = (a[spans.fiber] for a in (d, den, two_alpha_f))
+    length_s = spans.length[:, None]
     si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
     # i_cross = (asinh(scale * upper) - asinh(scale * lower))
     #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
@@ -426,9 +370,8 @@ def span_integrals(link: LinkSpec, ch: CombArrays,
     with np.errstate(divide="ignore", invalid="ignore"):
         i_cross /= den_cross
         return SpanIntegrals(
-            **vars(cols), fiber=fiber,
-            spans_of_fiber=tuple(groups.values()),
-            beta2=b2, abs_beta2=m, i_cross=i_cross,
+            spans=spans, prefactor=span_prefactor(spans), beta2=b2,
+            abs_beta2=m, i_cross=i_cross,
             i_self=np.arcsinh(arg) / den,
             i_coherent=2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
             / den_s)
@@ -484,7 +427,7 @@ def nli_terms(link: LinkSpec, variant: ModelVariant,
     it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
     A row with a zero-dispersion term holds inf or NaN.
     """
-    return comb_nli_terms(link, comb_arrays(link), variant, rows)
+    return comb_nli_terms(link, link.comb, variant, rows)
 
 
 def _zero_non_cross(xci: np.ndarray, active: np.ndarray,
@@ -503,11 +446,11 @@ def _plain_cross(s: SpanIntegrals, ch: CombArrays, own: tuple,
     one contraction per fiber of its cross integrals against the squared
     PSDs of its spans, the spans of each fiber adjacent in one matrix."""
     xci = _zero_non_cross(s.i_cross, ch.active, own)
-    by_fiber = np.take(g2, np.concatenate(s.spans_of_fiber), axis=0,
+    by_fiber = np.take(g2, np.concatenate(s.spans.spans_of_fiber), axis=0,
                        out=np.empty(g2.shape, order="F"))
     cross = np.empty((len(g2), xci.shape[1]))
     start = 0
-    for k, spans in enumerate(s.spans_of_fiber):
+    for k, spans in enumerate(s.spans.spans_of_fiber):
         part = by_fiber[start:start + len(spans), :, None]
         cross[spans] = np.matmul(xci[k], part)[:, :, 0]
         start += len(spans)
@@ -525,7 +468,7 @@ def _corrected_cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
     acc = s.abs_acc(block)
     xci = rho_cross(variant.kind, variant.coefficients.a, ch.phi,
                     ch.roll[cuts[block], None], ch.roll)(acc)
-    xci *= s.i_cross[:, block][s.fiber]
+    xci *= s.i_cross[:, block][s.spans.fiber]
     _zero_non_cross(xci, ch.active, own)
     return (xci @ g2[:, :, None])[:, :, 0], acc[own]
 
@@ -536,13 +479,13 @@ def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
     whose launch powers may differ from the link's."""
     if rows is not None and not ch.active[rows]:
         raise ValidationError("CUT inactive")
-    s = span_integrals(link, ch, rows)
+    s = span_integrals(link, rows)
     own = _own_column(rows, len(ch.f))
     cuts = own[2]
     g = ch.power / ch.rate  # [span, channel] effective PSDs
     g_cut = g[:, cuts]
     # The squared PSDs are contracted as column-major [span, channel]
-    # matrices, the layout comb_arrays gives a link's powers: BLAS sums
+    # matrices, the layout link.comb gives a link's powers: BLAS sums
     # each span's dot product in an order set by that layout, so every
     # caller and variant gets the same sums.
     g2 = np.square(g, out=np.empty(g.shape, order="F"))
@@ -561,10 +504,10 @@ def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
             sci = rho_self(kind, variant.coefficients.a, ch.phi[cuts],
                            ch.rate[cuts], ch.roll[cuts])(acc_own) * g_cut ** 2
         psd = s.prefactor[:, None] * g_cut
-        base = psd * (sci * s.i_self[s.fiber] + 2.0 * cross)
+        base = psd * (sci * s.i_self[s.spans.fiber] + 2.0 * cross)
         coherent = (psd * sci * s.i_coherent if kind.coherent_sci
                     else np.zeros_like(base))
-    return NliTerms(transfer=s.transfer, base=base, coherent=coherent,
+    return NliTerms(transfer=s.spans.transfer, base=base, coherent=coherent,
                     active=ch.active[cuts],
                     min_abs_beta2=np.min(s.abs_beta2, axis=(0, 2),
                                          where=ch.active, initial=np.inf))

@@ -18,8 +18,7 @@ from . import fileio
 from .campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                        GnOracleBenchmark, fit_coefficients, run_campaign)
 from .cfm import (ZeroDispersionError, _check_n_end,
-                  one_low_dispersion_warning, propagate, rx_nli_psds,
-                  span_transfer)
+                  one_low_dispersion_warning, propagate, rx_nli_psds)
 from .oracle import QuadratureConfig, QuadratureError, gn_span_psds
 from .perf import UnreachableError, link_report, max_reach_scan
 from .poweropt import optimize_powers
@@ -151,6 +150,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.threshold_db is not None and not np.isfinite(args.threshold_db):
+        raise ValueError("--threshold-db must be finite")
     link = fileio.load_system(args.system)
     variant = fileio.variant_from_files(_variant(args), args.coefficients)
     doc: dict = {"version": 1, "model": variant.kind.value,
@@ -235,7 +236,7 @@ def _cmd_oracle(args) -> int:
     quad = QuadratureConfig(points_per_channel=args.points_per_channel,
                             rel_tol=args.rel_tol)
     psds, stats = gn_span_psds(link, f_eval, quad, n_end)
-    psd = float(propagate(span_transfer(link)[:n_end], psds)[-1])
+    psd = float(propagate(link.span_arrays.transfer[:n_end], psds)[-1])
     # The NLI power in the band [f_c - R/2, f_c + R/2) of the active
     # channel holding f_eval, the CUT first where channels overlap; none
     # in a gap between channels.

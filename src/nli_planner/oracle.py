@@ -1,7 +1,7 @@
 """Numerical GN-model benchmark: 2-D quadrature of the single-span NLI PSD
 with rectangular channel spectra and incoherent multi-span accumulation.
-The comb and spans are read as ``cfm.comb_arrays`` and
-``cfm.span_columns`` give them.
+The comb and spans are read from the arrays a link carries (``link.comb``
+and ``link.span_arrays``), the span prefactor from ``cfm.span_prefactor``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import (CombArrays, SpanColumns, _check_n_end, comb_arrays,
-                  propagate, span_columns, span_transfer)
-from .types import (ChannelSpec, FiberParams, LinkSpec, SpanConfig,
-                    ValidationError, fiber_groups)
+from .cfm import _check_n_end, propagate, span_prefactor
+from .types import (ChannelSpec, CombArrays, FiberParams, LinkSpec,
+                    SpanConfig, ValidationError)
 
 
 class QuadratureError(RuntimeError):
@@ -189,10 +188,10 @@ class _CombPairs:
 class _SpanTerms:
     """The part of the integrand that is span ``index``'s own: the comb PSD
     table of its launch PSDs ``psd`` (W/THz) of the active channels, the pair
-    weights, its length, loss and prefactor."""
+    weights, its length, loss and prefactor (``[span]`` columns ``cols``)."""
 
-    def __init__(self, pairs: _CombPairs, psd: np.ndarray, cols: SpanColumns,
-                 index: int):
+    def __init__(self, pairs: _CombPairs, psd: np.ndarray,
+                 cols: tuple[np.ndarray, ...], index: int):
         self.index = index
         # The comb PSD on [breaks[k-1], breaks[k]) is table[k], so that
         # table[searchsorted(breaks, x, side="right")] samples it with the
@@ -205,9 +204,8 @@ class _SpanTerms:
         # psd_i psd_j, doubled off the diagonal for the (j, i) term.
         self.pair_weight = psd[pairs.i] * psd[pairs.j]
         self.pair_weight[pairs.i != pairs.j] *= 2.0
-        self.length, self.loss, self.prefactor = (
-            float(col[index]) for col in (cols.length, cols.loss,
-                                           cols.prefactor))
+        self.length, self.loss, self.prefactor = (float(col[index])
+                                                   for col in cols)
 
 
 class _FiberGroup:
@@ -392,15 +390,17 @@ def _converge(groups: list[_FiberGroup], q: QuadratureConfig,
     return out
 
 
-def _fiber_groups(link: LinkSpec, ch: CombArrays, f_eval: float,
+def _fiber_groups(link: LinkSpec, f_eval: float,
                   n_end: int) -> list[_FiberGroup]:
-    """The first ``n_end`` spans of a link with comb ``ch``, by fiber."""
+    """The first ``n_end`` spans of a link, by fiber."""
+    ch, spans = link.comb, link.span_arrays
     pairs = _CombPairs(ch, f_eval)
-    cols = span_columns(link)
+    cols = spans.length, spans.loss, span_prefactor(spans)
     psd = ch.power[:, pairs.channels] / ch.rate[pairs.channels]
     return [_FiberGroup(pairs, fiber, [_SpanTerms(pairs, psd[n], cols, n)
-                                       for n in spans])
-            for fiber, spans in fiber_groups(link.spans[:n_end]).items()]
+                                       for n in members.tolist() if n < n_end])
+            for fiber, members in zip(spans.fibers, spans.spans_of_fiber)
+            if members[0] < n_end]
 
 
 def gn_span_psds(link: LinkSpec, f_eval: float,
@@ -416,10 +416,9 @@ def gn_span_psds(link: LinkSpec, f_eval: float,
     :class:`QuadratureError`, the lowest such span's if several do.
     """
     n_end = _check_n_end(link, n_end)
-    ch = comb_arrays(link)
-    if not ch.active.any():
+    if not link.comb.active.any():
         return np.zeros(n_end), (QuadratureStats(0, 0.0, 0, 0),) * n_end
-    done = _converge(_fiber_groups(link, ch, f_eval, n_end),
+    done = _converge(_fiber_groups(link, f_eval, n_end),
                      q or QuadratureConfig())
     return (np.array([done[n][0] for n in range(n_end)]),
             tuple(done[n][1] for n in range(n_end)))
@@ -443,4 +442,4 @@ def gn_rx_psd(link: LinkSpec, f_eval: float,
     """Incoherent accumulation of the per-span quadrature values, propagated
     to the receiver exactly like the closed-form accumulation."""
     psds, _ = gn_span_psds(link, f_eval, q, n_end)
-    return float(propagate(span_transfer(link)[:len(psds)], psds)[-1])
+    return float(propagate(link.span_arrays.transfer[:len(psds)], psds)[-1])

@@ -11,9 +11,8 @@ import numpy as np
 from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import (_check_n_end, comb_arrays, propagate, rx_nli_psds,
-                  span_transfer)
-from .types import LinkSpec, ModelVariant, ModulationFormat, SpanConfig
+from .cfm import _check_n_end, propagate, rx_nli_psds
+from .types import LinkSpec, ModelVariant, ModulationFormat
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls them.
 from .cfm import rx_nli_psd, rx_nli_psd_all_channels
@@ -66,18 +65,18 @@ class ReachResult:
     snr_at_reach_db: float
 
 
-def span_ase_psd(span: SpanConfig, f_thz):
-    """ASE PSD (W/THz) the span's amplifier adds at f (THz; arrays
-    broadcast): NF * h * f * (gain - 1), nothing for gains below 1."""
-    nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
-    return (nf_lin * PLANCK_J_S * (f_thz * _THZ)
-            * max(span.gain_lin - 1.0, 0.0) * _THZ)
+def span_ase_psds(link: LinkSpec, f_thz) -> np.ndarray:
+    """ASE PSD (W/THz) each span's amplifier adds at f (THz), ``[span,
+    *f.shape]``: NF * h * f * (gain - 1), nothing for gains below 1."""
+    s = link.span_arrays
+    col = (...,) + (None,) * np.ndim(f_thz)
+    return (s.noise_figure[col] * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
+            * np.maximum(s.gain - 1.0, 0.0)[col] * _THZ)
 
 
 def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
     """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans."""
-    return propagate(span_transfer(link),
-                     [span_ase_psd(s, f_thz) for s in link.spans])
+    return propagate(link.span_arrays.transfer, span_ase_psds(link, f_thz))
 
 
 def ase_power(link: LinkSpec, n_end: int) -> float:
@@ -105,11 +104,11 @@ def link_report(link: LinkSpec, rx_nli_psd: np.ndarray,
     """Received power, ASE, NLI power and SNR of every truncation, from
     the receiver NLI PSD (W/THz) of ``cfm.rx_nli_psds`` or a quadrature:
     ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows``."""
-    ch = comb_arrays(link)
+    ch = link.comb
     cols = slice(None) if rows is None else [rows]
     rate = ch.rate[cols]
-    p_launch = np.where(ch.active, ch.power, math.nan)[:, cols]
-    p_rx = p_launch * span_transfer(link)[:, None]
+    p_launch = np.where(ch.active[cols], ch.power[:, cols], math.nan)
+    p_rx = p_launch * link.span_arrays.transfer[:, None]
     p_ase = rx_ase_psd(link, ch.f[cols]) * rate
     p_nli = rx_nli_psd * rate
     with np.errstate(invalid="ignore"):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assets
-from .cfm import (CombArrays, check_dispersion, comb_arrays, comb_nli_terms,
-                  one_low_dispersion_warning)
-from .perf import ase_power, span_ase_psd
-from .types import CfmKind, ChannelSpec, LinkSpec, ModelVariant, SpanConfig
+from .cfm import check_dispersion, comb_nli_terms, one_low_dispersion_warning
+from .perf import ase_power, span_ase_psds
+from .types import (CfmKind, ChannelSpec, CombArrays, LinkSpec, ModelVariant,
+                    SpanConfig)
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls it.
 from .cfm import rx_nli_psd
@@ -55,14 +55,13 @@ def randomize_launch(channels: tuple[ChannelSpec, ...], cut_index: int,
 def _tied_power(link: LinkSpec, xi, g) -> np.ndarray:
     """Launch power ``[span, channel]`` for the PSD ``xi[i] * g[n]`` of
     channel ``i`` at span ``n``: every channel's PSD tied to the CUT's."""
-    rate = np.array([ch.symbol_rate for ch in link.channels])
-    return np.multiply.outer(g, xi) * rate
+    return np.multiply.outer(g, xi) * link.comb.rate
 
 
 def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
     """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
     the CUT's through xi: the kernel on the link with powers xi * R."""
-    unit = comb_arrays(link, _tied_power(link, xi, np.ones(link.n_spans)))
+    unit = link.comb.with_power(_tied_power(link, xi, np.ones(link.n_spans)))
     terms = comb_nli_terms(link, unit, assets.model(CfmKind.CFM1),
                            rows=link.cut_index)
     check_dispersion(terms.min_abs_beta2)
@@ -74,17 +73,16 @@ def logo_optimize(link: LinkSpec,
     """Span-local optimal CUT PSDs: the stationary point where each span's
     ASE PSD equals twice its NLI PSD."""
     if xi is None:
-        xi = tuple(1.0 for _ in link.channels)
-    f_cut = link.cut.f_center
+        xi = (1.0,) * len(link.channels)
+    ase = span_ase_psds(link, link.cut.f_center).tolist()
     out = []
-    for span, eta in zip(link.spans, span_eta(link, xi).tolist()):
+    for a, eta in zip(ase, span_eta(link, xi).tolist()):
         if eta <= 0.0:
             warnings.warn("span produces no NLI; launch PSD capped",
                           stacklevel=2)
             out.append(PSD_CEILING_W_PER_THZ)
         else:
-            ase = span_ase_psd(span, f_cut)
-            out.append((ase / (2.0 * eta)) ** (1.0 / 3.0))
+            out.append((a / (2.0 * eta)) ** (1.0 / 3.0))
     return tuple(out)
 
 
@@ -123,7 +121,7 @@ def _eta(link: LinkSpec, ch: CombArrays, variant: ModelVariant) -> float:
 def eta_nli(link: LinkSpec, variant: ModelVariant) -> float:
     """Link nonlinearity coefficient: Rx NLI PSD normalized by the cube of
     the first-span CUT PSD.  Invariant under uniform power scaling."""
-    return _eta(link, comb_arrays(link), variant)
+    return _eta(link, link.comb, variant)
 
 
 def refine_cut_launch(link: LinkSpec, eta: float) -> float:
@@ -151,7 +149,8 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator,
     plan = PowerPlan(g_cut_per_span=g, xi=xi)
     # The link with the span-local plan applied, its powers kept as arrays.
     staged = replace(link, spans=_planned_spans(link, g))
-    eta = _eta(staged, comb_arrays(link, _tied_power(link, xi, g)), variant)
+    tied = link.comb.with_power(_tied_power(link, xi, g))
+    eta = _eta(staged, tied, variant)
     g_opt = refine_cut_launch(staged, eta)
     plan = replace(plan.scaled(g_opt / g[0]), eta_nli=eta)
     return apply_power_plan(link, plan), plan

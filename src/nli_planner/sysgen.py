@@ -55,6 +55,8 @@ class GeneratorConfig:
             raise ValueError(f"nf_mode must be one of {NF_MODES}")
         if self.n_spans < 1:
             raise ValueError("n_spans must be >= 1")
+        if not 0.0 < self.band_width < float("inf"):
+            raise ValueError("band_width must be finite and > 0")
 
 
 def _draw_format(category: int, rng: np.random.Generator) -> ModulationFormat:
@@ -112,7 +114,7 @@ def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
                                     roll_off=roll, format=fmt,
                                     power_w_per_span=power, active=True))
     if not channels:
-        raise RuntimeError("band too narrow for a single channel")
+        raise ValueError("band too narrow for a single channel")
 
     cut_index = {"lowest": 0, "center": len(channels) // 2,
                  "highest": len(channels) - 1}[cfg.cut_position]

@@ -4,15 +4,21 @@ Units are fixed project-wide: frequencies in THz, symbol rates in TBaud,
 powers in W, PSDs in W/THz, lengths in km, dispersion in ps^2/km and
 ps^3/km, nonlinearity in 1/(W km).  With ps*THz = 1 these combine without
 any internal re-normalization.
+
+A :class:`LinkSpec` carries its channels and spans as arrays, built on first
+read (``link.comb``, ``link.span_arrays``), that state only its own fields.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -127,22 +133,6 @@ class SpanConfig:
         return math.exp(-self.fiber.two_alpha * self.length_km)
 
 
-def fiber_groups(spans: Sequence[SpanConfig]
-                 ) -> dict[FiberParams, list[int]]:
-    """The indices of the spans that share each fiber, fibers compared by
-    value, in order of first appearance."""
-    groups: dict[FiberParams, list[int]] = {}
-    # Spans usually share fiber objects; hash each object once, since a
-    # frozen dataclass rehashes all its fields on every lookup.
-    by_object: dict[int, list[int]] = {}
-    for n, span in enumerate(spans):
-        key = id(span.fiber)
-        if key not in by_object:
-            by_object[key] = groups.setdefault(span.fiber, [])
-        by_object[key].append(n)
-    return groups
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """One WDM channel with its per-span launch powers."""
@@ -181,6 +171,50 @@ class ChannelSpec:
         return (1.0 + self.roll_off) * self.symbol_rate
 
 
+class _ReadOnly:
+    """A view of a link whose arrays, also in tuples, are read-only."""
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CombArrays(_ReadOnly):
+    """A comb as read-only arrays: ``[channel]`` parameters and activity,
+    and the ``[span, channel]`` launch power, zero where inactive."""
+
+    f: np.ndarray  # THz
+    rate: np.ndarray  # TBaud
+    roll: np.ndarray
+    phi: np.ndarray
+    power: np.ndarray  # W
+    active: np.ndarray
+
+    def with_power(self, power: np.ndarray) -> "CombArrays":
+        """This comb with the ``[span, channel]`` launch powers ``power``."""
+        return replace(self, power=np.where(self.active, power, 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class SpanArrays(_ReadOnly):
+    """A link's spans as read-only ``[span]`` columns, flat in frequency.
+    Span ``n`` runs on ``fibers[fiber[n]]``: the distinct fibers, by value,
+    in order of first appearance, ``spans_of_fiber[k]`` on ``fibers[k]``."""
+
+    length: np.ndarray  # km
+    loss: np.ndarray  # fiber power transmission exp(-2 alpha L)
+    gain: np.ndarray  # lumped power gain
+    transfer: np.ndarray  # gain times loss
+    gamma: np.ndarray  # 1/(W km)
+    noise_figure: np.ndarray  # linear
+    fiber: np.ndarray  # [span]: index into fibers
+    fibers: tuple[FiberParams, ...]
+    spans_of_fiber: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """Ordered spans with one WDM comb and a designated CUT.
@@ -203,6 +237,34 @@ class LinkSpec:
     @property
     def cut(self) -> ChannelSpec:
         return self.channels[self.cut_index]
+
+    @functools.cached_property
+    def comb(self) -> CombArrays:
+        """The channels as arrays, built on first read."""
+        chans, width = self.channels, 5 + self.n_spans
+        cols = np.array([(c.f_center, c.symbol_rate, c.roll_off,
+                          _PHI_FLOAT[c.format], c.active) + c.power_w_per_span
+                         for c in chans], float).reshape(len(chans), width)
+        f, rate, roll, phi, active = cols[:, :5].T.copy()
+        active = active.astype(bool)
+        return CombArrays(f=f, rate=rate, roll=roll, phi=phi, active=active,
+                          power=np.where(active, cols[:, 5:].T, 0.0))
+
+    @functools.cached_property
+    def span_arrays(self) -> SpanArrays:
+        """The spans as arrays, built on first read."""
+        index: dict[FiberParams, int] = {}
+        fiber = np.array([index.setdefault(s.fiber, len(index))
+                          for s in self.spans], dtype=np.intp)
+        length, loss, gain, gamma, nf = np.array(
+            [(s.length_km, s.span_loss_lin, s.gain_lin, s.fiber.gamma,
+              10.0 ** (s.noise_figure_db / 10.0)) for s in self.spans], float
+        ).reshape(-1, 5).T.copy()
+        return SpanArrays(
+            length=length, loss=loss, gain=gain, transfer=gain * loss,
+            gamma=gamma, noise_figure=nf, fiber=fiber, fibers=tuple(index),
+            spans_of_fiber=tuple(np.flatnonzero(fiber == k)
+                                 for k in range(len(index))))
 
     def validate(self) -> None:
         if not self.spans:

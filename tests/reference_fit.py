@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from nli_planner.cfm import (coherence_bracket, comb_arrays, propagate,
-                             rho_cross, rho_self, span_integrals,
-                             span_transfer)
+from nli_planner.cfm import (coherence_bracket, propagate, rho_cross,
+                             rho_self, span_integrals)
 from nli_planner.types import CfmKind, LinkSpec
 
 
@@ -33,17 +32,17 @@ class LoopFitData:
         self.systems: list[dict] = []
 
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
-        ch = comb_arrays(link)
+        ch = link.comb
         c = link.cut_index
         g = ch.power / ch.rate
         idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
         sci_inc, sci_coh, sci_acc = np.zeros((3, reach))
         xb, xacc = [], []
-        s = span_integrals(link, ch)  # every channel as CUT
+        s = span_integrals(link)  # every channel as CUT
         abs_acc = s.abs_acc()
         for m in range(reach):
             base = s.prefactor[m] * g[m, c]
-            f = s.fiber[m]
+            f = s.spans.fiber[m]
             sci_inc[m] = base * g[m, c] ** 2 * s.i_self[f, c]
             if self.kind.coherent_sci:
                 sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[m, c]
@@ -54,7 +53,7 @@ class LoopFitData:
         xidx = np.tile(idx, reach)
         brackets = np.array([coherence_bracket(n) for n in range(1, reach + 1)])
         # [truncation, span] propagation, in units of the benchmark power.
-        prop = (propagate(span_transfer(link)[:reach], np.eye(reach))
+        prop = (propagate(link.span_arrays.transfer[:reach], np.eye(reach))
                 * (ch.rate[c] / p_bmk)[:, None])
         self.systems.append({
             "sci": prop * (sci_inc + brackets[:, None] * sci_coh),

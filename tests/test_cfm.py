@@ -21,12 +21,12 @@ from conftest import (make_single_channel_link, make_system,
 from nli_planner import assets, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
                              ZeroDispersionError, coherence_bracket,
-                             coherence_brackets, comb_arrays,
+                             coherence_brackets,
                              effective_beta2_cut, effective_beta2_xci,
                              harmonic_number, nli_terms, propagate,
                              rho_cross, rho_partials, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, sine_integral,
-                             span_integrals, span_transfer)
+                             span_integrals)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
@@ -310,7 +310,7 @@ def test_identity_cfm2_equals_cfm1():
 
 def _abs_acc(link):
     """The kernel's |accumulated dispersion| matrix at every span input."""
-    return span_integrals(link, comb_arrays(link)).abs_acc()
+    return span_integrals(link).abs_acc()
 
 
 def test_beta2_acc_zero_at_first_span():
@@ -344,7 +344,7 @@ def test_propagation_factor_transparent_link_is_unity():
     n = link.n_spans
     # Row k, column m of propagating unit impulses is the transfer of spans
     # m+1..k: one for an empty product, and one on a transparent link.
-    prop = propagate(span_transfer(link), np.eye(n))
+    prop = propagate(link.span_arrays.transfer, np.eye(n))
     assert np.all(np.diag(prop) == 1.0)
     assert prop[-1] == pytest.approx(np.ones(n), rel=1e-12)
     assert np.all(np.triu(prop, 1) == 0.0)
@@ -589,7 +589,7 @@ def test_fiber_grouping_matches_reference(seed, n_spans, zero_cut, zero_off):
                                      inactive=tuple(zero_off - {zero_cut}))
     for link, n_fibers in ((one_fiber, 1), (per_span, n_spans),
                            (parsed, len(set(drawn))), (zero, 1)):
-        ints = span_integrals(link, comb_arrays(link))
+        ints = span_integrals(link)
         assert ints.i_self.shape[0] == n_fibers
         _assert_kernel_matches_reference(link)
 

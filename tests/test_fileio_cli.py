@@ -1,18 +1,47 @@
 """File formats and the command-line interface."""
 
+import functools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
 from nli_planner.oracle import gn_rx_psd, gn_span_psds
+from nli_planner.perf import evaluate_all_channels, snr_report
+from nli_planner.poweropt import optimize_powers
+from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat)
+
+
+def _drawn_link(seed: int, category: int, n_spans: int, position: str,
+                dense: bool = False, separation: str = "gap") -> LinkSpec:
+    """A generated 0.6-THz link with optimized launch powers, ultra-dense
+    if ``dense``, its channels ``separation`` apart, and no flags (a system
+    file holds none)."""
+    cfg = GeneratorConfig(category=category, cut_position=position,
+                          band_width=0.6, n_spans=n_spans, seed=seed,
+                          ultra_dense_fraction=float(dense),
+                          dense_separation=separation)
+    rng = np.random.default_rng(seed)
+    link, _plan = optimize_powers(generate_system(cfg, rng), rng)
+    return replace(link, flags=())
+
+
+def _same(x, y) -> bool:
+    """Equal values, arrays element by element and of the same dtype."""
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +180,25 @@ def test_bad_values_rejected():
     assert info.value.pointer == "/channels/1/power_w/1"
 
 
+@given(seed=st.integers(0, 10_000), category=st.sampled_from([2, 4, 1, 3, 5]),
+       n_spans=st.integers(1, 4), position=st.sampled_from(CUT_POSITIONS),
+       dense=st.booleans(),
+       separation=st.sampled_from(["gap", "center_spacing"]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_system_round_trip_property(seed, category, n_spans, position, dense,
+                                    separation):
+    # Through JSON text and back, a generated link, inactive channels and
+    # ultra-dense combs included, is the same link with the same arrays.
+    link = _drawn_link(seed, category, n_spans, position, dense, separation)
+    parsed = fileio.parse_system(json.loads(fileio.json_text(
+        fileio.system_to_json(link))))
+    assert parsed == link
+    for view in ("comb", "span_arrays"):
+        got, want = vars(getattr(parsed, view)), vars(getattr(link, view))
+        assert got.keys() == want.keys()
+        assert all(_same(got[k], want[k]) for k in want), view
+
+
 def test_inline_fiber_round_trip():
     link = make_system(85)
     doc = fileio.system_to_json(link)
@@ -261,6 +309,67 @@ def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
         np.testing.assert_allclose(values, cut_only["cut"][key], rtol=1e-12,
                                    atol=0.0)
     assert full["reach"] == cut_only["reach"]
+
+
+def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
+    # Kernel pass and report read the arrays the loaded link carries: one
+    # comb and one span view, whatever the mode.
+    sys_path = _gen(tmp_path)
+    builds = []
+    for name in ("comb", "span_arrays"):
+        build = vars(LinkSpec)[name].func
+
+        def counting(link, build=build, name=name):
+            builds.append((name, id(link)))
+            return build(link)
+
+        view = functools.cached_property(counting)
+        view.__set_name__(LinkSpec, name)
+        monkeypatch.setattr(LinkSpec, name, view)
+    out = tmp_path / "res.json"
+    for extra in ([], ["--all-channels"]):
+        builds.clear()
+        assert main(["evaluate", str(sys_path), "--threshold-db", "12",
+                     *extra, "-o", str(out)]) == 0
+        assert sorted(name for name, _ in builds) == ["comb", "span_arrays"]
+        assert len({link for _, link in builds}) == 1
+
+
+def _nulls_are_nans(got: list, want: np.ndarray) -> None:
+    """A JSON list holds null exactly where ``want`` is NaN, and otherwise
+    agrees with it within 1e-12 relative."""
+    nan = np.isnan(want)
+    assert [v is None for v in got] == nan.tolist()
+    np.testing.assert_allclose([v for v in got if v is not None], want[~nan],
+                               rtol=1e-12, atol=0.0)
+
+
+@given(seed=st.integers(0, 10_000), category=st.integers(1, 5),
+       n_spans=st.integers(1, 4), position=st.sampled_from(CUT_POSITIONS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_cli_evaluate_agrees_with_library(tmp_path_factory, seed, category,
+                                          n_spans, position):
+    # The evaluate JSON is the library's report: the CUT at every
+    # truncation, and with --all-channels every channel, null where the
+    # library reads NaN (an inactive channel).
+    link = _drawn_link(seed, category, n_spans, position)
+    folder = tmp_path_factory.mktemp("evaluate")
+    sys_path, out = folder / "sys.json", folder / "res.json"
+    fileio.save_system(link, sys_path)
+    for kind in CfmKind:
+        variant = assets.model(kind)
+        report = snr_report(link, variant)
+        every = evaluate_all_channels(link, variant)
+        for extra in ([], ["--all-channels"]):
+            assert main(["evaluate", str(sys_path), "--model", kind.value,
+                         *extra, "-o", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            for key in ("per_span_snr_db", "p_ase_w", "p_nli_w"):
+                np.testing.assert_allclose(doc["cut"][key],
+                                           getattr(report, key),
+                                           rtol=1e-12, atol=0.0)
+        for key in ("snr_db", "p_nli_w", "p_ase_w"):
+            _nulls_are_nans(doc["channels"][key], getattr(every, key))
 
 
 def test_cli_main_calls_do_not_share_arguments(tmp_path, capsys):
@@ -401,6 +510,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps({**doc, where[1:]: value}))
         assert main(["evaluate", str(bad)]) == 3
         assert f"error: {where}: must be an array" in capsys.readouterr().err
+    # Validation error: a band too narrow for one channel, or no band.
+    out = tmp_path / "out.json"
+    for width in ("0.01", "0", "-1", "nan"):
+        band = ["--band-width-thz", width, "--n-spans", "2"]
+        assert main(["generate", *band, "-o", str(out)]) == 3
+        assert main(["campaign", "--n-systems", "1", "--benchmark", "cfm1",
+                     *band, "-o", str(out)]) == 3
+        assert main(["fit", "cfm2", "--benchmark", "cfm2", "--n-systems",
+                     "1", *band, "-o", str(out)]) == 3
+        assert "error: band" in capsys.readouterr().err
+    assert not out.exists()
+    # Validation error: a threshold that is no finite number, which the
+    # result JSON could not hold.
+    sys_path = tmp_path / "sys.json"
+    fileio.save_system(make_system(86), sys_path)
+    for threshold in ("nan", "inf", "-inf"):
+        assert main(["evaluate", str(sys_path),
+                     f"--threshold-db={threshold}", "-o", str(out)]) == 3
+        assert "--threshold-db must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", [

@@ -19,8 +19,7 @@ from scipy import integrate
 import reference_oracle as ref
 from conftest import make_single_channel_link, make_system, permute_comb
 from nli_planner.campaign import GnOracleBenchmark
-from nli_planner.cfm import (comb_arrays, propagate, rx_nli_psd,
-                             span_transfer)
+from nli_planner.cfm import propagate, rx_nli_psd
 from nli_planner import assets, oracle
 from nli_planner.oracle import (QuadratureConfig, QuadratureError,
                                 gn_rx_psd, gn_span_psd, gn_span_psds)
@@ -238,7 +237,7 @@ def _span_level(span, comb, f_eval, span_index):
     channels = tuple(c.with_powers((c.power_w_per_span[span_index],))
                      for c in comb)
     link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
-    (group,) = oracle._fiber_groups(link, comb_arrays(link), f_eval, 1)
+    (group,) = oracle._fiber_groups(link, f_eval, 1)
     return lambda res: group.levels(res, group.spans)[0]
 
 
@@ -372,7 +371,7 @@ def test_span_psds_equal_span_by_span(name):
     assert psds.tolist() == want
     assert len(stats) == link.n_spans
     assert gn_rx_psd(link, f, n_end=2) == float(
-        propagate(span_transfer(link)[:2], want[:2])[-1])
+        propagate(link.span_arrays.transfer[:2], want[:2])[-1])
 
 
 def test_span_psds_report_how_each_span_converged():

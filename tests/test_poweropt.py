@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from conftest import make_system
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
-from nli_planner.perf import ase_power, link_report, snr, span_ase_psd
+from nli_planner.perf import ase_power, link_report, snr, span_ase_psds
 from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
                                   logo_optimize, optimize_powers,
                                   randomize_launch, refine_cut_launch,
@@ -35,10 +35,8 @@ def test_span_local_optimum_condition():
     g = logo_optimize(link, xi)
     f_cut = link.cut.f_center
     etas = span_eta(link, xi)
-    for n in range(link.n_spans):
-        ase = span_ase_psd(link.spans[n], f_cut)
-        eta = etas[n]
-        assert ase == pytest.approx(2.0 * eta * g[n] ** 3, rel=1e-12)
+    for ase, eta, g_n in zip(span_ase_psds(link, f_cut), etas, g):
+        assert ase == pytest.approx(2.0 * eta * g_n ** 3, rel=1e-12)
 
 
 def test_apply_power_plan_realizes_profile():

@@ -31,6 +31,19 @@ def test_config_validation():
         GeneratorConfig(n_spans=0)
 
 
+@pytest.mark.parametrize("band_width", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+def test_config_rejects_unusable_band(band_width):
+    with pytest.raises(ValueError, match="band_width"):
+        GeneratorConfig(band_width=band_width)
+
+
+def test_band_too_narrow_for_one_channel_is_a_value_error():
+    cfg = GeneratorConfig(band_width=0.01)
+    with pytest.raises(ValueError, match="too narrow"):
+        generate_system_from_seed(cfg)
+
+
 def test_comb_stays_inside_band():
     for seed in range(30):
         cfg = GeneratorConfig(category=1, seed=seed, band_width=2.0)

@@ -1,11 +1,14 @@
 """Domain-type invariants and the exact format-constant table."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import make_system
 from nli_planner import assets
 from nli_planner.types import (ChannelSpec, FiberParams, LinkSpec,
                                ModelCoefficients, ModelVariant, CfmKind,
@@ -137,6 +140,76 @@ def test_link_validation():
     for powers in ((), (1e-3, 1e-3)):
         with pytest.raises(ValidationError, match="per span"):
             _one_span_link(powers=powers).validate()
+
+
+def _view_arrays(link: LinkSpec):
+    """Every array of the link's two views, by view and field name."""
+    for view in ("comb", "span_arrays"):
+        for name, value in vars(getattr(link, view)).items():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    yield f"{view}.{name}", a
+
+
+def test_link_views_are_cached_and_read_only():
+    link = make_system(87, category=2)
+    assert link.comb is link.comb and link.span_arrays is link.span_arrays
+    arrays = list(_view_arrays(link))
+    assert {name for name, _ in arrays} == {
+        f"{view}.{name}" for view in ("comb", "span_arrays")
+        for name in vars(getattr(link, view))} - {"span_arrays.fibers"}
+    for name, a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    tied = link.comb.with_power(np.ones((link.n_spans, len(link.channels))))
+    with pytest.raises(ValueError, match="read-only"):
+        tied.power[0, 0] = 2.0
+    # Inactive channels carry no power, in the link's comb and in a new one.
+    off = ~link.comb.active
+    assert off.any() and not link.comb.power[:, off].any()
+    assert not tied.power[:, off].any()
+
+
+def test_link_views_follow_the_fields():
+    link = make_system(88, category=2)
+    comb, spans = link.comb, link.span_arrays
+    flagged = link.with_flags("x")
+    assert flagged.comb is not comb and flagged.span_arrays is not spans
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in
+               zip(_view_arrays(flagged), _view_arrays(link)))
+    longer = replace(link, spans=tuple(replace(s, length_km=s.length_km + 1.0)
+                                       for s in link.spans))
+    assert np.array_equal(longer.span_arrays.length, spans.length + 1.0)
+    assert (longer.span_arrays.loss < spans.loss).all()
+    assert np.array_equal(longer.comb.power, comb.power)
+    louder = replace(link, channels=tuple(
+        c.with_powers([2.0 * p for p in c.power_w_per_span])
+        for c in link.channels))
+    assert np.array_equal(louder.comb.power, 2.0 * comb.power)
+    assert np.array_equal(louder.span_arrays.transfer, spans.transfer)
+
+
+def test_link_equality_and_hash_ignore_views():
+    link = make_system(89)
+    twin = replace(link)
+    assert twin == link and hash(twin) == hash(link)
+    link.comb, link.span_arrays
+    assert twin == link and hash(twin) == hash(link)
+    assert repr(twin) == repr(link)
+    assert {link: 1}[twin] == 1
+
+
+def test_link_span_view_groups_fibers_by_value():
+    link = make_system(90, n_spans=6, optimize=False)
+    spans = link.span_arrays
+    assert len(set(spans.fibers)) == len(spans.fibers)
+    for k, members in enumerate(spans.spans_of_fiber):
+        assert (spans.fiber[members] == k).all()
+        assert all(link.spans[n].fiber == spans.fibers[k] for n in members)
+    assert sorted(np.concatenate(spans.spans_of_fiber)) == list(range(6))
+    first = [int(np.flatnonzero(spans.fiber == k)[0])
+             for k in range(len(spans.fibers))]
+    assert first == sorted(first)
 
 
 def test_model_variant_arity():
