@@ -67,7 +67,7 @@ class QuadratureConfig:
 class QuadratureStats:
     """How the quadrature of one span converged."""
 
-    points_per_channel: int  # final level; 0 when no channel is active
+    points_per_channel: int  # final level; 0 when no pair is integrated
     rel_change: float  # between the last two levels
     pairs_kept: int  # channel pairs (i <= j) integrated
     pairs_pruned: int  # pairs whose third frequency misses the comb
@@ -162,9 +162,9 @@ class _CombPairs:
     def __init__(self, ch: CombArrays, f_eval: float):
         self.channels = np.flatnonzero(ch.active)  # comb indices
         self.f_eval = f_eval
-        self.centers = ch.f[self.channels]
+        centers = ch.f[self.channels]
         half = ch.rate[self.channels] / 2.0
-        lo, hi = self.centers - half, self.centers + half
+        lo, hi = centers - half, centers + half
         self.lo, self.hi = lo, hi
         self.breaks = np.unique(np.concatenate((lo, hi)))
         self.edge_index = (np.searchsorted(self.breaks, lo),
@@ -211,7 +211,10 @@ class _SpanTerms:
 class _FiberGroup:
     """The spans of a link that share one fiber, at ``f_eval``.
 
-    The group holds the parameters of each kept pair's two grids;
+    The group holds the parameters of each kept pair's two grids.  A grid
+    over a channel that straddles ``f_eval`` is sinh-graded across the
+    phase-matching ridge when the ridge, at the conjugate channel's far
+    edge, is narrower than the channel; every other grid is uniform.
     :meth:`levels` evaluates one quadrature level for several of its spans
     at once.  The grids, the comb-table indices of the third frequency, the
     phase and the denominator depend on the fiber alone and are computed
@@ -226,17 +229,16 @@ class _FiberGroup:
         self.pairs, self.fiber, self.spans = pairs, fiber, spans
         f_eval, lo, hi = pairs.f_eval, pairs.lo, pairs.hi
         # Each pair integrates f1 over channel i and f2 over channel j.
-        # A grid is uniform, or sinh-graded across the phase-matching ridge
-        # when its channel straddles f_eval while the conjugate channel sits
-        # nu away: the Lorentzian's half-width is then 2a / (4 pi^2 |b2| nu).
+        # With the conjugate frequency nu from f_eval, the ridge's
+        # Lorentzian half-width is 2a / (4 pi^2 |b2| nu).  nu is taken at
+        # the conjugate channel's far edge, where the ridge is narrowest, so
+        # the CUT's self pair is graded on both axes.
         b2_scale = abs(fiber.beta2 + math.pi * fiber.beta3
                        * 2.0 * (f_eval - fiber.f_ref))
-        nu = np.abs(pairs.centers - f_eval)
-        ridge = np.full(len(pairs.centers), math.inf)
+        nu = np.maximum(np.abs(lo - f_eval), np.abs(hi - f_eval))
+        ridge = np.full(len(nu), math.inf)
         if b2_scale > 0.0:
-            near = nu > 0.0
-            ridge[near] = fiber.two_alpha / (4.0 * math.pi ** 2 * b2_scale
-                                             * nu[near])
+            ridge = fiber.two_alpha / (4.0 * math.pi ** 2 * b2_scale * nu)
         straddle = (lo < f_eval) & (f_eval < hi)
 
         def grid_params(own, other):
@@ -282,8 +284,7 @@ class _FiberGroup:
                      min(_cpu_count(), _MAX_WORKERS, len(starts)))
         # Accumulate the pair terms one after another, in pair order.
         return [float(span.prefactor
-                      * (np.add.accumulate(span.pair_weight * row)[-1]
-                         if n_pairs else 0.0))
+                      * np.add.accumulate(span.pair_weight * row)[-1])
                 for span, row in zip(spans, sums)]
 
     def _chunks(self, res: int, spans: list[_SpanTerms], starts: Iterable[int],
@@ -360,6 +361,12 @@ def _converge(groups: list[_FiberGroup], q: QuadratureConfig,
     failed: dict[int, QuadratureError] = {}
     for group in groups:
         kept, pruned = len(group.pairs.i), group.pairs.n_pruned
+        if not kept:
+            # No channel is active, or no pair's third frequency lands in
+            # the comb: the PSD is zero, and no level is evaluated.
+            for span in group.spans:
+                out[span.index] = 0.0, QuadratureStats(0, 0.0, 0, pruned)
+            continue
         res = q.first_level
         todo = group.spans
         prev = group.levels(res, todo)
@@ -413,11 +420,13 @@ def gn_span_psds(link: LinkSpec, f_eval: float,
     ``q.rel_tol``.  The comb set-up is built once per link and a level
     once per group of spans sharing a fiber.  A span that would need a
     level above ``q.max_points_per_channel`` raises
-    :class:`QuadratureError`, the lowest such span's if several do.
+    :class:`QuadratureError`, the lowest such span's if several do.  A
+    span with no channel pair to integrate reads 0 at level 0.  A
+    non-finite ``f_eval`` raises :class:`ValidationError`.
     """
     n_end = _check_n_end(link, n_end)
-    if not link.comb.active.any():
-        return np.zeros(n_end), (QuadratureStats(0, 0.0, 0, 0),) * n_end
+    if not math.isfinite(f_eval):
+        raise ValidationError(f"f_eval must be finite, got {f_eval}")
     done = _converge(_fiber_groups(link, f_eval, n_end),
                      q or QuadratureConfig())
     return (np.array([done[n][0] for n in range(n_end)]),

@@ -40,7 +40,6 @@ def _gn_span_psd_at_res(span: SpanConfig, comb: tuple[ChannelSpec, ...],
     lo = np.array([c.f_center - c.symbol_rate / 2.0 for c in channels])
     hi = np.array([c.f_center + c.symbol_rate / 2.0 for c in channels])
     psd = np.array([c.psd(span_index) for c in channels])
-    centers = np.array([c.f_center for c in channels])
 
     b2_scale = abs(fib.beta2 + math.pi * fib.beta3
                    * 2.0 * (f_eval - fib.f_ref))
@@ -54,10 +53,13 @@ def _gn_span_psd_at_res(span: SpanConfig, comb: tuple[ChannelSpec, ...],
             x_hi = hi[i] + hi[j] - f_eval
             if np.all((hi <= x_lo) | (lo >= x_hi)):
                 continue
+            # The ridge is narrowest at the conjugate channel's far edge.
             f1, w1 = _pair_grid(lo[i], hi[i], res, f_eval, two_alpha,
-                                b2_scale, abs(centers[j] - f_eval))
+                                b2_scale, max(abs(lo[j] - f_eval),
+                                              abs(hi[j] - f_eval)))
             f2, w2 = _pair_grid(lo[j], hi[j], res, f_eval, two_alpha,
-                                b2_scale, abs(centers[i] - f_eval))
+                                b2_scale, max(abs(lo[i] - f_eval),
+                                              abs(hi[i] - f_eval)))
             g3 = _comb_psd(lo, hi, psd, f1[:, None] + f2[None, :] - f_eval)
             nu1 = f1[:, None] - f_eval
             nu2 = f2[None, :] - f_eval

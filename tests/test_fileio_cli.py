@@ -438,11 +438,29 @@ def test_cli_oracle_power_uses_the_band_holding_f_eval(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flags", [["--rel-tol", "0"],
-                                   ["--points-per-channel", "0"]])
+                                   ["--points-per-channel", "0"],
+                                   # NaN and Infinity are not JSON.
+                                   ["--f-eval-thz", "nan"],
+                                   ["--f-eval-thz", "inf"]])
 def test_cli_oracle_rejects_unusable_quadrature(tmp_path, capsys, flags):
     sys_path = _gen(tmp_path)
     assert main(["oracle", str(sys_path), *flags]) == 3
-    assert "error:" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "error:" in out.err and out.out == ""
+
+
+def test_cli_oracle_outside_the_combs_reach(tmp_path, capsys):
+    # At 0 THz no channel pair is integrated: every span reports level 0.
+    sys_path = _gen(tmp_path)
+    assert main(["oracle", str(sys_path), "--f-eval-thz", "0",
+                 "--n-spans", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rx_nli_psd_w_per_thz"] == 0.0
+    assert doc["nli_power_w"] is None
+    n_ch = sum(c.active for c in fileio.load_system(sys_path).channels)
+    assert doc["spans"] == [
+        {"points_per_channel": 0, "rel_change": 0.0, "pairs_kept": 0,
+         "pairs_pruned": n_ch * (n_ch + 1) // 2}] * 2
 
 
 def test_cli_campaign(tmp_path):

@@ -22,7 +22,8 @@ from nli_planner.campaign import GnOracleBenchmark
 from nli_planner.cfm import propagate, rx_nli_psd
 from nli_planner import assets, oracle
 from nli_planner.oracle import (QuadratureConfig, QuadratureError,
-                                gn_rx_psd, gn_span_psd, gn_span_psds)
+                                QuadratureStats, gn_rx_psd, gn_span_psd,
+                                gn_span_psds)
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat, SpanConfig, ValidationError)
@@ -85,11 +86,14 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
 
 def test_span_psd_single_channel_vs_dblquad():
     link = make_single_channel_link(rate=0.032, power_w=0.001)
+    want = _reference_iterated_quad(link.spans[0], link.channels,
+                                    link.cut.f_center)
     got = gn_span_psd(link.spans[0], link.channels, link.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
-    want = _reference_iterated_quad(link.spans[0], link.channels,
-                              link.cut.f_center)
     assert got == pytest.approx(want, rel=5e-3)
+    q = QuadratureConfig()
+    got = gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
+    assert got == pytest.approx(want, rel=q.rel_tol)
 
 
 def test_span_psd_two_channels_vs_dblquad():
@@ -100,10 +104,13 @@ def test_span_psd_two_channels_vs_dblquad():
                       power_w_per_span=(0.0012,))
     comb = (link.channels[0], nch)
     link2 = LinkSpec(spans=link.spans, channels=comb, cut_index=0)
+    want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
     got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
-    want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
     assert got == pytest.approx(want, rel=5e-3)
+    q = QuadratureConfig()
+    got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center, q)
+    assert got == pytest.approx(want, rel=q.rel_tol)
 
 
 def test_closed_form_tracks_oracle_single_channel():
@@ -251,6 +258,17 @@ def test_batched_level_matches_per_pair_reference(name):
         assert level(res) == pytest.approx(want, rel=1e-12), res
 
 
+def test_self_pair_is_graded_on_both_axes():
+    # On SMF the phase-matching ridge at the far edge of a 64-GBd channel
+    # is narrower than the channel, so the CUT's self pair, the one pair of
+    # a one-channel link, is sinh-graded in f1 and in f2.
+    link = make_single_channel_link()
+    assert link.spans[0].fiber.name == "SMF"
+    (group,) = oracle._fiber_groups(link, link.cut.f_center, 1)
+    assert group.grid1[3].tolist() == [True]
+    assert group.grid2[3].tolist() == [True]
+
+
 def _assert_quadrature_memory_bounded():
     # A 256-point level of a ~20-channel 2-THz link: the kernel is built in
     # bounded chunks, never as a 256 x 256 block per channel pair.
@@ -374,6 +392,21 @@ def test_span_psds_equal_span_by_span(name):
         propagate(link.span_arrays.transfer[:2], want[:2])[-1])
 
 
+@pytest.mark.parametrize("category", range(1, 6))
+def test_default_config_stops_at_32_points_within_rel_tol(category):
+    # With the CUT's self pair graded, every span of a generated 2-THz link
+    # converges at the first test, 16 against 32 points per channel, and
+    # lies within rel_tol of its 128-point level.
+    link = _span_psds_case(f"cat{category}")
+    f = link.cut.f_center
+    q = QuadratureConfig()
+    psds, stats = gn_span_psds(link, f, q)
+    assert [s.points_per_channel for s in stats] == [32] * link.n_spans
+    for group in oracle._fiber_groups(link, f, link.n_spans):
+        for span, fine in zip(group.spans, group.levels(128, group.spans)):
+            assert psds[span.index] == pytest.approx(fine, rel=q.rel_tol)
+
+
 def test_span_psds_report_how_each_span_converged():
     link = _span_psds_case("half-loaded")
     f = link.cut.f_center
@@ -431,10 +464,36 @@ def test_span_psds_of_a_comb_with_no_active_channel():
     assert [s.points_per_channel for s in stats] == [0, 0]
 
 
+def test_span_psds_skip_the_levels_when_every_pair_is_pruned(monkeypatch):
+    # Far below the comb, no pair's third frequency lands in it: each span
+    # reads 0 at level 0, and no level is evaluated.
+    link = make_system(4150, category=1, band_width=1.0, n_spans=3)
+    n_ch = sum(c.active for c in link.channels)
+
+    def no_level(*args):
+        raise AssertionError("a quadrature level was evaluated")
+
+    monkeypatch.setattr(oracle._FiberGroup, "levels", no_level)
+    psds, stats = gn_span_psds(link, 0.0)
+    assert psds.tolist() == [0.0] * 3
+    assert stats == (QuadratureStats(0, 0.0, 0, n_ch * (n_ch + 1) // 2),) * 3
+
+
+@pytest.mark.parametrize("f_eval", [math.nan, math.inf, -math.inf])
+def test_span_psds_reject_a_non_finite_frequency(f_eval):
+    link = make_single_channel_link()
+    with pytest.raises(ValidationError):
+        gn_span_psds(link, f_eval)
+    with pytest.raises(ValidationError):
+        gn_rx_psd(link, f_eval)
+
+
 def test_span_psds_raise_the_lowest_failing_span():
-    link = make_system(4140, category=1, band_width=1.0, n_spans=6)
+    # The spans' changes from 8 to 16 points are 1e-4 (span 0), 0.025,
+    # 0.014, 6.1e-4, 0.015 and 8.5e-4: each at least 58% from rel_tol.
+    link = make_system(4167, category=1, band_width=1.0, n_spans=6)
     f = link.cut.f_center
-    q = QuadratureConfig(points_per_channel=16, rel_tol=0.0023,
+    q = QuadratureConfig(points_per_channel=16, rel_tol=0.00024,
                          max_points_per_channel=16)
     errors = {}
     for n, span in enumerate(link.spans):
