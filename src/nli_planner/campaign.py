@@ -156,9 +156,6 @@ class SystemDraw:
     # Generator overrides (paper values by default; shrink for desk runs).
     band_width_thz: float = 5.0
     n_spans: int = 20
-    nf_mode: str = "mixed"
-    # Exclude systems whose CUT dips below the closed-form validity bound.
-    exclude_low_dispersion: bool = True
 
     def __post_init__(self) -> None:
         if self.n_systems < 1:
@@ -192,8 +189,9 @@ def draw_systems(draw: SystemDraw, benchmark,
     """Generate, screen, power-optimize and reach-scan systems, yielding
     every attempt, until ``draw.n_systems`` systems were kept.
 
-    A system is kept when the benchmark reaches the drawn sensitivity
-    threshold after at least one span.
+    A system is kept when its CUT stays above the closed-form validity
+    bound and the benchmark reaches the drawn sensitivity threshold after
+    at least one span.
     """
     policy = policy or SensitivityPolicy.default()
     mixes = [(cat, pos) for cat in draw.categories
@@ -206,10 +204,9 @@ def draw_systems(draw: SystemDraw, benchmark,
         rng = np.random.default_rng([draw.seed, attempt])
         gen = GeneratorConfig(category=cat, cut_position=pos,
                               band_width=draw.band_width_thz,
-                              n_spans=draw.n_spans, nf_mode=draw.nf_mode,
-                              seed=draw.seed)
+                              n_spans=draw.n_spans, seed=draw.seed)
         link = generate_system(gen, rng)
-        if draw.exclude_low_dispersion and LOW_DISPERSION_FLAG in link.flags:
+        if LOW_DISPERSION_FLAG in link.flags:
             yield DrawnSystem(attempt, pos, link, None, LOW_DISPERSION_FLAG)
             continue
         link, _plan = optimize_powers(link, rng)

@@ -15,10 +15,13 @@ fiber, so :func:`span_integrals` computes them once per distinct fiber,
 as ``[fiber, row, channel]`` (|beta2| and the cross integral) and
 ``[fiber, row]`` (the self integral) arrays; only what depends on the span
 length is per span (the ``[span]`` columns, ``[span, row]`` coherent
-coefficient).  The |accumulated dispersion| that the correction
-factors read is a ``[span, row, channel]`` running sum, built only for
-CFM2-CFM4, in row blocks; CFM1 contracts each fiber's cross integrals
-against the PSDs of its spans directly.  :func:`comb_nli_terms` is the
+coefficient).  Every variant sums its cross terms the same way: in row
+blocks, as ``[span, row, channel]`` arrays contracted against each span's
+squared PSDs.  CFM2-CFM4 first weight them by the correction factors,
+which read the |accumulated dispersion|, a running sum over the spans
+built in the same blocks; with unit factors they give CFM1's values
+bit-for-bit.  The effective dispersion is written once, in
+:func:`effective_beta2_xci`.  :func:`comb_nli_terms` is the
 kernel on a comb given as arrays, for callers that plan launch powers.
 :func:`propagate` carries per-span values to the receiver of every
 truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
@@ -60,39 +63,11 @@ class LowDispersionWarning(UserWarning):
     """Effective |beta2| below the recommended validity bound."""
 
 
-def effective_beta2_cut(fiber: FiberParams, f_cut: float) -> float:
-    """Effective dispersion (ps^2/km) seen by the CUT at its own frequency."""
-    return fiber.beta2 + math.pi * fiber.beta3 * (2.0 * f_cut - 2.0 * fiber.f_ref)
-
-
 def effective_beta2_xci(fiber: FiberParams, f_nch, f_cut):
     """Effective dispersion (ps^2/km) for an interferer/CUT pair; frequency
-    arrays broadcast."""
+    arrays broadcast.  At ``f_nch = f_cut`` it is the dispersion a channel
+    sees at its own frequency."""
     return fiber.beta2 + math.pi * fiber.beta3 * (f_nch + f_cut - 2.0 * fiber.f_ref)
-
-
-def harmonic_number(m: int) -> float:
-    """HN(m) = sum_{k=1..m} 1/k by direct summation (m stays small here),
-    left to right as :func:`coherence_brackets` adds (``sum`` compensates
-    float sums from Python 3.12 on)."""
-    if m < 0:
-        raise ValueError("harmonic number of a negative integer")
-    total = 0.0
-    for k in range(1, m + 1):
-        total += 1.0 / k
-    return total
-
-
-def sine_integral(x: float) -> float:
-    """Si(x) = integral of sin(t)/t from 0 to x."""
-    return float(sici(x)[0])
-
-
-def coherence_bracket(n_span_total: int) -> float:
-    """HN(N-1) + (1-N)/N; zero at N = 1."""
-    if n_span_total < 1:
-        raise ValueError("span count must be >= 1")
-    return harmonic_number(n_span_total - 1) + (1 - n_span_total) / n_span_total
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +289,7 @@ class SpanIntegrals:
     abs_beta2: np.ndarray  # [fiber, row, channel]
     i_cross: np.ndarray  # [fiber, row, channel]
     i_self: np.ndarray  # [fiber, row], incoherent accumulation
-    i_coherent: np.ndarray  # [span, row], coefficient of coherence_bracket
+    i_coherent: np.ndarray  # [span, row], coefficient of the coherence bracket
 
     def abs_acc(self, rows=slice(None)) -> np.ndarray:
         """|Accumulated dispersion| (ps^2) at every span input, as
@@ -378,8 +353,9 @@ def span_integrals(link: LinkSpec,
 
 
 def coherence_brackets(n_spans: int) -> np.ndarray:
-    """``coherence_bracket(n)`` for n = 1..n_spans from one running
-    harmonic sum, added in the order :func:`harmonic_number` adds."""
+    """The coherence bracket HN(n-1) + (1-n)/n, zero at n = 1, for
+    n = 1..n_spans, from one running harmonic sum HN(m) = sum 1/k added
+    from k = 1 up."""
     n = np.arange(1, n_spans + 1)
     hn = np.concatenate(([0.0], np.cumsum(1.0 / n[:-1])))
     return hn + (1 - n) / n
@@ -390,8 +366,9 @@ class NliTerms:
     """Per-span NLI of one link, for the channels the kernel took as CUT.
 
     For a link truncated after ``n_end`` spans, span ``n`` adds the PSD
-    ``base[n, r] + coherence_bracket(n_end) * coherent[n, r]`` (W/THz) at
-    row ``r``'s channel; ``transfer[n]`` is the span's gain times its loss.
+    ``base[n, r] + coherence_brackets(n_end)[-1] * coherent[n, r]``
+    (W/THz) at row ``r``'s channel; ``transfer[n]`` is the span's gain
+    times its loss.
     """
 
     transfer: np.ndarray  # [span]
@@ -410,10 +387,10 @@ class NliTerms:
         return out
 
 
-# CFM2-CFM4 take the rows in blocks whose [span, row, channel] arrays hold
-# at most about this many elements (~125 kB).  Whole arrays at paper scale
-# (0.35 MB each, every channel as CUT) would be page-faulted in anew on
-# every call, and would raise the peak memory by megabytes.
+# The kernel takes the rows in blocks whose [span, row, channel] arrays
+# hold at most about this many elements (~125 kB).  Whole arrays at paper
+# scale (0.35 MB each, every channel as CUT) would be page-faulted in anew
+# on every call, and would raise the peak memory by megabytes.
 _BLOCK_ELEMENTS = 16_000
 
 
@@ -430,47 +407,28 @@ def nli_terms(link: LinkSpec, variant: ModelVariant,
     return comb_nli_terms(link, link.comb, variant, rows)
 
 
-def _zero_non_cross(xci: np.ndarray, active: np.ndarray,
-                    own: tuple) -> np.ndarray:
-    """Zero, in place, the entries of a ``[fiber or span, row, channel]``
-    array that are no cross term: inactive interferers and each row's own
-    channel, so that their inf or NaN cannot turn a row NaN."""
-    xci[:, :, ~active] = 0.0
-    xci[own] = 0.0
-    return xci
-
-
-def _plain_cross(s: SpanIntegrals, ch: CombArrays, own: tuple,
-                 g2: np.ndarray) -> np.ndarray:
-    """CFM1's cross-term sum, ``[span, row]``: with no correction factor,
-    one contraction per fiber of its cross integrals against the squared
-    PSDs of its spans, the spans of each fiber adjacent in one matrix."""
-    xci = _zero_non_cross(s.i_cross, ch.active, own)
-    by_fiber = np.take(g2, np.concatenate(s.spans.spans_of_fiber), axis=0,
-                       out=np.empty(g2.shape, order="F"))
-    cross = np.empty((len(g2), xci.shape[1]))
-    start = 0
-    for k, spans in enumerate(s.spans.spans_of_fiber):
-        part = by_fiber[start:start + len(spans), :, None]
-        cross[spans] = np.matmul(xci[k], part)[:, :, 0]
-        start += len(spans)
-    return cross
-
-
-def _corrected_cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
-                     g2: np.ndarray, cuts: np.ndarray, block: slice
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """CFM2-CFM4, for the rows ``block`` (channels ``cuts[block]``): the
-    cross-term sum weighted by the correction factors, and each row's own
-    |accumulated dispersion|, as ``[span, row]`` arrays.  The cross terms
-    are built as ``[span, row, channel]`` arrays."""
+def _cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
+           g2: np.ndarray, cuts: np.ndarray, block: slice
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """For the rows ``block`` (channels ``cuts[block]``): the cross-term sum,
+    weighted by the correction factors for CFM2-CFM4, and each row's own
+    |accumulated dispersion| (None for CFM1), as ``[span, row]`` arrays.
+    The cross terms are built as ``[span, row, channel]`` arrays."""
     own = _own_column(cuts[block], len(ch.f))
-    acc = s.abs_acc(block)
-    xci = rho_cross(variant.kind, variant.coefficients.a, ch.phi,
-                    ch.roll[cuts[block], None], ch.roll)(acc)
-    xci *= s.i_cross[:, block][s.spans.fiber]
-    _zero_non_cross(xci, ch.active, own)
-    return (xci @ g2[:, :, None])[:, :, 0], acc[own]
+    acc_own = None
+    if variant.kind is CfmKind.CFM1:
+        xci = s.i_cross[:, block][s.spans.fiber]
+    else:
+        acc = s.abs_acc(block)
+        xci = rho_cross(variant.kind, variant.coefficients.a, ch.phi,
+                        ch.roll[cuts[block], None], ch.roll)(acc)
+        xci *= s.i_cross[:, block][s.spans.fiber]
+        acc_own = acc[own]
+    # Inactive interferers and each row's own channel are no cross term:
+    # zeroed, their inf or NaN cannot turn a row NaN.
+    xci[:, :, ~ch.active] = 0.0
+    xci[own] = 0.0
+    return (xci @ g2[:, :, None])[:, :, 0], acc_own
 
 
 def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
@@ -480,8 +438,7 @@ def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
     if rows is not None and not ch.active[rows]:
         raise ValidationError("CUT inactive")
     s = span_integrals(link, rows)
-    own = _own_column(rows, len(ch.f))
-    cuts = own[2]
+    cuts = _own_column(rows, len(ch.f))[2]
     g = ch.power / ch.rate  # [span, channel] effective PSDs
     g_cut = g[:, cuts]
     # The squared PSDs are contracted as column-major [span, channel]
@@ -491,18 +448,18 @@ def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
     g2 = np.square(g, out=np.empty(g.shape, order="F"))
     kind = variant.kind
     with np.errstate(invalid="ignore"):
-        if kind is CfmKind.CFM1:
-            cross = _plain_cross(s, ch, own, g2)
-            sci = g_cut ** 2
-        else:
-            cross, acc_own = np.empty((2,) + g_cut.shape)
-            step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
-            for i in range(0, cuts.size, step):
-                block = slice(i, i + step)
-                cross[:, block], acc_own[:, block] = _corrected_cross(
-                    s, ch, variant, g2, cuts, block)
-            sci = rho_self(kind, variant.coefficients.a, ch.phi[cuts],
-                           ch.rate[cuts], ch.roll[cuts])(acc_own) * g_cut ** 2
+        cross, acc_own = np.empty((2,) + g_cut.shape)
+        step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
+        for i in range(0, cuts.size, step):
+            block = slice(i, i + step)
+            cross[:, block], acc_block = _cross(s, ch, variant, g2, cuts,
+                                                block)
+            if acc_block is not None:
+                acc_own[:, block] = acc_block
+        sci = g_cut ** 2
+        if kind is not CfmKind.CFM1:
+            sci *= rho_self(kind, variant.coefficients.a, ch.phi[cuts],
+                            ch.rate[cuts], ch.roll[cuts])(acc_own)
         psd = s.prefactor[:, None] * g_cut
         base = psd * (sci * s.i_self[s.spans.fiber] + 2.0 * cross)
         coherent = (psd * sci * s.i_coherent if kind.coherent_sci
@@ -552,6 +509,5 @@ def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
 
 def cut_min_abs_beta2(link: LinkSpec) -> float:
     """Smallest effective |beta2| the CUT sees over the link's spans."""
-    cut = link.cut
-    return min(abs(effective_beta2_cut(s.fiber, cut.f_center))
-               for s in link.spans)
+    f = link.cut.f_center
+    return min(abs(effective_beta2_xci(s.fiber, f, f)) for s in link.spans)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import _check_n_end, propagate, span_prefactor
+from .cfm import (_check_n_end, effective_beta2_xci, propagate,
+                  span_prefactor)
 from .types import (ChannelSpec, CombArrays, FiberParams, LinkSpec,
                     SpanConfig, ValidationError)
 
@@ -233,8 +234,7 @@ class _FiberGroup:
         # Lorentzian half-width is 2a / (4 pi^2 |b2| nu).  nu is taken at
         # the conjugate channel's far edge, where the ridge is narrowest, so
         # the CUT's self pair is graded on both axes.
-        b2_scale = abs(fiber.beta2 + math.pi * fiber.beta3
-                       * 2.0 * (f_eval - fiber.f_ref))
+        b2_scale = abs(effective_beta2_xci(fiber, f_eval, f_eval))
         nu = np.maximum(np.abs(lo - f_eval), np.abs(hi - f_eval))
         ridge = np.full(len(nu), math.inf)
         if b2_scale > 0.0:

@@ -29,6 +29,9 @@ NF_MODES = ("fixed_6dB", "uniform_5_6dB", "mixed")
 
 LOW_DISPERSION_FLAG = "low-dispersion-cut"
 
+# Launch PSD (W/THz) of every drawn channel, before power planning.
+BASELINE_PSD_W_PER_THZ = 0.02
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -44,7 +47,6 @@ class GeneratorConfig:
     # as the space between adjacent raised-cosine nulls, "center_spacing" as
     # the distance between channel centers.
     dense_separation: str = "gap"
-    baseline_psd_w_per_thz: float = 0.02
 
     def __post_init__(self) -> None:
         if self.category not in (1, 2, 3, 4, 5):
@@ -109,7 +111,7 @@ def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
                 break
             center = cursor + slot / 2.0
             cursor += slot
-        power = tuple([cfg.baseline_psd_w_per_thz * rate] * cfg.n_spans)
+        power = tuple([BASELINE_PSD_W_PER_THZ * rate] * cfg.n_spans)
         channels.append(ChannelSpec(f_center=center, symbol_rate=rate,
                                     roll_off=roll, format=fmt,
                                     power_w_per_span=power, active=True))

@@ -148,6 +148,8 @@ class ChannelSpec:
         _check_finite("channel frequency, rate, roll-off and powers",
                       self.f_center, self.symbol_rate, self.roll_off,
                       *self.power_w_per_span)
+        if self.f_center <= 0:
+            raise ValidationError("channel frequency must be > 0")
         if self.symbol_rate <= 0:
             raise ValidationError("symbol rate must be > 0")
         if not 0.0 <= self.roll_off <= 1.0:

@@ -12,16 +12,50 @@ import math
 import warnings
 
 from scipy.constants import h as PLANCK_J_S
+from scipy.special import sici
 
 from nli_planner.cfm import (MIN_ABS_BETA2, LowDispersionWarning,
-                             ZeroDispersionError, coherence_bracket,
-                             effective_beta2_cut, effective_beta2_xci,
-                             sine_integral)
-from nli_planner.types import (CfmKind, ChannelSpec, LinkSpec, ModelVariant,
-                               SpanConfig, phi_of_format)
+                             ZeroDispersionError)
+from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
+                               ModelVariant, SpanConfig, phi_of_format)
 
 _BRACKET_FLOOR = 1e-12
 _THZ = 1e12
+
+
+def effective_beta2_cut(fiber: FiberParams, f_cut: float) -> float:
+    """Effective dispersion (ps^2/km) seen by the CUT at its own frequency."""
+    return fiber.beta2 + math.pi * fiber.beta3 * (2.0 * f_cut - 2.0 * fiber.f_ref)
+
+
+def effective_beta2_xci(fiber: FiberParams, f_nch: float,
+                        f_cut: float) -> float:
+    """Effective dispersion (ps^2/km) for an interferer/CUT pair."""
+    return fiber.beta2 + math.pi * fiber.beta3 * (f_nch + f_cut - 2.0 * fiber.f_ref)
+
+
+def harmonic_number(m: int) -> float:
+    """HN(m) = sum_{k=1..m} 1/k by direct summation (m stays small here),
+    left to right as ``cfm.coherence_brackets`` adds (``sum`` compensates
+    float sums from Python 3.12 on)."""
+    if m < 0:
+        raise ValueError("harmonic number of a negative integer")
+    total = 0.0
+    for k in range(1, m + 1):
+        total += 1.0 / k
+    return total
+
+
+def sine_integral(x: float) -> float:
+    """Si(x) = integral of sin(t)/t from 0 to x."""
+    return float(sici(x)[0])
+
+
+def coherence_bracket(n_span_total: int) -> float:
+    """HN(N-1) + (1-N)/N; zero at N = 1."""
+    if n_span_total < 1:
+        raise ValueError("span count must be >= 1")
+    return harmonic_number(n_span_total - 1) + (1 - n_span_total) / n_span_total
 
 
 def _check_beta2(b2: float) -> float:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from nli_planner.cfm import (coherence_bracket, propagate, rho_cross,
-                             rho_self, span_integrals)
+from nli_planner.cfm import propagate, rho_cross, rho_self, span_integrals
 from nli_planner.types import CfmKind, LinkSpec
+from reference_cfm import coherence_bracket
 
 
 class LoopFitData:

@@ -18,7 +18,7 @@ from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, SystemDraw, draw_systems,
                                   fit_coefficients, run_campaign)
-from nli_planner.cfm import (coherence_bracket, rho_cross, rho_self,
+from nli_planner.cfm import (coherence_brackets, rho_cross, rho_self,
                              rx_nli_psd)
 from nli_planner.perf import ase_power, evaluate_all_channels, snr
 from nli_planner.poweropt import optimize_powers
@@ -161,12 +161,13 @@ def test_criterion_3_cubic_homogeneity():
 def test_criterion_4_coherence_limits():
     """The coherent-accumulation bracket vanishes at one span and matches
     exact rational summation for up to 40 spans."""
-    assert coherence_bracket(1) == 0.0
+    bracket = coherence_brackets(40)
+    assert bracket[0] == 0.0
     worst = 0.0
     for n in range(2, 41):
         exact = float(sum(Fraction(n - k, n * k) for k in range(1, n)))
         assert exact > 0.0
-        worst = max(worst, abs(coherence_bracket(n) - exact))
+        worst = max(worst, abs(bracket[n - 1] - exact))
     print(f"\ncriterion 4: bracket(1) = 0, worst |deviation| {worst:.3e} "
           f"for N <= 40")
     assert worst <= 1e-12

@@ -20,21 +20,19 @@ from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
-                             ZeroDispersionError, coherence_bracket,
-                             coherence_brackets,
-                             effective_beta2_cut, effective_beta2_xci,
-                             harmonic_number, nli_terms, propagate,
+                             ZeroDispersionError, coherence_brackets,
+                             effective_beta2_xci, nli_terms, propagate,
                              rho_cross, rho_partials, rho_self, rx_nli_psd,
-                             rx_nli_psd_all_channels, sine_integral,
-                             span_integrals)
+                             rx_nli_psd_all_channels, span_integrals)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                ModelVariant, ModulationFormat, SpanConfig,
                                phi_of_format)
-from reference_cfm import (beta2_acc, i_cut_coherent, i_cut_incoherent, i_xci,
-                           propagation_factor)
+from reference_cfm import (beta2_acc, coherence_bracket, effective_beta2_cut,
+                           harmonic_number, i_cut_coherent, i_cut_incoherent,
+                           i_xci, propagation_factor, sine_integral)
 
 mpmath.mp.dps = 50
 
@@ -93,7 +91,7 @@ def test_effective_beta2_forms():
     # [TRIVIAL] at the reference frequency both forms reduce to beta2.
     assert effective_beta2_cut(fib, 193.8) == pytest.approx(-21.3)
     assert effective_beta2_xci(fib, 193.8, 193.8) == pytest.approx(-21.3)
-    # The pair form at (f, f) equals the single-channel form at f.
+    # The pair form at (f, f) equals the reference's single-channel form.
     assert effective_beta2_xci(fib, 195.0, 195.0) == pytest.approx(
         effective_beta2_cut(fib, 195.0))
     # Linear slope pi*beta3 per THz of (f1 + f2 - 2 f_ref).
@@ -291,17 +289,22 @@ def test_identity_coefficients_give_unit_factors():
                         cut.roll_off)(acc_c) == 1.0
 
 
-def test_identity_cfm2_equals_cfm1():
+def test_identity_cfm2_equals_cfm1(paper_link):
+    # Every variant sums its cross terms on one path, so unit correction
+    # factors give CFM1 bit-for-bit, on the CUT row and on every row.
     cfm1 = assets.model(CfmKind.CFM1)
     cfm2_id = ModelVariant(kind=CfmKind.CFM2,
                            coefficients=assets.identity_coefficients(
                                CfmKind.CFM2))
-    for seed in range(6):
-        link = make_system(seed + 100)
+    for link in [make_system(seed + 100) for seed in range(6)] + [paper_link]:
         for n_end in (1, link.n_spans):
             a = rx_nli_psd(link, cfm1, n_end)
             b = rx_nli_psd(link, cfm2_id, n_end)
-            assert b == pytest.approx(a, rel=1e-13)
+            assert np.array_equal(b, a, equal_nan=True)
+        for rows in (None, link.cut_index):
+            a = nli_terms(link, cfm1, rows).rx_psd()
+            b = nli_terms(link, cfm2_id, rows).rx_psd()
+            assert np.array_equal(b, a, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +498,12 @@ def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
         assert row.min_abs_beta2[0] == full.min_abs_beta2[c]
 
 
-def test_all_row_kernel_memory_peak(paper_link):
-    # Every row of the paper link in CFM4: the [span, row, channel] arrays
-    # are built in row blocks, so the call's temporaries stay below 0.86 MB
+@pytest.mark.parametrize("kind", [CfmKind.CFM1, CfmKind.CFM4])
+def test_all_row_kernel_memory_peak(paper_link, kind):
+    # Every row of the paper link: the [span, row, channel] arrays are
+    # built in row blocks, so the call's temporaries stay below 0.86 MB
     # (whole arrays of every row would take megabytes).
-    variant = assets.model(CfmKind.CFM4)
+    variant = assets.model(kind)
     nli_terms(paper_link, variant)
     tracemalloc.start()
     try:

@@ -539,6 +539,21 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "1", *band, "-o", str(out)]) == 3
         assert "error: band" in capsys.readouterr().err
     assert not out.exists()
+    # Validation error: a band wide enough to reach non-positive
+    # frequencies.
+    assert main(["generate", "--band-width-thz", "500", "--n-spans", "2",
+                 "-o", str(out)]) == 3
+    assert "channel frequency must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+    # Validation error: a system whose frequencies are negated, which would
+    # give NaN SNRs and a negative ASE power.
+    doc = fileio.system_to_json(make_system(86))
+    for ch in doc["channels"]:
+        ch["f_center_thz"] = -ch["f_center_thz"]
+    bad.write_text(json.dumps(doc))
+    assert main(["evaluate", str(bad), "-o", str(out)]) == 3
+    assert "channel frequency must be > 0" in capsys.readouterr().err
+    assert not out.exists()
     # Validation error: a threshold that is no finite number, which the
     # result JSON could not hold.
     sys_path = tmp_path / "sys.json"

@@ -95,6 +95,13 @@ def test_channel_validation():
     with pytest.raises(ValidationError):
         ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                     format=ModulationFormat.PM_QPSK, power_w_per_span=(0.0,))
+    # A frequency must be positive, as a fiber's reference frequency is.
+    for f in (0.0, -193.8):
+        for active in (True, False):
+            with pytest.raises(ValidationError):
+                ChannelSpec(f_center=f, symbol_rate=0.064, roll_off=0.1,
+                            format=ModulationFormat.PM_QPSK,
+                            power_w_per_span=(1e-3,), active=active)
     good = dict(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                 format=ModulationFormat.PM_QPSK)
     for v in _NON_FINITE:
