@@ -21,7 +21,7 @@ from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (SensitivityPolicy, UnreachableError, link_report,
                    max_reach_scan, snr)
 from .poweropt import optimize_powers
-from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, generate_system
+from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
 from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
 
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
@@ -29,6 +29,7 @@ from scipy.optimize import minimize
 from .cfm import rx_nli_psd
 from .oracle import gn_span_psd
 from .perf import ase_power
+from .sysgen import generate_system
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +174,40 @@ UNREACHABLE = "unreachable"
 class DrawnSystem:
     """One attempt of a draw.  A kept system has the power-optimized link
     and the benchmark's max reach in spans.  An excluded one has ``reach``
-    None and ``excluded`` set to ``LOW_DISPERSION_FLAG`` (the link as
-    generated) or ``UNREACHABLE`` (the power-optimized link)."""
+    None and ``excluded`` set to ``LOW_DISPERSION_FLAG``, with ``link``
+    None since the attempt was screened before its link was built, or
+    ``UNREACHABLE``, with the power-optimized link."""
 
     attempt: int
+    category: int
     cut_position: str
-    link: LinkSpec
+    link: LinkSpec | None
     reach: int | None
     excluded: str | None
+
+
+@dataclass(frozen=True)
+class DrawCounts:
+    """How many attempts a draw made for one (category, CUT position), and
+    how many of them it excluded, by reason."""
+
+    category: int
+    cut_position: str
+    attempts: int
+    excluded_low_dispersion: int
+    excluded_unreachable: int
 
 
 def draw_systems(draw: SystemDraw, benchmark,
                  policy: SensitivityPolicy | None = None
                  ) -> Iterator[DrawnSystem]:
-    """Generate, screen, power-optimize and reach-scan systems, yielding
-    every attempt, until ``draw.n_systems`` systems were kept.
+    """Draw, screen, build, power-optimize and reach-scan systems,
+    yielding every attempt, until ``draw.n_systems`` systems were kept.
 
     A system is kept when its CUT stays above the closed-form validity
     bound and the benchmark reaches the drawn sensitivity threshold after
-    at least one span.
+    at least one span.  The bound is screened on the attempt's draws, so
+    an attempt that fails it builds no link.
     """
     policy = policy or SensitivityPolicy.default()
     mixes = [(cat, pos) for cat in draw.categories
@@ -205,20 +221,22 @@ def draw_systems(draw: SystemDraw, benchmark,
         gen = GeneratorConfig(category=cat, cut_position=pos,
                               band_width=draw.band_width_thz,
                               n_spans=draw.n_spans, seed=draw.seed)
-        link = generate_system(gen, rng)
-        if LOW_DISPERSION_FLAG in link.flags:
-            yield DrawnSystem(attempt, pos, link, None, LOW_DISPERSION_FLAG)
+        drawn = draw_system(gen, rng)
+        if drawn.low_dispersion:
+            yield DrawnSystem(attempt, cat, pos, None, None,
+                              LOW_DISPERSION_FLAG)
             continue
-        link, _plan = optimize_powers(link, rng)
+        link, _plan = optimize_powers(drawn.build(), rng)
         threshold = policy.threshold_db(link.cut.format, rng)
         try:
             reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
                                    link.n_spans, threshold)
         except UnreachableError:
-            yield DrawnSystem(attempt, pos, link, None, UNREACHABLE)
+            yield DrawnSystem(attempt, cat, pos, link, None, UNREACHABLE)
             continue
         kept += 1
-        yield DrawnSystem(attempt, pos, link, reach.max_reach_spans, None)
+        yield DrawnSystem(attempt, cat, pos, link, reach.max_reach_spans,
+                          None)
 
 
 @dataclass(frozen=True)
@@ -239,6 +257,7 @@ class CampaignResult:
     n_excluded_low_dispersion: int
     n_excluded_unreachable: int
     seeds_used: tuple[int, ...]
+    draws: tuple[DrawCounts, ...]  # per (category, CUT position)
 
 
 @one_low_dispersion_warning
@@ -247,16 +266,19 @@ def run_campaign(cfg: CampaignConfig, benchmark,
     """Score the variants against a benchmark on the drawn systems.
 
     Each system's SNR error is measured at the benchmark's max reach; the
-    excluded attempts are counted by reason.
+    attempts and excluded attempts are counted by reason, in total and per
+    (category, CUT position).
     """
     models = [assets.model(k) for k in cfg.variants]
     samples: dict[tuple[str, str], list[float]] = {
         (m.kind.value, pos): [] for m in models for pos in cfg.cut_positions}
-    excluded: Counter[str] = Counter()
+    attempts: Counter[tuple] = Counter()  # by (category, position)
+    excluded: Counter[tuple] = Counter()  # by (category, position, reason)
     seeds = []
     for d in draw_systems(cfg, benchmark, policy):
+        attempts[d.category, d.cut_position] += 1
         if d.excluded is not None:
-            excluded[d.excluded] += 1
+            excluded[d.category, d.cut_position, d.excluded] += 1
             continue
         bmk_snr = benchmark.snr_db(d.link, d.reach)
         for model in models:
@@ -266,10 +288,18 @@ def run_campaign(cfg: CampaignConfig, benchmark,
 
     stats = {key: error_stats(vals, cfg.bin_width_db)
              for key, vals in samples.items() if vals}
+    draws = tuple(
+        DrawCounts(cat, pos, attempts[cat, pos],
+                   excluded[cat, pos, LOW_DISPERSION_FLAG],
+                   excluded[cat, pos, UNREACHABLE])
+        for cat, pos in dict.fromkeys((cat, pos) for cat in cfg.categories
+                                      for pos in cfg.cut_positions))
     return CampaignResult(
         stats=stats, n_evaluated=len(seeds),
-        n_excluded_low_dispersion=excluded[LOW_DISPERSION_FLAG],
-        n_excluded_unreachable=excluded[UNREACHABLE], seeds_used=tuple(seeds))
+        n_excluded_low_dispersion=sum(d.excluded_low_dispersion
+                                      for d in draws),
+        n_excluded_unreachable=sum(d.excluded_unreachable for d in draws),
+        seeds_used=tuple(seeds), draws=draws)
 
 
 # ---------------------------------------------------------------------------

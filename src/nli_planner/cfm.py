@@ -15,14 +15,18 @@ fiber, so :func:`span_integrals` computes them once per distinct fiber,
 as ``[fiber, row, channel]`` (|beta2| and the cross integral) and
 ``[fiber, row]`` (the self integral) arrays; only what depends on the span
 length is per span (the ``[span]`` columns, ``[span, row]`` coherent
-coefficient).  Every variant sums its cross terms the same way: in row
-blocks, as ``[span, row, channel]`` arrays contracted against each span's
-squared PSDs.  CFM2-CFM4 first weight them by the correction factors,
-which read the |accumulated dispersion|, a running sum over the spans
-built in the same blocks; with unit factors they give CFM1's values
-bit-for-bit.  The effective dispersion is written once, in
-:func:`effective_beta2_xci`.  :func:`comb_nli_terms` is the
-kernel on a comb given as arrays, for callers that plan launch powers.
+coefficient).  They read neither powers nor gains, so they are computed
+once per geometry (fibers, span lengths, channel frequencies and rates)
+and rows, and kept read-only in a small memo: the passes that plan a
+system's launch powers, score it and fit on it share one set.  Every
+variant sums its cross terms the same way: in row blocks, as ``[span,
+row, channel]`` arrays contracted against each span's squared PSDs.
+CFM2-CFM4 first weight them by the correction factors, which read the
+|accumulated dispersion|, a running sum over the spans built in the same
+blocks; with unit factors they give CFM1's values bit-for-bit.  The
+effective dispersion is written once, in :func:`effective_beta2_xci`.
+:func:`comb_nli_terms` is the kernel on a comb given as arrays, for
+callers that plan launch powers.
 :func:`propagate` carries per-span values to the receiver of every
 truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
 one pass, the low-dispersion policy on the rows it returns, and the
@@ -303,17 +307,40 @@ class SpanIntegrals:
         return np.abs(acc, out=acc)
 
 
-def span_integrals(link: LinkSpec,
-                   rows: int | np.ndarray | None = None) -> SpanIntegrals:
+def span_integrals(link: LinkSpec, rows: int | None = None) -> SpanIntegrals:
     """The integrals of every fiber and span of the link, with every channel
-    as CUT (``rows=None``) or only channel(s) ``rows``.  A pair with zero
+    as CUT (``rows=None``) or only channel ``rows``.  A pair with zero
     dispersion gives inf or NaN entries; callers mask the ones they do not
     use."""
-    spans, f, rate = link.span_arrays, link.comb.f, link.comb.rate
+    return _span_integrals(link.span_arrays, link.comb, rows)
+
+
+def _span_integrals(spans: SpanArrays, ch: CombArrays,
+                    rows: int | None) -> SpanIntegrals:
+    """:func:`span_integrals` of the spans ``spans`` and channels ``ch``."""
+    forms = _closed_forms(spans.fibers, spans.fiber.tobytes(),
+                          spans.length.tobytes(), ch.f.tobytes(),
+                          ch.rate.tobytes(), rows)
+    return SpanIntegrals(spans, span_prefactor(spans), *forms)
+
+
+# Two entries hold a geometry's CUT row and its every-row pass.
+@functools.lru_cache(maxsize=2)
+def _closed_forms(fibers: tuple[FiberParams, ...], fiber: bytes,
+                  length: bytes, f: bytes, rate: bytes, rows: int | None
+                  ) -> tuple[np.ndarray, ...]:
+    """The power- and gain-independent closed forms of a geometry, as the
+    read-only arrays of :class:`SpanIntegrals` from ``beta2`` on.  A
+    geometry is the distinct ``fibers``, each span's index into them
+    (``fiber``) and length, and the channels' frequencies and rates, given
+    as the bytes of those arrays: links with equal values share one entry,
+    so the passes that plan, score and fit one system compute them once."""
+    fiber, length, f, rate = (np.frombuffer(b, t) for b, t in (
+        (fiber, np.intp), (length, float), (f, float), (rate, float)))
     # Fiber parameters as [fiber, 1, 1] columns.
     beta2, beta3, f_ref, two_alpha = np.array(
         [(fb.beta2, fb.beta3, fb.f_ref, fb.two_alpha)
-         for fb in spans.fibers]).T[:, :, None, None]
+         for fb in fibers]).T[:, :, None, None]
     fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
     own = _own_column(rows, len(f))
     f_cut, rate_cut = f[own[2]], rate[own[2]]  # [row]
@@ -328,8 +355,8 @@ def span_integrals(link: LinkSpec,
     two_alpha_f = two_alpha[:, 0]
     den = 2.0 * math.pi * d * two_alpha_f
     arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
-    d_s, den_s, two_alpha_s = (a[spans.fiber] for a in (d, den, two_alpha_f))
-    length_s = spans.length[:, None]
+    d_s, den_s, two_alpha_s = (a[fiber] for a in (d, den, two_alpha_f))
+    length_s = length[:, None]
     si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
     # i_cross = (asinh(scale * upper) - asinh(scale * lower))
     #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
@@ -344,12 +371,12 @@ def span_integrals(link: LinkSpec,
     den_cross *= two_alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         i_cross /= den_cross
-        return SpanIntegrals(
-            spans=spans, prefactor=span_prefactor(spans), beta2=b2,
-            abs_beta2=m, i_cross=i_cross,
-            i_self=np.arcsinh(arg) / den,
-            i_coherent=2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
-            / den_s)
+        forms = (b2, m, i_cross, np.arcsinh(arg) / den,
+                 2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
+                 / den_s)
+    for a in forms:
+        a.setflags(write=False)
+    return forms
 
 
 def coherence_brackets(n_spans: int) -> np.ndarray:
@@ -437,7 +464,7 @@ def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
     whose launch powers may differ from the link's."""
     if rows is not None and not ch.active[rows]:
         raise ValidationError("CUT inactive")
-    s = span_integrals(link, rows)
+    s = _span_integrals(link.span_arrays, ch, rows)
     cuts = _own_column(rows, len(ch.f))[2]
     g = ch.power / ch.rate  # [span, channel] effective PSDs
     g_cut = g[:, cuts]
@@ -506,8 +533,3 @@ def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
     n_end = _check_n_end(link, n_end)
     return rx_nli_psds(link, variant)[n_end - 1]
 
-
-def cut_min_abs_beta2(link: LinkSpec) -> float:
-    """Smallest effective |beta2| the CUT sees over the link's spans."""
-    f = link.cut.f_center
-    return min(abs(effective_beta2_xci(s.fiber, f, f)) for s in link.spans)

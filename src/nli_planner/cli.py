@@ -163,6 +163,10 @@ def _cmd_evaluate(args) -> int:
     report = link_report(link, rx_nli_psds(link, variant, rows), rows)
     elapsed = 1e3 * (time.perf_counter() - start)
     col = link.cut_index if rows is None else 0
+    active = link.comb.active if rows is None else slice(None)
+    if not all(np.isfinite(a[:, active]).all()
+               for a in (report.snr_db, report.p_nli_w, report.p_ase_w)):
+        raise FloatingPointError("non-finite result for an active channel")
     snrs = report.snr_db[:, col].tolist()
     doc["cut"] = {"per_span_snr_db": snrs,
                   "p_ase_w": report.p_ase_w[:, col].tolist(),
@@ -219,9 +223,11 @@ def _cmd_fit(args) -> int:
     result = fit_coefficients(cfg, CfmKind(args.model),
                               _make_benchmark(args.benchmark))
     fileio.save_coefficients(result.kind, result.coefficients, args.output)
+    # A non-finite cost, which JSON cannot hold, is written as null.
+    cost_initial, cost_final = (c if np.isfinite(c) else None for c in
+                                (result.cost_initial, result.cost_final))
     summary = {"version": 1, "variant": result.kind.value,
-               "cost_initial": result.cost_initial,
-               "cost_final": result.cost_final,
+               "cost_initial": cost_initial, "cost_final": cost_final,
                "improved": result.improved, "n_terms": result.n_terms,
                "n_evaluations": result.n_evaluations}
     _emit(summary, None)

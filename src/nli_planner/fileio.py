@@ -7,6 +7,7 @@ unknown fields so that files round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -210,18 +211,24 @@ def system_to_json(link: LinkSpec) -> dict:
             "cut_index": link.cut_index}
 
 
+# json.dumps's defaults, except that NaN and infinity are refused.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
 def json_text(doc: dict) -> str:
     """A document as JSON text, one top-level field per line and each
     element of a top-level array (a span, a channel, a coefficient) on a
     line of its own.  Every record goes through the C encoder, which
-    ``json.dumps`` skips when asked to indent."""
+    ``json.dumps`` skips when asked to indent.  A NaN or infinity, which
+    JSON cannot hold, raises ValueError."""
+    dumps = _STRICT_JSON.encode
     fields = []
     for key, value in doc.items():
         if isinstance(value, list) and value:
-            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+            text = "[\n    " + ",\n    ".join(map(dumps, value)) + "\n  ]"
         else:
-            text = json.dumps(value)
-        fields.append(f"  {json.dumps(key)}: {text}")
+            text = dumps(value)
+        fields.append(f"  {dumps(key)}: {text}")
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
@@ -309,4 +316,5 @@ def campaign_to_json(result: CampaignResult) -> dict:
     return {"version": 1, "stats": stats,
             "n_evaluated": result.n_evaluated,
             "n_excluded_low_dispersion": result.n_excluded_low_dispersion,
-            "n_excluded_unreachable": result.n_excluded_unreachable}
+            "n_excluded_unreachable": result.n_excluded_unreachable,
+            "draws": [dataclasses.asdict(d) for d in result.draws]}

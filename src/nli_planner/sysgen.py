@@ -4,16 +4,22 @@ Reproduces the five test-set categories: randomized formats, symbol rates,
 slot sizes (plus a 10% ultra-dense population), roll-offs, fiber draws, span
 lengths and noise figures.  Everything is driven by a seeded generator so a
 seed fully determines a system.
+
+:func:`draw_system` makes an attempt's random draws, comb then spans, as
+plain values (a :class:`RawSystem`), on which the low-dispersion screen
+is read; only :meth:`RawSystem.build` makes and validates the
+:class:`LinkSpec`, so a draw that screens attempts out builds nothing for
+them.  :func:`generate_system` is draw, then build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import assets
-from .cfm import MIN_ABS_BETA2, cut_min_abs_beta2
+from .cfm import MIN_ABS_BETA2, effective_beta2_xci
 from .types import ChannelSpec, LinkSpec, ModulationFormat, SpanConfig
 
 SYMBOL_RATES_TBAUD = (0.032, 0.064, 0.096, 0.128)
@@ -74,18 +80,15 @@ def _draw_format(category: int, rng: np.random.Generator) -> ModulationFormat:
     return QAM_EXTENDED[rng.integers(len(QAM_EXTENDED))]
 
 
-def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
-                  ) -> tuple[list[ChannelSpec], int]:
-    """Fill the band with randomized channels and pick the CUT index.
-
-    Powers start at the uniform baseline PSD and are overwritten by the
-    launch-power pipeline.
-    """
+def _draw_comb(cfg: GeneratorConfig, rng: np.random.Generator
+               ) -> tuple[list[list], int]:
+    """The comb's draws as the :class:`ChannelSpec` arguments of each
+    channel, launched at the baseline PSD, and the CUT index."""
     left = cfg.band_center - cfg.band_width / 2.0
     right = cfg.band_center + cfg.band_width / 2.0
     ultra_dense = rng.random() < cfg.ultra_dense_fraction
 
-    channels: list[ChannelSpec] = []
+    rows: list[list] = []
     cursor = left  # next free frequency (slot start or previous upper null)
     while True:
         rate = SYMBOL_RATES_TBAUD[rng.integers(len(SYMBOL_RATES_TBAUD))]
@@ -94,11 +97,11 @@ def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
         occ = (1.0 + roll) * rate
         if ultra_dense:
             sep = rng.uniform(0.005, 0.020)
-            if channels:
+            if rows:
                 if cfg.dense_separation == "gap":
                     center = cursor + sep + occ / 2.0
                 else:
-                    center = channels[-1].f_center + sep
+                    center = rows[-1][0] + sep
             else:
                 center = cursor + occ / 2.0
             upper = center + occ / 2.0
@@ -111,33 +114,29 @@ def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
                 break
             center = cursor + slot / 2.0
             cursor += slot
-        power = tuple([BASELINE_PSD_W_PER_THZ * rate] * cfg.n_spans)
-        channels.append(ChannelSpec(f_center=center, symbol_rate=rate,
-                                    roll_off=roll, format=fmt,
-                                    power_w_per_span=power, active=True))
-    if not channels:
+        power = (BASELINE_PSD_W_PER_THZ * rate,) * cfg.n_spans
+        rows.append([center, rate, roll, fmt, power, True])
+    if not rows:
         raise ValueError("band too narrow for a single channel")
 
-    cut_index = {"lowest": 0, "center": len(channels) // 2,
-                 "highest": len(channels) - 1}[cfg.cut_position]
+    cut_index = {"lowest": 0, "center": len(rows) // 2,
+                 "highest": len(rows) - 1}[cfg.cut_position]
 
     if cfg.category == 5:
         forced = (ModulationFormat.PM_QPSK, ModulationFormat.PM_8QAM)
-        channels[cut_index] = replace(channels[cut_index],
-                                      format=forced[rng.integers(2)])
+        rows[cut_index][3] = forced[rng.integers(2)]
 
     if cfg.category in (2, 4):
-        for i, ch in enumerate(channels):
-            if i == cut_index:
-                continue
-            if rng.random() < 0.5:
-                channels[i] = replace(ch, active=False)
+        for i, row in enumerate(rows):
+            if i != cut_index and rng.random() < 0.5:
+                row[5] = False
 
-    return channels, cut_index
+    return rows, cut_index
 
 
-def generate_link(cfg: GeneratorConfig,
-                  rng: np.random.Generator) -> list[SpanConfig]:
+def _draw_spans(cfg: GeneratorConfig, rng: np.random.Generator
+                ) -> list[tuple]:
+    """The spans' draws as the :class:`SpanConfig` arguments of each."""
     presets = list(assets.fiber_presets().values())
     if cfg.nf_mode == "mixed":
         nf_mode = "fixed_6dB" if rng.random() < 0.5 else "uniform_5_6dB"
@@ -148,20 +147,64 @@ def generate_link(cfg: GeneratorConfig,
         fiber = presets[rng.integers(len(presets))]
         length = rng.uniform(80.0, 120.0)
         nf = 6.0 if nf_mode == "fixed_6dB" else rng.uniform(5.0, 6.0)
-        spans.append(SpanConfig(fiber=fiber, length_km=length, gain_db=None,
-                                noise_figure_db=nf))
+        spans.append((fiber, length, None, nf))
     return spans
+
+
+def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
+                  ) -> tuple[list[ChannelSpec], int]:
+    """Fill the band with randomized channels and pick the CUT index.
+
+    Powers start at the uniform baseline PSD and are overwritten by the
+    launch-power pipeline.
+    """
+    rows, cut_index = _draw_comb(cfg, rng)
+    return [ChannelSpec(*row) for row in rows], cut_index
+
+
+def generate_link(cfg: GeneratorConfig,
+                  rng: np.random.Generator) -> list[SpanConfig]:
+    return [SpanConfig(*row) for row in _draw_spans(cfg, rng)]
+
+
+@dataclass(frozen=True)
+class RawSystem:
+    """One attempt's draws as plain values: the arguments of each channel's
+    :class:`ChannelSpec` and each span's :class:`SpanConfig`."""
+
+    channels: list[list]
+    cut_index: int
+    spans: list[tuple]
+
+    @property
+    def low_dispersion(self) -> bool:
+        """The CUT's effective |beta2| is below the bound on some span."""
+        f = self.channels[self.cut_index][0]
+        return min(abs(effective_beta2_xci(span[0], f, f))
+                   for span in self.spans) < MIN_ABS_BETA2
+
+    def build(self) -> LinkSpec:
+        """The validated link of these draws, unflagged."""
+        link = LinkSpec(spans=tuple(SpanConfig(*s) for s in self.spans),
+                        channels=tuple(ChannelSpec(*c) for c in self.channels),
+                        cut_index=self.cut_index)
+        link.validate()
+        return link
+
+
+def draw_system(cfg: GeneratorConfig, rng: np.random.Generator) -> RawSystem:
+    """Make a system's random draws, comb then spans, without building it."""
+    channels, cut_index = _draw_comb(cfg, rng)
+    return RawSystem(channels, cut_index, _draw_spans(cfg, rng))
 
 
 def generate_system(cfg: GeneratorConfig,
                     rng: np.random.Generator) -> LinkSpec:
-    """Compose a comb and a link; every span carries the one comb."""
-    channels, cut_index = generate_comb(cfg, rng)
-    spans = generate_link(cfg, rng)
-    link = LinkSpec(spans=tuple(spans), channels=tuple(channels),
-                    cut_index=cut_index)
-    link.validate()
-    if cut_min_abs_beta2(link) < MIN_ABS_BETA2:
+    """Compose a comb and a link; every span carries the one comb.  A
+    system whose CUT is screened low-dispersion is flagged."""
+    draw = draw_system(cfg, rng)
+    link = draw.build()
+    if draw.low_dispersion:
         link = link.with_flags(LOW_DISPERSION_FLAG)
     return link
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_system
-from nli_planner import assets, campaign
+from nli_planner import assets, campaign, cfm
 from nli_planner.campaign import (UNREACHABLE, CampaignConfig, CfmBenchmark,
                                   FitConfig, GnOracleBenchmark, _FitData,
                                   build_fit_data, draw_systems, error_stats,
@@ -231,6 +231,49 @@ def test_campaign_draw_is_pinned(categories, positions, seeds, n_low,
     assert res.seeds_used == seeds
     assert res.n_excluded_low_dispersion == n_low
     assert res.n_excluded_unreachable == n_unreachable
+    # The counts per (category, CUT position) sum to the totals.
+    assert [(d.category, d.cut_position) for d in res.draws] == [
+        (cat, pos) for cat in categories for pos in positions]
+    assert sum(d.attempts for d in res.draws) == max(seeds)
+    assert sum(d.excluded_low_dispersion for d in res.draws) == n_low
+    assert sum(d.excluded_unreachable for d in res.draws) == n_unreachable
+    assert sum(d.attempts - d.excluded_low_dispersion
+               - d.excluded_unreachable for d in res.draws) == len(seeds)
+
+
+def test_paper_scale_draw_is_pinned():
+    # At 5 THz x 20 spans a 'highest' CUT is almost always screened out
+    # (NZDSF2 sits near its zero dispersion there).  Recorded before the
+    # screen moved ahead of building the link.
+    cfg = CampaignConfig(n_systems=3, categories=(1,),
+                         cut_positions=ALL_POSITIONS, seed=0)
+    res = run_campaign(cfg, CfmBenchmark(assets.model(CfmKind.CFM3)))
+    assert res.seeds_used == (1, 2, 2874)
+    assert res.n_excluded_low_dispersion == 2871
+    assert res.n_excluded_unreachable == 0
+    assert [(d.cut_position, d.attempts, d.excluded_low_dispersion)
+            for d in res.draws] == [("lowest", 1, 0), ("center", 1, 0),
+                                    ("highest", 2872, 2871)]
+
+
+def test_a_planned_system_computes_its_closed_forms_once():
+    # The LOGO step, the refinement, the benchmark's reach scan and the fit
+    # structure read one geometry: its closed forms are computed once per
+    # planned system (kept or unreachable), not once per pass.
+    draw = dict(n_systems=6, categories=ALL_CATEGORIES,
+                cut_positions=ALL_POSITIONS, seed=11, band_width_thz=0.8,
+                n_spans=5)
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
+    reasons = [d.excluded for d in draw_systems(FitConfig(**draw), bmk)]
+    n_kept = reasons.count(None)
+    n_planned = n_kept + reasons.count(UNREACHABLE)
+    assert n_kept == 6 and n_planned > n_kept
+    cfm._closed_forms.cache_clear()
+    _data, seeds = build_fit_data(FitConfig(**draw), CfmKind.CFM3, bmk)
+    info = cfm._closed_forms.cache_info()
+    assert len(seeds) == n_kept
+    assert info.misses == n_planned
+    assert info.hits + info.misses >= 4 * n_kept
 
 
 def test_fit_and_campaign_draw_the_same_systems():

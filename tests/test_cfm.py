@@ -18,12 +18,13 @@ from scipy.integrate import quad
 import reference_cfm as ref
 from conftest import (make_single_channel_link, make_system,
                       make_zero_dispersion_link)
-from nli_planner import assets, fileio
+from nli_planner import assets, cfm, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
                              ZeroDispersionError, coherence_brackets,
                              effective_beta2_xci, nli_terms, propagate,
                              rho_cross, rho_partials, rho_self, rx_nli_psd,
-                             rx_nli_psd_all_channels, span_integrals)
+                             rx_nli_psd_all_channels, rx_nli_psds,
+                             span_integrals)
 from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
@@ -505,6 +506,9 @@ def test_all_row_kernel_memory_peak(paper_link, kind):
     # (whole arrays of every row would take megabytes).
     variant = assets.model(kind)
     nli_terms(paper_link, variant)
+    # The closed forms are computed anew in the traced call, not read from
+    # the memo the first call filled.
+    cfm._closed_forms.cache_clear()
     tracemalloc.start()
     try:
         nli_terms(paper_link, variant)
@@ -512,6 +516,38 @@ def test_all_row_kernel_memory_peak(paper_link, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 860_000
+
+
+def test_reloaded_link_gives_the_same_kernel(paper_link, tmp_path):
+    # The planned link's passes may read memoized closed forms; the same
+    # link reloaded from a file, with the memo emptied before each pass,
+    # shares nothing with them.  Every variant and both row modes agree
+    # bit for bit.
+    path = tmp_path / "system.json"
+    fileio.save_system(paper_link, path)
+    reloaded = fileio.load_system(path)
+    for kind in CfmKind:
+        variant = assets.model(kind)
+        for rows in (paper_link.cut_index, None):
+            got = rx_nli_psds(paper_link, variant, rows)
+            cfm._closed_forms.cache_clear()
+            want = rx_nli_psds(reloaded, variant, rows)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_closed_form_memo_is_bounded_and_read_only():
+    cfm._closed_forms.cache_clear()
+    links = [make_system(seed, optimize=False) for seed in range(8)]
+    for link in links:
+        span_integrals(link, rows=link.cut_index)
+    info = cfm._closed_forms.cache_info()
+    assert info.misses == len(links)
+    assert info.currsize == info.maxsize < len(links)
+    ints = span_integrals(links[-1], rows=links[-1].cut_index)
+    assert cfm._closed_forms.cache_info().hits == 1
+    for name in ("beta2", "abs_beta2", "i_cross", "i_self", "i_coherent"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ints, name)[0] = 0.0
 
 
 def _reference_rx_psd(link, variant, n_end):

@@ -18,7 +18,7 @@ from nli_planner.perf import evaluate_all_channels, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModulationFormat)
+                               ModelCoefficients, ModulationFormat)
 
 
 def _drawn_link(seed: int, category: int, n_spans: int, position: str,
@@ -472,6 +472,13 @@ def test_cli_campaign(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["n_evaluated"] == 2
+    draws = doc["draws"]
+    assert [(d["category"], d["cut_position"]) for d in draws] == [
+        (1, "center")]
+    assert draws[0]["attempts"] - draws[0]["excluded_low_dispersion"] \
+        - draws[0]["excluded_unreachable"] == 2
+    assert draws[0]["excluded_low_dispersion"] \
+        == doc["n_excluded_low_dispersion"]
     header = hist.read_text().splitlines()[0]
     assert header.startswith("variant,cut_position,bin_left_db")
 
@@ -499,6 +506,35 @@ def test_cli_fit(tmp_path, capsys, monkeypatch):
     assert summary["n_evaluations"] > 0
     assert main(["fit", "cfm2", "--cut-positions", "middle",
                  "-o", str(out)]) == 2
+
+
+def test_cli_fit_writes_a_non_finite_cost_as_null(tmp_path, capsys,
+                                                  monkeypatch):
+    # A start whose cost overflows: the summary holds null, not NaN.
+    real_fit = cli.fit_coefficients
+    a = list(assets.shipped_coefficients(CfmKind.CFM2).a)
+    a[7] = 1e6
+
+    def overflowing_fit(cfg, kind, benchmark):
+        cfg = replace(cfg, initial=ModelCoefficients(a=tuple(a)))
+        return real_fit(cfg, kind, benchmark)
+
+    monkeypatch.setattr(cli, "fit_coefficients", overflowing_fit)
+    rc = main(["fit", "cfm2", "--benchmark", "cfm2", "--n-systems", "2",
+               "--band-width-thz", "0.4", "--n-spans", "3", "--seed", "9",
+               "--max-iterations", "20", "-o", str(tmp_path / "fit.json")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["cost_initial"] is None
+    assert np.isfinite(summary["cost_final"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_text_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        fileio.json_text({"version": 1, "x": [1.0, value]})
+    with pytest.raises(ValueError):
+        fileio.json_text({"version": 1, "x": value})
 
 
 def test_cli_fit_rejects_empty_training_set(tmp_path, capsys):
@@ -562,6 +598,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["evaluate", str(sys_path),
                      f"--threshold-db={threshold}", "-o", str(out)]) == 3
         assert "--threshold-db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    # Numeric failure: a finite but huge interferer frequency overflows the
+    # cross closed form, and the CUT's results are NaN, which the result
+    # JSON could not hold.
+    doc = fileio.system_to_json(make_system(86))
+    doc["channels"][doc["cut_index"] - 1]["f_center_thz"] = 1e300
+    bad.write_text(json.dumps(doc))
+    for extra in ([], ["--all-channels"]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["evaluate", str(bad), *extra, "-o", str(out)])
+        assert rc == 4
+        assert "non-finite result" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -148,3 +148,23 @@ def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
     opt, _ = optimize_powers(link, np.random.default_rng(51))
     assert len(built) == len(opt.channels)
     assert all(a is b for a, b in zip(built, opt.channels))
+
+
+def test_optimize_powers_builds_no_comb_for_the_staged_link(monkeypatch):
+    # Both kernel passes read the channels of the link they were given:
+    # the staged link between the span-local step and the refinement
+    # builds no comb of its own.
+    link = make_system(51, band_width=1.0, optimize=False)
+    _ = link.comb  # the generated link's, built before the plan
+    built = []
+    build = LinkSpec.comb.func
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(LinkSpec.comb, "func", counting)
+    opt, _ = optimize_powers(link, np.random.default_rng(51))
+    assert built == []
+    _ = opt.comb
+    assert len(built) == 1 and built[0] is opt

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nli_planner.sysgen import (CUT_POSITIONS, LOW_DISPERSION_FLAG, SLOT_THZ,
                                 SYMBOL_RATES_TBAUD, GeneratorConfig,
-                                generate_comb, generate_link, generate_system,
-                                generate_system_from_seed)
+                                draw_system, generate_comb, generate_link,
+                                generate_system, generate_system_from_seed)
 from nli_planner.types import ModulationFormat
 
 
@@ -175,3 +177,32 @@ def test_nf_modes():
                           nf_mode="uniform_5_6dB")
     spans = generate_link(uni, np.random.default_rng(1))
     assert all(5.0 <= s.noise_figure_db < 6.0 for s in spans)
+
+
+def _array_fields(view) -> dict:
+    return {k: v for k, v in vars(view).items() if isinstance(v, np.ndarray)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), attempt=st.integers(1, 10**6),
+       category=st.integers(1, 5), position=st.sampled_from(CUT_POSITIONS),
+       band_width=st.sampled_from((0.8, 2.0, 5.0)),
+       n_spans=st.integers(1, 20))
+def test_screened_draw_is_the_generated_system(seed, attempt, category,
+                                               position, band_width, n_spans):
+    # The screen on the plain draws gives generate_system's verdict, and an
+    # attempt that passes builds generate_system's link from the same RNG
+    # calls.
+    cfg = GeneratorConfig(category=category, cut_position=position,
+                          band_width=band_width, n_spans=n_spans, seed=seed)
+    drawn = draw_system(cfg, np.random.default_rng([seed, attempt]))
+    link = generate_system(cfg, np.random.default_rng([seed, attempt]))
+    assert drawn.low_dispersion == (LOW_DISPERSION_FLAG in link.flags)
+    if drawn.low_dispersion:
+        return
+    built = drawn.build()
+    assert built == link
+    for view in ("comb", "span_arrays"):
+        got, want = (_array_fields(getattr(x, view)) for x in (built, link))
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
