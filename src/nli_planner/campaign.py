@@ -22,7 +22,8 @@ from .perf import (SensitivityPolicy, UnreachableError, link_report,
                    max_reach_scan, snr)
 from .poweropt import optimize_powers
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
-from .types import CfmKind, LinkSpec, ModelCoefficients, ModelVariant
+from .types import (FORMATS, CfmKind, LinkSpec, ModelCoefficients,
+                    ModelVariant)
 
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
 from scipy.optimize import minimize
@@ -96,8 +97,8 @@ class GnOracleBenchmark(_LastLinkBenchmark):
         self.last_stats: tuple[QuadratureStats, ...] = ()
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
-        psds, self.last_stats = gn_span_psds(link, link.cut.f_center,
-                                             self.quad)
+        psds, self.last_stats = gn_span_psds(
+            link, float(link.comb.f[link.cut_index]), self.quad)
         return propagate(link.span_arrays.transfer, psds)[:, None]
 
 
@@ -227,7 +228,8 @@ def draw_systems(draw: SystemDraw, benchmark,
                               LOW_DISPERSION_FLAG)
             continue
         link, _plan = optimize_powers(drawn.build(), rng)
-        threshold = policy.threshold_db(link.cut.format, rng)
+        threshold = policy.threshold_db(
+            FORMATS[link.comb.fmt[link.cut_index]], rng)
         try:
             reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
                                    link.n_spans, threshold)

@@ -347,33 +347,34 @@ def _closed_forms(fibers: tuple[FiberParams, ...], fiber: bytes,
     df = f - f_cut[:, None]
     upper = df + rate / 2.0
     lower = df - rate / 2.0
-    b2 = effective_beta2_xci(fib, f, f_cut[:, None])
-    m = np.abs(b2)
-    # The self terms read the CUT/CUT pair: [fiber, row] against
-    # [fiber, 1], and per span [span, row] against [span, 1].
-    d = m[own]
-    two_alpha_f = two_alpha[:, 0]
-    den = 2.0 * math.pi * d * two_alpha_f
-    arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
-    d_s, den_s, two_alpha_s = (a[fiber] for a in (d, den, two_alpha_f))
-    length_s = length[:, None]
-    si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
-    # i_cross = (asinh(scale * upper) - asinh(scale * lower))
-    #           / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
-    # with R the CUT's symbol rate, computed in place.
-    scale = m / two_alpha
-    scale *= math.pi ** 2
-    scale *= rate_cut[:, None]
-    i_cross = np.arcsinh(scale * upper)
-    scale *= lower
-    i_cross -= np.arcsinh(scale, out=scale)
-    den_cross = np.multiply(m, 4.0 * math.pi, out=scale)
-    den_cross *= two_alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero dispersion gives inf or NaN entries, and a frequency far out of
+    # range overflows: non-finite values the callers mask or report.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b2 = effective_beta2_xci(fib, f, f_cut[:, None])
+        m = np.abs(b2)
+        # The self terms read the CUT/CUT pair: [fiber, row] against
+        # [fiber, 1], and per span [span, row] against [span, 1].
+        d = m[own]
+        two_alpha_f = two_alpha[:, 0]
+        den = 2.0 * math.pi * d * two_alpha_f
+        arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
+        d_s, den_s, two_alpha_s = (a[fiber] for a in (d, den, two_alpha_f))
+        length_s = length[:, None]
+        si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
+        # i_cross = (asinh(scale * upper) - asinh(scale * lower))
+        #     / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
+        # with R the CUT's symbol rate, computed in place.
+        scale = m / two_alpha
+        scale *= math.pi ** 2
+        scale *= rate_cut[:, None]
+        i_cross = np.arcsinh(scale * upper)
+        scale *= lower
+        i_cross -= np.arcsinh(scale, out=scale)
+        den_cross = np.multiply(m, 4.0 * math.pi, out=scale)
+        den_cross *= two_alpha
         i_cross /= den_cross
         forms = (b2, m, i_cross, np.arcsinh(arg) / den,
-                 2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s)
-                 / den_s)
+                 2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s) / den_s)
     for a in forms:
         a.setflags(write=False)
     return forms

@@ -184,11 +184,12 @@ def _cmd_evaluate(args) -> int:
     if args.all_channels:
 
         def _clean(arr):
-            return [None if not np.isfinite(v) else float(v) for v in arr]
+            """The values, None where not finite (an inactive channel)."""
+            return np.where(np.isfinite(arr), arr, None).tolist()
 
         doc["channels"] = {
-            "f_center_thz": [c.f_center for c in link.channels],
-            "active": [c.active for c in link.channels],
+            "f_center_thz": link.comb.f.tolist(),
+            "active": link.comb.active.tolist(),
             "snr_db": _clean(report.snr_db[-1]),
             "p_nli_w": _clean(report.p_nli_w[-1]),
             "p_ase_w": _clean(report.p_ase_w[-1]),

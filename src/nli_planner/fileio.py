@@ -10,14 +10,17 @@ import csv
 import dataclasses
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import assets
 from .campaign import CampaignResult, ErrorStats
-from .types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                    ModelCoefficients, ModelVariant, ModulationFormat,
-                    SpanConfig)
+from .types import (FORMATS, CfmKind, CombArrays, FiberParams, LinkSpec,
+                    ModelCoefficients, ModelVariant, SpanArrays,
+                    ValidationError)
 
 
 class ParseError(ValueError):
@@ -52,14 +55,16 @@ def _number(node: dict | list, key: str | int, pointer: str) -> float:
     return float(value)
 
 
-def _numbers(values: list, pointer: str) -> tuple[float, ...]:
-    """A JSON array of numbers as floats; ``pointer`` locates the array."""
+def _numbers(values: list, pointer: str, field: str = "") -> list:
+    """``values``, each a number; ParseError names ``pointer/i`` plus
+    ``field`` of the first that is not."""
     if not set(map(type, values)) <= {int, float}:
-        # Name the first entry that is no number; subclasses of float, such
-        # as numpy.float64 in a document built in Python, pass.
-        for i in range(len(values)):
-            _number(values, i, pointer)
-    return tuple(map(float, values))
+        # Subclasses of float, such as numpy.float64 in a document built in
+        # Python, pass.
+        for i, value in enumerate(values):
+            if not _is_number(value):
+                raise ParseError(f"{pointer}/{i}{field}", "must be a number")
+    return values
 
 
 def _check_version(doc: dict, pointer: str) -> None:
@@ -102,8 +107,90 @@ def _fiber_to_json(fiber: FiberParams) -> Any:
             "f_ref_thz": fiber.f_ref}
 
 
+_SPAN_FIELDS = {"fiber", "length_km", "nf_db", "gain_db"}
+_CHANNEL_FIELDS = {"f_center_thz", "rate_tbaud", "roll_off", "format",
+                   "power_w", "active"}
+_FORMAT_CODE = {fmt.value: code for code, fmt in enumerate(FORMATS)}
+
+
+def _entries(doc: dict, key: str, fields: set[str], optional: str) -> list:
+    """The array ``doc[key]``, of objects with ``fields``, ``optional``
+    among them, and no others."""
+    nodes, required = doc[key], fields - {optional}
+    if not all(type(n) is dict and required <= n.keys() <= fields
+               for n in nodes):
+        for i, node in enumerate(nodes):
+            ptr = f"/{key}/{i}"
+            if not isinstance(node, dict):
+                raise ParseError(ptr, f"{key[:-1]} must be an object")
+            _require(node, ptr, fields, required)
+    return nodes
+
+
+def _parse_spans(nodes: list) -> SpanArrays:
+    """The spans' columns, each field read over every span in turn."""
+    gain = [n.get("gain_db", "transparent") for n in nodes]
+    for i, g in enumerate(gain):
+        if g == "transparent":
+            gain[i] = None
+        elif not _is_number(g):
+            raise ParseError(f"/spans/{i}/gain_db",
+                             "must be a number or 'transparent'")
+    fibers = [_parse_fiber(n["fiber"], f"/spans/{i}/fiber")
+              for i, n in enumerate(nodes)]
+    length, nf = (_numbers([n[k] for n in nodes], "/spans", f"/{k}")
+                  for k in ("length_km", "nf_db"))
+    if not nodes:
+        raise ParseError("/spans", "at least one span required")
+    try:
+        return SpanArrays.columns(fibers, length, gain, nf)
+    except ValidationError as exc:
+        raise ParseError(f"/spans/{exc.index}", str(exc))
+
+
+def _parse_channels(nodes: list, n_spans: int) -> CombArrays:
+    """The channels' columns, read as :func:`_parse_spans` reads the
+    spans'; ``power_w`` gives ``n_spans`` launch powers."""
+    names = [n["format"] for n in nodes]
+    fmt = [_FORMAT_CODE.get(v) if isinstance(v, str) else None
+           for v in names]
+    if None in fmt:
+        i = fmt.index(None)
+        raise ParseError(f"/channels/{i}/format",
+                         f"unknown format {names[i]!r}")
+    launch = [n["power_w"] for n in nodes]
+    # Per-span lists of numbers pass in one check; else entry by entry.
+    if not (set(map(type, launch)) <= {list}
+            and set(map(len, launch)) <= {n_spans}
+            and set(map(type, chain.from_iterable(launch))) <= {int, float}):
+        for i, p in enumerate(launch):
+            ptr = f"/channels/{i}/power_w"
+            if _is_number(p):
+                launch[i] = [p] * n_spans
+            elif not isinstance(p, list):
+                raise ParseError(ptr, "must be a number or array")
+            elif len(p) != n_spans:
+                raise ParseError(ptr, f"expected {n_spans} per-span values")
+            else:
+                _numbers(p, ptr)
+    active = [n.get("active", True) for n in nodes]
+    if not set(map(type, active)) <= {bool}:
+        i = next(i for i, a in enumerate(active) if not isinstance(a, bool))
+        raise ParseError(f"/channels/{i}/active", "must be true or false")
+    f, rate, roll = (_numbers([n[k] for n in nodes], "/channels", f"/{k}")
+                     for k in ("f_center_thz", "rate_tbaud", "roll_off"))
+    launch = np.array(launch, float).reshape(len(nodes), n_spans).T
+    try:
+        return CombArrays.columns(f, rate, roll, fmt, active, launch)
+    except ValidationError as exc:
+        raise ParseError(f"/channels/{exc.index}", str(exc))
+
+
 def parse_system(doc: dict) -> LinkSpec:
-    """Parse a SystemFileV1 document into a validated LinkSpec."""
+    """Parse a SystemFileV1 document into a validated LinkSpec.  Each field
+    is read over every span or channel in turn, and the columns validated
+    as arrays: an error names the JSON pointer of the first bad entry of
+    the first bad field, a type before a value."""
     if not isinstance(doc, dict):
         raise ParseError("", "document must be a JSON object")
     _require(doc, "", {"version", "spans", "channels", "cut_index"},
@@ -112,75 +199,13 @@ def parse_system(doc: dict) -> LinkSpec:
     for key in ("spans", "channels"):
         if not isinstance(doc[key], list):
             raise ParseError(f"/{key}", "must be an array")
-
-    spans = []
-    for i, node in enumerate(doc["spans"]):
-        ptr = f"/spans/{i}"
-        if not isinstance(node, dict):
-            raise ParseError(ptr, "span must be an object")
-        _require(node, ptr, {"fiber", "length_km", "nf_db", "gain_db"},
-                 {"fiber", "length_km", "nf_db"})
-        gain = node.get("gain_db", "transparent")
-        if gain == "transparent":
-            gain = None
-        elif not _is_number(gain):
-            raise ParseError(f"{ptr}/gain_db",
-                             "must be a number or 'transparent'")
-        fiber = _parse_fiber(node["fiber"], f"{ptr}/fiber")
-        length_km = _number(node, "length_km", ptr)
-        nf_db = _number(node, "nf_db", ptr)
-        try:
-            spans.append(SpanConfig(fiber=fiber, length_km=length_km,
-                                    gain_db=gain, noise_figure_db=nf_db))
-        except ValueError as exc:
-            raise ParseError(ptr, str(exc))
-    n_spans = len(spans)
-    if n_spans == 0:
-        raise ParseError("/spans", "at least one span required")
-
-    channels = []
-    for i, node in enumerate(doc["channels"]):
-        ptr = f"/channels/{i}"
-        if not isinstance(node, dict):
-            raise ParseError(ptr, "channel must be an object")
-        _require(node, ptr,
-                 {"f_center_thz", "rate_tbaud", "roll_off", "format",
-                  "power_w", "active"},
-                 {"f_center_thz", "rate_tbaud", "roll_off", "format",
-                  "power_w"})
-        try:
-            fmt = ModulationFormat(node["format"])
-        except ValueError:
-            raise ParseError(f"{ptr}/format",
-                             f"unknown format {node['format']!r}")
-        power = node["power_w"]
-        if _is_number(power):
-            powers = tuple([float(power)] * n_spans)
-        elif isinstance(power, list):
-            if len(power) != n_spans:
-                raise ParseError(f"{ptr}/power_w",
-                                 f"expected {n_spans} per-span values")
-            powers = _numbers(power, f"{ptr}/power_w")
-        else:
-            raise ParseError(f"{ptr}/power_w", "must be a number or array")
-        active = node.get("active", True)
-        if not isinstance(active, bool):
-            raise ParseError(f"{ptr}/active", "must be true or false")
-        f_center = _number(node, "f_center_thz", ptr)
-        rate = _number(node, "rate_tbaud", ptr)
-        roll_off = _number(node, "roll_off", ptr)
-        try:
-            channels.append(ChannelSpec(
-                f_center=f_center, symbol_rate=rate, roll_off=roll_off,
-                format=fmt, power_w_per_span=powers, active=active))
-        except ValueError as exc:
-            raise ParseError(ptr, str(exc))
-
+    spans = _parse_spans(_entries(doc, "spans", _SPAN_FIELDS, "gain_db"))
+    comb = _parse_channels(_entries(doc, "channels", _CHANNEL_FIELDS,
+                                    "active"), len(spans.length))
     cut_index = doc["cut_index"]
     if isinstance(cut_index, bool) or not isinstance(cut_index, int):
         raise ParseError("/cut_index", "must be an integer")
-    link = LinkSpec(spans=tuple(spans), channels=tuple(channels),
-                    cut_index=cut_index)
+    link = LinkSpec(comb=comb, span_arrays=spans, cut_index=cut_index)
     try:
         link.validate()
     except ValueError as exc:
@@ -189,24 +214,22 @@ def parse_system(doc: dict) -> LinkSpec:
 
 
 def system_to_json(link: LinkSpec) -> dict:
-    """Serialize a link to a SystemFileV1 document."""
-    spans = []
-    for span in link.spans:
-        spans.append({"fiber": _fiber_to_json(span.fiber),
-                      "length_km": span.length_km,
-                      "nf_db": span.noise_figure_db,
-                      "gain_db": ("transparent" if span.gain_db is None
-                                  else span.gain_db)})
-    channels = []
-    for ch in link.channels:
-        powers = list(ch.power_w_per_span)
-        power: Any = powers[0] if len(set(powers)) == 1 else powers
-        channels.append({"f_center_thz": ch.f_center,
-                         "rate_tbaud": ch.symbol_rate,
-                         "roll_off": ch.roll_off,
-                         "format": ch.format.value,
-                         "power_w": power,
-                         "active": ch.active})
+    """Serialize a link to a SystemFileV1 document, from its columns."""
+    s, c = link.span_arrays, link.comb
+    spans = [{"fiber": _fiber_to_json(s.fibers[k]), "length_km": length,
+              "nf_db": nf, "gain_db": "transparent" if t else g}
+             for k, length, nf, g, t in zip(
+                 s.fiber.tolist(), s.length.tolist(), s.nf_db.tolist(),
+                 s.gain_db.tolist(), s.transparent.tolist())]
+    # A channel launched at one power into every span writes that power.
+    one = (c.launch[1:] == c.launch[:1]).all(axis=0) & (link.n_spans > 0)
+    channels = [{"f_center_thz": f, "rate_tbaud": rate, "roll_off": roll,
+                 "format": FORMATS[k].value, "power_w": p[0] if u else p,
+                 "active": a}
+                for f, rate, roll, k, p, u, a in zip(
+                    c.f.tolist(), c.rate.tolist(), c.roll.tolist(),
+                    c.fmt.tolist(), c.launch.T.tolist(), one.tolist(),
+                    c.active.tolist())]
     return {"version": 1, "spans": spans, "channels": channels,
             "cut_index": link.cut_index}
 
@@ -257,7 +280,7 @@ def parse_coefficients(doc: dict) -> tuple[CfmKind, ModelCoefficients]:
     values = doc["a"]
     if not isinstance(values, list):
         raise ParseError("/a", "must be an array")
-    coeffs = ModelCoefficients(a=_numbers(values, "/a"))
+    coeffs = ModelCoefficients(a=tuple(map(float, _numbers(values, "/a"))))
     for i, x in enumerate(coeffs.a):
         if not math.isfinite(x):
             raise ParseError(f"/a/{i}", "must be finite")

@@ -11,7 +11,7 @@ import os
 import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -439,8 +439,9 @@ def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
     """Single-span GN-model NLI PSD (W/THz) at ``f_eval``, the channels of
     ``comb`` launched with their powers into span ``span_index``: the
     :func:`gn_span_psds` of a one-span link."""
-    channels = tuple(c.with_powers((c.power_w_per_span[span_index],))
-                     for c in comb)
+    channels = tuple(
+        replace(c, power_w_per_span=(c.power_w_per_span[span_index],))
+        for c in comb)
     link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
     return float(gn_span_psds(link, f_eval, q)[0][0])
 

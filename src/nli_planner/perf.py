@@ -70,8 +70,11 @@ def span_ase_psds(link: LinkSpec, f_thz) -> np.ndarray:
     *f.shape]``: NF * h * f * (gain - 1), nothing for gains below 1."""
     s = link.span_arrays
     col = (...,) + (None,) * np.ndim(f_thz)
-    return (s.noise_figure[col] * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
-            * np.maximum(s.gain - 1.0, 0.0)[col] * _THZ)
+    # A frequency or gain far out of range overflows to inf: a non-finite
+    # result the callers report, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (s.noise_figure[col] * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
+                * np.maximum(s.gain - 1.0, 0.0)[col] * _THZ)
 
 
 def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
@@ -83,8 +86,9 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
     """Dual-polarization ASE power (W) in the CUT's matched-filter bandwidth,
     every amplifier's noise propagated through the remaining spans."""
     _check_n_end(link, n_end)
-    cut = link.cut
-    return float(rx_ase_psd(link, cut.f_center)[n_end - 1]) * cut.symbol_rate
+    c = link.cut_index
+    return (float(rx_ase_psd(link, link.comb.f[c])[n_end - 1])
+            * float(link.comb.rate[c]))
 
 
 @dataclass(frozen=True)

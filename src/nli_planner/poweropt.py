@@ -17,8 +17,7 @@ import numpy as np
 from . import assets
 from .cfm import check_dispersion, comb_nli_terms, one_low_dispersion_warning
 from .perf import ase_power, span_ase_psds
-from .types import (CfmKind, ChannelSpec, CombArrays, LinkSpec, ModelVariant,
-                    SpanConfig)
+from .types import CfmKind, CombArrays, LinkSpec, ModelVariant, SpanArrays
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls it.
 from .cfm import rx_nli_psd
@@ -41,14 +40,14 @@ class PowerPlan:
             g * factor for g in self.g_cut_per_span))
 
 
-def randomize_launch(channels: tuple[ChannelSpec, ...], cut_index: int,
+def randomize_launch(link: LinkSpec,
                      rng: np.random.Generator) -> tuple[float, ...]:
     """Per-channel power multipliers, uniform in [0.7, 1.3]; 1 at the CUT.
 
     Drawn once and reused at every span.
     """
-    xi = rng.uniform(0.7, 1.3, size=len(channels)).tolist()
-    xi[cut_index] = 1.0
+    xi = rng.uniform(0.7, 1.3, size=len(link.comb.f)).tolist()
+    xi[link.cut_index] = 1.0
     return tuple(xi)
 
 
@@ -73,8 +72,8 @@ def logo_optimize(link: LinkSpec,
     """Span-local optimal CUT PSDs: the stationary point where each span's
     ASE PSD equals twice its NLI PSD."""
     if xi is None:
-        xi = (1.0,) * len(link.channels)
-    ase = span_ase_psds(link, link.cut.f_center).tolist()
+        xi = (1.0,) * len(link.comb.f)
+    ase = span_ase_psds(link, link.comb.f[link.cut_index]).tolist()
     out = []
     for a, eta in zip(ase, span_eta(link, xi).tolist()):
         if eta <= 0.0:
@@ -86,27 +85,24 @@ def logo_optimize(link: LinkSpec,
     return tuple(out)
 
 
-def _planned_spans(link: LinkSpec, g) -> tuple[SpanConfig, ...]:
+def _planned_spans(link: LinkSpec, g) -> SpanArrays:
     """The link's spans with the lumped gains that realize the CUT PSD
     profile ``g`` on a transparent link."""
-    new_spans = []
-    for n, span in enumerate(link.spans):
-        gain_db = span.fiber.alpha_db_per_km * span.length_km
-        if n + 1 < link.n_spans:
-            gain_db += 10.0 * math.log10(g[n + 1] / g[n])
-        new_spans.append(SpanConfig(span.fiber, span.length_km, gain_db,
-                                    span.noise_figure_db))
-    return tuple(new_spans)
+    s = link.span_arrays
+    gain_db = [s.fibers[k].alpha_db_per_km * length
+               for k, length in zip(s.fiber.tolist(), s.length.tolist())]
+    for n in range(link.n_spans - 1):
+        gain_db[n] += 10.0 * math.log10(g[n + 1] / g[n])
+    return s.with_gains(gain_db)
 
 
 def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
     """Set per-span channel powers from the plan and re-derive the lumped
-    gains that realize the per-span CUT PSD profile on a transparent link."""
+    gains that realize the per-span CUT PSD profile on a transparent link;
+    every other column is the link's."""
     g = plan.g_cut_per_span
-    powers = _tied_power(link, plan.xi, g).T.tolist()
-    channels = tuple(ch.with_powers(p)
-                     for ch, p in zip(link.channels, powers))
-    return replace(link, spans=_planned_spans(link, g), channels=channels)
+    comb = link.comb.with_power(_tied_power(link, plan.xi, g))
+    return replace(link, comb=comb, span_arrays=_planned_spans(link, g))
 
 
 def _eta(link: LinkSpec, ch: CombArrays, variant: ModelVariant) -> float:
@@ -128,7 +124,8 @@ def refine_cut_launch(link: LinkSpec, eta: float) -> float:
     """Closed-form first-span CUT PSD maximizing the receiver SNR."""
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    g_ase_rx = ase_power(link, link.n_spans) / link.cut.symbol_rate
+    g_ase_rx = ase_power(link, link.n_spans) / float(
+        link.comb.rate[link.cut_index])
     return (g_ase_rx / (2.0 * eta)) ** (1.0 / 3.0)
 
 
@@ -144,11 +141,11 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator,
     """
     if variant is None:
         variant = assets.model(CfmKind.CFM4)
-    xi = randomize_launch(link.channels, link.cut_index, rng)
+    xi = randomize_launch(link, rng)
     g = logo_optimize(link, xi)
     plan = PowerPlan(g_cut_per_span=g, xi=xi)
-    # The link with the span-local plan applied, its powers kept as arrays.
-    staged = replace(link, spans=_planned_spans(link, g))
+    # The link with the span-local gains, its tied powers kept apart.
+    staged = replace(link, span_arrays=_planned_spans(link, g))
     tied = link.comb.with_power(_tied_power(link, xi, g))
     eta = _eta(staged, tied, variant)
     g_opt = refine_cut_launch(staged, eta)

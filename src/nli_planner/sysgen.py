@@ -8,8 +8,8 @@ seed fully determines a system.
 :func:`draw_system` makes an attempt's random draws, comb then spans, as
 plain values (a :class:`RawSystem`), on which the low-dispersion screen
 is read; only :meth:`RawSystem.build` makes and validates the
-:class:`LinkSpec`, so a draw that screens attempts out builds nothing for
-them.  :func:`generate_system` is draw, then build.
+:class:`LinkSpec`'s columns, so a draw that screens attempts out builds
+nothing for them.  :func:`generate_system` is draw, then build.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import assets
 from .cfm import MIN_ABS_BETA2, effective_beta2_xci
-from .types import ChannelSpec, LinkSpec, ModulationFormat, SpanConfig
+from .types import (FORMAT_CODE, CombArrays, LinkSpec, ModulationFormat,
+                    SpanArrays)
 
 SYMBOL_RATES_TBAUD = (0.032, 0.064, 0.096, 0.128)
 SLOT_THZ = {0.032: 0.0435, 0.064: 0.0875, 0.096: 0.13125, 0.128: 0.175}
@@ -82,8 +83,8 @@ def _draw_format(category: int, rng: np.random.Generator) -> ModulationFormat:
 
 def _draw_comb(cfg: GeneratorConfig, rng: np.random.Generator
                ) -> tuple[list[list], int]:
-    """The comb's draws as the :class:`ChannelSpec` arguments of each
-    channel, launched at the baseline PSD, and the CUT index."""
+    """The comb's draws as each channel's frequency, rate, roll-off,
+    format and activity, and the CUT index."""
     left = cfg.band_center - cfg.band_width / 2.0
     right = cfg.band_center + cfg.band_width / 2.0
     ultra_dense = rng.random() < cfg.ultra_dense_fraction
@@ -114,8 +115,7 @@ def _draw_comb(cfg: GeneratorConfig, rng: np.random.Generator
                 break
             center = cursor + slot / 2.0
             cursor += slot
-        power = (BASELINE_PSD_W_PER_THZ * rate,) * cfg.n_spans
-        rows.append([center, rate, roll, fmt, power, True])
+        rows.append([center, rate, roll, fmt, True])
     if not rows:
         raise ValueError("band too narrow for a single channel")
 
@@ -129,14 +129,14 @@ def _draw_comb(cfg: GeneratorConfig, rng: np.random.Generator
     if cfg.category in (2, 4):
         for i, row in enumerate(rows):
             if i != cut_index and rng.random() < 0.5:
-                row[5] = False
+                row[4] = False
 
     return rows, cut_index
 
 
 def _draw_spans(cfg: GeneratorConfig, rng: np.random.Generator
                 ) -> list[tuple]:
-    """The spans' draws as the :class:`SpanConfig` arguments of each."""
+    """The spans' draws as each span's fiber, length and noise figure."""
     presets = list(assets.fiber_presets().values())
     if cfg.nf_mode == "mixed":
         nf_mode = "fixed_6dB" if rng.random() < 0.5 else "uniform_5_6dB"
@@ -147,30 +147,15 @@ def _draw_spans(cfg: GeneratorConfig, rng: np.random.Generator
         fiber = presets[rng.integers(len(presets))]
         length = rng.uniform(80.0, 120.0)
         nf = 6.0 if nf_mode == "fixed_6dB" else rng.uniform(5.0, 6.0)
-        spans.append((fiber, length, None, nf))
+        spans.append((fiber, length, nf))
     return spans
-
-
-def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
-                  ) -> tuple[list[ChannelSpec], int]:
-    """Fill the band with randomized channels and pick the CUT index.
-
-    Powers start at the uniform baseline PSD and are overwritten by the
-    launch-power pipeline.
-    """
-    rows, cut_index = _draw_comb(cfg, rng)
-    return [ChannelSpec(*row) for row in rows], cut_index
-
-
-def generate_link(cfg: GeneratorConfig,
-                  rng: np.random.Generator) -> list[SpanConfig]:
-    return [SpanConfig(*row) for row in _draw_spans(cfg, rng)]
 
 
 @dataclass(frozen=True)
 class RawSystem:
-    """One attempt's draws as plain values: the arguments of each channel's
-    :class:`ChannelSpec` and each span's :class:`SpanConfig`."""
+    """One attempt's draws as plain values: each channel's frequency,
+    rate, roll-off, format and activity, the CUT index, and each span's
+    fiber, length and noise figure."""
 
     channels: list[list]
     cut_index: int
@@ -184,10 +169,19 @@ class RawSystem:
                    for span in self.spans) < MIN_ABS_BETA2
 
     def build(self) -> LinkSpec:
-        """The validated link of these draws, unflagged."""
-        link = LinkSpec(spans=tuple(SpanConfig(*s) for s in self.spans),
-                        channels=tuple(ChannelSpec(*c) for c in self.channels),
-                        cut_index=self.cut_index)
+        """The validated link of these draws, unflagged, every channel
+        launched at the baseline PSD into every span."""
+        fibers, length, nf = zip(*self.spans)
+        f, rate, roll, fmt, active = zip(*self.channels)
+        rate = np.array(rate)
+        launch = np.repeat([BASELINE_PSD_W_PER_THZ * rate], len(length), 0)
+        link = LinkSpec(
+            comb=CombArrays.columns(f, rate, roll,
+                                    [FORMAT_CODE[x] for x in fmt], active,
+                                    launch),
+            span_arrays=SpanArrays.columns(fibers, length,
+                                           [None] * len(length), nf),
+            cut_index=self.cut_index)
         link.validate()
         return link
 

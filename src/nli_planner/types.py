@@ -5,8 +5,15 @@ powers in W, PSDs in W/THz, lengths in km, dispersion in ps^2/km and
 ps^3/km, nonlinearity in 1/(W km).  With ps*THz = 1 these combine without
 any internal re-normalization.
 
-A :class:`LinkSpec` carries its channels and spans as arrays, built on first
-read (``link.comb``, ``link.span_arrays``), that state only its own fields.
+A :class:`LinkSpec` is columns: ``link.comb``, a :class:`CombArrays` of
+``[channel]`` parameters and the ``[span, channel]`` launch power, and
+``link.span_arrays``, a :class:`SpanArrays` of ``[span]`` lengths, gains and
+noise figures with an index into the distinct fibers.  Both are read-only
+and validated as whole arrays when made, and a change of powers or gains
+shares every other column.  :class:`ChannelSpec` and :class:`SpanConfig`
+are the same values as objects: ``LinkSpec(spans=..., channels=...)``
+builds the columns from them, and ``link.channels``, ``link.spans`` and
+``link.cut`` build them from the columns on read.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,12 +67,76 @@ def phi_of_format(fmt: ModulationFormat) -> float:
 
 
 class ValidationError(ValueError):
-    """Raised when a domain object violates its invariants."""
+    """Raised when a domain object violates its invariants; ``index`` is
+    the offending channel or span of a link's columns, if any."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
-def _check_finite(what: str, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{what} must be finite numbers")
+def _raise_first_fault(rules: Sequence[tuple[np.ndarray, str]]) -> None:
+    """Raise for the first entry that breaks a rule, with the message of
+    the first rule it breaks; a rule is the ``[entry]`` mask of the entries
+    that keep it, and its message."""
+    ok = functools.reduce(np.logical_and, [keep for keep, _ in rules])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValidationError(next(msg for keep, msg in rules if not keep[i]),
+                              index=i)
+
+
+def _launch_rules(active: np.ndarray, launch: np.ndarray) -> list:
+    """The rules of a ``[span, channel]`` launch power: finite, and
+    positive where the channel is active."""
+    return [(np.isfinite(launch).all(axis=0), "channel frequency, rate, "
+             "roll-off and powers must be finite numbers"),
+            (~active | (launch > 0.0).all(axis=0),
+             "active channel powers must be > 0")]
+
+
+def _check_channels(f, rate, roll, active, launch) -> None:
+    """ValidationError for the first bad channel of these columns."""
+    (finite, message), positive = _launch_rules(active, launch)
+    _raise_first_fault([
+        (finite & np.isfinite(f) & np.isfinite(rate) & np.isfinite(roll),
+         message),
+        (f > 0.0, "channel frequency must be > 0"),
+        (rate > 0.0, "symbol rate must be > 0"),
+        ((roll >= 0.0) & (roll <= 1.0), "roll-off must lie in [0, 1]"),
+        positive])
+
+
+def _check_spans(length, gain_db, nf_db, transparent) -> None:
+    """ValidationError for the first bad span of these columns; the gain of
+    a transparent span is not read."""
+    _raise_first_fault([
+        (np.isfinite(length) & (np.isfinite(gain_db) | transparent)
+         & np.isfinite(nf_db),
+         "span length, gain and noise figure must be finite numbers"),
+        (length > 0.0, "span length must be > 0 km")])
+
+
+def _lin(db: np.ndarray) -> np.ndarray:
+    """10^(db/10) entry by entry, in Python floats; inf where that
+    overflows."""
+    out = []
+    for x in db.tolist():
+        try:
+            out.append(10.0 ** (x / 10.0))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, float)
+
+
+def _gain_transfer(gain_db: np.ndarray,
+                   loss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear gains of the dB gains ``gain_db``, and the transfers, gain
+    times ``loss``: NaN, without a warning, where an infinite gain meets a
+    loss that underflowed to 0."""
+    gain = _lin(gain_db)
+    with np.errstate(invalid="ignore"):
+        return gain, gain * loss
 
 
 @dataclass(frozen=True)
@@ -84,8 +155,9 @@ class FiberParams:
     name: str = ""
 
     def __post_init__(self) -> None:
-        _check_finite("fiber parameters", self.alpha_db_per_km, self.beta2,
-                      self.beta3, self.gamma, self.f_ref)
+        if not all(map(math.isfinite, (self.alpha_db_per_km, self.beta2,
+                                       self.beta3, self.gamma, self.f_ref))):
+            raise ValidationError("fiber parameters must be finite numbers")
         if self.alpha_db_per_km <= 0:
             raise ValidationError("fiber attenuation must be > 0 dB/km")
         if self.gamma <= 0:
@@ -114,23 +186,11 @@ class SpanConfig:
     noise_figure_db: float = 6.0
 
     def __post_init__(self) -> None:
-        _check_finite("span length, gain and noise figure", self.length_km,
-                      0.0 if self.gain_db is None else self.gain_db,
-                      self.noise_figure_db)
-        if self.length_km <= 0:
-            raise ValidationError("span length must be > 0 km")
-
-    @property
-    def gain_lin(self) -> float:
-        """Lumped power gain (flat in frequency)."""
-        if self.gain_db is None:
-            return 10.0 ** (self.fiber.alpha_db_per_km * self.length_km / 10.0)
-        return 10.0 ** (self.gain_db / 10.0)
-
-    @property
-    def span_loss_lin(self) -> float:
-        """Fiber power transmission exp(-2 alpha L) of this span."""
-        return math.exp(-self.fiber.two_alpha * self.length_km)
+        gain = self.gain_db
+        _check_spans(np.array([self.length_km], float),
+                     np.array([0.0 if gain is None else gain], float),
+                     np.array([self.noise_figure_db], float),
+                     np.array([gain is None]))
 
 
 @dataclass(frozen=True)
@@ -145,36 +205,21 @@ class ChannelSpec:
     active: bool = True
 
     def __post_init__(self) -> None:
-        _check_finite("channel frequency, rate, roll-off and powers",
-                      self.f_center, self.symbol_rate, self.roll_off,
-                      *self.power_w_per_span)
-        if self.f_center <= 0:
-            raise ValidationError("channel frequency must be > 0")
-        if self.symbol_rate <= 0:
-            raise ValidationError("symbol rate must be > 0")
-        if not 0.0 <= self.roll_off <= 1.0:
-            raise ValidationError("roll-off must lie in [0, 1]")
-        if self.active and any(p <= 0 for p in self.power_w_per_span):
-            raise ValidationError("active channel powers must be > 0")
+        _check_channels(*np.array([[self.f_center], [self.symbol_rate],
+                                   [self.roll_off]], float),
+                        np.array([self.active], bool),
+                        np.reshape(np.asarray(self.power_w_per_span, float),
+                                   (-1, 1)))
 
-    def psd(self, span_index: int) -> float:
-        """Effective launch PSD P/R (W/THz) at the given span input."""
-        if not self.active:
-            raise ValidationError("effective PSD of an inactive channel")
-        return self.power_w_per_span[span_index] / self.symbol_rate
 
-    def with_powers(self, powers: Sequence[float]) -> "ChannelSpec":
-        return ChannelSpec(self.f_center, self.symbol_rate, self.roll_off,
-                           self.format, tuple(powers), self.active)
-
-    @property
-    def occupied_bandwidth(self) -> float:
-        """Raised-cosine null-to-null width (1+r)*R in THz."""
-        return (1.0 + self.roll_off) * self.symbol_rate
+# A channel's format code indexes FORMATS.
+FORMATS = tuple(ModulationFormat)
+FORMAT_CODE = {fmt: code for code, fmt in enumerate(FORMATS)}
+_PHI_OF_CODE = np.array([_PHI_FLOAT[fmt] for fmt in FORMATS])
 
 
 class _ReadOnly:
-    """A view of a link whose arrays, also in tuples, are read-only."""
+    """Columns of a link whose arrays, also in tuples, are read-only."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -185,100 +230,209 @@ class _ReadOnly:
 
 @dataclass(frozen=True, eq=False)
 class CombArrays(_ReadOnly):
-    """A comb as read-only arrays: ``[channel]`` parameters and activity,
-    and the ``[span, channel]`` launch power, zero where inactive."""
+    """A link's channels as read-only columns: ``[channel]`` parameters,
+    format codes (indices into :data:`FORMATS`), Phi and activity, and the
+    ``[span, channel]`` launch power, as given (``launch``) and zero where
+    inactive (``power``, what the kernel reads).  Made by :meth:`columns`,
+    which validates them, or :meth:`of` channel objects."""
 
     f: np.ndarray  # THz
     rate: np.ndarray  # TBaud
     roll: np.ndarray
+    fmt: np.ndarray
+    active: np.ndarray
+    launch: np.ndarray  # W
     phi: np.ndarray
     power: np.ndarray  # W
-    active: np.ndarray
+
+    @classmethod
+    def columns(cls, f, rate, roll, fmt, active, launch) -> "CombArrays":
+        """Validated columns; ValidationError names the first bad channel."""
+        f, rate, roll, launch = (np.asarray(a, float)
+                                 for a in (f, rate, roll, launch))
+        fmt, active = np.asarray(fmt, np.intp), np.asarray(active, bool)
+        _check_channels(f, rate, roll, active, launch)
+        return cls(f=f, rate=rate, roll=roll, fmt=fmt, active=active,
+                   launch=launch, phi=_PHI_OF_CODE[fmt],
+                   power=np.where(active, launch, 0.0))
+
+    @classmethod
+    def of(cls, channels: Sequence[ChannelSpec],
+           n_spans: int) -> "CombArrays":
+        """The columns of channels with ``n_spans`` launch powers each."""
+        if any(len(c.power_w_per_span) != n_spans for c in channels):
+            raise ValidationError(
+                "every channel needs one launch power per span")
+        return cls.columns(
+            [c.f_center for c in channels], [c.symbol_rate for c in channels],
+            [c.roll_off for c in channels],
+            [FORMAT_CODE[c.format] for c in channels],
+            [c.active for c in channels],
+            np.reshape([c.power_w_per_span for c in channels],
+                       (len(channels), n_spans)).T)
 
     def with_power(self, power: np.ndarray) -> "CombArrays":
-        """This comb with the ``[span, channel]`` launch powers ``power``."""
-        return replace(self, power=np.where(self.active, power, 0.0))
+        """These channels with the ``[span, channel]`` launch powers
+        ``power``, sharing the other columns."""
+        power = np.asarray(power, float)
+        _raise_first_fault(_launch_rules(self.active, power))
+        return replace(self, launch=power,
+                       power=np.where(self.active, power, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class SpanArrays(_ReadOnly):
     """A link's spans as read-only ``[span]`` columns, flat in frequency.
     Span ``n`` runs on ``fibers[fiber[n]]``: the distinct fibers, by value,
-    in order of first appearance, ``spans_of_fiber[k]`` on ``fibers[k]``."""
+    in order of first appearance, ``spans_of_fiber[k]`` on ``fibers[k]``.
+    A ``transparent`` span's gain offsets its fiber loss.  Made by
+    :meth:`columns`, which validates them, or :meth:`of` span objects."""
 
+    fibers: tuple[FiberParams, ...]
+    fiber: np.ndarray  # [span]: index into fibers
     length: np.ndarray  # km
+    gain_db: np.ndarray
+    transparent: np.ndarray
+    nf_db: np.ndarray
     loss: np.ndarray  # fiber power transmission exp(-2 alpha L)
     gain: np.ndarray  # lumped power gain
     transfer: np.ndarray  # gain times loss
     gamma: np.ndarray  # 1/(W km)
     noise_figure: np.ndarray  # linear
-    fiber: np.ndarray  # [span]: index into fibers
-    fibers: tuple[FiberParams, ...]
     spans_of_fiber: tuple[np.ndarray, ...]
 
+    @classmethod
+    def columns(cls, fibers: Sequence[FiberParams], length, gain_db,
+                nf_db) -> "SpanArrays":
+        """Validated columns of spans on ``fibers[n]``, ``gain_db[n]`` None
+        where transparent; ValidationError names the first bad span."""
+        index: dict[FiberParams, int] = {}
+        fiber = np.array([index.setdefault(fb, len(index)) for fb in fibers],
+                         dtype=np.intp)
+        transparent = np.array([g is None for g in gain_db], bool)
+        gain_db = np.array([fb.alpha_db_per_km * km if g is None else g
+                            for fb, km, g in zip(fibers, length, gain_db)],
+                           float)
+        length, nf_db = np.asarray(length, float), np.asarray(nf_db, float)
+        _check_spans(length, gain_db, nf_db, transparent)
+        # Span by span in Python floats, as each span was computed alone.
+        loss = np.array([math.exp(-fb.two_alpha * km)
+                         for fb, km in zip(fibers, length.tolist())], float)
+        gain, transfer = _gain_transfer(gain_db, loss)
+        return cls(fibers=tuple(index), fiber=fiber, length=length,
+                   gain_db=gain_db, transparent=transparent, nf_db=nf_db,
+                   loss=loss, gain=gain, transfer=transfer,
+                   gamma=np.array([fb.gamma for fb in fibers], float),
+                   noise_figure=_lin(nf_db),
+                   spans_of_fiber=tuple(np.flatnonzero(fiber == k)
+                                        for k in range(len(index))))
 
-@dataclass(frozen=True)
+    @classmethod
+    def of(cls, spans: Sequence[SpanConfig]) -> "SpanArrays":
+        """The columns of span objects."""
+        return cls.columns([s.fiber for s in spans],
+                           [s.length_km for s in spans],
+                           [s.gain_db for s in spans],
+                           [s.noise_figure_db for s in spans])
+
+    def with_gains(self, gain_db: Sequence[float]) -> "SpanArrays":
+        """These spans with the lumped gains ``gain_db``, sharing the other
+        columns."""
+        gain_db = np.asarray(gain_db, float)
+        _raise_first_fault([(np.isfinite(gain_db),
+                             "span gains must be finite numbers")])
+        gain, transfer = _gain_transfer(gain_db, self.loss)
+        return replace(self, gain_db=gain_db, gain=gain, transfer=transfer,
+                       transparent=np.zeros(len(gain_db), bool))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LinkSpec:
     """Ordered spans with one WDM comb and a designated CUT.
 
     Every channel is present at the input of every span with the same
-    frequency, rate, roll-off, format and activity; ``power_w_per_span[n]``
-    is its launch power into span ``n``.  The channel-under-test is
-    ``channels[cut_index]``.
+    frequency, rate, roll-off, format and activity; its launch power into
+    span ``n`` is ``comb.launch[n]``.  A link is its columns, ``comb`` and
+    ``span_arrays``; ``LinkSpec(spans=..., channels=..., cut_index=...)``
+    builds them from objects, and ``channels``, ``spans`` and ``cut``
+    (``channels[cut_index]``) build objects from them on read.  Equality
+    and hashing read the columns.
     """
 
-    spans: tuple[SpanConfig, ...]
-    channels: tuple[ChannelSpec, ...]
+    comb: CombArrays
+    span_arrays: SpanArrays
     cut_index: int
-    flags: tuple[str, ...] = field(default_factory=tuple)
+    flags: tuple[str, ...] = ()
+
+    def __init__(self, spans: Sequence[SpanConfig] | None = None,
+                 channels: Sequence[ChannelSpec] | None = None,
+                 cut_index: int | None = None, flags: tuple[str, ...] = (),
+                 *, comb: CombArrays | None = None,
+                 span_arrays: SpanArrays | None = None) -> None:
+        # Objects take the place of columns given with them, so that
+        # dataclasses.replace(link, spans=...) replaces the spans.
+        if spans is not None:
+            span_arrays = SpanArrays.of(spans)
+        if channels is not None and span_arrays is not None:
+            comb = CombArrays.of(channels, len(span_arrays.length))
+        if comb is None or span_arrays is None or cut_index is None:
+            raise TypeError("a link takes spans or span_arrays, channels or "
+                            "comb, and cut_index")
+        if comb.launch.shape[0] != len(span_arrays.length):
+            raise ValidationError(
+                "every channel needs one launch power per span")
+        for name, value in (("comb", comb), ("span_arrays", span_arrays),
+                            ("cut_index", cut_index), ("flags", flags)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_spans(self) -> int:
-        return len(self.spans)
+        return len(self.span_arrays.length)
 
-    @property
+    @functools.cached_property
+    def channels(self) -> tuple[ChannelSpec, ...]:
+        return tuple(map(self._channel, range(len(self.comb.f))))
+
+    @functools.cached_property
     def cut(self) -> ChannelSpec:
-        return self.channels[self.cut_index]
+        return self._channel(self.cut_index)
+
+    def _channel(self, i: int) -> ChannelSpec:
+        c = self.comb
+        return ChannelSpec(float(c.f[i]), float(c.rate[i]), float(c.roll[i]),
+                           FORMATS[c.fmt[i]], tuple(c.launch[:, i].tolist()),
+                           bool(c.active[i]))
 
     @functools.cached_property
-    def comb(self) -> CombArrays:
-        """The channels as arrays, built on first read."""
-        chans, width = self.channels, 5 + self.n_spans
-        cols = np.array([(c.f_center, c.symbol_rate, c.roll_off,
-                          _PHI_FLOAT[c.format], c.active) + c.power_w_per_span
-                         for c in chans], float).reshape(len(chans), width)
-        f, rate, roll, phi, active = cols[:, :5].T.copy()
-        active = active.astype(bool)
-        return CombArrays(f=f, rate=rate, roll=roll, phi=phi, active=active,
-                          power=np.where(active, cols[:, 5:].T, 0.0))
+    def spans(self) -> tuple[SpanConfig, ...]:
+        s = self.span_arrays
+        return tuple(SpanConfig(s.fibers[k], km, None if t else g, nf)
+                     for k, km, g, t, nf in zip(
+                         s.fiber.tolist(), s.length.tolist(),
+                         s.gain_db.tolist(), s.transparent.tolist(),
+                         s.nf_db.tolist()))
 
-    @functools.cached_property
-    def span_arrays(self) -> SpanArrays:
-        """The spans as arrays, built on first read."""
-        index: dict[FiberParams, int] = {}
-        fiber = np.array([index.setdefault(s.fiber, len(index))
-                          for s in self.spans], dtype=np.intp)
-        length, loss, gain, gamma, nf = np.array(
-            [(s.length_km, s.span_loss_lin, s.gain_lin, s.fiber.gamma,
-              10.0 ** (s.noise_figure_db / 10.0)) for s in self.spans], float
-        ).reshape(-1, 5).T.copy()
-        return SpanArrays(
-            length=length, loss=loss, gain=gain, transfer=gain * loss,
-            gamma=gamma, noise_figure=nf, fiber=fiber, fibers=tuple(index),
-            spans_of_fiber=tuple(np.flatnonzero(fiber == k)
-                                 for k in range(len(index))))
+    def _key(self) -> tuple:
+        c, s = self.comb, self.span_arrays
+        # Adding zero writes -0.0 as the 0.0 it equals.
+        return (self.cut_index, self.flags, s.fibers, *(
+            (a + 0).tobytes() for a in (c.f, c.rate, c.roll, c.fmt, c.active,
+                                        c.launch, s.fiber, s.length,
+                                        s.gain_db, s.transparent, s.nf_db)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LinkSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def validate(self) -> None:
-        if not self.spans:
+        if not self.n_spans:
             raise ValidationError("link must contain at least one span")
-        if not 0 <= self.cut_index < len(self.channels):
+        if not 0 <= self.cut_index < len(self.comb.f):
             raise ValidationError("cut_index out of range")
-        if not self.cut.active:
+        if not self.comb.active[self.cut_index]:
             raise ValidationError("CUT inactive")
-        if any(len(c.power_w_per_span) != self.n_spans
-               for c in self.channels):
-            raise ValidationError(
-                "every channel needs one launch power per span")
 
     def with_flags(self, *extra: str) -> "LinkSpec":
         return replace(self, flags=self.flags + tuple(extra))

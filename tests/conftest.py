@@ -7,10 +7,39 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nli_planner import sysgen
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (ChannelSpec, FiberParams, LinkSpec,
                                ModulationFormat, SpanConfig)
+
+
+def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
+                  ) -> tuple[list[ChannelSpec], int]:
+    """The generator's comb draws alone, as channels launched at the
+    baseline PSD, and the CUT index: the RNG calls of a system's comb."""
+    rows, cut_index = sysgen._draw_comb(cfg, rng)
+    return [ChannelSpec(f, rate, roll, fmt,
+                        (sysgen.BASELINE_PSD_W_PER_THZ * rate,) * cfg.n_spans,
+                        active)
+            for f, rate, roll, fmt, active in rows], cut_index
+
+
+def generate_link(cfg: GeneratorConfig,
+                  rng: np.random.Generator) -> list[SpanConfig]:
+    """The generator's span draws alone, as transparent spans."""
+    return [SpanConfig(fiber, length, None, nf)
+            for fiber, length, nf in sysgen._draw_spans(cfg, rng)]
+
+
+def with_powers(ch: ChannelSpec, powers) -> ChannelSpec:
+    """The channel with the per-span launch powers ``powers``."""
+    return replace(ch, power_w_per_span=tuple(powers))
+
+
+def occupied_bandwidth(ch: ChannelSpec) -> float:
+    """Raised-cosine null-to-null width (1+r)*R of a channel, in THz."""
+    return (1.0 + ch.roll_off) * ch.symbol_rate
 
 
 def make_system(seed: int, *, category: int = 1, band_width: float = 0.6,

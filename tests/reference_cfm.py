@@ -138,14 +138,14 @@ def _bracket(abs_b2_acc: float, offset: float) -> float:
     return max(abs_b2_acc + offset, _BRACKET_FLOOR)
 
 
-def rho_xci(variant: ModelVariant, link: LinkSpec, span_index: int,
-            nch: ChannelSpec, cut: ChannelSpec) -> float:
-    """Correction factor for one cross-interference term."""
+def rho_xci(variant: ModelVariant, acc: float, nch: ChannelSpec,
+            cut: ChannelSpec) -> float:
+    """Correction factor for one cross-interference term, at the pair's
+    |accumulated dispersion| ``acc`` (ps^2)."""
     if variant.kind is CfmKind.CFM1:
         return 1.0
     a = variant.coefficients
     phi = phi_of_format(nch.format)
-    acc = abs(beta2_acc(link, span_index, nch, cut))
     core = (a[1] + a[2] * _pow(phi, a[3])
             + a[4] * _pow(phi, a[5])
             * (1.0 + a[6] * _bracket(acc, a[7]) ** a[8]))
@@ -172,35 +172,67 @@ def rho_sci(variant: ModelVariant, link: LinkSpec, span_index: int,
     return core
 
 
-def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
-                 n_span_total: int | None = None) -> float:
-    """NLI PSD (W/THz) generated in one span at the CUT frequency.
+def gain_lin(span: SpanConfig) -> float:
+    """Lumped power gain of a span; a transparent one offsets its loss."""
+    gain_db = span.gain_db
+    if gain_db is None:
+        gain_db = span.fiber.alpha_db_per_km * span.length_km
+    return 10.0 ** (gain_db / 10.0)
 
-    ``n_span_total`` binds the coherent self-term span count for CFM3/CFM4;
-    it defaults to the full link length.
+
+def span_loss_lin(span: SpanConfig) -> float:
+    """Fiber power transmission exp(-2 alpha L) of a span."""
+    return math.exp(-span.fiber.two_alpha * span.length_km)
+
+
+def _psd(ch: ChannelSpec, span_index: int) -> float:
+    """Effective launch PSD P/R (W/THz) at the given span input."""
+    return ch.power_w_per_span[span_index] / ch.symbol_rate
+
+
+def xci_terms(link: LinkSpec, variant: ModelVariant,
+              n_end: int) -> list[list[float]]:
+    """The cross terms 2 rho g^2 I of every active interferer, in channel
+    order, in each of the first ``n_end`` spans.  A pair's closed form is
+    computed once per fiber, and its accumulated dispersion summed span by
+    span as :func:`beta2_acc` sums it."""
+    spans = link.spans[:n_end]
+    cut = link.channels[link.cut_index]
+    out: list[list[float]] = [[] for _ in spans]
+    for idx, nch in enumerate(link.channels):
+        if idx == link.cut_index or not nch.active:
+            continue
+        forms: dict[FiberParams, float] = {}
+        acc = 0.0
+        for n, span in enumerate(spans):
+            if span.fiber not in forms:
+                forms[span.fiber] = i_xci(span, cut, nch)
+            out[n].append(2.0 * rho_xci(variant, abs(acc), nch, cut)
+                          * _psd(nch, n) ** 2 * forms[span.fiber])
+            acc += effective_beta2_xci(span.fiber, nch.f_center,
+                                       cut.f_center) * span.length_km
+    return out
+
+
+def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
+                 n_span_total: int, xci: list[float]) -> float:
+    """NLI PSD (W/THz) generated in one span at the CUT frequency, with the
+    span's cross terms ``xci`` from :func:`xci_terms`.
+
+    ``n_span_total`` binds the coherent self-term span count for CFM3/CFM4.
     """
     span = link.spans[span_index]
-    comb = link.channels
-    cut = comb[link.cut_index]
-    if n_span_total is None:
-        n_span_total = link.n_spans
-
+    cut = link.channels[link.cut_index]
     if variant.kind.coherent_sci:
         i_cut = i_cut_coherent(span, cut, n_span_total)
     else:
         i_cut = i_cut_incoherent(span, cut)
-    g_cut = cut.psd(span_index)
+    g_cut = _psd(cut, span_index)
     acc = rho_sci(variant, link, span_index, cut) * g_cut ** 2 * i_cut
-
-    for idx, nch in enumerate(comb):
-        if idx == link.cut_index or not nch.active:
-            continue
-        g_nch = nch.psd(span_index)
-        acc += (2.0 * rho_xci(variant, link, span_index, nch, cut)
-                * g_nch ** 2 * i_xci(span, cut, nch))
-
+    for term in xci:
+        acc += term
     prefactor = ((16.0 / 27.0) * span.fiber.gamma ** 2
-                 * span.gain_lin * span.span_loss_lin)
+                 * gain_lin(span) * span_loss_lin(span))
     return prefactor * g_cut * acc
 
 
@@ -209,21 +241,26 @@ def propagation_factor(link: LinkSpec, first: int, last: int) -> float:
     out = 1.0
     for k in range(first, last):
         span = link.spans[k]
-        out *= span.gain_lin * span.span_loss_lin
+        out *= gain_lin(span) * span_loss_lin(span)
     return out
 
 
-def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
+def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int,
+               xci: list[list[float]] | None = None) -> float:
     """Accumulated NLI PSD (W/THz) at the receiver of the truncated link.
 
     The coherent self-term of CFM3/CFM4 is evaluated with the truncated
-    span count ``n_end`` for every span.
+    span count ``n_end`` for every span.  ``xci`` holds the link's
+    :func:`xci_terms` for at least ``n_end`` spans, which do not depend on
+    the truncation; they are computed here if None.
     """
     if not 1 <= n_end <= link.n_spans:
         raise ValueError("n_end out of range")
+    if xci is None:
+        xci = xci_terms(link, variant, n_end)
     total = 0.0
     for n in range(n_end):
-        term = span_nli_psd(link, n, variant, n_span_total=n_end)
+        term = span_nli_psd(link, n, variant, n_end, xci[n])
         total += term * propagation_factor(link, n + 1, n_end)
     return total
 
@@ -240,7 +277,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
     total = 0.0
     for k in range(n_end):
         span = link.spans[k]
-        gain = span.gain_lin
+        gain = gain_lin(span)
         if gain <= 1.0:
             continue
         nf_lin = 10.0 ** (span.noise_figure_db / 10.0)
@@ -254,7 +291,7 @@ def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Received CUT SNR (dB), inclusive of ASE and NLI noise."""
     span = link.spans[n_end - 1]
     cut = link.channels[link.cut_index]
-    p_rx = (cut.power_w_per_span[n_end - 1] * span.span_loss_lin
-            * span.gain_lin)
+    p_rx = (cut.power_w_per_span[n_end - 1] * span_loss_lin(span)
+            * gain_lin(span))
     p_nli = rx_nli_psd(link, variant, n_end) * cut.symbol_rate
     return 10.0 * math.log10(p_rx / (ase_power(link, n_end) + p_nli))

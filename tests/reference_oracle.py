@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from nli_planner.types import ChannelSpec, SpanConfig
+from reference_cfm import gain_lin, span_loss_lin
 
 
 def _active(comb: tuple[ChannelSpec, ...]) -> list[ChannelSpec]:
@@ -35,11 +36,12 @@ def _gn_span_psd_at_res(span: SpanConfig, comb: tuple[ChannelSpec, ...],
     fib = span.fiber
     two_alpha = fib.two_alpha
     length = span.length_km
-    loss = span.span_loss_lin
+    loss = span_loss_lin(span)
 
     lo = np.array([c.f_center - c.symbol_rate / 2.0 for c in channels])
     hi = np.array([c.f_center + c.symbol_rate / 2.0 for c in channels])
-    psd = np.array([c.psd(span_index) for c in channels])
+    psd = np.array([c.power_w_per_span[span_index] / c.symbol_rate
+                    for c in channels])
 
     b2_scale = abs(fib.beta2 + math.pi * fib.beta3
                    * 2.0 * (f_eval - fib.f_ref))
@@ -72,7 +74,7 @@ def _gn_span_psd_at_res(span: SpanConfig, comb: tuple[ChannelSpec, ...],
                                            * w1[:, None] * w2[None, :])
             total += val if i == j else 2.0 * val
     prefactor = ((16.0 / 27.0) * fib.gamma ** 2
-                 * span.gain_lin * loss)
+                 * gain_lin(span) * loss)
     return prefactor * total
 
 

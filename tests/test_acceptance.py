@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import make_system
+from conftest import generate_comb, generate_link, make_system, with_powers
 from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, SystemDraw, draw_systems,
@@ -22,8 +22,7 @@ from nli_planner.cfm import (coherence_brackets, rho_cross, rho_self,
                              rx_nli_psd)
 from nli_planner.perf import ase_power, evaluate_all_channels, snr
 from nli_planner.poweropt import optimize_powers
-from nli_planner.sysgen import (GeneratorConfig, generate_comb, generate_link,
-                                generate_system)
+from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, LinkSpec, ModelCoefficients,
                                ModelVariant, ModulationFormat, PHI_EXACT,
                                phi_of_format)
@@ -145,7 +144,7 @@ def test_criterion_3_cubic_homogeneity():
         base = rx_nli_psd(link, variant, link.n_spans)
         scaled = LinkSpec(
             spans=link.spans,
-            channels=tuple(c.with_powers([p * s for p in c.power_w_per_span])
+            channels=tuple(with_powers(c, [p * s for p in c.power_w_per_span])
                            for c in link.channels),
             cut_index=link.cut_index)
         got = rx_nli_psd(scaled, variant, link.n_spans)
@@ -269,8 +268,8 @@ def test_criterion_7_launch_power_stationarity():
             s = math.exp(log_s)
             scaled = LinkSpec(
                 spans=link.spans,
-                channels=tuple(c.with_powers(
-                    [p * s for p in c.power_w_per_span])
+                channels=tuple(with_powers(
+                    c, [p * s for p in c.power_w_per_span])
                     for c in link.channels),
                 cut_index=link.cut_index)
             return -snr(scaled, variant, link.n_spans)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 import reference_cfm as ref
 from conftest import (make_single_channel_link, make_system,
-                      make_zero_dispersion_link)
+                      make_zero_dispersion_link, with_powers)
 from nli_planner import assets, cfm, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
                              ZeroDispersionError, coherence_brackets,
@@ -367,7 +367,7 @@ def test_cubic_power_scaling_property(scale, seed):
     base = rx_nli_psd(link, variant, link.n_spans)
     scaled = LinkSpec(
         spans=link.spans,
-        channels=tuple(c.with_powers([p * scale for p in c.power_w_per_span])
+        channels=tuple(with_powers(c, [p * scale for p in c.power_w_per_span])
                        for c in link.channels),
         cut_index=link.cut_index)
     assert rx_nli_psd(scaled, variant, link.n_spans) == pytest.approx(
@@ -463,8 +463,9 @@ def test_kernel_matches_reference_paper_link(paper_link, kind):
             assert np.isnan(rx[:, idx]).all()
             continue
         relabeled = replace(link, cut_index=idx)
+        xci = ref.xci_terms(relabeled, variant, link.n_spans)
         for n_end in range(1, link.n_spans + 1):
-            want = ref.rx_nli_psd(relabeled, variant, n_end)
+            want = ref.rx_nli_psd(relabeled, variant, n_end, xci)
             worst = max(worst, abs(rx[n_end - 1, idx] - want) / want)
     assert worst <= 1e-12
 

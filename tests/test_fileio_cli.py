@@ -2,6 +2,7 @@
 
 import functools
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,9 @@ from nli_planner.oracle import gn_rx_psd, gn_span_psds
 from nli_planner.perf import evaluate_all_channels, snr_report
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
-from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModelCoefficients, ModulationFormat)
+from nli_planner.types import (CfmKind, ChannelSpec, CombArrays, FiberParams,
+                               LinkSpec, ModelCoefficients, ModulationFormat,
+                               SpanArrays, SpanConfig)
 
 
 def _drawn_link(seed: int, category: int, n_spans: int, position: str,
@@ -180,6 +182,80 @@ def test_bad_values_rejected():
     assert info.value.pointer == "/channels/1/power_w/1"
 
 
+@functools.cache
+def _mutable_doc() -> str:
+    """A saved system, as JSON text, that holds every kind of field: an
+    inline fiber and a preset, a transparent and a set gain, per-span and
+    single powers, and active, inactive and defaulted channels."""
+    doc = fileio.system_to_json(make_system(88, category=2, n_spans=3))
+    doc["spans"][0]["fiber"] = {
+        "alpha_db_per_km": 0.2, "beta2_ps2_per_km": -20.0,
+        "beta3_ps3_per_km": 0.1, "gamma_per_w_km": 1.1, "f_ref_thz": 193.0}
+    doc["spans"][1]["gain_db"] = "transparent"
+    doc["channels"][0]["power_w"] = doc["channels"][0]["power_w"][0]
+    del doc["channels"][-1]["active"]
+    return json.dumps(doc)
+
+
+def _pointers(node, pointer: str = ""):
+    """The JSON pointer of every value in a document, and whether it is an
+    object."""
+    yield pointer, isinstance(node, dict)
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _pointers(child, f"{pointer}/{key}")
+
+
+# A mutation: drop the value, add an unknown field to an object, or put
+# one of these in place of the value.
+_REPLACEMENTS = {"string": "x", "object": {}, "empty list": [], "true": True,
+                 "false": False, "zero": 0, "negative": -1.5,
+                 "huge": 1e300, "negative huge": -1e300, "tiny": 5e-324,
+                 "big integer": 2 ** 63}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_names_the_mutated_entry(data):
+    # One field of a valid system file changed: the document parses,
+    # without a RuntimeWarning, to a link whose saved text is a fixed point
+    # of load and save, or the parse error's JSON pointer names the changed
+    # entry or an entry that holds it.
+    doc = json.loads(_mutable_doc())
+    pointer, is_object = data.draw(st.sampled_from(list(_pointers(doc))))
+    *parents, leaf = pointer.split("/")
+    # A whole span or channel is not dropped: the others would no longer
+    # match it.
+    entry = len(parents) == 2 and parents[1] in ("spans", "channels")
+    mutation = data.draw(st.sampled_from(
+        ["add"] * is_object + ["drop"] * (not entry) + list(_REPLACEMENTS)
+        if pointer else ["add"]))
+    node = doc
+    for key in parents[1:]:
+        node = node[int(key) if isinstance(node, list) else key]
+    key = int(leaf) if isinstance(node, list) else leaf
+    if mutation == "add":
+        (node[key] if pointer else doc)["extra"] = 1
+    elif mutation == "drop":
+        del node[key]
+    else:
+        node[key] = _REPLACEMENTS[mutation]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            link = fileio.parse_system(doc)
+    except fileio.ParseError as exc:
+        assert (exc.pointer == pointer if mutation == "add" else
+                pointer == exc.pointer
+                or pointer.startswith(exc.pointer + "/")), (mutation, exc)
+        return
+    text = fileio.json_text(fileio.system_to_json(link))
+    again = fileio.parse_system(json.loads(text))
+    assert again == link
+    assert fileio.json_text(fileio.system_to_json(again)) == text
+
+
 @given(seed=st.integers(0, 10_000), category=st.sampled_from([2, 4, 1, 3, 5]),
        n_spans=st.integers(1, 4), position=st.sampled_from(CUT_POSITIONS),
        dense=st.booleans(),
@@ -312,27 +388,23 @@ def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
 
 
 def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
-    # Kernel pass and report read the arrays the loaded link carries: one
-    # comb and one span view, whatever the mode.
+    # Kernel pass and report read the columns the loaded link carries: one
+    # comb and one span view, whatever the mode, and no channel or span
+    # objects.
     sys_path = _gen(tmp_path)
     builds = []
-    for name in ("comb", "span_arrays"):
-        build = vars(LinkSpec)[name].func
+    for cls in (CombArrays, SpanArrays, ChannelSpec, SpanConfig):
+        def counting(self, cls=cls, check=cls.__post_init__):
+            builds.append(cls.__name__)
+            check(self)
 
-        def counting(link, build=build, name=name):
-            builds.append((name, id(link)))
-            return build(link)
-
-        view = functools.cached_property(counting)
-        view.__set_name__(LinkSpec, name)
-        monkeypatch.setattr(LinkSpec, name, view)
+        monkeypatch.setattr(cls, "__post_init__", counting)
     out = tmp_path / "res.json"
     for extra in ([], ["--all-channels"]):
         builds.clear()
         assert main(["evaluate", str(sys_path), "--threshold-db", "12",
                      *extra, "-o", str(out)]) == 0
-        assert sorted(name for name, _ in builds) == ["comb", "span_arrays"]
-        assert len({link for _, link in builds}) == 1
+        assert sorted(builds) == ["CombArrays", "SpanArrays"]
 
 
 def _nulls_are_nans(got: list, want: np.ndarray) -> None:
@@ -599,14 +671,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                      f"--threshold-db={threshold}", "-o", str(out)]) == 3
         assert "--threshold-db must be finite" in capsys.readouterr().err
     assert not out.exists()
-    # Numeric failure: a finite but huge interferer frequency overflows the
-    # cross closed form, and the CUT's results are NaN, which the result
-    # JSON could not hold.
+    # Numeric failure, without a RuntimeWarning: a finite but huge
+    # interferer frequency overflows the cross closed form, and the CUT's
+    # results are NaN, which the result JSON could not hold.
     doc = fileio.system_to_json(make_system(86))
     doc["channels"][doc["cut_index"] - 1]["f_center_thz"] = 1e300
     bad.write_text(json.dumps(doc))
     for extra in ([], ["--all-channels"]):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = main(["evaluate", str(bad), *extra, "-o", str(out)])
         assert rc == 4
         assert "non-finite result" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from scipy import integrate
 
 import reference_oracle as ref
 from conftest import make_single_channel_link, make_system, permute_comb
+from reference_cfm import gain_lin, span_loss_lin
 from nli_planner.campaign import GnOracleBenchmark
 from nli_planner.cfm import propagate, rx_nli_psd
 from nli_planner import assets, oracle
@@ -43,12 +44,13 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
     on a channel edge."""
     fib = span.fiber
     two_alpha = fib.two_alpha
-    loss = span.span_loss_lin
+    loss = span_loss_lin(span)
     length = span.length_km
     channels = [c for c in comb if c.active]
     lo = [c.f_center - c.symbol_rate / 2 for c in channels]
     hi = [c.f_center + c.symbol_rate / 2 for c in channels]
-    psd = [c.psd(span_index) for c in channels]
+    psd = [c.power_w_per_span[span_index] / c.symbol_rate
+           for c in channels]
     edges = lo + hi
 
     def comb_psd(x):
@@ -80,7 +82,7 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
             total += integrate.quad(inner, lo[i], hi[i], args=(lo[j], hi[j]),
                                     points=points, epsabs=0.0, epsrel=1e-8,
                                     limit=200)[0]
-    prefactor = (16 / 27) * fib.gamma ** 2 * span.gain_lin * loss
+    prefactor = (16 / 27) * fib.gamma ** 2 * gain_lin(span) * loss
     return prefactor * total
 
 
@@ -241,8 +243,9 @@ def _span_level(span, comb, f_eval, span_index):
     """The batched quadrature level of one span, as a function of the
     points per channel: the one fiber group of a one-span link that
     carries the comb's powers into span ``span_index``."""
-    channels = tuple(c.with_powers((c.power_w_per_span[span_index],))
-                     for c in comb)
+    channels = tuple(
+        replace(c, power_w_per_span=(c.power_w_per_span[span_index],))
+        for c in comb)
     link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
     (group,) = oracle._fiber_groups(link, f_eval, 1)
     return lambda res: group.levels(res, group.spans)[0]

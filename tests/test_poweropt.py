@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_system
+from conftest import make_system, with_powers
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import ase_power, link_report, snr, span_ase_psds
@@ -16,13 +16,14 @@ from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
                                   randomize_launch, refine_cut_launch,
                                   span_eta)
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import CfmKind, ChannelSpec, LinkSpec
+from nli_planner.types import (CfmKind, ChannelSpec, CombArrays, LinkSpec,
+                               SpanArrays, SpanConfig)
 
 
 def test_randomize_launch_bounds():
     link = make_system(40, optimize=False)
     rng = np.random.default_rng(0)
-    xi = randomize_launch(link.channels, link.cut_index, rng)
+    xi = randomize_launch(link, rng)
     assert xi[link.cut_index] == 1.0
     assert all(0.7 <= v <= 1.3 for v in xi)
     assert len(set(xi)) > 1
@@ -42,21 +43,20 @@ def test_span_local_optimum_condition():
 def test_apply_power_plan_realizes_profile():
     link = make_system(42, optimize=False)
     rng = np.random.default_rng(1)
-    xi = randomize_launch(link.channels, link.cut_index, rng)
+    xi = randomize_launch(link, rng)
     g = logo_optimize(link, xi)
     staged = apply_power_plan(link, PowerPlan(g_cut_per_span=g, xi=xi))
     staged.validate()
+    psd = staged.comb.launch / staged.comb.rate  # [span, channel]
     # CUT PSD at every span input matches the requested profile.
     for n in range(staged.n_spans):
-        assert staged.cut.psd(n) == pytest.approx(g[n], rel=1e-12)
+        assert psd[n, staged.cut_index] == pytest.approx(g[n], rel=1e-12)
     # Other channels keep their fixed multipliers.
-    for idx, ch in enumerate(staged.channels):
+    for idx in range(len(staged.channels)):
         for n in range(staged.n_spans):
-            assert ch.psd(n) == pytest.approx(xi[idx] * g[n], rel=1e-12)
+            assert psd[n, idx] == pytest.approx(xi[idx] * g[n], rel=1e-12)
     # The last span's amplifier is transparent; earlier gains telescope.
-    last = staged.spans[-1]
-    assert last.gain_lin * last.span_loss_lin == pytest.approx(1.0,
-                                                               rel=1e-12)
+    assert staged.span_arrays.transfer[-1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eta_scale_invariance():
@@ -65,7 +65,7 @@ def test_eta_scale_invariance():
     eta = eta_nli(link, variant)
     scaled = LinkSpec(
         spans=link.spans,
-        channels=tuple(c.with_powers([p * 1.7 for p in c.power_w_per_span])
+        channels=tuple(with_powers(c, [p * 1.7 for p in c.power_w_per_span])
                        for c in link.channels),
         cut_index=link.cut_index)
     # Uniform power scaling cancels in PSD^3 normalization, but the gains of
@@ -102,7 +102,7 @@ def test_optimum_is_snr_maximum():
         s = math.exp(log_s)
         scaled = LinkSpec(
             spans=link.spans,
-            channels=tuple(c.with_powers([p * s for p in c.power_w_per_span])
+            channels=tuple(with_powers(c, [p * s for p in c.power_w_per_span])
                            for c in link.channels),
             cut_index=link.cut_index)
         return -snr(scaled, variant, link.n_spans)
@@ -133,38 +133,58 @@ def test_rx_power_positive_after_plan():
     assert p_rx[-1, 0] > 0.0
 
 
-def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
-    # The plan is worked out on power arrays: the only ChannelSpecs built
-    # are the returned link's.
-    link = make_system(51, band_width=1.0, optimize=False)
-    built = []
-    check = ChannelSpec.__post_init__
+def _made(monkeypatch, cls) -> list:
+    """Every instance of ``cls`` made from now on."""
+    made = []
+    check = cls.__post_init__
 
     def counting(self):
-        built.append(self)
+        made.append(self)
         check(self)
 
-    monkeypatch.setattr(ChannelSpec, "__post_init__", counting)
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return made
+
+
+def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
+    # The plan is worked out on columns: optimize_powers builds no
+    # ChannelSpec or SpanConfig, and the returned link builds its channels
+    # on first read.
+    link = make_system(51, band_width=1.0, optimize=False)
+    built, spans = _made(monkeypatch, ChannelSpec), _made(monkeypatch,
+                                                          SpanConfig)
     opt, _ = optimize_powers(link, np.random.default_rng(51))
-    assert len(built) == len(opt.channels)
+    assert built == [] and spans == []
+    assert len(opt.channels) == len(built)
     assert all(a is b for a, b in zip(built, opt.channels))
 
 
 def test_optimize_powers_builds_no_comb_for_the_staged_link(monkeypatch):
     # Both kernel passes read the channels of the link they were given:
     # the staged link between the span-local step and the refinement
-    # builds no comb of its own.
+    # builds no comb of its own.  The combs made are the span-local step's
+    # unit powers, the refinement's tied powers and the returned link's,
+    # each sharing the generated link's channel columns.
     link = make_system(51, band_width=1.0, optimize=False)
-    _ = link.comb  # the generated link's, built before the plan
-    built = []
-    build = LinkSpec.comb.func
-
-    def counting(self):
-        built.append(self)
-        return build(self)
-
-    monkeypatch.setattr(LinkSpec.comb, "func", counting)
+    made = _made(monkeypatch, CombArrays)
     opt, _ = optimize_powers(link, np.random.default_rng(51))
-    assert built == []
-    _ = opt.comb
-    assert len(built) == 1 and built[0] is opt
+    assert len(made) == 3 and made[-1] is opt.comb
+    for comb in made:
+        assert all(getattr(comb, name) is getattr(link.comb, name)
+                   for name in ("f", "rate", "roll", "fmt", "phi", "active"))
+
+
+def test_a_planned_system_shares_its_span_geometry(monkeypatch):
+    # The staged and the planned link change only the gains: they share
+    # every other span column with the generated link, the columns the
+    # kernel's closed forms are keyed on among them.
+    link = make_system(52, band_width=1.0, optimize=False)
+    made = _made(monkeypatch, SpanArrays)
+    opt, _ = optimize_powers(link, np.random.default_rng(52))
+    assert len(made) == 2 and made[-1] is opt.span_arrays
+    for spans in made:
+        for name in ("fibers", "fiber", "length", "nf_db", "loss", "gamma",
+                     "noise_figure", "spans_of_fiber"):
+            assert getattr(spans, name) is getattr(link.span_arrays, name)
+    assert not opt.span_arrays.transparent.any()
+    assert link.span_arrays.transparent.all()

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generate_comb, generate_link, occupied_bandwidth
 from nli_planner.sysgen import (CUT_POSITIONS, LOW_DISPERSION_FLAG, SLOT_THZ,
                                 SYMBOL_RATES_TBAUD, GeneratorConfig,
-                                draw_system, generate_comb, generate_link,
-                                generate_system, generate_system_from_seed)
+                                draw_system, generate_system,
+                                generate_system_from_seed)
 from nli_planner.types import ModulationFormat
 
 
@@ -54,8 +55,8 @@ def test_comb_stays_inside_band():
         left = cfg.band_center - cfg.band_width / 2
         right = cfg.band_center + cfg.band_width / 2
         for ch in channels:
-            assert ch.f_center - ch.occupied_bandwidth / 2 >= left - 1e-9
-            assert ch.f_center + ch.occupied_bandwidth / 2 <= right + 1e-9
+            assert ch.f_center - occupied_bandwidth(ch) / 2 >= left - 1e-9
+            assert ch.f_center + occupied_bandwidth(ch) / 2 <= right + 1e-9
         assert 0 <= cut_index < len(channels)
         # Channels are ordered and non-overlapping at null-to-null width.
         for a, b in zip(channels, channels[1:]):
@@ -140,8 +141,8 @@ def test_ultra_dense_population():
         channels, _ = generate_comb(cfg, np.random.default_rng(seed))
         found = True
         for a, b in zip(channels, channels[1:]):
-            gap = (b.f_center - b.occupied_bandwidth / 2) \
-                - (a.f_center + a.occupied_bandwidth / 2)
+            gap = (b.f_center - occupied_bandwidth(b) / 2) \
+                - (a.f_center + occupied_bandwidth(a) / 2)
             assert 0.005 - 1e-9 <= gap <= 0.020 + 1e-9
         break
     assert found
