@@ -199,9 +199,7 @@ class DrawCounts:
     excluded_unreachable: int
 
 
-def draw_systems(draw: SystemDraw, benchmark,
-                 policy: SensitivityPolicy | None = None
-                 ) -> Iterator[DrawnSystem]:
+def draw_systems(draw: SystemDraw, benchmark) -> Iterator[DrawnSystem]:
     """Draw, screen, build, power-optimize and reach-scan systems,
     yielding every attempt, until ``draw.n_systems`` systems were kept.
 
@@ -210,7 +208,7 @@ def draw_systems(draw: SystemDraw, benchmark,
     at least one span.  The bound is screened on the attempt's draws, so
     an attempt that fails it builds no link.
     """
-    policy = policy or SensitivityPolicy.default()
+    policy = SensitivityPolicy.default()
     mixes = [(cat, pos) for cat in draw.categories
              for pos in draw.cut_positions]
     kept = 0
@@ -263,8 +261,7 @@ class CampaignResult:
 
 
 @one_low_dispersion_warning
-def run_campaign(cfg: CampaignConfig, benchmark,
-                 policy: SensitivityPolicy | None = None) -> CampaignResult:
+def run_campaign(cfg: CampaignConfig, benchmark) -> CampaignResult:
     """Score the variants against a benchmark on the drawn systems.
 
     Each system's SNR error is measured at the benchmark's max reach; the
@@ -277,7 +274,7 @@ def run_campaign(cfg: CampaignConfig, benchmark,
     attempts: Counter[tuple] = Counter()  # by (category, position)
     excluded: Counter[tuple] = Counter()  # by (category, position, reason)
     seeds = []
-    for d in draw_systems(cfg, benchmark, policy):
+    for d in draw_systems(cfg, benchmark):
         attempts[d.category, d.cut_position] += 1
         if d.excluded is not None:
             excluded[d.category, d.cut_position, d.excluded] += 1
@@ -517,13 +514,12 @@ class _FitData:
 
 
 @one_low_dispersion_warning
-def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark,
-                   policy: SensitivityPolicy | None = None
+def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark
                    ) -> tuple[_FitData, tuple[int, ...]]:
     """Draw the training systems and precompute the cost structure."""
     data = _FitData(kind)
     seeds = []
-    for d in draw_systems(fit, benchmark, policy):
+    for d in draw_systems(fit, benchmark):
         if d.excluded is None:
             p_bmk = np.array([benchmark.nli_power_w(d.link, n)
                               for n in range(1, d.reach + 1)])
@@ -549,8 +545,7 @@ def _restart_points(kind: CfmKind, n: int, rng) -> list[np.ndarray]:
             for _ in range(n)]
 
 
-def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
-                     policy: SensitivityPolicy | None = None) -> FitResult:
+def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark) -> FitResult:
     """Minimize the summed squared relative NLI-power error over the free
     parameters.
 
@@ -562,7 +557,7 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark,
     """
     if kind is CfmKind.CFM1:
         raise ValueError("CFM1 has no free parameters to fit")
-    data, seeds = build_fit_data(fit, kind, benchmark, policy)
+    data, seeds = build_fit_data(fit, kind, benchmark)
     initial = fit.initial or assets.shipped_coefficients(kind)
     x0 = np.array(initial.a)
     cost0 = data.cost(x0)

@@ -25,15 +25,15 @@ CFM2-CFM4 first weight them by the correction factors, which read the
 |accumulated dispersion|, a running sum over the spans built in the same
 blocks; with unit factors they give CFM1's values bit-for-bit.  The
 effective dispersion is written once, in :func:`effective_beta2_xci`.
-:func:`comb_nli_terms` is the kernel on a comb given as arrays, for
-callers that plan launch powers.
+The link is the kernel's one input: other powers or gains are a link that
+shares the geometry, ``replace(link, comb=...)`` or a planned link.
 :func:`propagate` carries per-span values to the receiver of every
 truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
 one pass, the low-dispersion policy on the rows it returns, and the
 receiver PSD of every truncation.  ``perf.link_report`` turns its output
 into SNRs; :func:`rx_nli_psd` and :func:`rx_nli_psd_all_channels` read
-one truncation of it.  ``poweropt`` and the fit's ``_FitData.add_system``
-read the kernel's per-span terms directly.
+one truncation of it.  ``poweropt`` reads the kernel's per-span terms;
+the fit's ``_FitData.add_system`` reads :func:`span_integrals`' CUT row.
 """
 
 from __future__ import annotations
@@ -312,12 +312,7 @@ def span_integrals(link: LinkSpec, rows: int | None = None) -> SpanIntegrals:
     as CUT (``rows=None``) or only channel ``rows``.  A pair with zero
     dispersion gives inf or NaN entries; callers mask the ones they do not
     use."""
-    return _span_integrals(link.span_arrays, link.comb, rows)
-
-
-def _span_integrals(spans: SpanArrays, ch: CombArrays,
-                    rows: int | None) -> SpanIntegrals:
-    """:func:`span_integrals` of the spans ``spans`` and channels ``ch``."""
+    spans, ch = link.span_arrays, link.comb
     forms = _closed_forms(spans.fibers, spans.fiber.tobytes(),
                           spans.length.tobytes(), ch.f.tobytes(),
                           ch.rate.tobytes(), rows)
@@ -422,19 +417,6 @@ class NliTerms:
 _BLOCK_ELEMENTS = 16_000
 
 
-def nli_terms(link: LinkSpec, variant: ModelVariant,
-              rows: int | None = None) -> NliTerms:
-    """The NLI kernel: one array pass over the spans, with every channel as
-    CUT (``rows=None``) or only channel ``rows``, usually
-    ``link.cut_index``, which must be active.
-
-    Applies no low-dispersion policy, since only the caller knows which rows
-    it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
-    A row with a zero-dispersion term holds inf or NaN.
-    """
-    return comb_nli_terms(link, link.comb, variant, rows)
-
-
 def _cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
            g2: np.ndarray, cuts: np.ndarray, block: slice
            ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -459,13 +441,20 @@ def _cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
     return (xci @ g2[:, :, None])[:, :, 0], acc_own
 
 
-def comb_nli_terms(link: LinkSpec, ch: CombArrays, variant: ModelVariant,
-                   rows: int | None = None) -> NliTerms:
-    """:func:`nli_terms` on the spans of ``link`` with the channels ``ch``,
-    whose launch powers may differ from the link's."""
+def nli_terms(link: LinkSpec, variant: ModelVariant,
+              rows: int | None = None) -> NliTerms:
+    """The NLI kernel: one array pass over the spans, with every channel as
+    CUT (``rows=None``) or only channel ``rows``, usually
+    ``link.cut_index``, which must be active.
+
+    Applies no low-dispersion policy, since only the caller knows which rows
+    it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
+    A row with a zero-dispersion term holds inf or NaN.
+    """
+    ch = link.comb
     if rows is not None and not ch.active[rows]:
         raise ValidationError("CUT inactive")
-    s = _span_integrals(link.span_arrays, ch, rows)
+    s = span_integrals(link, rows)
     cuts = _own_column(rows, len(ch.f))[2]
     g = ch.power / ch.rate  # [span, channel] effective PSDs
     g_cut = g[:, cuts]

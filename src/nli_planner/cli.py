@@ -237,8 +237,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     link = fileio.load_system(args.system)
+    ch, c = link.comb, link.cut_index
     f_eval = args.f_eval_thz if args.f_eval_thz is not None \
-        else link.cut.f_center
+        else float(ch.f[c])
     n_end = _check_n_end(link, args.n_spans)
     quad = QuadratureConfig(points_per_channel=args.points_per_channel,
                             rel_tol=args.rel_tol)
@@ -247,12 +248,12 @@ def _cmd_oracle(args) -> int:
     # The NLI power in the band [f_c - R/2, f_c + R/2) of the active
     # channel holding f_eval, the CUT first where channels overlap; none
     # in a gap between channels.
-    rates = [c.symbol_rate for c in (link.cut, *link.channels)
-             if c.active and c.f_center - c.symbol_rate / 2.0 <= f_eval
-             < c.f_center + c.symbol_rate / 2.0]
+    holds = sorted(np.flatnonzero(
+        ch.active & (ch.f - ch.rate / 2.0 <= f_eval)
+        & (f_eval < ch.f + ch.rate / 2.0)).tolist(), key=lambda i: i != c)
     _emit({"version": 1, "f_eval_thz": f_eval, "n_spans": n_end,
            "rx_nli_psd_w_per_thz": psd,
-           "nli_power_w": psd * rates[0] if rates else None,
+           "nli_power_w": psd * float(ch.rate[holds[0]]) if holds else None,
            "spans": [dataclasses.asdict(stat) for stat in stats]}, args.output)
     return EXIT_OK
 

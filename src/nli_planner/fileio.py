@@ -47,24 +47,30 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value: Any, pointer: str) -> float:
+    """A JSON number as a float; ParseError at ``pointer`` if it is not a
+    number, or an integer beyond a float's range."""
+    if not _is_number(value):
+        raise ParseError(pointer, "must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(pointer, "is beyond a float's range") from None
+
+
 def _number(node: dict | list, key: str | int, pointer: str) -> float:
     """``node[key]`` as a float; ``pointer`` locates ``node``."""
-    value = node[key]
-    if not _is_number(value):
-        raise ParseError(f"{pointer}/{key}", "must be a number")
-    return float(value)
+    return _float(node[key], f"{pointer}/{key}")
 
 
 def _numbers(values: list, pointer: str, field: str = "") -> list:
-    """``values``, each a number; ParseError names ``pointer/i`` plus
-    ``field`` of the first that is not."""
-    if not set(map(type, values)) <= {int, float}:
-        # Subclasses of float, such as numpy.float64 in a document built in
-        # Python, pass.
-        for i, value in enumerate(values):
-            if not _is_number(value):
-                raise ParseError(f"{pointer}/{i}{field}", "must be a number")
-    return values
+    """``values`` as floats; ParseError names ``pointer/i`` plus ``field``
+    of the first that :func:`_float` refuses."""
+    if set(map(type, values)) <= {float}:
+        return values
+    # Integers, and subclasses of float such as numpy.float64 in a document
+    # built in Python, pass as the floats they equal.
+    return [_float(v, f"{pointer}/{i}{field}") for i, v in enumerate(values)]
 
 
 def _check_version(doc: dict, pointer: str) -> None:
@@ -136,6 +142,8 @@ def _parse_spans(nodes: list) -> SpanArrays:
         elif not _is_number(g):
             raise ParseError(f"/spans/{i}/gain_db",
                              "must be a number or 'transparent'")
+        else:
+            gain[i] = _float(g, f"/spans/{i}/gain_db")
     fibers = [_parse_fiber(n["fiber"], f"/spans/{i}/fiber")
               for i, n in enumerate(nodes)]
     length, nf = (_numbers([n[k] for n in nodes], "/spans", f"/{k}")
@@ -162,17 +170,17 @@ def _parse_channels(nodes: list, n_spans: int) -> CombArrays:
     # Per-span lists of numbers pass in one check; else entry by entry.
     if not (set(map(type, launch)) <= {list}
             and set(map(len, launch)) <= {n_spans}
-            and set(map(type, chain.from_iterable(launch))) <= {int, float}):
+            and set(map(type, chain.from_iterable(launch))) <= {float}):
         for i, p in enumerate(launch):
             ptr = f"/channels/{i}/power_w"
             if _is_number(p):
-                launch[i] = [p] * n_spans
+                launch[i] = [_float(p, ptr)] * n_spans
             elif not isinstance(p, list):
                 raise ParseError(ptr, "must be a number or array")
             elif len(p) != n_spans:
                 raise ParseError(ptr, f"expected {n_spans} per-span values")
             else:
-                _numbers(p, ptr)
+                launch[i] = _numbers(p, ptr)
     active = [n.get("active", True) for n in nodes]
     if not set(map(type, active)) <= {bool}:
         i = next(i for i, a in enumerate(active) if not isinstance(a, bool))
@@ -280,7 +288,7 @@ def parse_coefficients(doc: dict) -> tuple[CfmKind, ModelCoefficients]:
     values = doc["a"]
     if not isinstance(values, list):
         raise ParseError("/a", "must be an array")
-    coeffs = ModelCoefficients(a=tuple(map(float, _numbers(values, "/a"))))
+    coeffs = ModelCoefficients(a=tuple(_numbers(values, "/a")))
     for i, x in enumerate(coeffs.a):
         if not math.isfinite(x):
             raise ParseError(f"/a/{i}", "must be finite")

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assets
-from .cfm import check_dispersion, comb_nli_terms, one_low_dispersion_warning
+from .cfm import check_dispersion, nli_terms, one_low_dispersion_warning
 from .perf import ase_power, span_ase_psds
-from .types import CfmKind, CombArrays, LinkSpec, ModelVariant, SpanArrays
+from .types import CfmKind, LinkSpec, ModelVariant, SpanArrays
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls it.
 from .cfm import rx_nli_psd
@@ -61,8 +61,8 @@ def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
     """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
     the CUT's through xi: the kernel on the link with powers xi * R."""
     unit = link.comb.with_power(_tied_power(link, xi, np.ones(link.n_spans)))
-    terms = comb_nli_terms(link, unit, assets.model(CfmKind.CFM1),
-                           rows=link.cut_index)
+    terms = nli_terms(replace(link, comb=unit), assets.model(CfmKind.CFM1),
+                      rows=link.cut_index)
     check_dispersion(terms.min_abs_beta2)
     return terms.base[:, 0]
 
@@ -105,19 +105,14 @@ def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
     return replace(link, comb=comb, span_arrays=_planned_spans(link, g))
 
 
-def _eta(link: LinkSpec, ch: CombArrays, variant: ModelVariant) -> float:
-    """:func:`eta_nli` of the link's spans with the channels ``ch``."""
-    c = link.cut_index
-    terms = comb_nli_terms(link, ch, variant, rows=c)
-    check_dispersion(terms.min_abs_beta2)
-    g1 = float(ch.power[0, c] / ch.rate[c])
-    return float(terms.rx_psd()[-1, 0]) / g1 ** 3
-
-
 def eta_nli(link: LinkSpec, variant: ModelVariant) -> float:
     """Link nonlinearity coefficient: Rx NLI PSD normalized by the cube of
     the first-span CUT PSD.  Invariant under uniform power scaling."""
-    return _eta(link, link.comb, variant)
+    c, ch = link.cut_index, link.comb
+    terms = nli_terms(link, variant, rows=c)
+    check_dispersion(terms.min_abs_beta2)
+    g1 = float(ch.power[0, c] / ch.rate[c])
+    return float(terms.rx_psd()[-1, 0]) / g1 ** 3
 
 
 def refine_cut_launch(link: LinkSpec, eta: float) -> float:
@@ -136,18 +131,18 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator,
     """Full pipeline: xi randomization, span-local optimization, then the
     cubic-model refinement of the CUT launch.
 
-    The span-local step always uses CFM1; the refinement uses ``variant``
-    (shipped CFM4 by default).
+    The span-local step always uses CFM1.  The refinement reads the
+    :func:`eta_nli` of ``variant`` (shipped CFM4 by default) on the link
+    planned with the span-local plan, then scales that plan's CUT PSDs to
+    the refined first-span PSD.
     """
     if variant is None:
         variant = assets.model(CfmKind.CFM4)
     xi = randomize_launch(link, rng)
     g = logo_optimize(link, xi)
     plan = PowerPlan(g_cut_per_span=g, xi=xi)
-    # The link with the span-local gains, its tied powers kept apart.
-    staged = replace(link, span_arrays=_planned_spans(link, g))
-    tied = link.comb.with_power(_tied_power(link, xi, g))
-    eta = _eta(staged, tied, variant)
+    staged = apply_power_plan(link, plan)
+    eta = eta_nli(staged, variant)
     g_opt = refine_cut_launch(staged, eta)
     plan = replace(plan.scaled(g_opt / g[0]), eta_nli=eta)
     return apply_power_plan(link, plan), plan

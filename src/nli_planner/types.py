@@ -219,13 +219,18 @@ _PHI_OF_CODE = np.array([_PHI_FLOAT[fmt] for fmt in FORMATS])
 
 
 class _ReadOnly:
-    """Columns of a link whose arrays, also in tuples, are read-only."""
+    """Columns of a link whose arrays, also in tuples, are read-only: when
+    made, and when unpickled or deep-copied, which makes new arrays."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
             for a in value if isinstance(value, tuple) else (value,):
                 if isinstance(a, np.ndarray):
                     a.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.__post_init__()
 
 
 @dataclass(frozen=True, eq=False)

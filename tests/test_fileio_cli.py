@@ -212,7 +212,7 @@ def _pointers(node, pointer: str = ""):
 _REPLACEMENTS = {"string": "x", "object": {}, "empty list": [], "true": True,
                  "false": False, "zero": 0, "negative": -1.5,
                  "huge": 1e300, "negative huge": -1e300, "tiny": 5e-324,
-                 "big integer": 2 ** 63}
+                 "big integer": 2 ** 63, "integer beyond floats": 10 ** 400}
 
 
 @given(data=st.data())
@@ -304,7 +304,8 @@ def test_coefficients_round_trip(tmp_path):
     ([1.0] * 17 + [True], "/a/17"), ([False] + [1.0] * 17, "/a/0"),
     (["1.0"] + [1.0] * 17, "/a/0"), (1.0, "/a"),
     ([1.0] * 5 + [float("nan")] + [1.0] * 12, "/a/5"),
-    ([1.0] * 17 + [float("-inf")], "/a/17")])
+    ([1.0] * 17 + [float("-inf")], "/a/17"),
+    ([10 ** 400] + [1.0] * 17, "/a/0")])
 def test_coefficients_reject_bad_values(a, where):
     with pytest.raises(fileio.ParseError) as info:
         fileio.parse_coefficients({"version": 1, "variant": "cfm2", "a": a})
@@ -387,11 +388,9 @@ def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
     assert full["reach"] == cut_only["reach"]
 
 
-def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
-    # Kernel pass and report read the columns the loaded link carries: one
-    # comb and one span view, whatever the mode, and no channel or span
-    # objects.
-    sys_path = _gen(tmp_path)
+def _count_view_builds(monkeypatch) -> list:
+    """The class name of every CombArrays, SpanArrays, ChannelSpec and
+    SpanConfig made from now on, in order."""
     builds = []
     for cls in (CombArrays, SpanArrays, ChannelSpec, SpanConfig):
         def counting(self, cls=cls, check=cls.__post_init__):
@@ -399,11 +398,33 @@ def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
+    return builds
+
+
+def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
+    # Kernel pass and report read the columns the loaded link carries: one
+    # comb and one span view, whatever the mode, and no channel or span
+    # objects.
+    sys_path = _gen(tmp_path)
+    builds = _count_view_builds(monkeypatch)
     out = tmp_path / "res.json"
     for extra in ([], ["--all-channels"]):
         builds.clear()
         assert main(["evaluate", str(sys_path), "--threshold-db", "12",
                      *extra, "-o", str(out)]) == 0
+        assert sorted(builds) == ["CombArrays", "SpanArrays"]
+
+
+def test_cli_oracle_builds_each_view_once(tmp_path, monkeypatch):
+    # The quadrature and the band holding f_eval read the loaded link's
+    # columns too, at the CUT's frequency or another.
+    sys_path = _gen(tmp_path)
+    builds = _count_view_builds(monkeypatch)
+    out = tmp_path / "res.json"
+    for extra in ([], ["--f-eval-thz", "193.8"]):
+        builds.clear()
+        assert main(["oracle", str(sys_path), "--n-spans", "1", *extra,
+                     "-o", str(out)]) == 0
         assert sorted(builds) == ["CombArrays", "SpanArrays"]
 
 
@@ -507,6 +528,28 @@ def test_cli_oracle_power_uses_the_band_holding_f_eval(tmp_path, capsys,
         assert doc["nli_power_w"] is None
     else:
         assert doc["nli_power_w"] == psd * rate
+
+
+def test_cli_oracle_power_prefers_the_cut_where_bands_overlap(tmp_path,
+                                                              capsys):
+    # A 32-GBd neighbour listed before the 64-GBd CUT overlaps it, and an
+    # inactive 48-GBd one listed first covers both: in the overlap the
+    # CUT's band wins, beside it the active neighbour's.
+    link = make_single_channel_link(rate=0.064, f_center=193.8)
+    neighbours = tuple(
+        ChannelSpec(f_center=193.83, symbol_rate=rate, roll_off=0.1,
+                    format=ModulationFormat.PM_16QAM,
+                    power_w_per_span=(0.001,), active=active)
+        for rate, active in ((0.048, False), (0.032, True)))
+    sys_path = tmp_path / "sys.json"
+    fileio.save_system(LinkSpec(spans=link.spans,
+                                channels=(*neighbours, link.channels[0]),
+                                cut_index=2), sys_path)
+    for f_eval, rate in ((193.82, 0.064), (193.84, 0.032)):
+        assert main(["oracle", str(sys_path), "--f-eval-thz",
+                     str(f_eval)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nli_power_w"] == doc["rx_nli_psd_w_per_thz"] * rate
 
 
 @pytest.mark.parametrize("flags", [["--rel-tol", "0"],
@@ -636,6 +679,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps({**doc, where[1:]: value}))
         assert main(["evaluate", str(bad)]) == 3
         assert f"error: {where}: must be an array" in capsys.readouterr().err
+    # Validation error: an integer beyond a float's range, in a system file
+    # and in a coefficient file.
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    doc["spans"][1]["length_km"] = 10 ** 400
+    bad.write_text(json.dumps(doc))
+    assert main(["evaluate", str(bad)]) == 3
+    assert "error: /spans/1/length_km: " in capsys.readouterr().err
+    coeff = tmp_path / "c.json"
+    coeff.write_text(json.dumps({"version": 1, "variant": "cfm2",
+                                 "a": [1.0] * 17 + [10 ** 400]}))
+    assert main(["evaluate", str(good), "--model", "cfm2",
+                 "--coefficients", str(coeff)]) == 3
+    assert "error: /a/17: " in capsys.readouterr().err
     # Validation error: a band too narrow for one channel, or no band.
     out = tmp_path / "out.json"
     for width in ("0.01", "0", "-1", "nan"):

@@ -1,5 +1,7 @@
 """Domain-type invariants and the exact format-constant table."""
 
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -165,6 +167,22 @@ def test_link_views_are_cached_and_read_only():
     off = ~link.comb.active
     assert off.any() and not link.comb.power[:, off].any()
     assert not tied.power[:, off].any()
+
+
+@pytest.mark.parametrize("clone", [
+    lambda link: pickle.loads(pickle.dumps(link)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+def test_copied_link_columns_stay_read_only(clone):
+    # A copy holds new arrays: read-only like the link's, so that no edit
+    # in place can change its hash or leave comb.power behind comb.launch.
+    link = make_system(87, category=2)
+    twin = clone(link)
+    assert twin == link and hash(twin) == hash(link)
+    pairs = list(zip(_view_arrays(twin), _view_arrays(link), strict=True))
+    for (name, a), (_, orig) in pairs:
+        assert a is not orig, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_link_views_follow_the_fields():
