@@ -32,7 +32,8 @@ truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
 one pass, the low-dispersion policy on the rows it returns, and the
 receiver PSD of every truncation.  ``perf.link_report`` turns its output
 into SNRs; :func:`rx_nli_psd` and :func:`rx_nli_psd_all_channels` read
-one truncation of it.  ``poweropt`` reads the kernel's per-span terms;
+one truncation of it, ``poweropt.eta_nli`` its last.
+``poweropt.span_eta`` reads the kernel's per-span terms;
 the fit's ``_FitData.add_system`` reads :func:`span_integrals`' CUT row.
 """
 

@@ -11,14 +11,14 @@ import os
 import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cfm import (_check_n_end, effective_beta2_xci, propagate,
                   span_prefactor)
-from .types import (ChannelSpec, CombArrays, FiberParams, LinkSpec,
-                    SpanConfig, ValidationError)
+from .types import (CombArrays, FiberParams, LinkSpec, SpanArrays,
+                    ValidationError)
 
 
 class QuadratureError(RuntimeError):
@@ -433,17 +433,20 @@ def gn_span_psds(link: LinkSpec, f_eval: float,
             tuple(done[n][1] for n in range(n_end)))
 
 
-def gn_span_psd(span: SpanConfig, comb: tuple[ChannelSpec, ...],
-                f_eval: float, q: QuadratureConfig | None = None,
+def gn_span_psd(link: LinkSpec, f_eval: float,
+                q: QuadratureConfig | None = None,
                 span_index: int = 0) -> float:
-    """Single-span GN-model NLI PSD (W/THz) at ``f_eval``, the channels of
-    ``comb`` launched with their powers into span ``span_index``: the
-    :func:`gn_span_psds` of a one-span link."""
-    channels = tuple(
-        replace(c, power_w_per_span=(c.power_w_per_span[span_index],))
-        for c in comb)
-    link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
-    return float(gn_span_psds(link, f_eval, q)[0][0])
+    """GN-model NLI PSD (W/THz) at ``f_eval`` of span ``span_index`` of a
+    link alone: the :func:`gn_span_psds` of the one-span link of that
+    span's columns and launch powers."""
+    s, n = link.span_arrays, range(link.n_spans)[span_index]
+    one = LinkSpec(
+        link.comb.with_power(link.comb.launch[n:n + 1]),
+        SpanArrays.columns([s.fibers[s.fiber[n]]], s.length[n:n + 1],
+                           [None if s.transparent[n] else s.gain_db[n]],
+                           s.nf_db[n:n + 1]),
+        cut_index=0)
+    return float(gn_span_psds(one, f_eval, q)[0][0])
 
 
 def gn_rx_psd(link: LinkSpec, f_eval: float,

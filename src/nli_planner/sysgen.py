@@ -36,6 +36,9 @@ NF_MODES = ("fixed_6dB", "uniform_5_6dB", "mixed")
 
 LOW_DISPERSION_FLAG = "low-dispersion-cut"
 
+# Center of every drawn band, THz.
+BAND_CENTER_THZ = 193.8
+
 # Launch PSD (W/THz) of every drawn channel, before power planning.
 BASELINE_PSD_W_PER_THZ = 0.02
 
@@ -44,7 +47,6 @@ BASELINE_PSD_W_PER_THZ = 0.02
 class GeneratorConfig:
     category: int = 1
     cut_position: str = "center"
-    band_center: float = 193.8  # THz
     band_width: float = 5.0  # THz
     seed: int = 0
     nf_mode: str = "mixed"
@@ -85,8 +87,8 @@ def _draw_comb(cfg: GeneratorConfig, rng: np.random.Generator
                ) -> tuple[list[list], int]:
     """The comb's draws as each channel's frequency, rate, roll-off,
     format and activity, and the CUT index."""
-    left = cfg.band_center - cfg.band_width / 2.0
-    right = cfg.band_center + cfg.band_width / 2.0
+    left = BAND_CENTER_THZ - cfg.band_width / 2.0
+    right = BAND_CENTER_THZ + cfg.band_width / 2.0
     ultra_dense = rng.random() < cfg.ultra_dense_fraction
 
     rows: list[list] = []

@@ -9,11 +9,11 @@ A :class:`LinkSpec` is columns: ``link.comb``, a :class:`CombArrays` of
 ``[channel]`` parameters and the ``[span, channel]`` launch power, and
 ``link.span_arrays``, a :class:`SpanArrays` of ``[span]`` lengths, gains and
 noise figures with an index into the distinct fibers.  Both are read-only
-and validated as whole arrays when made, and a change of powers or gains
-shares every other column.  :class:`ChannelSpec` and :class:`SpanConfig`
-are the same values as objects: ``LinkSpec(spans=..., channels=...)``
-builds the columns from them, and ``link.channels``, ``link.spans`` and
-``link.cut`` build them from the columns on read.
+and validated as whole arrays when made (:meth:`CombArrays.columns`,
+:meth:`SpanArrays.columns`), and a change of powers or gains shares every
+other column.  :class:`ChannelSpec` and :class:`SpanConfig` are what
+``link.channels``, ``link.spans`` and ``link.cut`` return: records built
+from the columns on read, never an input.
 """
 
 from __future__ import annotations
@@ -95,28 +95,6 @@ def _launch_rules(active: np.ndarray, launch: np.ndarray) -> list:
              "active channel powers must be > 0")]
 
 
-def _check_channels(f, rate, roll, active, launch) -> None:
-    """ValidationError for the first bad channel of these columns."""
-    (finite, message), positive = _launch_rules(active, launch)
-    _raise_first_fault([
-        (finite & np.isfinite(f) & np.isfinite(rate) & np.isfinite(roll),
-         message),
-        (f > 0.0, "channel frequency must be > 0"),
-        (rate > 0.0, "symbol rate must be > 0"),
-        ((roll >= 0.0) & (roll <= 1.0), "roll-off must lie in [0, 1]"),
-        positive])
-
-
-def _check_spans(length, gain_db, nf_db, transparent) -> None:
-    """ValidationError for the first bad span of these columns; the gain of
-    a transparent span is not read."""
-    _raise_first_fault([
-        (np.isfinite(length) & (np.isfinite(gain_db) | transparent)
-         & np.isfinite(nf_db),
-         "span length, gain and noise figure must be finite numbers"),
-        (length > 0.0, "span length must be > 0 km")])
-
-
 def _lin(db: np.ndarray) -> np.ndarray:
     """10^(db/10) entry by entry, in Python floats; inf where that
     overflows."""
@@ -185,13 +163,6 @@ class SpanConfig:
     gain_db: float | None = None
     noise_figure_db: float = 6.0
 
-    def __post_init__(self) -> None:
-        gain = self.gain_db
-        _check_spans(np.array([self.length_km], float),
-                     np.array([0.0 if gain is None else gain], float),
-                     np.array([self.noise_figure_db], float),
-                     np.array([gain is None]))
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -203,13 +174,6 @@ class ChannelSpec:
     format: ModulationFormat
     power_w_per_span: tuple[float, ...]
     active: bool = True
-
-    def __post_init__(self) -> None:
-        _check_channels(*np.array([[self.f_center], [self.symbol_rate],
-                                   [self.roll_off]], float),
-                        np.array([self.active], bool),
-                        np.reshape(np.asarray(self.power_w_per_span, float),
-                                   (-1, 1)))
 
 
 # A channel's format code indexes FORMATS.
@@ -239,7 +203,7 @@ class CombArrays(_ReadOnly):
     format codes (indices into :data:`FORMATS`), Phi and activity, and the
     ``[span, channel]`` launch power, as given (``launch``) and zero where
     inactive (``power``, what the kernel reads).  Made by :meth:`columns`,
-    which validates them, or :meth:`of` channel objects."""
+    which validates them."""
 
     f: np.ndarray  # THz
     rate: np.ndarray  # TBaud
@@ -256,25 +220,17 @@ class CombArrays(_ReadOnly):
         f, rate, roll, launch = (np.asarray(a, float)
                                  for a in (f, rate, roll, launch))
         fmt, active = np.asarray(fmt, np.intp), np.asarray(active, bool)
-        _check_channels(f, rate, roll, active, launch)
+        (finite, message), positive = _launch_rules(active, launch)
+        _raise_first_fault([
+            (finite & np.isfinite(f) & np.isfinite(rate) & np.isfinite(roll),
+             message),
+            (f > 0.0, "channel frequency must be > 0"),
+            (rate > 0.0, "symbol rate must be > 0"),
+            ((roll >= 0.0) & (roll <= 1.0), "roll-off must lie in [0, 1]"),
+            positive])
         return cls(f=f, rate=rate, roll=roll, fmt=fmt, active=active,
                    launch=launch, phi=_PHI_OF_CODE[fmt],
                    power=np.where(active, launch, 0.0))
-
-    @classmethod
-    def of(cls, channels: Sequence[ChannelSpec],
-           n_spans: int) -> "CombArrays":
-        """The columns of channels with ``n_spans`` launch powers each."""
-        if any(len(c.power_w_per_span) != n_spans for c in channels):
-            raise ValidationError(
-                "every channel needs one launch power per span")
-        return cls.columns(
-            [c.f_center for c in channels], [c.symbol_rate for c in channels],
-            [c.roll_off for c in channels],
-            [FORMAT_CODE[c.format] for c in channels],
-            [c.active for c in channels],
-            np.reshape([c.power_w_per_span for c in channels],
-                       (len(channels), n_spans)).T)
 
     def with_power(self, power: np.ndarray) -> "CombArrays":
         """These channels with the ``[span, channel]`` launch powers
@@ -291,7 +247,7 @@ class SpanArrays(_ReadOnly):
     Span ``n`` runs on ``fibers[fiber[n]]``: the distinct fibers, by value,
     in order of first appearance, ``spans_of_fiber[k]`` on ``fibers[k]``.
     A ``transparent`` span's gain offsets its fiber loss.  Made by
-    :meth:`columns`, which validates them, or :meth:`of` span objects."""
+    :meth:`columns`, which validates them."""
 
     fibers: tuple[FiberParams, ...]
     fiber: np.ndarray  # [span]: index into fibers
@@ -319,7 +275,12 @@ class SpanArrays(_ReadOnly):
                             for fb, km, g in zip(fibers, length, gain_db)],
                            float)
         length, nf_db = np.asarray(length, float), np.asarray(nf_db, float)
-        _check_spans(length, gain_db, nf_db, transparent)
+        # The gain of a transparent span is not read.
+        _raise_first_fault([
+            (np.isfinite(length) & (np.isfinite(gain_db) | transparent)
+             & np.isfinite(nf_db),
+             "span length, gain and noise figure must be finite numbers"),
+            (length > 0.0, "span length must be > 0 km")])
         # Span by span in Python floats, as each span was computed alone.
         loss = np.array([math.exp(-fb.two_alpha * km)
                          for fb, km in zip(fibers, length.tolist())], float)
@@ -332,14 +293,6 @@ class SpanArrays(_ReadOnly):
                    spans_of_fiber=tuple(np.flatnonzero(fiber == k)
                                         for k in range(len(index))))
 
-    @classmethod
-    def of(cls, spans: Sequence[SpanConfig]) -> "SpanArrays":
-        """The columns of span objects."""
-        return cls.columns([s.fiber for s in spans],
-                           [s.length_km for s in spans],
-                           [s.gain_db for s in spans],
-                           [s.noise_figure_db for s in spans])
-
     def with_gains(self, gain_db: Sequence[float]) -> "SpanArrays":
         """These spans with the lumped gains ``gain_db``, sharing the other
         columns."""
@@ -351,15 +304,14 @@ class SpanArrays(_ReadOnly):
                        transparent=np.zeros(len(gain_db), bool))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LinkSpec:
     """Ordered spans with one WDM comb and a designated CUT.
 
     Every channel is present at the input of every span with the same
     frequency, rate, roll-off, format and activity; its launch power into
     span ``n`` is ``comb.launch[n]``.  A link is its columns, ``comb`` and
-    ``span_arrays``; ``LinkSpec(spans=..., channels=..., cut_index=...)``
-    builds them from objects, and ``channels``, ``spans`` and ``cut``
+    ``span_arrays``; ``channels``, ``spans`` and ``cut``
     (``channels[cut_index]``) build objects from them on read.  Equality
     and hashing read the columns.
     """
@@ -369,26 +321,10 @@ class LinkSpec:
     cut_index: int
     flags: tuple[str, ...] = ()
 
-    def __init__(self, spans: Sequence[SpanConfig] | None = None,
-                 channels: Sequence[ChannelSpec] | None = None,
-                 cut_index: int | None = None, flags: tuple[str, ...] = (),
-                 *, comb: CombArrays | None = None,
-                 span_arrays: SpanArrays | None = None) -> None:
-        # Objects take the place of columns given with them, so that
-        # dataclasses.replace(link, spans=...) replaces the spans.
-        if spans is not None:
-            span_arrays = SpanArrays.of(spans)
-        if channels is not None and span_arrays is not None:
-            comb = CombArrays.of(channels, len(span_arrays.length))
-        if comb is None or span_arrays is None or cut_index is None:
-            raise TypeError("a link takes spans or span_arrays, channels or "
-                            "comb, and cut_index")
-        if comb.launch.shape[0] != len(span_arrays.length):
+    def __post_init__(self) -> None:
+        if self.comb.launch.shape[0] != self.n_spans:
             raise ValidationError(
                 "every channel needs one launch power per span")
-        for name, value in (("comb", comb), ("span_arrays", span_arrays),
-                            ("cut_index", cut_index), ("flags", flags)):
-            object.__setattr__(self, name, value)
 
     @property
     def n_spans(self) -> int:

@@ -10,8 +10,25 @@ import pytest
 from nli_planner import sysgen
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import (ChannelSpec, FiberParams, LinkSpec,
-                               ModulationFormat, SpanConfig)
+from nli_planner.types import (FORMAT_CODE, ChannelSpec, CombArrays,
+                               FiberParams, LinkSpec, ModulationFormat,
+                               SpanArrays, SpanConfig)
+
+
+def link_of(spans, channels, cut_index: int,
+            flags: tuple[str, ...] = ()) -> LinkSpec:
+    """The link of span and channel objects, made from their columns: a
+    link is its columns, and the objects are only what its views return."""
+    comb = CombArrays.columns(
+        [c.f_center for c in channels], [c.symbol_rate for c in channels],
+        [c.roll_off for c in channels],
+        [FORMAT_CODE[c.format] for c in channels],
+        [c.active for c in channels],
+        np.array([c.power_w_per_span for c in channels], float).T)
+    span_arrays = SpanArrays.columns(
+        [s.fiber for s in spans], [s.length_km for s in spans],
+        [s.gain_db for s in spans], [s.noise_figure_db for s in spans])
+    return LinkSpec(comb, span_arrays, cut_index, flags)
 
 
 def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
@@ -60,8 +77,8 @@ def permute_comb(link: LinkSpec, seed: int) -> tuple[LinkSpec, np.ndarray]:
     pointing at the same channel, and the order: channel ``k`` of the
     permuted link is channel ``perm[k]`` of ``link``."""
     perm = np.random.default_rng(seed).permutation(len(link.channels))
-    return replace(link, channels=tuple(link.channels[i] for i in perm),
-                   cut_index=int(np.argmax(perm == link.cut_index))), perm
+    return link_of(link.spans, [link.channels[i] for i in perm],
+                   int(np.argmax(perm == link.cut_index)), link.flags), perm
 
 
 def make_single_channel_link(*, n_spans: int = 1, length_km: float = 100.0,
@@ -77,7 +94,7 @@ def make_single_channel_link(*, n_spans: int = 1, length_km: float = 100.0,
                              noise_figure_db=6.0) for _ in range(n_spans))
     ch = ChannelSpec(f_center=f_center, symbol_rate=rate, roll_off=0.1,
                      format=fmt, power_w_per_span=(power_w,) * n_spans)
-    return LinkSpec(spans=spans, channels=(ch,), cut_index=0)
+    return link_of(spans, (ch,), 0)
 
 
 def make_zero_dispersion_link(cut_index: int,
@@ -95,7 +112,7 @@ def make_zero_dispersion_link(cut_index: int,
                                  power_w_per_span=(1e-3, 1e-3),
                                  active=i not in inactive)
                      for i, f in enumerate((193.75, 193.875, 194.125)))
-    return LinkSpec(spans=spans, channels=channels, cut_index=cut_index)
+    return link_of(spans, channels, cut_index)
 
 
 @pytest.fixture

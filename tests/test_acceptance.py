@@ -13,7 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import generate_comb, generate_link, make_system, with_powers
+from conftest import (generate_comb, generate_link, link_of, make_system,
+                      with_powers)
 from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, SystemDraw, draw_systems,
@@ -22,8 +23,9 @@ from nli_planner.cfm import (coherence_brackets, rho_cross, rho_self,
                              rx_nli_psd)
 from nli_planner.perf import ase_power, evaluate_all_channels, snr
 from nli_planner.poweropt import optimize_powers
-from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import (CfmKind, LinkSpec, ModelCoefficients,
+from nli_planner.sysgen import (BAND_CENTER_THZ, GeneratorConfig,
+                                generate_system)
+from nli_planner.types import (CfmKind, ModelCoefficients,
                                ModelVariant, ModulationFormat, PHI_EXACT,
                                phi_of_format)
 from reference_cfm import beta2_acc
@@ -142,11 +144,11 @@ def test_criterion_3_cubic_homogeneity():
                            n_spans=int(rng.integers(1, 5)), optimize=False)
         s = float(rng.uniform(0.2, 5.0))
         base = rx_nli_psd(link, variant, link.n_spans)
-        scaled = LinkSpec(
-            spans=link.spans,
-            channels=tuple(with_powers(c, [p * s for p in c.power_w_per_span])
-                           for c in link.channels),
-            cut_index=link.cut_index)
+        scaled = link_of(
+            link.spans,
+            [with_powers(c, [p * s for p in c.power_w_per_span])
+             for c in link.channels],
+            link.cut_index)
         got = rx_nli_psd(scaled, variant, link.n_spans)
         worst = max(worst, abs(got - base * s ** 3) / (base * s ** 3))
     print(f"\ncriterion 3: worst relative deviation {worst:.3e} (<= 1e-9)")
@@ -266,12 +268,11 @@ def test_criterion_7_launch_power_stationarity():
 
         def neg_snr(log_s, link=link):
             s = math.exp(log_s)
-            scaled = LinkSpec(
-                spans=link.spans,
-                channels=tuple(with_powers(
-                    c, [p * s for p in c.power_w_per_span])
-                    for c in link.channels),
-                cut_index=link.cut_index)
+            scaled = link_of(
+                link.spans,
+                [with_powers(c, [p * s for p in c.power_w_per_span])
+                 for c in link.channels],
+                link.cut_index)
             return -snr(scaled, variant, link.n_spans)
 
         res = minimize_scalar(neg_snr, bracket=(-0.4, 0.0, 0.4),
@@ -414,7 +415,7 @@ def test_criterion_10_generator_statistics():
         cfg = GeneratorConfig(category=1, seed=9000, band_width=0.3)
         channels, _ = generate_comb(cfg, rng)
         first = channels[0]
-        left = cfg.band_center - cfg.band_width / 2.0
+        left = BAND_CENTER_THZ - cfg.band_width / 2.0
         standard_center = left + slot_thz[first.symbol_rate] / 2.0
         if abs(first.f_center - standard_center) > 1e-9:
             dense += 1

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import reference_cfm as ref
-from conftest import (make_single_channel_link, make_system,
+from conftest import (link_of, make_single_channel_link, make_system,
                       make_zero_dispersion_link, with_powers)
 from nli_planner import assets, cfm, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
@@ -365,11 +365,11 @@ def test_cubic_power_scaling_property(scale, seed):
     link = make_system(seed)
     variant = assets.model(CfmKind.CFM4)
     base = rx_nli_psd(link, variant, link.n_spans)
-    scaled = LinkSpec(
-        spans=link.spans,
-        channels=tuple(with_powers(c, [p * scale for p in c.power_w_per_span])
-                       for c in link.channels),
-        cut_index=link.cut_index)
+    scaled = link_of(
+        link.spans,
+        [with_powers(c, [p * scale for p in c.power_w_per_span])
+         for c in link.channels],
+        link.cut_index)
     assert rx_nli_psd(scaled, variant, link.n_spans) == pytest.approx(
         base * scale ** 3, rel=1e-9)
 
@@ -393,9 +393,9 @@ def test_inactive_channels_do_not_contribute():
     link = make_system(9, optimize=False)
     variant = assets.model(CfmKind.CFM1)
     victim = 0 if link.cut_index != 0 else 1
-    pruned = replace(link, channels=tuple(
+    pruned = link_of(link.spans, [
         replace(c, active=False) if i == victim else c
-        for i, c in enumerate(link.channels)))
+        for i, c in enumerate(link.channels)], link.cut_index, link.flags)
     assert rx_nli_psd(pruned, variant, link.n_spans) \
         < rx_nli_psd(link, variant, link.n_spans)
 
@@ -606,7 +606,7 @@ def _drawn_link(rng, fibers) -> LinkSpec:
     spans = tuple(SpanConfig(fiber=fb, length_km=rng.uniform(40.0, 120.0),
                              gain_db=rng.uniform(10.0, 25.0))
                   for fb in fibers)
-    return LinkSpec(spans=spans, channels=channels, cut_index=cut)
+    return link_of(spans, channels, cut)
 
 
 @given(seed=st.integers(0, 10_000), n_spans=st.integers(1, 3),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_single_channel_link, make_system,
+from conftest import (link_of, make_single_channel_link, make_system,
                       make_zero_dispersion_link)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
@@ -75,8 +75,8 @@ def test_saved_system_is_the_json_document(tmp_path):
     link = make_system(86, category=3, band_width=1.0)
     inline = FiberParams(alpha_db_per_km=0.2, beta2=-20.0, beta3=0.1,
                          gamma=1.1, f_ref=193.0)
-    link = replace(link, spans=(replace(link.spans[0], fiber=inline),
-                                *link.spans[1:]), flags=())
+    link = link_of((replace(link.spans[0], fiber=inline), *link.spans[1:]),
+                   link.channels, link.cut_index)
     path = tmp_path / "sys.json"
     fileio.save_system(link, path)
     text = path.read_text(encoding="utf-8")
@@ -393,11 +393,11 @@ def _count_view_builds(monkeypatch) -> list:
     SpanConfig made from now on, in order."""
     builds = []
     for cls in (CombArrays, SpanArrays, ChannelSpec, SpanConfig):
-        def counting(self, cls=cls, check=cls.__post_init__):
+        def counting(self, *args, cls=cls, init=cls.__init__, **kwargs):
             builds.append(cls.__name__)
-            check(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     return builds
 
 
@@ -517,9 +517,8 @@ def test_cli_oracle_power_uses_the_band_holding_f_eval(tmp_path, capsys,
                       format=ModulationFormat.PM_16QAM,
                       power_w_per_span=(0.001,))
     sys_path = tmp_path / "sys.json"
-    fileio.save_system(LinkSpec(spans=link.spans,
-                                channels=(link.channels[0], nch),
-                                cut_index=0), sys_path)
+    fileio.save_system(link_of(link.spans, (link.channels[0], nch), 0),
+                       sys_path)
     assert main(["oracle", str(sys_path), "--f-eval-thz", str(f_eval)]) == 0
     doc = json.loads(capsys.readouterr().out)
     psd = doc["rx_nli_psd_w_per_thz"]
@@ -542,9 +541,8 @@ def test_cli_oracle_power_prefers_the_cut_where_bands_overlap(tmp_path,
                     power_w_per_span=(0.001,), active=active)
         for rate, active in ((0.048, False), (0.032, True)))
     sys_path = tmp_path / "sys.json"
-    fileio.save_system(LinkSpec(spans=link.spans,
-                                channels=(*neighbours, link.channels[0]),
-                                cut_index=2), sys_path)
+    fileio.save_system(link_of(link.spans, (*neighbours, link.channels[0]),
+                               2), sys_path)
     for f_eval, rate in ((193.82, 0.064), (193.84, 0.032)):
         assert main(["oracle", str(sys_path), "--f-eval-thz",
                      str(f_eval)]) == 0

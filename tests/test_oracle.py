@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import reference_oracle as ref
-from conftest import make_single_channel_link, make_system, permute_comb
+from conftest import (link_of, make_single_channel_link, make_system,
+                      permute_comb)
 from reference_cfm import gain_lin, span_loss_lin
 from nli_planner.campaign import GnOracleBenchmark
 from nli_planner.cfm import propagate, rx_nli_psd
@@ -90,11 +91,11 @@ def test_span_psd_single_channel_vs_dblquad():
     link = make_single_channel_link(rate=0.032, power_w=0.001)
     want = _reference_iterated_quad(link.spans[0], link.channels,
                                     link.cut.f_center)
-    got = gn_span_psd(link.spans[0], link.channels, link.cut.f_center,
+    got = gn_span_psd(link, link.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
     assert got == pytest.approx(want, rel=5e-3)
     q = QuadratureConfig()
-    got = gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
+    got = gn_span_psd(link, link.cut.f_center, q)
     assert got == pytest.approx(want, rel=q.rel_tol)
 
 
@@ -105,13 +106,13 @@ def test_span_psd_two_channels_vs_dblquad():
                       format=ModulationFormat.PM_64QAM,
                       power_w_per_span=(0.0012,))
     comb = (link.channels[0], nch)
-    link2 = LinkSpec(spans=link.spans, channels=comb, cut_index=0)
+    link2 = link_of(link.spans, comb, 0)
     want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
-    got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center,
+    got = gn_span_psd(link2, link2.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
     assert got == pytest.approx(want, rel=5e-3)
     q = QuadratureConfig()
-    got = gn_span_psd(link2.spans[0], comb, link2.cut.f_center, q)
+    got = gn_span_psd(link2, link2.cut.f_center, q)
     assert got == pytest.approx(want, rel=q.rel_tol)
 
 
@@ -121,7 +122,7 @@ def test_closed_form_tracks_oracle_single_channel():
     link = make_single_channel_link(rate=0.064, power_w=0.002)
     variant = assets.model(CfmKind.CFM1)
     cf = rx_nli_psd(link, variant, 1)
-    num = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
+    num = gn_span_psd(link, link.cut.f_center)
     assert cf == pytest.approx(num, rel=0.15)
 
 
@@ -132,8 +133,8 @@ def test_inactive_channels_excluded():
                         format=ModulationFormat.PM_64QAM,
                         power_w_per_span=(0.0012,), active=False)
     comb = (link.channels[0], ghost)
-    with_ghost = gn_span_psd(link.spans[0], comb, link.cut.f_center)
-    alone = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
+    with_ghost = gn_span_psd(link_of(link.spans, comb, 0), link.cut.f_center)
+    alone = gn_span_psd(link, link.cut.f_center)
     assert with_ghost == pytest.approx(alone, rel=1e-12)
 
 
@@ -142,7 +143,7 @@ def test_quadrature_failure_carries_estimate():
     q = QuadratureConfig(points_per_channel=8, rel_tol=1e-12,
                          max_points_per_channel=16)
     with pytest.raises(QuadratureError) as err:
-        gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
+        gn_span_psd(link, link.cut.f_center, q)
     assert err.value.estimate > 0.0
 
 
@@ -156,7 +157,7 @@ def test_quadrature_failure_reports_where_it_stopped(points, cap, last):
     q = QuadratureConfig(points_per_channel=points, rel_tol=1e-12,
                          max_points_per_channel=cap)
     with pytest.raises(QuadratureError) as err:
-        gn_span_psd(span, comb, f, q)
+        gn_span_psd(link, f, q)
     cur = ref._gn_span_psd_at_res(span, comb, f, 0, last)
     prev = ref._gn_span_psd_at_res(span, comb, f, 0, last // 2)
     rel = abs(cur - prev) / abs(cur)
@@ -246,7 +247,7 @@ def _span_level(span, comb, f_eval, span_index):
     channels = tuple(
         replace(c, power_w_per_span=(c.power_w_per_span[span_index],))
         for c in comb)
-    link = LinkSpec(spans=(span,), channels=channels, cut_index=0)
+    link = link_of((span,), channels, 0)
     (group,) = oracle._fiber_groups(link, f_eval, 1)
     return lambda res: group.levels(res, group.spans)[0]
 
@@ -280,7 +281,7 @@ def _assert_quadrature_memory_bounded():
     q = QuadratureConfig(points_per_channel=256, max_points_per_channel=256)
     tracemalloc.start()
     try:
-        psd = gn_span_psd(link.spans[0], link.channels, link.cut.f_center, q)
+        psd = gn_span_psd(link, link.cut.f_center, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,9 +290,8 @@ def _assert_quadrature_memory_bounded():
     # Six spans on one fiber make one group; its buffers are shared, so
     # the group stays within the same bound.
     fiber = link.spans[0].fiber
-    one_fiber = LinkSpec(spans=tuple(replace(s, fiber=fiber)
-                                     for s in link.spans),
-                         channels=link.channels, cut_index=link.cut_index)
+    one_fiber = link_of([replace(s, fiber=fiber) for s in link.spans],
+                        link.channels, link.cut_index)
     tracemalloc.start()
     try:
         psds, _ = gn_span_psds(one_fiber, link.cut.f_center, q)
@@ -317,7 +317,7 @@ def test_quadrature_memory_does_not_grow_with_the_cpu_count(monkeypatch):
 
 def test_rx_accumulation_transparent_spans():
     link = make_single_channel_link(n_spans=3)
-    per_span = gn_span_psd(link.spans[0], link.channels, link.cut.f_center)
+    per_span = gn_span_psd(link, link.cut.f_center)
     # Identical transparent spans: the receiver PSD is three times one span.
     total = gn_rx_psd(link, link.cut.f_center)
     assert total == pytest.approx(3 * per_span, rel=1e-6)
@@ -352,7 +352,7 @@ def _one_fiber_link() -> LinkSpec:
     channels = tuple(replace(c, power_w_per_span=tuple(
         c.power_w_per_span[0] * rng.uniform(0.5, 2.0, 6)))
         for c in link.channels)
-    return LinkSpec(spans=spans, channels=channels, cut_index=link.cut_index)
+    return link_of(spans, channels, link.cut_index)
 
 
 def _span_psds_case(name: str) -> LinkSpec:
@@ -376,8 +376,7 @@ def _span_psds_case(name: str) -> LinkSpec:
     if name == "zero-dispersion":
         link = make_system(4122, category=1, band_width=1.0, n_spans=3)
         spans = (link.spans[0], _zero_dispersion_span(), link.spans[2])
-        return LinkSpec(spans=spans, channels=link.channels,
-                        cut_index=link.cut_index)
+        return link_of(spans, link.channels, link.cut_index)
     raise KeyError(name)
 
 
@@ -387,8 +386,7 @@ def test_span_psds_equal_span_by_span(name):
     link = _span_psds_case(name)
     f = link.cut.f_center
     psds, stats = gn_span_psds(link, f)
-    want = [gn_span_psd(span, link.channels, f, None, n)
-            for n, span in enumerate(link.spans)]
+    want = [gn_span_psd(link, f, None, n) for n in range(link.n_spans)]
     assert psds.tolist() == want
     assert len(stats) == link.n_spans
     assert gn_rx_psd(link, f, n_end=2) == float(
@@ -460,8 +458,7 @@ def test_span_psds_do_not_depend_on_comb_order(seed, category, position,
 
 def test_span_psds_of_a_comb_with_no_active_channel():
     link = make_single_channel_link(n_spans=2)
-    dark = LinkSpec(spans=link.spans, cut_index=0, channels=(
-        replace(link.channels[0], active=False),))
+    dark = link_of(link.spans, [replace(link.channels[0], active=False)], 0)
     psds, stats = gn_span_psds(dark, link.cut.f_center)
     assert psds.tolist() == [0.0, 0.0]
     assert [s.points_per_channel for s in stats] == [0, 0]
@@ -499,9 +496,9 @@ def test_span_psds_raise_the_lowest_failing_span():
     q = QuadratureConfig(points_per_channel=16, rel_tol=0.00024,
                          max_points_per_channel=16)
     errors = {}
-    for n, span in enumerate(link.spans):
+    for n in range(link.n_spans):
         try:
-            gn_span_psd(span, link.channels, f, q, n)
+            gn_span_psd(link, f, q, n)
         except QuadratureError as exc:
             errors[n] = exc
     # Span 0 converges, and its fiber group fails on a later span than
@@ -528,11 +525,11 @@ def test_permuting_spans_permutes_span_psds(seed, category, order):
     # permuting the spans, with each channel's per-span powers permuted the
     # same way, permutes the values exactly.
     link = make_system(seed, category=category, n_spans=4)
-    permuted = LinkSpec(
-        spans=tuple(link.spans[k] for k in order),
-        channels=tuple(replace(c, power_w_per_span=tuple(
-            c.power_w_per_span[k] for k in order)) for c in link.channels),
-        cut_index=link.cut_index)
+    permuted = link_of(
+        [link.spans[k] for k in order],
+        [replace(c, power_w_per_span=tuple(
+            c.power_w_per_span[k] for k in order)) for c in link.channels],
+        link.cut_index)
     f = link.cut.f_center
     psds, stats = gn_span_psds(link, f)
     got, got_stats = gn_span_psds(permuted, f)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.constants import h as PLANCK_J_S
 
 import reference_cfm as ref
-from conftest import make_single_channel_link, make_system, permute_comb
+from conftest import (link_of, make_single_channel_link, make_system,
+                      permute_comb)
 from nli_planner import assets
 from nli_planner.campaign import CfmBenchmark
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
@@ -19,7 +20,7 @@ from nli_planner.perf import (ReachResult, SensitivityPolicy, UnreachableError,
                               max_reach, max_reach_scan, shannon_sensitivity,
                               snr, snr_report)
 from nli_planner.sysgen import CUT_POSITIONS
-from nli_planner.types import CfmKind, LinkSpec, ModulationFormat
+from nli_planner.types import CfmKind, ModulationFormat
 
 mpmath.mp.dps = 40
 
@@ -49,7 +50,7 @@ def test_ase_power_ignores_gain_below_unity():
     link = make_single_channel_link(n_spans=1)
     spans = (link.spans[0].__class__(fiber=link.spans[0].fiber,
                                      length_km=100.0, gain_db=-3.0),)
-    lossy = LinkSpec(spans=spans, channels=link.channels, cut_index=0)
+    lossy = link_of(spans, link.channels, 0)
     assert ase_power(lossy, 1) == 0.0
 
 
@@ -223,7 +224,6 @@ def test_evaluate_all_channels_matches_scalar():
         if not ch.active:
             assert math.isnan(ev.snr_db[idx])
             continue
-        relabeled = LinkSpec(spans=link.spans, channels=link.channels,
-                             cut_index=idx)
+        relabeled = link_of(link.spans, link.channels, idx)
         assert ev.snr_db[idx] == pytest.approx(
             ref.snr(relabeled, variant, link.n_spans), rel=1e-9)

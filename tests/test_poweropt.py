@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_system, with_powers
+from conftest import link_of, make_system, with_powers
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import ase_power, link_report, snr, span_ase_psds
@@ -16,7 +16,7 @@ from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
                                   randomize_launch, refine_cut_launch,
                                   span_eta)
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import (CfmKind, ChannelSpec, CombArrays, LinkSpec,
+from nli_planner.types import (CfmKind, ChannelSpec, CombArrays,
                                SpanArrays, SpanConfig)
 
 
@@ -63,11 +63,11 @@ def test_eta_scale_invariance():
     link = make_system(43)
     variant = assets.model(CfmKind.CFM4)
     eta = eta_nli(link, variant)
-    scaled = LinkSpec(
-        spans=link.spans,
-        channels=tuple(with_powers(c, [p * 1.7 for p in c.power_w_per_span])
-                       for c in link.channels),
-        cut_index=link.cut_index)
+    scaled = link_of(
+        link.spans,
+        [with_powers(c, [p * 1.7 for p in c.power_w_per_span])
+         for c in link.channels],
+        link.cut_index)
     # Uniform power scaling cancels in PSD^3 normalization, but the gains of
     # the original link were derived for the original profile; rescaling all
     # channels and spans uniformly keeps gain ratios, hence eta.
@@ -100,11 +100,11 @@ def test_optimum_is_snr_maximum():
 
     def neg_snr(log_s):
         s = math.exp(log_s)
-        scaled = LinkSpec(
-            spans=link.spans,
-            channels=tuple(with_powers(c, [p * s for p in c.power_w_per_span])
-                           for c in link.channels),
-            cut_index=link.cut_index)
+        scaled = link_of(
+            link.spans,
+            [with_powers(c, [p * s for p in c.power_w_per_span])
+             for c in link.channels],
+            link.cut_index)
         return -snr(scaled, variant, link.n_spans)
 
     res = minimize_scalar(neg_snr, bracket=(-0.5, 0.0, 0.5), method="golden",
@@ -136,13 +136,13 @@ def test_rx_power_positive_after_plan():
 def _made(monkeypatch, cls) -> list:
     """Every instance of ``cls`` made from now on."""
     made = []
-    check = cls.__post_init__
+    init = cls.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         made.append(self)
-        check(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return made
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generate_comb, generate_link, occupied_bandwidth
-from nli_planner.sysgen import (CUT_POSITIONS, LOW_DISPERSION_FLAG, SLOT_THZ,
+from nli_planner.sysgen import (BAND_CENTER_THZ, CUT_POSITIONS,
+                                LOW_DISPERSION_FLAG, SLOT_THZ,
                                 SYMBOL_RATES_TBAUD, GeneratorConfig,
                                 draw_system, generate_system,
                                 generate_system_from_seed)
@@ -52,8 +53,8 @@ def test_comb_stays_inside_band():
         cfg = GeneratorConfig(category=1, seed=seed, band_width=2.0)
         rng = np.random.default_rng(seed)
         channels, cut_index = generate_comb(cfg, rng)
-        left = cfg.band_center - cfg.band_width / 2
-        right = cfg.band_center + cfg.band_width / 2
+        left = BAND_CENTER_THZ - cfg.band_width / 2
+        right = BAND_CENTER_THZ + cfg.band_width / 2
         for ch in channels:
             assert ch.f_center - occupied_bandwidth(ch) / 2 >= left - 1e-9
             assert ch.f_center + occupied_bandwidth(ch) / 2 <= right + 1e-9

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_system, with_powers
-from nli_planner import assets
+from conftest import link_of, make_system, with_powers
+from nli_planner import assets, types
 from nli_planner.types import (ChannelSpec, FiberParams, LinkSpec,
                                ModelCoefficients, ModelVariant, CfmKind,
                                ModulationFormat, PHI_EXACT, SpanArrays,
@@ -52,8 +52,7 @@ def test_two_alpha_conversion():
 def test_transparent_span_gain_offsets_loss():
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
-    spans = SpanArrays.of([SpanConfig(fiber=fib, length_km=100.0,
-                                      gain_db=None)])
+    spans = SpanArrays.columns([fib], [100.0], [None], [6.0])
     assert spans.transparent[0]
     assert spans.transfer[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -61,8 +60,7 @@ def test_transparent_span_gain_offsets_loss():
 def test_explicit_gain():
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
-    spans = SpanArrays.of([SpanConfig(fiber=fib, length_km=100.0,
-                                      gain_db=20.0)])
+    spans = SpanArrays.columns([fib], [100.0], [20.0], [6.0])
     assert not spans.transparent[0]
     assert spans.gain[0] == pytest.approx(100.0)
 
@@ -81,42 +79,55 @@ def test_fiber_validation():
 
 
 def test_span_validation():
+    # Each bad value, in the middle of three good spans, names that span.
     fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
                       gamma=1.3, f_ref=193.8)
     bad = [dict(length_km=0.0)]
     bad += [{name: v} for name in ("length_km", "gain_db", "noise_figure_db")
             for v in _NON_FINITE]
     for change in bad:
-        with pytest.raises(ValidationError):
-            SpanConfig(**{"fiber": fib, "length_km": 100.0, **change})
+        good = dict(length_km=100.0, gain_db=None, noise_figure_db=6.0)
+        spans = [good, {**good, **change}, good]
+        with pytest.raises(ValidationError) as info:
+            SpanArrays.columns([fib] * 3, *([s[k] for s in spans]
+                                            for k in good))
+        assert info.value.index == 1, change
 
 
 def test_channel_validation():
-    with pytest.raises(ValidationError):
-        ChannelSpec(f_center=193.8, symbol_rate=0.0, roll_off=0.1,
-                    format=ModulationFormat.PM_QPSK, power_w_per_span=(1e-3,))
-    with pytest.raises(ValidationError):
-        ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=1.5,
-                    format=ModulationFormat.PM_QPSK, power_w_per_span=(1e-3,))
-    with pytest.raises(ValidationError):
-        ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
-                    format=ModulationFormat.PM_QPSK, power_w_per_span=(0.0,))
+    # Each bad channel, after a good one, is named by its index.
+    fib = FiberParams(alpha_db_per_km=0.21, beta2=-21.3, beta3=0.1452,
+                      gamma=1.3, f_ref=193.8)
+
+    def rejected(bad: dict) -> None:
+        n_spans = len(bad["power_w_per_span"])
+        first = ChannelSpec(193.7, 0.064, 0.1, ModulationFormat.PM_QPSK,
+                            (1e-3,) * n_spans)
+        with pytest.raises(ValidationError) as info:
+            link_of([SpanConfig(fib, 100.0)] * n_spans,
+                    [first, ChannelSpec(**bad)], 0)
+        assert info.value.index == 1, bad
+
+    rejected(dict(f_center=193.8, symbol_rate=0.0, roll_off=0.1,
+                  format=ModulationFormat.PM_QPSK, power_w_per_span=(1e-3,)))
+    rejected(dict(f_center=193.8, symbol_rate=0.064, roll_off=1.5,
+                  format=ModulationFormat.PM_QPSK, power_w_per_span=(1e-3,)))
+    rejected(dict(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
+                  format=ModulationFormat.PM_QPSK, power_w_per_span=(0.0,)))
     # A frequency must be positive, as a fiber's reference frequency is.
     for f in (0.0, -193.8):
         for active in (True, False):
-            with pytest.raises(ValidationError):
-                ChannelSpec(f_center=f, symbol_rate=0.064, roll_off=0.1,
-                            format=ModulationFormat.PM_QPSK,
-                            power_w_per_span=(1e-3,), active=active)
+            rejected(dict(f_center=f, symbol_rate=0.064, roll_off=0.1,
+                          format=ModulationFormat.PM_QPSK,
+                          power_w_per_span=(1e-3,), active=active))
     good = dict(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                 format=ModulationFormat.PM_QPSK)
     for v in _NON_FINITE:
         for change in (dict(f_center=v), dict(symbol_rate=v),
                        dict(roll_off=v), dict(power_w_per_span=(1e-3, v))):
             for active in (True, False):
-                with pytest.raises(ValidationError):
-                    ChannelSpec(**{**good, "power_w_per_span": (1e-3, 1e-3),
-                                   "active": active, **change})
+                rejected({**good, "power_w_per_span": (1e-3, 1e-3),
+                          "active": active, **change})
 
 
 def _one_span_link(cut_active=True, cut_index=0, powers=(1e-3,)):
@@ -126,7 +137,7 @@ def _one_span_link(cut_active=True, cut_index=0, powers=(1e-3,)):
     ch = ChannelSpec(f_center=193.8, symbol_rate=0.064, roll_off=0.1,
                      format=ModulationFormat.PM_QPSK,
                      power_w_per_span=powers, active=cut_active)
-    return LinkSpec(spans=(span,), channels=(ch,), cut_index=cut_index)
+    return link_of((span,), (ch,), cut_index)
 
 
 def test_link_validation():
@@ -191,16 +202,34 @@ def test_link_views_follow_the_fields():
     # A new flag shares the columns; new spans or channels replace them.
     flagged = link.with_flags("x")
     assert flagged.comb is comb and flagged.span_arrays is spans
-    longer = replace(link, spans=tuple(replace(s, length_km=s.length_km + 1.0)
-                                       for s in link.spans))
+    longer = link_of([replace(s, length_km=s.length_km + 1.0)
+                      for s in link.spans], link.channels, link.cut_index)
     assert np.array_equal(longer.span_arrays.length, spans.length + 1.0)
     assert (longer.span_arrays.loss < spans.loss).all()
     assert np.array_equal(longer.comb.power, comb.power)
-    louder = replace(link, channels=tuple(
+    louder = link_of(link.spans, [
         with_powers(c, [2.0 * p for p in c.power_w_per_span])
-        for c in link.channels))
+        for c in link.channels], link.cut_index)
     assert np.array_equal(louder.comb.power, 2.0 * comb.power)
     assert np.array_equal(louder.span_arrays.transfer, spans.transfer)
+    # The object views are read from the columns a replace gives.
+    doubled = replace(link, comb=comb.with_power(2.0 * comb.launch))
+    assert doubled.channels == louder.channels and doubled.cut == louder.cut
+    assert doubled.spans == link.spans
+
+
+def test_link_views_run_no_validation(monkeypatch):
+    # A view is a record of columns validated when made: reading
+    # channels, spans and cut checks nothing again.
+    link = make_system(91, category=2, n_spans=3)
+    calls = []
+    check = types._raise_first_fault
+    monkeypatch.setattr(types, "_raise_first_fault",
+                        lambda rules: calls.append(1) or check(rules))
+    assert link.channels and link.spans and link.cut
+    assert calls == []
+    link.comb.with_power(link.comb.launch)
+    assert calls == [1]
 
 
 def test_link_equality_and_hash_ignore_views():
