@@ -1,36 +1,52 @@
 """Multi-system evaluation campaigns, the span-increment diagnostic, and the
 coefficient-fitting pipeline, whose residual and Jacobian read the
 correction factors and their partials from ``cfm``.
+
+:func:`draw_systems` screens attempts one at a time and plans and scores
+the screened-in ones in blocks of up to :data:`BLOCK_SIZE`: one stacked
+``optimize_powers`` call and, for a closed-form benchmark, one stacked
+kernel pass per block.  Each drawn system carries the benchmark's CUT
+report, which campaigns and fits read instead of asking again.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import assets
-from .cfm import (RHO_LAYOUT, _check_n_end, coherence_brackets,
-                  one_low_dispersion_warning, propagate, rho_cross,
-                  rho_partials, rho_self, rx_nli_psds, span_integrals)
+from .cfm import (RHO_LAYOUT, _check_n_end, check_dispersion,
+                  coherence_brackets, nli_terms, one_low_dispersion_warning,
+                  propagate, rho_cross, rho_partials, rho_self, rx_nli_psds,
+                  span_integrals)
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
-from .perf import (SensitivityPolicy, UnreachableError, link_report,
-                   max_reach_scan, snr)
+from .perf import (LinkReport, SensitivityPolicy, UnreachableError,
+                   link_report, max_reach_scan)
 from .poweropt import optimize_powers
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
-from .types import (FORMATS, CfmKind, LinkSpec, ModelCoefficients,
+from .types import (FORMATS, CfmKind, LinkSpec, LinkStack, ModelCoefficients,
                     ModelVariant)
 
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
 from scipy.optimize import minimize
 from .cfm import rx_nli_psd
 from .oracle import gn_span_psd
-from .perf import ase_power
+from .perf import ase_power, snr
 from .sysgen import generate_system
+
+# Screened-in attempts planned and scored together by draw_systems.
+BLOCK_SIZE = 16
+
+
+def _report_of_row(report: LinkReport, j: int) -> LinkReport:
+    """Row ``j`` of a report of many rows, as a report of one."""
+    return LinkReport(*(a[:, j:j + 1] for a in (
+        report.snr_db, report.p_nli_w, report.p_ase_w, report.p_rx_w)))
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +87,13 @@ class _LastLinkBenchmark:
     def snr_db(self, link: LinkSpec, n_end: int) -> float:
         return float(self._read(link, n_end)[1].snr_db[n_end - 1, 0])
 
+    def cut_reports(self, links: Sequence[LinkSpec], stack: LinkStack
+                    ) -> Iterator[LinkReport]:
+        """The CUT report of every truncation of each link, in order,
+        computed as each is read; ``stack`` holds the links' columns."""
+        for link in links:
+            yield self._read(link, 1)[1]
+
 
 class CfmBenchmark(_LastLinkBenchmark):
     """A closed-form variant used as reference model."""
@@ -82,6 +105,14 @@ class CfmBenchmark(_LastLinkBenchmark):
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         return rx_nli_psds(link, self.variant, link.cut_index)
+
+    def cut_reports(self, links: Sequence[LinkSpec], stack: LinkStack
+                    ) -> Iterator[LinkReport]:
+        """The CUT report of every truncation of each link, from one kernel
+        pass over their ``stack`` made now.  It applies no low-dispersion
+        policy: the caller checks the links it uses."""
+        report = link_report(stack, nli_terms(stack, self.variant).rx_psd())
+        return iter([_report_of_row(report, j) for j in range(len(links))])
 
 
 class GnOracleBenchmark(_LastLinkBenchmark):
@@ -106,6 +137,11 @@ class GnOracleBenchmark(_LastLinkBenchmark):
 # Error statistics
 
 
+def _check_bin_width(bin_width: float) -> None:
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError("bin width must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class ErrorStats:
     mean: float
@@ -123,8 +159,7 @@ def error_stats(samples: list[float], bin_width: float = 0.02) -> ErrorStats:
     fixed-width histogram aligned on multiples of the bin width."""
     if not samples:
         raise ValueError("error_stats requires at least one sample")
-    if bin_width <= 0:
-        raise ValueError("bin width must be > 0")
+    _check_bin_width(bin_width)
     x = np.asarray(samples, dtype=float)
     lo = math.floor(x.min() / bin_width) * bin_width
     hi = math.ceil(x.max() / bin_width) * bin_width
@@ -173,11 +208,12 @@ UNREACHABLE = "unreachable"
 
 @dataclass(frozen=True)
 class DrawnSystem:
-    """One attempt of a draw.  A kept system has the power-optimized link
-    and the benchmark's max reach in spans.  An excluded one has ``reach``
-    None and ``excluded`` set to ``LOW_DISPERSION_FLAG``, with ``link``
-    None since the attempt was screened before its link was built, or
-    ``UNREACHABLE``, with the power-optimized link."""
+    """One attempt of a draw.  A kept system has the power-optimized link,
+    the benchmark's max reach in spans and its CUT report of every
+    truncation.  An excluded one has ``reach`` None and ``excluded`` set to
+    ``LOW_DISPERSION_FLAG``, with ``link`` and ``report`` None since the
+    attempt was screened before its link was built, or ``UNREACHABLE``,
+    with the power-optimized link and its report."""
 
     attempt: int
     category: int
@@ -185,6 +221,8 @@ class DrawnSystem:
     link: LinkSpec | None
     reach: int | None
     excluded: str | None
+    report: LinkReport | None = field(default=None, compare=False,
+                                      repr=False)
 
 
 @dataclass(frozen=True)
@@ -207,36 +245,83 @@ def draw_systems(draw: SystemDraw, benchmark) -> Iterator[DrawnSystem]:
     bound and the benchmark reaches the drawn sensitivity threshold after
     at least one span.  The bound is screened on the attempt's draws, so
     an attempt that fails it builds no link.
+
+    Attempts are screened one at a time, and the screened-in ones planned
+    and scored in blocks of up to :data:`BLOCK_SIZE` (no more than the
+    systems still to keep), each assumed kept.  When one is unreachable,
+    the attempts after it drew for the wrong category and CUT position:
+    they are dropped unseen, and the draw resumes after it.  A block that
+    fails is planned again one attempt at a time, so an error, like each
+    low-dispersion warning, comes from the attempt it belongs to.
     """
     policy = SensitivityPolicy.default()
-    mixes = [(cat, pos) for cat in draw.categories
-             for pos in draw.cut_positions]
+    mixes = [(cat, pos, GeneratorConfig(
+        category=cat, cut_position=pos, band_width=draw.band_width_thz,
+        n_spans=draw.n_spans, seed=draw.seed))
+        for cat in draw.categories for pos in draw.cut_positions]
     kept = 0
     attempt = 0
+    one_by_one = 0  # attempts up to this one are planned alone
     while kept < draw.n_systems:
-        cat, pos = mixes[kept % len(mixes)]
-        attempt += 1
-        rng = np.random.default_rng([draw.seed, attempt])
-        gen = GeneratorConfig(category=cat, cut_position=pos,
-                              band_width=draw.band_width_thz,
-                              n_spans=draw.n_spans, seed=draw.seed)
-        drawn = draw_system(gen, rng)
-        if drawn.low_dispersion:
-            yield DrawnSystem(attempt, cat, pos, None, None,
-                              LOW_DISPERSION_FLAG)
-            continue
-        link, _plan = optimize_powers(drawn.build(), rng)
-        threshold = policy.threshold_db(
-            FORMATS[link.comb.fmt[link.cut_index]], rng)
-        try:
-            reach = max_reach_scan(lambda n: benchmark.snr_db(link, n),
-                                   link.n_spans, threshold)
-        except UnreachableError:
-            yield DrawnSystem(attempt, cat, pos, link, None, UNREACHABLE)
-            continue
-        kept += 1
-        yield DrawnSystem(attempt, cat, pos, link, reach.max_reach_spans,
-                          None)
+        size = (1 if attempt < one_by_one
+                else min(BLOCK_SIZE, draw.n_systems - kept))
+        block = []  # (attempt, category, position, built link, rng)
+        n_in = 0
+        while n_in < size:
+            cat, pos, gen = mixes[(kept + n_in) % len(mixes)]
+            attempt += 1
+            rng = np.random.default_rng([draw.seed, attempt])
+            drawn = draw_system(gen, rng)
+            link = None if drawn.low_dispersion else drawn.build()
+            block.append((attempt, cat, pos, link, rng))
+            n_in += link is not None
+        planned = None
+        for att, cat, pos, link, rng in block:
+            if link is None:
+                yield DrawnSystem(att, cat, pos, None, None,
+                                  LOW_DISPERSION_FLAG)
+                continue
+            if planned is None:
+                try:
+                    planned = _plan_block(block, benchmark)
+                except Exception:
+                    # Whichever attempt failed, planning the block's
+                    # attempts alone raises it where the loop of one
+                    # attempt at a time would.
+                    if n_in == 1:
+                        raise
+                    attempt, one_by_one = att - 1, block[-1][0]
+                    break
+            link, min_abs_beta2 = next(planned[0])
+            check_dispersion(min_abs_beta2)
+            threshold = policy.threshold_db(
+                FORMATS[link.comb.fmt[link.cut_index]], rng)
+            report = next(planned[1])
+            try:
+                reach = max_reach_scan(lambda n: report.snr_db[n - 1, 0],
+                                       link.n_spans, threshold)
+            except UnreachableError:
+                yield DrawnSystem(att, cat, pos, link, None, UNREACHABLE,
+                                  report)
+                attempt = att
+                break
+            kept += 1
+            yield DrawnSystem(att, cat, pos, link, reach.max_reach_spans,
+                              None, report)
+
+
+def _plan_block(block, benchmark) -> tuple[Iterator, Iterator]:
+    """Plan the screened-in attempts of a block as one stack, and ask the
+    benchmark for their reports: iterators over each planned link with the
+    smallest |beta2| of its CUT row, and over its report, in attempt
+    order."""
+    built = [(link, rng) for _att, _cat, _pos, link, rng in block
+             if link is not None]
+    links = [link for link, _plan in optimize_powers(*zip(*built))]
+    stack = LinkStack.of(links)
+    min_abs_beta2 = span_integrals(stack).min_abs_beta2(stack.active)
+    return (zip(links, min_abs_beta2.tolist()),
+            benchmark.cut_reports(links, stack))
 
 
 @dataclass(frozen=True)
@@ -246,8 +331,7 @@ class CampaignConfig(SystemDraw):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.bin_width_db <= 0:
-            raise ValueError("bin width must be > 0")
+        _check_bin_width(self.bin_width_db)
 
 
 @dataclass(frozen=True)
@@ -266,7 +350,8 @@ def run_campaign(cfg: CampaignConfig, benchmark) -> CampaignResult:
 
     Each system's SNR error is measured at the benchmark's max reach; the
     attempts and excluded attempts are counted by reason, in total and per
-    (category, CUT position).
+    (category, CUT position).  The variants score the kept systems in
+    stacks of up to :data:`BLOCK_SIZE`, one kernel pass per stack.
     """
     models = [assets.model(k) for k in cfg.variants]
     samples: dict[tuple[str, str], list[float]] = {
@@ -274,16 +359,29 @@ def run_campaign(cfg: CampaignConfig, benchmark) -> CampaignResult:
     attempts: Counter[tuple] = Counter()  # by (category, position)
     excluded: Counter[tuple] = Counter()  # by (category, position, reason)
     seeds = []
+    block: list[DrawnSystem] = []
+
+    def score() -> None:
+        stack = LinkStack.of([d.link for d in block])
+        for model in models:
+            snr_db = link_report(stack, rx_nli_psds(stack, model)).snr_db
+            for j, d in enumerate(block):
+                samples[(model.kind.value, d.cut_position)].append(
+                    float(snr_db[d.reach - 1, j])
+                    - float(d.report.snr_db[d.reach - 1, 0]))
+        seeds.extend(d.attempt for d in block)
+        block.clear()
+
     for d in draw_systems(cfg, benchmark):
         attempts[d.category, d.cut_position] += 1
         if d.excluded is not None:
             excluded[d.category, d.cut_position, d.excluded] += 1
             continue
-        bmk_snr = benchmark.snr_db(d.link, d.reach)
-        for model in models:
-            samples[(model.kind.value, d.cut_position)].append(
-                snr(d.link, model, d.reach) - bmk_snr)
-        seeds.append(d.attempt)
+        block.append(d)
+        if len(block) == BLOCK_SIZE:
+            score()
+    if block:
+        score()
 
     stats = {key: error_stats(vals, cfg.bin_width_db)
              for key, vals in samples.items() if vals}
@@ -399,7 +497,7 @@ class _FitData:
     """Precomputed coefficient-independent structure of the training cost.
 
     One residual row per system and truncation.  From the kernel's span
-    integrals of the CUT row, every system contributes a self term per span
+    integrals of its CUT row, every system contributes a self term per span
     and a cross term per active interferer and span; each term's base is
     propagated to every truncation and divided by the benchmark NLI power
     there, giving the matrices ``S`` (self terms) and ``X`` (cross terms).
@@ -417,51 +515,79 @@ class _FitData:
         self._stacked: dict[str, _TermBlock] | None = None
 
     def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
-        ch = link.comb
-        c = link.cut_index
-        g = ch.power[:reach] / ch.rate
-        idx = np.flatnonzero(ch.active & (np.arange(len(ch.f)) != c))
-        s = span_integrals(link, rows=c)
-        fiber = s.spans.fiber[:reach]
-        abs_acc = s.abs_acc()[:reach, 0]
-        base = s.prefactor[:reach] * g[:, c]  # [span]
-        sci_inc = base * g[:, c] ** 2 * s.i_self[fiber, 0]
-        sci_coh = (base * g[:, c] ** 2 * s.i_coherent[:reach, 0]
-                   if self.kind.coherent_sci else np.zeros(reach))
-        sci_acc = abs_acc[:, c]
-        # Cross terms span by span, interferer by interferer.
-        xb = (base[:, None] * 2.0 * g[:, idx] ** 2
-              * s.i_cross[fiber, 0][:, idx]).ravel()
-        xacc = abs_acc[:, idx].ravel()
-        span_of_x = np.repeat(np.arange(reach), idx.size)
-        xidx = np.tile(idx, reach)
-        brackets = coherence_brackets(reach)
-        # [truncation, span] propagation, in units of the benchmark power.
-        prop = (propagate(s.spans.transfer[:reach], np.eye(reach))
-                * (ch.rate[c] / p_bmk)[:, None])
-        self._append("self", prop * (sci_inc + brackets[:, None] * sci_coh),
-                     phi=ch.phi[c], rate=ch.rate[c], roll_cut=ch.roll[c],
-                     acc=sci_acc)
-        self._append("cross", prop[:, span_of_x] * xb,
-                     phi=ch.phi[xidx], roll_cut=ch.roll[c],
-                     roll_nch=ch.roll[xidx], acc=xacc)
-        self.n_rows += reach
+        """Append one system (see :meth:`add_systems`)."""
+        self.add_systems([link], [reach], [p_bmk])
 
-    def _append(self, block: str, matrix: np.ndarray, **features) -> None:
-        """Append one system's [truncation, term] matrix as triplets, and
-        its term features with per-system scalars repeated per term."""
-        n_trunc, n_terms = matrix.shape
+    def add_systems(self, links: Sequence[LinkSpec], reaches: Sequence[int],
+                    p_bmk: Sequence[np.ndarray]) -> None:
+        """Append systems of one span count, each with its reach and the
+        benchmark NLI power (W) of every truncation up to it, in order:
+        their terms read the CUT rows of one stack's span integrals."""
+        stack = LinkStack.of(links)
+        s = span_integrals(stack)
+        n_links, n_spans = stack.fiber.shape
+        j, cut = np.arange(n_links), stack.cut
+        reach = np.array(reaches)
+        upto = np.arange(n_spans) < reach[:, None]  # [link, span]
+        rate, roll = stack.rate[j, cut], stack.roll[j, cut]
+        g = stack.power / stack.rate[:, None]  # [link, span, channel]
+        g_cut = g[j, :, cut]  # [link, span]
+        abs_acc = s.abs_acc().transpose(1, 0, 2)  # [link, span, channel]
+        base = s.prefactor.T * g_cut
+        sci_inc = base * g_cut ** 2 * s.per_span(s.i_self).T
+        sci_coh = (base * g_cut ** 2 * s.i_coherent.T
+                   if self.kind.coherent_sci else np.zeros_like(base))
+        xb = (base[:, :, None] * 2.0 * g ** 2
+              * s.per_span(s.i_cross).transpose(1, 0, 2))
+        # [link, truncation, span] propagation, in units of the benchmark
+        # power.
+        p = np.ones((n_links, n_spans))
+        for row, values in zip(p, p_bmk):
+            row[:len(values)] = values
+        eye = np.broadcast_to(np.eye(n_spans)[:, None],
+                              (n_spans, n_links, n_spans))
+        prop = (propagate(stack.transfer.T[:, :, None], eye).transpose(1, 0, 2)
+                * (rate[:, None] / p)[:, :, None])
+        pair = upto[:, :, None] & upto[:, None]  # [link, truncation, span]
+        first = self.n_rows + np.cumsum(reach) - reach
+        row = (first[:, None] + np.arange(n_spans))[:, :, None]
+        brackets = coherence_brackets(n_spans)[:, None]
+        self._append("self", pair,
+                     prop * (sci_inc[:, None] + brackets * sci_coh[:, None]),
+                     row, upto, phi=stack.phi[j, cut], rate=rate,
+                     roll_cut=roll, acc=abs_acc[j, :, cut])
+        # Cross terms span by span, interferer by interferer.
+        inter = stack.active & (np.arange(stack.f.shape[1]) != cut[:, None])
+        self._append("cross", pair[..., None] & inter[:, None, None],
+                     prop[..., None] * xb[:, None], row[..., None],
+                     upto[:, :, None] & inter[:, None], phi=stack.phi[:, None],
+                     roll_cut=roll, roll_nch=stack.roll[:, None], acc=abs_acc)
+        self.n_rows += int(reach.sum())
+
+    def _append(self, block: str, entries: np.ndarray, matrix: np.ndarray,
+                row: np.ndarray, terms: np.ndarray, **features) -> None:
+        """Append systems' ``[link, truncation, term...]`` matrices where
+        ``entries``, in row-major order, as (row, term, value) triplets;
+        ``row`` broadcasts each entry's residual row, ``terms`` marks each
+        system's ``[link, term...]`` terms, and each feature broadcasts to
+        ``terms`` from its leading link axis."""
+        n_terms = terms.reshape(len(terms), -1).sum(axis=1)
+        first = self._n_cols[block] + np.cumsum(n_terms) - n_terms
+        col = np.cumsum(terms.reshape(len(terms), -1), axis=1) - 1
+        col = (first[:, None] + col).reshape(terms.shape)
         parts = self._parts[block]
-        entries = {
-            "row": np.repeat(self.n_rows + np.arange(n_trunc), n_terms),
-            "col": np.tile(self._n_cols[block] + np.arange(n_terms), n_trunc),
-            "val": matrix.ravel()}
-        entries.update({k: np.broadcast_to(np.asarray(v, dtype=float),
-                                           (n_terms,))
-                        for k, v in features.items()})
-        for key, value in entries.items():
+        values = {
+            "row": np.broadcast_to(row, entries.shape)[entries],
+            "col": np.broadcast_to(col[:, None], entries.shape)[entries],
+            "val": matrix[entries]}
+        for name, value in features.items():
+            value = np.asarray(value, dtype=float)
+            value = value.reshape(value.shape + (1,) * (terms.ndim
+                                                        - value.ndim))
+            values[name] = np.broadcast_to(value, terms.shape)[terms]
+        for key, value in values.items():
             parts.setdefault(key, []).append(value)
-        self._n_cols[block] += n_terms
+        self._n_cols[block] += int(n_terms.sum())
         self._stacked = None
 
     def _blocks(self) -> dict[str, _TermBlock]:
@@ -516,16 +642,16 @@ class _FitData:
 @one_low_dispersion_warning
 def build_fit_data(fit: FitConfig, kind: CfmKind, benchmark
                    ) -> tuple[_FitData, tuple[int, ...]]:
-    """Draw the training systems and precompute the cost structure."""
+    """Draw the training systems and precompute the cost structure, from
+    each system's benchmark report, in stacks of up to :data:`BLOCK_SIZE`
+    systems."""
     data = _FitData(kind)
-    seeds = []
-    for d in draw_systems(fit, benchmark):
-        if d.excluded is None:
-            p_bmk = np.array([benchmark.nli_power_w(d.link, n)
-                              for n in range(1, d.reach + 1)])
-            data.add_system(d.link, d.reach, p_bmk)
-            seeds.append(d.attempt)
-    return data, tuple(seeds)
+    kept = [d for d in draw_systems(fit, benchmark) if d.excluded is None]
+    for i in range(0, len(kept), BLOCK_SIZE):
+        block = kept[i:i + BLOCK_SIZE]
+        data.add_systems([d.link for d in block], [d.reach for d in block],
+                         [d.report.p_nli_w[:d.reach, 0] for d in block])
+    return data, tuple(d.attempt for d in kept)
 
 
 # The first trust region of each solve, as a fraction of the shipped

@@ -5,36 +5,41 @@ term and one cross-interference term per co-propagating channel, each built
 from asinh closed forms of the underlying four-wave-mixing integrals.
 CFM2-CFM4 multiply those terms by fitted correction factors, laid out by
 :data:`RHO_LAYOUT`; CFM3/CFM4 additionally model coherent accumulation of
-the self term.  The kernel reads the arrays a link carries (``link.comb``
-and ``link.span_arrays``); the span prefactor is :func:`span_prefactor`.
+the self term.  The kernel reads a :class:`~nli_planner.types.LinkStack`:
+links of one span count as ``[link, ...]`` columns, a link being a stack
+of one (``link.stack``); the span prefactor is :func:`span_prefactor`.
 
-:func:`nli_terms` computes all of it for rows that are the channels taken
-as CUT: every channel, or with ``rows=link.cut_index`` the CUT alone.
-The power-independent closed forms depend on a span only through its
-fiber, so :func:`span_integrals` computes them once per distinct fiber,
-as ``[fiber, row, channel]`` (|beta2| and the cross integral) and
-``[fiber, row]`` (the self integral) arrays; only what depends on the span
-length is per span (the ``[span]`` columns, ``[span, row]`` coherent
-coefficient).  They read neither powers nor gains, so they are computed
-once per geometry (fibers, span lengths, channel frequencies and rates)
-and rows, and kept read-only in a small memo: the passes that plan a
-system's launch powers, score it and fit on it share one set.  Every
-variant sums its cross terms the same way: in row blocks, as ``[span,
-row, channel]`` arrays contracted against each span's squared PSDs.
-CFM2-CFM4 first weight them by the correction factors, which read the
-|accumulated dispersion|, a running sum over the spans built in the same
-blocks; with unit factors they give CFM1's values bit-for-bit.  The
-effective dispersion is written once, in :func:`effective_beta2_xci`.
-The link is the kernel's one input: other powers or gains are a link that
-shares the geometry, ``replace(link, comb=...)`` or a planned link.
-:func:`propagate` carries per-span values to the receiver of every
-truncation.  :func:`rx_nli_psds` is the one checked read of the kernel:
-one pass, the low-dispersion policy on the rows it returns, and the
-receiver PSD of every truncation.  ``perf.link_report`` turns its output
-into SNRs; :func:`rx_nli_psd` and :func:`rx_nli_psd_all_channels` read
-one truncation of it, ``poweropt.eta_nli`` its last.
-``poweropt.span_eta`` reads the kernel's per-span terms;
-the fit's ``_FitData.add_system`` reads :func:`span_integrals`' CUT row.
+:func:`nli_terms` computes all of it for rows, each a channel of one link
+taken as CUT (:func:`kernel_rows`): every channel of a link, with
+``rows=link.cut_index`` its CUT alone, or each link's CUT of a stack, so
+that many systems share one pass.  The power-independent closed forms
+depend on a span only through its fiber, so :func:`span_integrals`
+computes them once per distinct fiber of the stack, as ``[fiber, row,
+channel]`` (|beta2| and the cross integral) and ``[fiber, row]`` (the self
+integral) arrays; only what depends on the span length is per span (the
+``[span, link]`` columns, ``[span, row]`` coherent coefficient).  They read
+neither powers nor gains, so they are computed once per stack geometry
+(fibers, span lengths, channel frequencies and rates) and rows, and kept
+read-only in a small memo: the passes that plan a block of systems and
+score it share one set.  Every variant sums its cross terms the same way:
+in row blocks, as ``[span, row, channel]`` arrays times each span's
+squared PSDs, summed over the channels in an order that a link's padding
+does not change, so a row does not depend on its stack.  CFM2-CFM4 first
+weight them by the correction factors, which read the |accumulated
+dispersion|, a running sum over the spans built in the same blocks; with
+unit factors they give CFM1's values bit-for-bit.  The effective
+dispersion is written once, in :func:`effective_beta2_xci`.  The link or
+stack is the kernel's one input: other powers or gains are a link that
+shares the geometry, ``replace(link, comb=...)``, a planned link or a
+re-powered stack.  :func:`propagate` carries per-span values to the
+receiver of every truncation.  :func:`rx_nli_psds` is the one checked
+read of the kernel: one pass, the low-dispersion policy on the rows it
+returns, and the receiver PSD of every truncation.  ``perf.link_report``
+turns its output into SNRs; :func:`rx_nli_psd` and
+:func:`rx_nli_psd_all_channels` read one truncation of it.
+``poweropt`` reads the kernel's per-span terms and last truncation of a
+stack's CUT rows; the fit's ``_FitData.add_systems`` reads
+:func:`span_integrals`' CUT rows.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import sici
 
-from .types import (CfmKind, CombArrays, FiberParams, LinkSpec,
-                    ModelVariant, SpanArrays, ValidationError)
+from .types import (CHANNEL_GROUP, CfmKind, FiberParams, LinkSpec,
+                    LinkStack, ModelVariant, SpanArrays, ValidationError)
 
 # Validity bound: below this effective |beta2| (ps^2/km) the closed forms
 # degrade and results are flagged rather than trusted.
@@ -244,7 +249,7 @@ def rho_partials(layout: RhoLayout, a, feat: dict, log: dict, cfm4: bool):
 # Propagation
 
 
-def span_prefactor(spans: SpanArrays) -> np.ndarray:
+def span_prefactor(spans: SpanArrays | LinkStack) -> np.ndarray:
     """16/27 gamma^2 times the transfer of every span: the factor of the
     NLI PSD that a span adds at its receiver end."""
     return (16.0 / 27.0) * spans.gamma ** 2 * spans.transfer
@@ -256,8 +261,12 @@ def propagate(transfer: np.ndarray, terms) -> np.ndarray:
     ``terms[n]`` is added at the end of span ``n`` and scaled by the
     transfer of every later span: ``out[k] = transfer[k] * out[k - 1] +
     terms[k]``, so ``out[k]`` is the value after spans ``0..k``.
+    ``transfer[k]`` is a scalar or broadcasts against ``terms[k]``.
     """
     terms = np.asarray(terms, dtype=float)
+    if terms.shape[1:] == (1,) and np.shape(transfer)[1:] == (1,):
+        # One column: the same recurrence on scalars, which is faster.
+        return propagate(np.asarray(transfer)[:, 0], terms[:, 0])[:, None]
     out = np.empty_like(terms)
     acc = 0.0
     for n, t in enumerate(transfer):
@@ -270,93 +279,149 @@ def propagate(transfer: np.ndarray, terms) -> np.ndarray:
 # The kernel
 
 
-def _own_column(rows, n_channels: int):
-    """Index of every row's own channel in a ``[fiber or span, row,
-    channel]`` array: the CUT/CUT pair of each row.  ``rows`` is None
-    (every channel), one channel index or an array of them."""
-    col = np.arange(n_channels) if rows is None else np.atleast_1d(rows)
-    return slice(None), np.arange(col.size), col
+def kernel_rows(link: LinkSpec | LinkStack, rows: int | None = None
+                ) -> tuple[LinkStack, int | np.ndarray, np.ndarray]:
+    """The stack the kernel reads and its rows, as the link (an index or
+    ``[row]`` indices) and the ``[row]`` channel of each row.  A link is a
+    stack of one, whose rows are every channel (``rows=None``) or channel
+    ``rows``; a stack's rows are each link's CUT.  So a stack's ``[link,
+    ...]`` columns broadcast against the rows: one link for all of them, or
+    one per row."""
+    if isinstance(link, LinkStack):
+        if rows is not None:
+            raise ValueError("a stack's rows are its links' CUTs")
+        return link, np.arange(len(link.cut)), link.cut
+    ch = (np.arange(len(link.comb.f)) if rows is None
+          else np.array([rows], np.intp))
+    return link.stack, 0, ch
+
+
+def _block(a: np.ndarray, block: slice, axis: int = 0) -> np.ndarray:
+    """The rows ``block`` of a stack's column ``a`` whose ``axis`` is the
+    link axis: all of a one-link stack's, which broadcast."""
+    if a.shape[axis] == 1:
+        return a
+    return a[(slice(None),) * axis + (block,)]
 
 
 @dataclass(frozen=True)
 class SpanIntegrals:
-    """Closed-form kernel integrals of a link, with its span arrays; a row
-    is a channel taken as CUT, a column an interferer.
+    """Closed-form kernel integrals of a stack's rows, with its span
+    columns; a row is a channel of one link taken as CUT, a column an
+    interferer of that link (the stack's padded channels).
 
     The power-independent closed forms depend on a span only through its
-    fiber, so they are held once per distinct fiber (``spans.fiber``);
-    what depends on the span length is held per span.
+    fiber, so they are held once per distinct fiber of the stack; what
+    depends on the span length is held per span.  The ``[span, link]``
+    columns broadcast against ``[span, row]`` (see :func:`kernel_rows`).
     """
 
-    spans: SpanArrays
-    prefactor: np.ndarray  # [span]: span_prefactor(spans)
+    fiber: np.ndarray  # [span, link]: index into the fiber axis
+    length: np.ndarray  # [span, link] (km)
+    prefactor: np.ndarray  # [span, link]: span_prefactor
+    transfer: np.ndarray  # [span, link]
+    uses: np.ndarray  # [fiber, link]: the fiber is on the link
     beta2: np.ndarray  # [fiber, row, channel]: effective beta2 (ps^2/km)
     abs_beta2: np.ndarray  # [fiber, row, channel]
     i_cross: np.ndarray  # [fiber, row, channel]
     i_self: np.ndarray  # [fiber, row], incoherent accumulation
     i_coherent: np.ndarray  # [span, row], coefficient of the coherence bracket
 
-    def abs_acc(self, rows=slice(None)) -> np.ndarray:
+    def per_span(self, a: np.ndarray, rows: slice = slice(None)
+                 ) -> np.ndarray:
+        """A ``[fiber, row, ...]`` array of these integrals as ``[span,
+        row, ...]``, for the rows ``rows``."""
+        a, fiber = a[:, rows], _block(self.fiber, rows, 1)
+        if fiber.shape[1] == 1:  # one link: every row's spans are its own
+            return a[fiber[:, 0]]
+        return a[fiber, np.arange(a.shape[1])]
+
+    def min_abs_beta2(self, active: np.ndarray) -> np.ndarray:
+        """The smallest |beta2| (ps^2/km) each row's terms use, ``[row]``:
+        over the fibers of its link and the ``[link, channel]`` ``active``
+        channels."""
+        return np.min(self.abs_beta2, axis=(0, 2), initial=np.inf,
+                      where=self.uses[:, :, None] & active)
+
+    def abs_acc(self, rows: slice = slice(None)) -> np.ndarray:
         """|Accumulated dispersion| (ps^2) at every span input, as
         ``[span, row, channel]`` for the rows ``rows`` of this result: the
         exclusive running sum of beta2 * L over the spans, in span order."""
-        b2 = self.beta2[:, rows]
-        acc = np.zeros((len(self.prefactor),) + b2.shape[1:])
-        step = b2[self.spans.fiber[:-1]]
-        step *= self.spans.length[:-1, None, None]
+        step = self.per_span(self.beta2, rows)[:-1]
+        acc = np.zeros((len(self.fiber),) + step.shape[1:])
+        step *= _block(self.length, rows, 1)[:-1, :, None]
         np.cumsum(step, axis=0, out=acc[1:])
         return np.abs(acc, out=acc)
 
 
-def span_integrals(link: LinkSpec, rows: int | None = None) -> SpanIntegrals:
-    """The integrals of every fiber and span of the link, with every channel
-    as CUT (``rows=None``) or only channel ``rows``.  A pair with zero
-    dispersion gives inf or NaN entries; callers mask the ones they do not
-    use."""
-    spans, ch = link.span_arrays, link.comb
-    forms = _closed_forms(spans.fibers, spans.fiber.tobytes(),
-                          spans.length.tobytes(), ch.f.tobytes(),
-                          ch.rate.tobytes(), rows)
-    return SpanIntegrals(spans, span_prefactor(spans), *forms)
+def span_integrals(link: LinkSpec | LinkStack,
+                   rows: int | None = None) -> SpanIntegrals:
+    """The integrals of every fiber and span of the rows of
+    :func:`kernel_rows`.  A pair with zero dispersion gives inf or NaN
+    entries; callers mask the ones they do not use."""
+    stack, _lk, ch = kernel_rows(link, rows)
+    return _span_integrals(stack, ch)
 
 
-# Two entries hold a geometry's CUT row and its every-row pass.
+def _span_integrals(stack: LinkStack, ch: np.ndarray) -> SpanIntegrals:
+    """:func:`span_integrals` of the rows ``ch`` of :func:`kernel_rows`."""
+    forms = _closed_forms(stack.fibers, stack.power.shape,
+                          *(a.tobytes() for a in (
+                              stack.fiber, stack.length, stack.f, stack.rate,
+                              ch)))
+    return SpanIntegrals(forms[0], forms[1], span_prefactor(stack).T,
+                         stack.transfer.T, *forms[2:])
+
+
+# Two entries hold a geometry's CUT rows and its every-row pass.
 @functools.lru_cache(maxsize=2)
-def _closed_forms(fibers: tuple[FiberParams, ...], fiber: bytes,
-                  length: bytes, f: bytes, rate: bytes, rows: int | None
-                  ) -> tuple[np.ndarray, ...]:
-    """The power- and gain-independent closed forms of a geometry, as the
-    read-only arrays of :class:`SpanIntegrals` from ``beta2`` on.  A
-    geometry is the distinct ``fibers``, each span's index into them
-    (``fiber``) and length, and the channels' frequencies and rates, given
-    as the bytes of those arrays: links with equal values share one entry,
-    so the passes that plan, score and fit one system compute them once."""
-    fiber, length, f, rate = (np.frombuffer(b, t) for b, t in (
-        (fiber, np.intp), (length, float), (f, float), (rate, float)))
+def _closed_forms(fibers: tuple[FiberParams, ...], shape: tuple[int, ...],
+                  fiber: bytes, length: bytes, f: bytes, rate: bytes,
+                  ch: bytes) -> tuple[np.ndarray, ...]:
+    """The power- and gain-independent closed forms of a stack geometry's
+    rows, as the read-only arrays of :class:`SpanIntegrals` but its
+    ``prefactor`` and ``transfer``.  A geometry is the distinct ``fibers``,
+    each ``[link, span]``'s index into them (``fiber``) and length, and the
+    ``[link, channel]`` frequencies and rates, of ``shape`` ``(link, span,
+    channel)``; the rows are the channels ``ch`` (see :func:`kernel_rows`).
+    All are given as the bytes of those arrays: stacks with equal values
+    share one entry, so the passes that plan, score and fit one block
+    compute them once."""
+    n_links, n_spans, n_ch = shape
+    fiber, length, f, rate = (np.frombuffer(b, t).reshape(s) for b, t, s in (
+        (fiber, np.intp, (n_links, n_spans)),
+        (length, float, (n_links, n_spans)),
+        (f, float, (n_links, n_ch)), (rate, float, (n_links, n_ch))))
+    ch = np.frombuffer(ch, np.intp)
+    lk = 0 if n_links == 1 else np.arange(n_links)
     # Fiber parameters as [fiber, 1, 1] columns.
     beta2, beta3, f_ref, two_alpha = np.array(
         [(fb.beta2, fb.beta3, fb.f_ref, fb.two_alpha)
          for fb in fibers]).T[:, :, None, None]
     fib = SimpleNamespace(beta2=beta2, beta3=beta3, f_ref=f_ref)
-    own = _own_column(rows, len(f))
-    f_cut, rate_cut = f[own[2]], rate[own[2]]  # [row]
+    own = slice(None), np.arange(ch.size), ch
+    f_cut, rate_cut = f[lk, ch], rate[lk, ch]  # [row]
     df = f - f_cut[:, None]
     upper = df + rate / 2.0
     lower = df - rate / 2.0
+    fiber, length = fiber.T, length.T  # [span, link]
+    uses = np.zeros((len(fibers), n_links), bool)
+    uses[fiber, np.arange(n_links)] = True
     # A zero dispersion gives inf or NaN entries, and a frequency far out of
     # range overflows: non-finite values the callers mask or report.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         b2 = effective_beta2_xci(fib, f, f_cut[:, None])
         m = np.abs(b2)
         # The self terms read the CUT/CUT pair: [fiber, row] against
-        # [fiber, 1], and per span [span, row] against [span, 1].
+        # [fiber, 1], and per span [span, row] against [span, link].
         d = m[own]
         two_alpha_f = two_alpha[:, 0]
         den = 2.0 * math.pi * d * two_alpha_f
         arg = (math.pi ** 2 / 2.0) * (d / two_alpha_f) * rate_cut ** 2
-        d_s, den_s, two_alpha_s = (a[fiber] for a in (d, den, two_alpha_f))
-        length_s = length[:, None]
-        si = sici(math.pi ** 2 * d_s * length_s * rate_cut ** 2)[0]
+        span_fiber = fiber, np.arange(ch.size)
+        d_s, den_s = d[span_fiber], den[span_fiber]
+        two_alpha_s = two_alpha_f[fiber, 0]
+        si = sici(math.pi ** 2 * d_s * length * rate_cut ** 2)[0]
         # i_cross = (asinh(scale * upper) - asinh(scale * lower))
         #     / (4 pi |beta2| 2 alpha),  scale = pi^2 |beta2| / 2 alpha * R
         # with R the CUT's symbol rate, computed in place.
@@ -369,8 +434,8 @@ def _closed_forms(fibers: tuple[FiberParams, ...], fiber: bytes,
         den_cross = np.multiply(m, 4.0 * math.pi, out=scale)
         den_cross *= two_alpha
         i_cross /= den_cross
-        forms = (b2, m, i_cross, np.arcsinh(arg) / den,
-                 2.0 * si / (math.pi * (two_alpha_s / 2.0) * length_s) / den_s)
+        forms = (fiber, length, uses, b2, m, i_cross, np.arcsinh(arg) / den,
+                 2.0 * si / (math.pi * (two_alpha_s / 2.0) * length) / den_s)
     for a in forms:
         a.setflags(write=False)
     return forms
@@ -387,15 +452,16 @@ def coherence_brackets(n_spans: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NliTerms:
-    """Per-span NLI of one link, for the channels the kernel took as CUT.
+    """Per-span NLI of the rows the kernel took as CUT.
 
     For a link truncated after ``n_end`` spans, span ``n`` adds the PSD
     ``base[n, r] + coherence_brackets(n_end)[-1] * coherent[n, r]``
     (W/THz) at row ``r``'s channel; ``transfer[n]`` is the span's gain
-    times its loss.
+    times its loss on each link, ``[span, link]`` as in
+    :class:`SpanIntegrals`.
     """
 
-    transfer: np.ndarray  # [span]
+    transfer: np.ndarray  # [span, link]
     base: np.ndarray  # [span, row]
     coherent: np.ndarray  # [span, row]; zero unless CFM3/CFM4
     active: np.ndarray  # [row]: the row's channel is active, so a CUT
@@ -404,9 +470,12 @@ class NliTerms:
     def rx_psd(self) -> np.ndarray:
         """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]``, for every
         truncation; NaN in the rows of channels that cannot be CUT."""
-        base, coherent = np.split(propagate(
-            self.transfer, np.hstack((self.base, self.coherent))), 2, axis=1)
-        out = base + coherence_brackets(len(self.transfer))[:, None] * coherent
+        # One link's transfers are scalars, a stack's one per row.
+        t = self.transfer
+        rx = propagate(t[:, 0] if t.shape[1] == 1 else t[:, None],
+                       np.stack((self.base, self.coherent), axis=1))
+        out = (rx[:, 0]
+               + coherence_brackets(len(self.transfer))[:, None] * rx[:, 1])
         out[:, ~self.active] = np.nan
         return out
 
@@ -418,74 +487,92 @@ class NliTerms:
 _BLOCK_ELEMENTS = 16_000
 
 
-def _cross(s: SpanIntegrals, ch: CombArrays, variant: ModelVariant,
-           g2: np.ndarray, cuts: np.ndarray, block: slice
+def _cross(s: SpanIntegrals, stack: LinkStack, variant: ModelVariant,
+           g2: np.ndarray, ch: np.ndarray, roll_cut: np.ndarray, block: slice
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """For the rows ``block`` (channels ``cuts[block]``): the cross-term sum,
-    weighted by the correction factors for CFM2-CFM4, and each row's own
-    |accumulated dispersion| (None for CFM1), as ``[span, row]`` arrays.
-    The cross terms are built as ``[span, row, channel]`` arrays."""
-    own = _own_column(cuts[block], len(ch.f))
+    """For the rows ``block`` (channels ``ch[block]``, of roll-offs
+    ``roll_cut[block]``): the cross-term sum, weighted by the correction
+    factors for CFM2-CFM4, and each row's own |accumulated dispersion|
+    (None for CFM1), as ``[span, row]`` arrays.  The cross terms are built
+    as ``[span, row, channel]`` arrays and summed in an order that a link's
+    trailing pads, zero terms, do not change (:func:`_sum_channels`): a
+    row's sum does not depend on the other links of its stack."""
+    cuts = ch[block]
+    own = slice(None), np.arange(cuts.size), cuts
     acc_own = None
     if variant.kind is CfmKind.CFM1:
-        xci = s.i_cross[:, block][s.spans.fiber]
+        xci = s.per_span(s.i_cross, block)
     else:
         acc = s.abs_acc(block)
-        xci = rho_cross(variant.kind, variant.coefficients.a, ch.phi,
-                        ch.roll[cuts[block], None], ch.roll)(acc)
-        xci *= s.i_cross[:, block][s.spans.fiber]
+        xci = rho_cross(variant.kind, variant.coefficients.a,
+                        _block(stack.phi, block), roll_cut[block, None],
+                        _block(stack.roll, block))(acc)
+        xci *= s.per_span(s.i_cross, block)
         acc_own = acc[own]
     # Inactive interferers and each row's own channel are no cross term:
-    # zeroed, their inf or NaN cannot turn a row NaN.
-    xci[:, :, ~ch.active] = 0.0
+    # zeroed, their inf or NaN cannot turn a row NaN.  One link's rows
+    # share its channels' mask.
+    inactive = ~_block(stack.active, block)
+    if len(inactive) == 1:
+        xci[:, :, inactive[0]] = 0.0
+    else:
+        xci[:, inactive] = 0.0
     xci[own] = 0.0
-    return (xci @ g2[:, :, None])[:, :, 0], acc_own
+    xci *= _block(g2, block, 1)
+    return _sum_channels(xci), acc_own
 
 
-def nli_terms(link: LinkSpec, variant: ModelVariant,
+def _sum_channels(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, a multiple of :data:`CHANNEL_GROUP` long:
+    pairwise within aligned groups, then group by group.  Trailing zeros
+    leave every sum as it was, so a row of a link sums the same whatever
+    its stack's width."""
+    for _ in range(CHANNEL_GROUP.bit_length() - 1):
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def nli_terms(link: LinkSpec | LinkStack, variant: ModelVariant,
               rows: int | None = None) -> NliTerms:
-    """The NLI kernel: one array pass over the spans, with every channel as
-    CUT (``rows=None``) or only channel ``rows``, usually
-    ``link.cut_index``, which must be active.
+    """The NLI kernel: one array pass over the spans of the rows of
+    :func:`kernel_rows`: every channel of a link as CUT (``rows=None``),
+    only channel ``rows``, usually ``link.cut_index``, or each link's CUT
+    of a stack.  A CUT must be active.
 
     Applies no low-dispersion policy, since only the caller knows which rows
     it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
     A row with a zero-dispersion term holds inf or NaN.
     """
-    ch = link.comb
-    if rows is not None and not ch.active[rows]:
+    stack, lk, ch = kernel_rows(link, rows)
+    active = stack.active[lk, ch]  # [row]
+    if not (rows is None and isinstance(link, LinkSpec)) and not active.all():
         raise ValidationError("CUT inactive")
-    s = span_integrals(link, rows)
-    cuts = _own_column(rows, len(ch.f))[2]
-    g = ch.power / ch.rate  # [span, channel] effective PSDs
-    g_cut = g[:, cuts]
-    # The squared PSDs are contracted as column-major [span, channel]
-    # matrices, the layout link.comb gives a link's powers: BLAS sums
-    # each span's dot product in an order set by that layout, so every
-    # caller and variant gets the same sums.
-    g2 = np.square(g, out=np.empty(g.shape, order="F"))
+    s = _span_integrals(stack, ch)
+    g = stack.power / stack.rate[:, None]  # [link, span, channel] PSDs
+    g_cut = g[lk, :, ch].T  # [span, row]
+    g2 = np.square(g).transpose(1, 0, 2)  # [span, link, channel]
+    roll_cut = stack.roll[lk, ch]
     kind = variant.kind
     with np.errstate(invalid="ignore"):
         cross, acc_own = np.empty((2,) + g_cut.shape)
-        step = max(1, _BLOCK_ELEMENTS // (link.n_spans * len(ch.f)))
-        for i in range(0, cuts.size, step):
+        step = max(1, _BLOCK_ELEMENTS // g2[:, 0].size)
+        for i in range(0, ch.size, step):
             block = slice(i, i + step)
-            cross[:, block], acc_block = _cross(s, ch, variant, g2, cuts,
-                                                block)
+            cross[:, block], acc_block = _cross(s, stack, variant, g2, ch,
+                                                roll_cut, block)
             if acc_block is not None:
                 acc_own[:, block] = acc_block
         sci = g_cut ** 2
         if kind is not CfmKind.CFM1:
-            sci *= rho_self(kind, variant.coefficients.a, ch.phi[cuts],
-                            ch.rate[cuts], ch.roll[cuts])(acc_own)
-        psd = s.prefactor[:, None] * g_cut
-        base = psd * (sci * s.i_self[s.spans.fiber] + 2.0 * cross)
+            sci *= rho_self(kind, variant.coefficients.a, stack.phi[lk, ch],
+                            stack.rate[lk, ch], roll_cut)(acc_own)
+        psd = s.prefactor * g_cut
+        base = psd * (sci * s.per_span(s.i_self) + 2.0 * cross)
         coherent = (psd * sci * s.i_coherent if kind.coherent_sci
                     else np.zeros_like(base))
-    return NliTerms(transfer=s.spans.transfer, base=base, coherent=coherent,
-                    active=ch.active[cuts],
-                    min_abs_beta2=np.min(s.abs_beta2, axis=(0, 2),
-                                         where=ch.active, initial=np.inf))
+    return NliTerms(transfer=s.transfer, base=base, coherent=coherent,
+                    active=active,
+                    min_abs_beta2=s.min_abs_beta2(stack.active))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +588,7 @@ def _check_n_end(link: LinkSpec, n_end: int | None = None) -> int:
     return n_end
 
 
-def rx_nli_psds(link: LinkSpec, variant: ModelVariant,
+def rx_nli_psds(link: LinkSpec | LinkStack, variant: ModelVariant,
                 rows: int | None = None) -> np.ndarray:
     """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]`` (see
     :func:`nli_terms` for ``rows``): one kernel pass, the low-dispersion
@@ -523,4 +610,3 @@ def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,
     inactive channels yield NaN."""
     n_end = _check_n_end(link, n_end)
     return rx_nli_psds(link, variant)[n_end - 1]
-

@@ -11,8 +11,8 @@ import numpy as np
 from scipy.constants import h as PLANCK_J_S
 
 from . import assets
-from .cfm import _check_n_end, propagate, rx_nli_psds
-from .types import LinkSpec, ModelVariant, ModulationFormat
+from .cfm import _check_n_end, kernel_rows, propagate, rx_nli_psds
+from .types import LinkSpec, LinkStack, ModelVariant, ModulationFormat
 
 # Only for bench/tracing.py's LAYERS to patch here; nothing here calls them.
 from .cfm import rx_nli_psd, rx_nli_psd_all_channels
@@ -65,21 +65,30 @@ class ReachResult:
     snr_at_reach_db: float
 
 
-def span_ase_psds(link: LinkSpec, f_thz) -> np.ndarray:
+def span_ase_psds(link: LinkSpec | LinkStack, f_thz) -> np.ndarray:
     """ASE PSD (W/THz) each span's amplifier adds at f (THz), ``[span,
-    *f.shape]``: NF * h * f * (gain - 1), nothing for gains below 1."""
-    s = link.span_arrays
-    col = (...,) + (None,) * np.ndim(f_thz)
+    *f.shape]``: NF * h * f * (gain - 1), nothing for gains below 1.  For a
+    stack, ``f_thz`` holds one frequency per link, or broadcasts against
+    them, and the spans are each link's, ``[span, link]``."""
+    if isinstance(link, LinkStack):
+        nf, gain = link.noise_figure.T, link.gain.T
+    else:
+        col = (...,) + (None,) * np.ndim(f_thz)
+        nf, gain = (a[col] for a in (link.span_arrays.noise_figure,
+                                     link.span_arrays.gain))
     # A frequency or gain far out of range overflows to inf: a non-finite
     # result the callers report, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return (s.noise_figure[col] * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
-                * np.maximum(s.gain - 1.0, 0.0)[col] * _THZ)
+        return (nf * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
+                * np.maximum(gain - 1.0, 0.0) * _THZ)
 
 
-def rx_ase_psd(link: LinkSpec, f_thz) -> np.ndarray:
-    """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans."""
-    return propagate(link.span_arrays.transfer, span_ase_psds(link, f_thz))
+def rx_ase_psd(link: LinkSpec | LinkStack, f_thz) -> np.ndarray:
+    """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans (see
+    :func:`span_ase_psds` for a stack)."""
+    transfer = (link.transfer.T if isinstance(link, LinkStack)
+                else link.span_arrays.transfer)
+    return propagate(transfer, span_ase_psds(link, f_thz))
 
 
 def ase_power(link: LinkSpec, n_end: int) -> float:
@@ -103,17 +112,18 @@ class LinkReport:
     p_rx_w: np.ndarray
 
 
-def link_report(link: LinkSpec, rx_nli_psd: np.ndarray,
+def link_report(link: LinkSpec | LinkStack, rx_nli_psd: np.ndarray,
                 rows: int | None = None) -> LinkReport:
     """Received power, ASE, NLI power and SNR of every truncation, from
     the receiver NLI PSD (W/THz) of ``cfm.rx_nli_psds`` or a quadrature:
-    ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows``."""
-    ch = link.comb
-    cols = slice(None) if rows is None else [rows]
-    rate = ch.rate[cols]
-    p_launch = np.where(ch.active[cols], ch.power[:, cols], math.nan)
-    p_rx = p_launch * link.span_arrays.transfer[:, None]
-    p_ase = rx_ase_psd(link, ch.f[cols]) * rate
+    ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows`` of
+    a link, or each link's CUT of a stack (``cfm.kernel_rows``)."""
+    stack, lk, ch = kernel_rows(link, rows)
+    rate, f = stack.rate[lk, ch], stack.f[lk, ch]
+    p_launch = np.where(stack.active[lk, ch], stack.power[lk, :, ch].T,
+                        math.nan)
+    p_rx = p_launch * stack.transfer.T
+    p_ase = rx_ase_psd(stack, f) * rate
     p_nli = rx_nli_psd * rate
     with np.errstate(invalid="ignore"):
         snr_db = 10.0 * np.log10(p_rx / (p_ase + p_nli))

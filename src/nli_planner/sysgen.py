@@ -68,6 +68,10 @@ class GeneratorConfig:
             raise ValueError("n_spans must be >= 1")
         if not 0.0 < self.band_width < float("inf"):
             raise ValueError("band_width must be finite and > 0")
+        # Checked before any draw: the comb is drawn channel by channel.
+        if self.band_width >= 2.0 * BAND_CENTER_THZ:
+            raise ValueError(f"band_width must be < {2.0 * BAND_CENTER_THZ} "
+                             "THz, as a channel frequency must be > 0")
 
 
 def _draw_format(category: int, rng: np.random.Generator) -> ModulationFormat:

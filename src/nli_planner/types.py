@@ -378,6 +378,115 @@ class LinkSpec:
     def with_flags(self, *extra: str) -> "LinkSpec":
         return replace(self, flags=self.flags + tuple(extra))
 
+    @functools.cached_property
+    def stack(self) -> "LinkStack":
+        """This link as a stack of one: its columns on a link axis."""
+        return LinkStack.of((self,))
+
+
+# A stack's channel count is a multiple of this: the kernel sums a row's
+# cross terms in aligned groups of this many channels.
+CHANNEL_GROUP = 8
+
+
+@dataclass(frozen=True, eq=False)
+class LinkStack(_ReadOnly):
+    """Links of one span count as read-only columns on a leading link axis:
+    ``[link, channel]`` channel parameters and ``[link, span, channel]``
+    power, zero where inactive, and ``[link, span]`` span columns with an
+    index into the fibers of the whole stack.  Each link's channels are
+    padded at the top with inactive copies of its last channel, up to the
+    widest link's count rounded up to a multiple of :data:`CHANNEL_GROUP`:
+    a pad has finite closed forms and zero power, and is neither an
+    interferer nor a CUT.  Made by :meth:`of` from validated links, and
+    re-powered and re-gained without validation, as links being planned."""
+
+    f: np.ndarray  # THz
+    rate: np.ndarray  # TBaud
+    roll: np.ndarray
+    phi: np.ndarray
+    active: np.ndarray
+    power: np.ndarray  # W
+    cut: np.ndarray  # [link]: the CUT's channel index
+    fibers: tuple[FiberParams, ...]
+    fiber: np.ndarray  # [link, span]: index into fibers
+    length: np.ndarray  # km
+    loss: np.ndarray
+    gain: np.ndarray
+    transfer: np.ndarray
+    gamma: np.ndarray
+    noise_figure: np.ndarray
+
+    @classmethod
+    def of(cls, links: Sequence[LinkSpec]) -> "LinkStack":
+        """The columns of ``links``, which must share one span count."""
+        if len(links) == 1:
+            return cls._of_link(links[0])
+        if len({link.n_spans for link in links}) != 1:
+            raise ValueError("a stack's links must share one span count")
+        combs = [link.comb for link in links]
+        spans = [link.span_arrays for link in links]
+        size = np.array([len(c.f) for c in combs])
+        n_ch = -(-size.max() // CHANNEL_GROUP) * CHANNEL_GROUP
+        # Each link's channels in the concatenated columns, its last one
+        # repeated into its pads.
+        take = ((np.cumsum(size) - size)[:, None]
+                + np.minimum(np.arange(n_ch), size[:, None] - 1))
+        real = np.arange(n_ch) < size[:, None]
+        cols = {name: np.concatenate([getattr(c, name) for c in combs])[take]
+                for name in ("f", "rate", "roll", "phi", "active")}
+        cols["active"] &= real
+        power = np.concatenate([c.power for c in combs], axis=1)[:, take]
+        # Each link's fibers as indices into the stack's distinct fibers,
+        # found by value once per fiber object (drawn links share them).
+        index: dict[FiberParams, int] = {}
+        known: dict[int, int] = {}
+        ids = np.zeros((len(spans), max(len(s.fibers) for s in spans)),
+                       np.intp)
+        for row, s in zip(ids, spans):
+            for k, fb in enumerate(s.fibers):
+                if id(fb) not in known:
+                    known[id(fb)] = index.setdefault(fb, len(index))
+                row[k] = known[id(fb)]
+        fiber = ids[np.arange(len(spans))[:, None],
+                    np.array([s.fiber for s in spans])]
+        return cls(**cols, power=np.where(real, power, 0.0).transpose(1, 0, 2),
+                   cut=np.array([link.cut_index for link in links], np.intp),
+                   fibers=tuple(index), fiber=fiber,
+                   **{name: np.array([getattr(s, name) for s in spans])
+                      for name in ("length", "loss", "gain", "transfer",
+                                   "gamma", "noise_figure")})
+
+    @classmethod
+    def _of_link(cls, link: LinkSpec) -> "LinkStack":
+        """:meth:`of` one link, sharing its span columns as views: the
+        stack every pass on a link reads."""
+        c, s = link.comb, link.span_arrays
+        k = len(c.f)
+        pad = -(-k // CHANNEL_GROUP) * CHANNEL_GROUP - k
+        take = np.concatenate((np.arange(k), np.full(pad, k - 1)))
+        return cls(**{name: getattr(c, name)[None, take]
+                      for name in ("f", "rate", "roll", "phi")},
+                   active=np.concatenate((c.active, np.zeros(pad, bool)))[None],
+                   power=np.concatenate((c.power, np.zeros((len(c.power), pad))),
+                                        axis=1)[None],
+                   cut=np.array([link.cut_index], np.intp), fibers=s.fibers,
+                   fiber=s.fiber[None],
+                   **{name: getattr(s, name)[None]
+                      for name in ("length", "loss", "gain", "transfer",
+                                   "gamma", "noise_figure")})
+
+    def with_power(self, power: np.ndarray) -> "LinkStack":
+        """These links with the ``[link, span, channel]`` launch powers
+        ``power``, zeroed where inactive."""
+        return replace(self, power=np.where(self.active[:, None], power, 0.0))
+
+    def with_gains(self, gain_db: np.ndarray) -> "LinkStack":
+        """These links with the ``[link, span]`` lumped gains ``gain_db``."""
+        gain, transfer = _gain_transfer(np.ravel(gain_db), self.loss.ravel())
+        return replace(self, gain=gain.reshape(self.loss.shape),
+                       transfer=transfer.reshape(self.loss.shape))
+
 
 class CfmKind(enum.Enum):
     CFM1 = "cfm1"

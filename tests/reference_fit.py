@@ -41,8 +41,8 @@ class LoopFitData:
         s = span_integrals(link)  # every channel as CUT
         abs_acc = s.abs_acc()
         for m in range(reach):
-            base = s.prefactor[m] * g[m, c]
-            f = s.spans.fiber[m]
+            base = s.prefactor[m, 0] * g[m, c]
+            f = s.fiber[m, 0]
             sci_inc[m] = base * g[m, c] ** 2 * s.i_self[f, c]
             if self.kind.coherent_sci:
                 sci_coh[m] = base * g[m, c] ** 2 * s.i_coherent[m, c]

@@ -1,6 +1,8 @@
 """Campaign statistics, the span-increment diagnostic and coefficient
 fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from nli_planner.campaign import (UNREACHABLE, CampaignConfig, CfmBenchmark,
                                   build_fit_data, draw_systems, error_stats,
                                   fit_coefficients, run_campaign,
                                   span_increment_ratio)
+from nli_planner.cfm import LowDispersionWarning
 from nli_planner.sysgen import LOW_DISPERSION_FLAG
 from nli_planner.types import CfmKind, ModelCoefficients, ModelVariant
+from reference_draw import draw_one_at_a_time
 from reference_fit import LoopFitData
 
 
@@ -41,6 +45,11 @@ def test_error_stats_validation():
         error_stats([])
     with pytest.raises(ValueError):
         error_stats([0.1], bin_width=0.0)
+    for width in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bin width"):
+            error_stats([0.1], width)
+        with pytest.raises(ValueError, match="bin width"):
+            CampaignConfig(bin_width_db=width)
 
 
 def test_campaign_self_benchmark_is_exact():
@@ -214,6 +223,175 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
 
 ALL_CATEGORIES = (1, 2, 3, 4, 5)
 ALL_POSITIONS = ("lowest", "center", "highest")
+# Attempt 2 of this draw is unreachable, so the attempts planned after it
+# in its block drew for the wrong category and CUT position.
+SEED_11_DRAW = dict(n_systems=6, categories=ALL_CATEGORIES,
+                    cut_positions=ALL_POSITIONS, seed=11, band_width_thz=0.8,
+                    n_spans=5)
+
+
+def _counting_blocks(monkeypatch) -> list[int]:
+    """The size of every block the draw plans, as it plans it."""
+    blocks = []
+    real = campaign.optimize_powers
+
+    def counting(links, rngs, variant=None):
+        blocks.append(len(links))
+        return real(links, rngs, variant)
+
+    monkeypatch.setattr(campaign, "optimize_powers", counting)
+    return blocks
+
+
+def _steps(draws) -> list[tuple]:
+    """Each attempt of a draw with the low-dispersion warnings emitted
+    while it was drawn."""
+    out = []
+    it = iter(draws)
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            d = next(it, None)
+        if d is None:
+            return out
+        out.append((d, any(issubclass(w.category, LowDispersionWarning)
+                           for w in caught)))
+
+
+def test_blocked_draw_matches_one_attempt_at_a_time(monkeypatch):
+    # Planning and scoring in blocks gives the attempts, links, reaches and
+    # warnings of the one-attempt-at-a-time loop: the attempts dropped
+    # after the unreachable one leave nothing behind.
+    blocks = _counting_blocks(monkeypatch)
+    draw = FitConfig(**SEED_11_DRAW)
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
+    got = _steps(draw_systems(draw, bmk))
+    want = _steps(draw_one_at_a_time(draw, CfmBenchmark(bmk.variant)))
+    key = [(d.attempt, d.category, d.cut_position, d.excluded, d.reach, warn)
+           for d, warn in got]
+    assert key == [(d.attempt, d.category, d.cut_position, d.excluded,
+                    d.reach, warn) for d, warn in want]
+    assert [d.link for d, _ in got] == [d.link for d, _ in want]
+    assert key[1][0] == 2 and key[1][3] == UNREACHABLE
+    n_planned = sum(d.link is not None for d, _ in got)
+    assert blocks[0] == 6 and sum(blocks) > n_planned
+    # Each report is the benchmark's own read of the link.
+    for d, _ in got:
+        if d.link is not None:
+            own = CfmBenchmark(bmk.variant)
+            assert np.array_equal(d.report.snr_db[:, 0], [
+                own.snr_db(d.link, n) for n in range(1, d.link.n_spans + 1)])
+
+
+def test_dropped_attempts_leave_no_warning(monkeypatch):
+    # In this draw one attempt planned after the unreachable one, and
+    # dropped, has a CUT below the validity bound; no attempt the draw
+    # yields has: the campaign warns about none.
+    planned = []
+    real = campaign.optimize_powers
+
+    def recording(links, rngs, variant=None):
+        out = real(links, rngs, variant)
+        planned.extend(link for link, _plan in out)
+        return out
+
+    monkeypatch.setattr(campaign, "optimize_powers", recording)
+    cfg = CampaignConfig(**{**SEED_11_DRAW, "seed": 47})
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_campaign(cfg, bmk)
+        want = list(draw_one_at_a_time(cfg, CfmBenchmark(bmk.variant)))
+    assert not caught
+    assert res.seeds_used == tuple(d.attempt for d in want
+                                   if d.excluded is None)
+    cfm1 = assets.model(CfmKind.CFM1)
+    kept = [d.link for d in want if d.link is not None]
+    dropped = [link for link in planned if link not in kept]
+    assert any(cfm.nli_terms(link, cfm1, link.cut_index).min_abs_beta2[0]
+               < cfm.MIN_ABS_BETA2 for link in dropped)
+
+
+class _FailingBenchmark(CfmBenchmark):
+    """A closed-form benchmark that cannot score one given link."""
+
+    def __init__(self, variant, poison):
+        super().__init__(variant)
+        self.poison = poison
+
+    def cut_reports(self, links, stack):
+        if any(link == self.poison for link in links):
+            raise RuntimeError("cannot score")
+        return super().cut_reports(links, stack)
+
+
+def test_a_failing_block_fails_at_its_own_attempt():
+    # A block that cannot be scored is planned again attempt by attempt:
+    # every attempt before the one that fails is yielded as drawn alone.
+    draw = FitConfig(**SEED_11_DRAW)
+    variant = assets.model(CfmKind.CFM3)
+    want = list(draw_one_at_a_time(draw, CfmBenchmark(variant)))
+    planned = [i for i, d in enumerate(want) if d.link is not None]
+    poison = planned[3]
+    got = []
+    with pytest.raises(RuntimeError, match="cannot score"):
+        for d in draw_systems(draw, _FailingBenchmark(variant,
+                                                      want[poison].link)):
+            got.append(d)
+    assert [(d.attempt, d.excluded, d.reach) for d in got] == [
+        (d.attempt, d.excluded, d.reach) for d in want[:poison]]
+
+
+def test_each_planned_link_goes_to_the_benchmark_once(monkeypatch):
+    # A closed-form benchmark scores each block in one stacked pass, the
+    # oracle runs one quadrature per planned link it reaches, and neither
+    # is asked again once the draw has yielded.
+    blocks = _counting_blocks(monkeypatch)
+    yielded = []
+    real_draw = campaign.draw_systems
+
+    def recording(draw, benchmark):
+        for d in real_draw(draw, benchmark):
+            yielded.append(d)
+            yield d
+
+    monkeypatch.setattr(campaign, "draw_systems", recording)
+    passes = []
+    real_terms = campaign.nli_terms
+
+    def counting_terms(stack, variant, rows=None):
+        passes.append(len(stack.cut))
+        return real_terms(stack, variant, rows)
+
+    monkeypatch.setattr(campaign, "nli_terms", counting_terms)
+    quadratures = []
+
+    def fake_span_psds(link, f_eval, q=None, n_end=None):
+        quadratures.append(link)
+        return 1e-4 * np.arange(1.0, link.n_spans + 1), ()
+
+    monkeypatch.setattr(campaign, "gn_span_psds", fake_span_psds)
+
+    def asked_again(*args):
+        raise AssertionError("benchmark asked after the draw")
+
+    for bmk in (CfmBenchmark(assets.model(CfmKind.CFM3)),
+                GnOracleBenchmark()):
+        for name in ("rx_psd", "nli_power_w", "snr_db"):
+            monkeypatch.setattr(bmk, name, asked_again)
+        for run in (lambda: run_campaign(CampaignConfig(**SEED_11_DRAW),
+                                         bmk),
+                    lambda: build_fit_data(FitConfig(**SEED_11_DRAW),
+                                           CfmKind.CFM3, bmk)):
+            del blocks[:], yielded[:], passes[:], quadratures[:]
+            run()
+            planned = [d.link for d in yielded if d.link is not None]
+            if isinstance(bmk, CfmBenchmark):
+                assert len(planned) < sum(blocks)
+                assert passes == blocks and quadratures == []
+            else:
+                assert passes == [] and len(quadratures) == len(planned)
+                assert all(a is b for a, b in zip(quadratures, planned))
 
 
 @pytest.mark.parametrize(
@@ -256,24 +434,40 @@ def test_paper_scale_draw_is_pinned():
                                     ("highest", 2872, 2871)]
 
 
-def test_a_planned_system_computes_its_closed_forms_once():
-    # The LOGO step, the refinement, the benchmark's reach scan and the fit
-    # structure read one geometry: its closed forms are computed once per
-    # planned system (kept or unreachable), not once per pass.
+def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
+    # The LOGO step, the refinement and the benchmark's scoring pass of a
+    # block read one stack geometry: its closed forms are computed once per
+    # block of planned systems (kept, unreachable or dropped after an
+    # unreachable one), not once per pass or per system.  The fit structure
+    # reads one stack of the kept systems.
     draw = dict(n_systems=6, categories=ALL_CATEGORIES,
                 cut_positions=ALL_POSITIONS, seed=11, band_width_thz=0.8,
                 n_spans=5)
     bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
+    blocks = []
+    real = campaign.optimize_powers
+
+    def counting(links, rngs, variant=None):
+        blocks.append(len(links))
+        return real(links, rngs, variant)
+
+    monkeypatch.setattr(campaign, "optimize_powers", counting)
+    cfm._closed_forms.cache_clear()
     reasons = [d.excluded for d in draw_systems(FitConfig(**draw), bmk)]
+    info = cfm._closed_forms.cache_info()
     n_kept = reasons.count(None)
     n_planned = n_kept + reasons.count(UNREACHABLE)
     assert n_kept == 6 and n_planned > n_kept
+    assert len(blocks) < n_planned < sum(blocks)
+    # Per block: the LOGO pass (the miss), the refinement, the CUT rows'
+    # |beta2| screen and the benchmark's pass.
+    n_blocks = len(blocks)
+    assert (info.misses, info.hits) == (n_blocks, 3 * n_blocks)
     cfm._closed_forms.cache_clear()
     _data, seeds = build_fit_data(FitConfig(**draw), CfmKind.CFM3, bmk)
     info = cfm._closed_forms.cache_info()
-    assert len(seeds) == n_kept
-    assert info.misses == n_planned
-    assert info.hits + info.misses >= 4 * n_kept
+    assert len(seeds) == n_kept and len(blocks) == 2 * n_blocks
+    assert (info.misses, info.hits) == (n_blocks + 1, 3 * n_blocks)
 
 
 def test_fit_and_campaign_draw_the_same_systems():

@@ -25,12 +25,13 @@ from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
                              rho_cross, rho_partials, rho_self, rx_nli_psd,
                              rx_nli_psd_all_channels, rx_nli_psds,
                              span_integrals)
-from nli_planner.perf import evaluate_all_channels, max_reach, snr, snr_report
+from nli_planner.perf import (evaluate_all_channels, link_report, max_reach,
+                              snr, snr_report)
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModelVariant, ModulationFormat, SpanConfig,
-                               phi_of_format)
+                               LinkStack, ModelVariant, ModulationFormat,
+                               SpanConfig, phi_of_format)
 from reference_cfm import (beta2_acc, coherence_bracket, effective_beta2_cut,
                            harmonic_number, i_cut_coherent, i_cut_incoherent,
                            i_xci, propagation_factor, sine_integral)
@@ -498,6 +499,40 @@ def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
             ok = np.isfinite(want)
             assert got[ok] == pytest.approx(want[ok], rel=1e-12, abs=0.0)
         assert row.min_abs_beta2[0] == full.min_abs_beta2[c]
+
+
+@given(seed=st.integers(0, 10_000), n_spans=st.integers(1, 5),
+       kind=st.sampled_from(list(CfmKind)))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_stacked_rows_equal_each_links_own_pass(seed, n_spans, kind):
+    # A link's CUT row in a stack is its own CUT-row pass bit for bit,
+    # whatever its block-mates: narrower, wider or half-loaded links, in any
+    # order.  No row sums across links, and a link's trailing pads add
+    # exact zeros.
+    variant = assets.model(kind)
+    rng = np.random.default_rng(seed)
+    links = [make_system(int(rng.integers(10**6)), category=category,
+                         band_width=width, n_spans=n_spans,
+                         cut_position=str(rng.choice(["lowest", "center",
+                                                      "highest"])))
+             for category, width in ((1, 0.3), (2, 2.0), (4, 0.8), (3, 1.2))]
+    links = [links[i] for i in rng.permutation(len(links))]
+    stack = LinkStack.of(links)
+    assert stack.f.shape[1] > min(len(lk.comb.f) for lk in links)
+    terms = nli_terms(stack, variant)
+    rx = terms.rx_psd()
+    report = link_report(stack, rx)
+    for j, link in enumerate(links):
+        own = nli_terms(link, variant, link.cut_index)
+        own_rx = own.rx_psd()
+        own_report = link_report(link, own_rx, link.cut_index)
+        for got, want in ((terms.base[:, j], own.base[:, 0]),
+                          (terms.coherent[:, j], own.coherent[:, 0]),
+                          (rx[:, j], own_rx[:, 0]),
+                          (terms.min_abs_beta2[j], own.min_abs_beta2[0]),
+                          (report.snr_db[:, j], own_report.snr_db[:, 0]),
+                          (report.p_ase_w[:, j], own_report.p_ase_w[:, 0])):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", [CfmKind.CFM1, CfmKind.CFM4])

@@ -659,6 +659,24 @@ def test_cli_fit_rejects_empty_training_set(tmp_path, capsys):
     assert "n_systems" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_campaign_rejects_a_bin_width_before_drawing(tmp_path, capsys,
+                                                      monkeypatch, width):
+    # A bin width the histogram cannot use is refused before any attempt is
+    # drawn, not after the whole campaign.
+    from nli_planner import campaign
+
+    def drawn(*args):
+        raise AssertionError("an attempt was drawn")
+
+    monkeypatch.setattr(campaign, "draw_system", drawn)
+    out = tmp_path / "out.json"
+    assert main(["campaign", "--n-systems", "1", "--bin-width-db", width,
+                 "-o", str(out)]) == 3
+    assert "bin width" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # Usage error.
     assert main(["no-such-command"]) == 2
@@ -707,6 +725,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["generate", "--band-width-thz", "500", "--n-spans", "2",
                  "-o", str(out)]) == 3
     assert "channel frequency must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+    # ... refused before any draw, however wide: a draw walks the band one
+    # channel at a time.
+    band = ["--band-width-thz", "1e308", "--n-spans", "2"]
+    for cmd in (["generate"], ["campaign", "--n-systems", "1"],
+                ["fit", "cfm2", "--benchmark", "cfm2", "--n-systems", "1"]):
+        assert main([*cmd, *band, "-o", str(out)]) == 3
+        assert "channel frequency must be > 0" in capsys.readouterr().err
     assert not out.exists()
     # Validation error: a system whose frequencies are negated, which would
     # give NaN SNRs and a negative ASE power.

@@ -160,31 +160,52 @@ def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
 
 
 def test_optimize_powers_builds_no_comb_for_the_staged_link(monkeypatch):
-    # Both kernel passes read the channels of the link they were given:
-    # the staged link between the span-local step and the refinement
-    # builds no comb of its own.  The combs made are the span-local step's
-    # unit powers, the refinement's tied powers and the returned link's,
-    # each sharing the generated link's channel columns.
+    # Both kernel passes read the link's stack, re-powered: the span-local
+    # step's unit powers and the staged link between it and the refinement
+    # build no comb.  The one comb made is the returned link's, sharing the
+    # generated link's channel columns.
     link = make_system(51, band_width=1.0, optimize=False)
     made = _made(monkeypatch, CombArrays)
     opt, _ = optimize_powers(link, np.random.default_rng(51))
-    assert len(made) == 3 and made[-1] is opt.comb
+    assert len(made) == 1 and made[-1] is opt.comb
     for comb in made:
         assert all(getattr(comb, name) is getattr(link.comb, name)
                    for name in ("f", "rate", "roll", "fmt", "phi", "active"))
 
 
 def test_a_planned_system_shares_its_span_geometry(monkeypatch):
-    # The staged and the planned link change only the gains: they share
-    # every other span column with the generated link, the columns the
-    # kernel's closed forms are keyed on among them.
+    # The staged link is the re-gained stack, and the planned link changes
+    # only the gains: it shares every other span column with the generated
+    # link, the columns the kernel's closed forms are keyed on among them.
     link = make_system(52, band_width=1.0, optimize=False)
     made = _made(monkeypatch, SpanArrays)
     opt, _ = optimize_powers(link, np.random.default_rng(52))
-    assert len(made) == 2 and made[-1] is opt.span_arrays
+    assert len(made) == 1 and made[-1] is opt.span_arrays
     for spans in made:
         for name in ("fibers", "fiber", "length", "nf_db", "loss", "gamma",
                      "noise_figure", "spans_of_fiber"):
             assert getattr(spans, name) is getattr(link.span_arrays, name)
     assert not opt.span_arrays.transparent.any()
     assert link.span_arrays.transparent.all()
+
+
+def test_a_stack_plans_each_link_as_if_alone():
+    # Planning links of one span count together gives each the link and
+    # plan it gets alone from the same RNG, bit for bit, and leaves each
+    # RNG where planning it alone does.
+    links = [make_system(seed, category=category, band_width=width,
+                         n_spans=5, optimize=False)
+             for seed, category, width in ((61, 1, 0.4), (62, 2, 1.5),
+                                           (63, 5, 0.8))]
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+    together = optimize_powers(links, rngs)
+    for link, seed, shared, (got, plan) in zip(links, (1, 2, 3), rngs,
+                                               together):
+        rng = np.random.default_rng(seed)
+        want, want_plan = optimize_powers(link, rng)
+        assert got == want and plan == want_plan
+        assert shared.random() == rng.random()
+    with pytest.raises(ValueError, match="span count"):
+        optimize_powers([links[0], make_system(64, n_spans=2,
+                                                optimize=False)],
+                        [np.random.default_rng(1)] * 2)

@@ -42,6 +42,15 @@ def test_config_rejects_unusable_band(band_width):
         GeneratorConfig(band_width=band_width)
 
 
+@pytest.mark.parametrize("band_width", [1e308, 388.0, 2 * BAND_CENTER_THZ])
+def test_config_rejects_a_band_reaching_zero_frequency(band_width):
+    # Checked before any draw: such a comb would be drawn channel by channel
+    # down to non-positive frequencies, which no link may hold.
+    with pytest.raises(ValueError, match="channel frequency must be > 0"):
+        GeneratorConfig(band_width=band_width)
+    assert GeneratorConfig(band_width=20.0).band_width == 20.0
+
+
 def test_band_too_narrow_for_one_channel_is_a_value_error():
     cfg = GeneratorConfig(band_width=0.01)
     with pytest.raises(ValueError, match="too narrow"):
