@@ -4,9 +4,10 @@ correction factors and their partials from ``cfm``.
 
 :func:`draw_systems` screens attempts one at a time and plans and scores
 the screened-in ones in blocks of up to :data:`BLOCK_SIZE`: one stacked
-``optimize_powers`` call and, for a closed-form benchmark, one stacked
-kernel pass per block.  Each drawn system carries the benchmark's CUT
-report, which campaigns and fits read instead of asking again.
+planning call (``poweropt._optimize_stack``) and, for a closed-form
+benchmark, one stacked kernel pass per block.  Each drawn system carries
+the benchmark's CUT report, which campaigns and fits read instead of
+asking again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cfm import (RHO_LAYOUT, _check_n_end, check_dispersion,
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (LinkReport, SensitivityPolicy, UnreachableError,
                    link_report, max_reach_scan)
-from .poweropt import optimize_powers
+from .poweropt import _optimize_stack
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
 from .types import (FORMATS, CfmKind, LinkSpec, LinkStack, ModelCoefficients,
                     ModelVariant)
@@ -37,6 +38,7 @@ from scipy.optimize import minimize
 from .cfm import rx_nli_psd
 from .oracle import gn_span_psd
 from .perf import ase_power, snr
+from .poweropt import optimize_powers
 from .sysgen import generate_system
 
 # Screened-in attempts planned and scored together by draw_systems.
@@ -87,10 +89,10 @@ class _LastLinkBenchmark:
     def snr_db(self, link: LinkSpec, n_end: int) -> float:
         return float(self._read(link, n_end)[1].snr_db[n_end - 1, 0])
 
-    def cut_reports(self, links: Sequence[LinkSpec], stack: LinkStack
+    def cut_reports(self, links: Sequence[LinkSpec]
                     ) -> Iterator[LinkReport]:
         """The CUT report of every truncation of each link, in order,
-        computed as each is read; ``stack`` holds the links' columns."""
+        computed as each is read."""
         for link in links:
             yield self._read(link, 1)[1]
 
@@ -106,11 +108,12 @@ class CfmBenchmark(_LastLinkBenchmark):
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         return rx_nli_psds(link, self.variant, link.cut_index)
 
-    def cut_reports(self, links: Sequence[LinkSpec], stack: LinkStack
+    def cut_reports(self, links: Sequence[LinkSpec]
                     ) -> Iterator[LinkReport]:
         """The CUT report of every truncation of each link, from one kernel
-        pass over their ``stack`` made now.  It applies no low-dispersion
+        pass over their stack made now.  It applies no low-dispersion
         policy: the caller checks the links it uses."""
+        stack = LinkStack.of(links)
         report = link_report(stack, nli_terms(stack, self.variant).rx_psd())
         return iter([_report_of_row(report, j) for j in range(len(links))])
 
@@ -317,11 +320,10 @@ def _plan_block(block, benchmark) -> tuple[Iterator, Iterator]:
     order."""
     built = [(link, rng) for _att, _cat, _pos, link, rng in block
              if link is not None]
-    links = [link for link, _plan in optimize_powers(*zip(*built))]
-    stack = LinkStack.of(links)
-    min_abs_beta2 = span_integrals(stack).min_abs_beta2(stack.active)
+    planned, min_abs_beta2 = _optimize_stack(*zip(*built))
+    links = [link for link, _plan in planned]
     return (zip(links, min_abs_beta2.tolist()),
-            benchmark.cut_reports(links, stack))
+            benchmark.cut_reports(links))
 
 
 @dataclass(frozen=True)
@@ -513,10 +515,6 @@ class _FitData:
         self._parts: dict[str, dict[str, list]] = {"self": {}, "cross": {}}
         self._n_cols = {"self": 0, "cross": 0}
         self._stacked: dict[str, _TermBlock] | None = None
-
-    def add_system(self, link: LinkSpec, reach: int, p_bmk: np.ndarray) -> None:
-        """Append one system (see :meth:`add_systems`)."""
-        self.add_systems([link], [reach], [p_bmk])
 
     def add_systems(self, links: Sequence[LinkSpec], reaches: Sequence[int],
                     p_bmk: Sequence[np.ndarray]) -> None:

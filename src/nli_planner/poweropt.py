@@ -6,10 +6,11 @@ receiver NLI PSD is a cubic function of the CUT launch PSD and both the
 span-local and the link-level optima have closed forms (ASE = 2 NLI).
 
 Every step reads a :class:`~nli_planner.types.LinkStack`, a link being a
-stack of one, so :func:`optimize_powers` plans many links of one span
-count with one kernel pass per step: each link reads its own RNG, the
-span-local and refinement steps run on ``[span, link]`` arrays, the staged
-plan re-powers the stack, and only the final links are built.
+stack of one: :func:`optimize_powers` plans a link as the stack of one of
+``_optimize_stack``, which plans many links of one span count with one
+kernel pass per step (each link reads its own RNG, the span-local and
+refinement steps run on ``[span, link]`` arrays, the staged plan re-powers
+the stack, and only the final links are built).
 """
 
 from __future__ import annotations
@@ -186,36 +187,23 @@ def refine_cut_launch(link: LinkSpec, eta: float) -> float:
     return float(_refine(link.stack, np.array([eta]))[0])
 
 
-@one_low_dispersion_warning
-def optimize_powers(link: LinkSpec | Sequence[LinkSpec],
-                    rng: np.random.Generator | Sequence[np.random.Generator],
-                    variant: ModelVariant | None = None):
-    """Full pipeline: xi randomization, span-local optimization, then the
-    cubic-model refinement of the CUT launch; ``(link, plan)``.
-
-    The span-local step always uses CFM1.  The refinement reads the
-    :func:`eta_nli` of ``variant`` (shipped CFM4 by default) on the link
-    planned with the span-local plan, then scales that plan's CUT PSDs to
-    the refined first-span PSD.
-
-    Given links of one span count and one RNG each, plans them as a stack,
-    one kernel pass per step, and returns a list of ``(link, plan)``: each
-    link reads its own RNG as if planned alone, and its plan does not
-    depend on the others.  A stack leaves the low-dispersion policy to the
-    caller, for the links it uses (``cfm.check_dispersion`` of
-    ``cfm.nli_terms``' CUT row), but raises for a zero dispersion.
-    """
+def _optimize_stack(links: Sequence[LinkSpec],
+                    rngs: Sequence[np.random.Generator],
+                    variant: ModelVariant | None = None
+                    ) -> tuple[list[tuple[LinkSpec, PowerPlan]], np.ndarray]:
+    """:func:`optimize_powers` of links of one span count, one RNG each,
+    planned as one stack with one kernel pass per step: a list of ``(link,
+    plan)``, and each link's smallest |beta2| (ps^2/km) of its CUT row.
+    Each link reads its own RNG as if planned alone, and its plan does not
+    depend on the others.  Raises for a zero dispersion and leaves the rest
+    of the low-dispersion policy to the caller."""
     if variant is None:
         variant = assets.model(CfmKind.CFM4)
-    one = isinstance(link, LinkSpec)
-    links, rngs = ((link,), (rng,)) if one else (tuple(link), tuple(rng))
     stack = LinkStack.of(links)
     xis = [randomize_launch(lk, r) for lk, r in zip(links, rngs)]
     xi = _multipliers(stack, xis)
     eta_span, min_abs_beta2 = _span_eta(stack, xi)
-    if one:
-        check_dispersion(min_abs_beta2)
-    elif not min_abs_beta2.all():
+    if not min_abs_beta2.all():
         raise ZeroDispersionError("zero effective dispersion")
     g = _logo(stack, eta_span)
     power, gain_db = _plan_columns(stack, xi, g)
@@ -223,8 +211,24 @@ def optimize_powers(link: LinkSpec | Sequence[LinkSpec],
     eta = _eta(staged, variant)[0]
     g = g * (_refine(staged, eta) / g[:, 0])[:, None]
     power, gain_db = _plan_columns(stack, xi, g)
-    out = [(_planned_link(lk, power[j], gain_db[j]),
-            PowerPlan(g_cut_per_span=tuple(g[j].tolist()), xi=xis[j],
-                      eta_nli=float(eta[j])))
-           for j, lk in enumerate(links)]
-    return out[0] if one else out
+    return [(_planned_link(lk, power[j], gain_db[j]),
+             PowerPlan(g_cut_per_span=tuple(g[j].tolist()), xi=xis[j],
+                       eta_nli=float(eta[j])))
+            for j, lk in enumerate(links)], min_abs_beta2
+
+
+@one_low_dispersion_warning
+def optimize_powers(link: LinkSpec, rng: np.random.Generator,
+                    variant: ModelVariant | None = None
+                    ) -> tuple[LinkSpec, PowerPlan]:
+    """Full pipeline: xi randomization, span-local optimization, then the
+    cubic-model refinement of the CUT launch; ``(link, plan)``.
+
+    The span-local step always uses CFM1.  The refinement reads the
+    :func:`eta_nli` of ``variant`` (shipped CFM4 by default) on the link
+    planned with the span-local plan, then scales that plan's CUT PSDs to
+    the refined first-span PSD.
+    """
+    (out,), min_abs_beta2 = _optimize_stack([link], [rng], variant)
+    check_dispersion(min_abs_beta2)
+    return out

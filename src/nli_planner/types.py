@@ -384,11 +384,6 @@ class LinkSpec:
         return LinkStack.of((self,))
 
 
-# A stack's channel count is a multiple of this: the kernel sums a row's
-# cross terms in aligned groups of this many channels.
-CHANNEL_GROUP = 8
-
-
 @dataclass(frozen=True, eq=False)
 class LinkStack(_ReadOnly):
     """Links of one span count as read-only columns on a leading link axis:
@@ -396,10 +391,10 @@ class LinkStack(_ReadOnly):
     power, zero where inactive, and ``[link, span]`` span columns with an
     index into the fibers of the whole stack.  Each link's channels are
     padded at the top with inactive copies of its last channel, up to the
-    widest link's count rounded up to a multiple of :data:`CHANNEL_GROUP`:
-    a pad has finite closed forms and zero power, and is neither an
-    interferer nor a CUT.  Made by :meth:`of` from validated links, and
-    re-powered and re-gained without validation, as links being planned."""
+    widest link's count: a pad has finite closed forms and zero power, and
+    is neither an interferer nor a CUT.  Made by :meth:`of` from validated
+    links, and re-powered and re-gained without validation, as links being
+    planned."""
 
     f: np.ndarray  # THz
     rate: np.ndarray  # TBaud
@@ -420,14 +415,12 @@ class LinkStack(_ReadOnly):
     @classmethod
     def of(cls, links: Sequence[LinkSpec]) -> "LinkStack":
         """The columns of ``links``, which must share one span count."""
-        if len(links) == 1:
-            return cls._of_link(links[0])
         if len({link.n_spans for link in links}) != 1:
             raise ValueError("a stack's links must share one span count")
         combs = [link.comb for link in links]
         spans = [link.span_arrays for link in links]
         size = np.array([len(c.f) for c in combs])
-        n_ch = -(-size.max() // CHANNEL_GROUP) * CHANNEL_GROUP
+        n_ch = size.max()
         # Each link's channels in the concatenated columns, its last one
         # repeated into its pads.
         take = ((np.cumsum(size) - size)[:, None]
@@ -454,25 +447,6 @@ class LinkStack(_ReadOnly):
                    cut=np.array([link.cut_index for link in links], np.intp),
                    fibers=tuple(index), fiber=fiber,
                    **{name: np.array([getattr(s, name) for s in spans])
-                      for name in ("length", "loss", "gain", "transfer",
-                                   "gamma", "noise_figure")})
-
-    @classmethod
-    def _of_link(cls, link: LinkSpec) -> "LinkStack":
-        """:meth:`of` one link, sharing its span columns as views: the
-        stack every pass on a link reads."""
-        c, s = link.comb, link.span_arrays
-        k = len(c.f)
-        pad = -(-k // CHANNEL_GROUP) * CHANNEL_GROUP - k
-        take = np.concatenate((np.arange(k), np.full(pad, k - 1)))
-        return cls(**{name: getattr(c, name)[None, take]
-                      for name in ("f", "rate", "roll", "phi")},
-                   active=np.concatenate((c.active, np.zeros(pad, bool)))[None],
-                   power=np.concatenate((c.power, np.zeros((len(c.power), pad))),
-                                        axis=1)[None],
-                   cut=np.array([link.cut_index], np.intp), fibers=s.fibers,
-                   fiber=s.fiber[None],
-                   **{name: getattr(s, name)[None]
                       for name in ("length", "loss", "gain", "transfer",
                                    "gamma", "noise_figure")})
 

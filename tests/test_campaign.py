@@ -233,13 +233,13 @@ SEED_11_DRAW = dict(n_systems=6, categories=ALL_CATEGORIES,
 def _counting_blocks(monkeypatch) -> list[int]:
     """The size of every block the draw plans, as it plans it."""
     blocks = []
-    real = campaign.optimize_powers
+    real = campaign._optimize_stack
 
     def counting(links, rngs, variant=None):
         blocks.append(len(links))
         return real(links, rngs, variant)
 
-    monkeypatch.setattr(campaign, "optimize_powers", counting)
+    monkeypatch.setattr(campaign, "_optimize_stack", counting)
     return blocks
 
 
@@ -288,14 +288,14 @@ def test_dropped_attempts_leave_no_warning(monkeypatch):
     # dropped, has a CUT below the validity bound; no attempt the draw
     # yields has: the campaign warns about none.
     planned = []
-    real = campaign.optimize_powers
+    real = campaign._optimize_stack
 
     def recording(links, rngs, variant=None):
         out = real(links, rngs, variant)
-        planned.extend(link for link, _plan in out)
+        planned.extend(link for link, _plan in out[0])
         return out
 
-    monkeypatch.setattr(campaign, "optimize_powers", recording)
+    monkeypatch.setattr(campaign, "_optimize_stack", recording)
     cfg = CampaignConfig(**{**SEED_11_DRAW, "seed": 47})
     bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
     with warnings.catch_warnings(record=True) as caught:
@@ -319,10 +319,10 @@ class _FailingBenchmark(CfmBenchmark):
         super().__init__(variant)
         self.poison = poison
 
-    def cut_reports(self, links, stack):
+    def cut_reports(self, links):
         if any(link == self.poison for link in links):
             raise RuntimeError("cannot score")
-        return super().cut_reports(links, stack)
+        return super().cut_reports(links)
 
 
 def test_a_failing_block_fails_at_its_own_attempt():
@@ -445,13 +445,13 @@ def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
                 n_spans=5)
     bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
     blocks = []
-    real = campaign.optimize_powers
+    real = campaign._optimize_stack
 
     def counting(links, rngs, variant=None):
         blocks.append(len(links))
         return real(links, rngs, variant)
 
-    monkeypatch.setattr(campaign, "optimize_powers", counting)
+    monkeypatch.setattr(campaign, "_optimize_stack", counting)
     cfm._closed_forms.cache_clear()
     reasons = [d.excluded for d in draw_systems(FitConfig(**draw), bmk)]
     info = cfm._closed_forms.cache_info()
@@ -459,15 +459,15 @@ def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
     n_planned = n_kept + reasons.count(UNREACHABLE)
     assert n_kept == 6 and n_planned > n_kept
     assert len(blocks) < n_planned < sum(blocks)
-    # Per block: the LOGO pass (the miss), the refinement, the CUT rows'
-    # |beta2| screen and the benchmark's pass.
+    # Per block: the LOGO pass (the miss), the refinement and the
+    # benchmark's pass.
     n_blocks = len(blocks)
-    assert (info.misses, info.hits) == (n_blocks, 3 * n_blocks)
+    assert (info.misses, info.hits) == (n_blocks, 2 * n_blocks)
     cfm._closed_forms.cache_clear()
     _data, seeds = build_fit_data(FitConfig(**draw), CfmKind.CFM3, bmk)
     info = cfm._closed_forms.cache_info()
     assert len(seeds) == n_kept and len(blocks) == 2 * n_blocks
-    assert (info.misses, info.hits) == (n_blocks + 1, 3 * n_blocks)
+    assert (info.misses, info.hits) == (n_blocks + 1, 2 * n_blocks)
 
 
 def test_fit_and_campaign_draw_the_same_systems():
@@ -533,7 +533,7 @@ def criterion_8a_data():
         for d in kept:
             p_bmk = np.array([bmk.nli_power_w(d.link, n)
                               for n in range(1, d.reach + 1)])
-            stacked.add_system(d.link, d.reach, p_bmk)
+            stacked.add_systems([d.link], [d.reach], [p_bmk])
             loop.add_system(d.link, d.reach, p_bmk)
         out[kind] = stacked, loop
     return out

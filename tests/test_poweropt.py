@@ -11,7 +11,8 @@ from conftest import link_of, make_system, with_powers
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import ase_power, link_report, snr, span_ase_psds
-from nli_planner.poweropt import (PowerPlan, apply_power_plan, eta_nli,
+from nli_planner.poweropt import (PowerPlan, _optimize_stack,
+                                  apply_power_plan, eta_nli,
                                   logo_optimize, optimize_powers,
                                   randomize_launch, refine_cut_launch,
                                   span_eta)
@@ -198,7 +199,7 @@ def test_a_stack_plans_each_link_as_if_alone():
              for seed, category, width in ((61, 1, 0.4), (62, 2, 1.5),
                                            (63, 5, 0.8))]
     rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-    together = optimize_powers(links, rngs)
+    together, _min_abs_beta2 = _optimize_stack(links, rngs)
     for link, seed, shared, (got, plan) in zip(links, (1, 2, 3), rngs,
                                                together):
         rng = np.random.default_rng(seed)
@@ -206,6 +207,6 @@ def test_a_stack_plans_each_link_as_if_alone():
         assert got == want and plan == want_plan
         assert shared.random() == rng.random()
     with pytest.raises(ValueError, match="span count"):
-        optimize_powers([links[0], make_system(64, n_spans=2,
+        _optimize_stack([links[0], make_system(64, n_spans=2,
                                                 optimize=False)],
                         [np.random.default_rng(1)] * 2)
