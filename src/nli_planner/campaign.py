@@ -31,7 +31,7 @@ from .perf import (LinkReport, SensitivityPolicy, UnreachableError,
 from .poweropt import _optimize_stack
 from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
 from .types import (FORMATS, CfmKind, LinkSpec, LinkStack, ModelCoefficients,
-                    ModelVariant)
+                    ModelVariant, check_integers)
 
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
 from scipy.optimize import minimize
@@ -76,7 +76,7 @@ class _LastLinkBenchmark:
         _check_n_end(link, n_end)
         if link is not self._link:
             psds = self._rx_psds(link)
-            self._last = psds, link_report(link, psds, link.cut_index)
+            self._last = psds, link_report(link.stack, psds)
             self._link = link
         return self._last
 
@@ -106,7 +106,7 @@ class CfmBenchmark(_LastLinkBenchmark):
         self.name = variant.kind.value
 
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
-        return rx_nli_psds(link, self.variant, link.cut_index)
+        return rx_nli_psds(link.stack, self.variant)
 
     def cut_reports(self, links: Sequence[LinkSpec]
                     ) -> Iterator[LinkReport]:
@@ -140,6 +140,11 @@ class GnOracleBenchmark(_LastLinkBenchmark):
 # Error statistics
 
 
+# The most bins a histogram may have (8 MB of edges): a width far finer
+# than the errors' spread asks for gigabytes, or more than NumPy can hold.
+MAX_HISTOGRAM_BINS = 1_000_000
+
+
 def _check_bin_width(bin_width: float) -> None:
     if not 0.0 < bin_width < math.inf:
         raise ValueError("bin width must be finite and > 0")
@@ -164,6 +169,14 @@ def error_stats(samples: list[float], bin_width: float = 0.02) -> ErrorStats:
         raise ValueError("error_stats requires at least one sample")
     _check_bin_width(bin_width)
     x = np.asarray(samples, dtype=float)
+    # Counted before any edge is made; samples too large for edges on
+    # multiples of the width count as infinitely many.
+    with np.errstate(over="ignore", invalid="ignore"):
+        need = np.nan_to_num(np.ceil(x.max() / bin_width)
+                             - np.floor(x.min() / bin_width), nan=np.inf)
+    if not need <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"a {bin_width:g}-dB bin width needs {need:.3g} "
+                         f"histogram bins, more than {MAX_HISTOGRAM_BINS}")
     lo = math.floor(x.min() / bin_width) * bin_width
     hi = math.ceil(x.max() / bin_width) * bin_width
     nbins = max(1, round((hi - lo) / bin_width))
@@ -198,6 +211,7 @@ class SystemDraw:
     n_spans: int = 20
 
     def __post_init__(self) -> None:
+        check_integers(self, "n_systems", "seed", "n_spans")
         if self.n_systems < 1:
             raise ValueError("n_systems must be >= 1")
         if not self.categories:
@@ -416,7 +430,7 @@ def span_increment_ratio(link: LinkSpec, model_a, model_b
     if link.n_spans < 2:
         raise ValueError("diagnostic needs at least two spans")
     c = link.cut_index
-    acc = span_integrals(link, rows=c).abs_acc()[:, 0, c]
+    acc = span_integrals(link.stack).abs_acc()[:, 0, c]
     out = []
     prev_a, prev_b = 0.0, 0.0
     for n in range(1, link.n_spans + 1):
@@ -450,6 +464,7 @@ class FitConfig(SystemDraw):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        check_integers(self, "max_iterations", "n_restarts")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.n_restarts < 0:

@@ -10,10 +10,10 @@ links of one span count as ``[link, ...]`` columns, a link being a stack
 of one (``link.stack``); the span prefactor is :func:`span_prefactor`.
 
 :func:`nli_terms` computes all of it for rows, each a channel of one link
-taken as CUT (:func:`kernel_rows`): every channel of a link, with
-``rows=link.cut_index`` its CUT alone, or each link's CUT of a stack, so
-that many systems share one pass.  The power-independent closed forms
-depend on a span only through its fiber, so :func:`span_integrals`
+taken as CUT, by one rule (:func:`kernel_rows`): a link's rows are every
+channel, a stack's each link's CUT, so that many systems share one pass
+and a link's CUT alone is ``link.stack``.  The power-independent closed
+forms depend on a span only through its fiber, so :func:`span_integrals`
 computes them once per distinct fiber of the stack, as ``[fiber, row,
 channel]`` (|beta2| and the cross integral) and ``[fiber, row]`` (the self
 integral) arrays; only what depends on the span length is per span (the
@@ -276,21 +276,16 @@ def propagate(transfer: np.ndarray, terms) -> np.ndarray:
 # The kernel
 
 
-def kernel_rows(link: LinkSpec | LinkStack, rows: int | None = None
+def kernel_rows(link: LinkSpec | LinkStack
                 ) -> tuple[LinkStack, int | np.ndarray, np.ndarray]:
     """The stack the kernel reads and its rows, as the link (an index or
-    ``[row]`` indices) and the ``[row]`` channel of each row.  A link is a
-    stack of one, whose rows are every channel (``rows=None``) or channel
-    ``rows``; a stack's rows are each link's CUT.  So a stack's ``[link,
-    ...]`` columns broadcast against the rows: one link for all of them, or
-    one per row."""
+    ``[row]`` indices) and the ``[row]`` channel of each row.  A link's
+    rows are every channel; a stack's are each link's CUT, so a link's CUT
+    alone is ``link.stack``.  A stack's ``[link, ...]`` columns broadcast
+    against the rows: one link for all of them, or one per row."""
     if isinstance(link, LinkStack):
-        if rows is not None:
-            raise ValueError("a stack's rows are its links' CUTs")
         return link, np.arange(len(link.cut)), link.cut
-    ch = (np.arange(len(link.comb.f)) if rows is None
-          else np.array([rows], np.intp))
-    return link.stack, 0, ch
+    return link.stack, 0, np.arange(len(link.comb.f))
 
 
 def _block(a: np.ndarray, block: slice, axis: int = 0) -> np.ndarray:
@@ -324,12 +319,12 @@ class SpanIntegrals:
     i_self: np.ndarray  # [fiber, row], incoherent accumulation
     i_coherent: np.ndarray  # [span, row], coefficient of the coherence bracket
 
-    def per_span(self, a: np.ndarray, rows: slice = slice(None)
+    def per_span(self, a: np.ndarray, block: slice = slice(None)
                  ) -> np.ndarray:
         """A ``[fiber, row, ...]`` array of these integrals as ``[span,
-        row, ...]``, for the rows ``rows``."""
-        a = a[:, rows]
-        return a[_block(self.fiber, rows, 1), np.arange(a.shape[1])]
+        row, ...]``, for the rows ``block``."""
+        a = a[:, block]
+        return a[_block(self.fiber, block, 1), np.arange(a.shape[1])]
 
     def min_abs_beta2(self, active: np.ndarray) -> np.ndarray:
         """The smallest |beta2| (ps^2/km) each row's terms use, ``[row]``:
@@ -338,28 +333,22 @@ class SpanIntegrals:
         return np.min(self.abs_beta2, axis=(0, 2), initial=np.inf,
                       where=self.uses[:, :, None] & active)
 
-    def abs_acc(self, rows: slice = slice(None)) -> np.ndarray:
+    def abs_acc(self, block: slice = slice(None)) -> np.ndarray:
         """|Accumulated dispersion| (ps^2) at every span input, as
-        ``[span, row, channel]`` for the rows ``rows`` of this result: the
+        ``[span, row, channel]`` for the rows ``block`` of this result: the
         exclusive running sum of beta2 * L over the spans, in span order."""
-        step = self.per_span(self.beta2, rows)[:-1]
+        step = self.per_span(self.beta2, block)[:-1]
         acc = np.zeros((len(self.fiber),) + step.shape[1:])
-        step *= _block(self.length, rows, 1)[:-1, :, None]
+        step *= _block(self.length, block, 1)[:-1, :, None]
         np.cumsum(step, axis=0, out=acc[1:])
         return np.abs(acc, out=acc)
 
 
-def span_integrals(link: LinkSpec | LinkStack,
-                   rows: int | None = None) -> SpanIntegrals:
+def span_integrals(link: LinkSpec | LinkStack) -> SpanIntegrals:
     """The integrals of every fiber and span of the rows of
     :func:`kernel_rows`.  A pair with zero dispersion gives inf or NaN
     entries; callers mask the ones they do not use."""
-    stack, _lk, ch = kernel_rows(link, rows)
-    return _span_integrals(stack, ch)
-
-
-def _span_integrals(stack: LinkStack, ch: np.ndarray) -> SpanIntegrals:
-    """:func:`span_integrals` of the rows ``ch`` of :func:`kernel_rows`."""
+    stack, _lk, ch = kernel_rows(link)
     forms = _closed_forms(stack.fibers, stack.power.shape,
                           *(a.tobytes() for a in (
                               stack.fiber, stack.length, stack.f, stack.rate,
@@ -513,22 +502,21 @@ def _cross(s: SpanIntegrals, stack: LinkStack, variant: ModelVariant,
     return np.cumsum(xci, axis=-1, out=xci)[..., -1], acc_own
 
 
-def nli_terms(link: LinkSpec | LinkStack, variant: ModelVariant,
-              rows: int | None = None) -> NliTerms:
+def nli_terms(link: LinkSpec | LinkStack, variant: ModelVariant) -> NliTerms:
     """The NLI kernel: one array pass over the spans of the rows of
-    :func:`kernel_rows`: every channel of a link as CUT (``rows=None``),
-    only channel ``rows``, usually ``link.cut_index``, or each link's CUT
-    of a stack.  A CUT must be active.
+    :func:`kernel_rows`: every channel of a link as CUT, or each link's
+    CUT of a stack (``link.stack`` for a link's CUT alone), which must be
+    active.
 
     Applies no low-dispersion policy, since only the caller knows which rows
     it returns: pass their ``min_abs_beta2`` to :func:`check_dispersion`.
     A row with a zero-dispersion term holds inf or NaN.
     """
-    stack, lk, ch = kernel_rows(link, rows)
+    stack, lk, ch = kernel_rows(link)
     active = stack.active[lk, ch]  # [row]
-    if not (rows is None and isinstance(link, LinkSpec)) and not active.all():
+    if isinstance(link, LinkStack) and not active.all():
         raise ValidationError("CUT inactive")
-    s = _span_integrals(stack, ch)
+    s = span_integrals(link)
     g = stack.power / stack.rate[:, None]  # [link, span, channel] PSDs
     g_cut = g[lk, :, ch].T  # [span, row]
     g2 = np.square(g).transpose(1, 0, 2)  # [span, link, channel]
@@ -569,12 +557,12 @@ def _check_n_end(link: LinkSpec, n_end: int | None = None) -> int:
     return n_end
 
 
-def rx_nli_psds(link: LinkSpec | LinkStack, variant: ModelVariant,
-                rows: int | None = None) -> np.ndarray:
-    """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]`` (see
-    :func:`nli_terms` for ``rows``): one kernel pass, the low-dispersion
-    policy applied to the active rows it returns.  Inactive rows are NaN."""
-    terms = nli_terms(link, variant, rows)
+def rx_nli_psds(link: LinkSpec | LinkStack, variant: ModelVariant
+                ) -> np.ndarray:
+    """Receiver NLI PSD (W/THz) as ``[n_end - 1, row]``, the rows of
+    :func:`nli_terms`: one kernel pass, the low-dispersion policy applied
+    to the active rows it returns.  Inactive rows are NaN."""
+    terms = nli_terms(link, variant)
     check_dispersion(terms.min_abs_beta2[terms.active])
     return terms.rx_psd()
 
@@ -582,7 +570,7 @@ def rx_nli_psds(link: LinkSpec | LinkStack, variant: ModelVariant,
 def rx_nli_psd(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Accumulated NLI PSD (W/THz) at the receiver of the truncated link."""
     _check_n_end(link, n_end)
-    return float(rx_nli_psds(link, variant, link.cut_index)[n_end - 1, 0])
+    return float(rx_nli_psds(link.stack, variant)[n_end - 1, 0])
 
 
 def rx_nli_psd_all_channels(link: LinkSpec, variant: ModelVariant,

@@ -158,12 +158,12 @@ def _cmd_evaluate(args) -> int:
                  "n_spans": link.n_spans, "cut_index": link.cut_index}
 
     # One kernel pass: every row with --all-channels, else the CUT row.
-    rows = None if args.all_channels else link.cut_index
+    rows = link if args.all_channels else link.stack
     start = time.perf_counter()
-    report = link_report(link, rx_nli_psds(link, variant, rows), rows)
+    report = link_report(rows, rx_nli_psds(rows, variant))
     elapsed = 1e3 * (time.perf_counter() - start)
-    col = link.cut_index if rows is None else 0
-    active = link.comb.active if rows is None else slice(None)
+    col = link.cut_index if args.all_channels else 0
+    active = link.comb.active if args.all_channels else slice(None)
     if not all(np.isfinite(a[:, active]).all()
                for a in (report.snr_db, report.p_nli_w, report.p_ase_w)):
         raise FloatingPointError("non-finite result for an active channel")

@@ -18,7 +18,7 @@ import numpy as np
 from .cfm import (_check_n_end, effective_beta2_xci, propagate,
                   span_prefactor)
 from .types import (CombArrays, FiberParams, LinkSpec, SpanArrays,
-                    ValidationError)
+                    ValidationError, check_integers)
 
 
 class QuadratureError(RuntimeError):
@@ -41,10 +41,7 @@ class QuadratureConfig:
     max_points_per_channel: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("points_per_channel", "max_points_per_channel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer")
+        check_integers(self, "points_per_channel", "max_points_per_channel")
         if self.points_per_channel < 1:
             raise ValidationError("points_per_channel must be >= 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):

@@ -65,30 +65,22 @@ class ReachResult:
     snr_at_reach_db: float
 
 
-def span_ase_psds(link: LinkSpec | LinkStack, f_thz) -> np.ndarray:
+def span_ase_psds(stack: LinkStack, f_thz) -> np.ndarray:
     """ASE PSD (W/THz) each span's amplifier adds at f (THz), ``[span,
-    *f.shape]``: NF * h * f * (gain - 1), nothing for gains below 1.  For a
-    stack, ``f_thz`` holds one frequency per link, or broadcasts against
-    them, and the spans are each link's, ``[span, link]``."""
-    if isinstance(link, LinkStack):
-        nf, gain = link.noise_figure.T, link.gain.T
-    else:
-        col = (...,) + (None,) * np.ndim(f_thz)
-        nf, gain = (a[col] for a in (link.span_arrays.noise_figure,
-                                     link.span_arrays.gain))
+    link]``: NF * h * f * (gain - 1), nothing for gains below 1.
+    ``f_thz`` holds one frequency per link, or broadcasts against them."""
     # A frequency or gain far out of range overflows to inf: a non-finite
     # result the callers report, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return (nf * PLANCK_J_S * (np.asarray(f_thz) * _THZ)
-                * np.maximum(gain - 1.0, 0.0) * _THZ)
+        return (stack.noise_figure.T * PLANCK_J_S
+                * (np.asarray(f_thz) * _THZ)
+                * np.maximum(stack.gain.T - 1.0, 0.0) * _THZ)
 
 
-def rx_ase_psd(link: LinkSpec | LinkStack, f_thz) -> np.ndarray:
-    """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans (see
-    :func:`span_ase_psds` for a stack)."""
-    transfer = (link.transfer.T if isinstance(link, LinkStack)
-                else link.span_arrays.transfer)
-    return propagate(transfer, span_ase_psds(link, f_thz))
+def rx_ase_psd(stack: LinkStack, f_thz) -> np.ndarray:
+    """Receiver ASE PSD (W/THz) at f after 1, 2, ..., n_spans spans, as
+    ``[n_end - 1, link]`` (see :func:`span_ase_psds`)."""
+    return propagate(stack.transfer.T, span_ase_psds(stack, f_thz))
 
 
 def ase_power(link: LinkSpec, n_end: int) -> float:
@@ -96,7 +88,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
     every amplifier's noise propagated through the remaining spans."""
     _check_n_end(link, n_end)
     c = link.cut_index
-    return (float(rx_ase_psd(link, link.comb.f[c])[n_end - 1])
+    return (float(rx_ase_psd(link.stack, link.comb.f[c])[n_end - 1, 0])
             * float(link.comb.rate[c]))
 
 
@@ -112,13 +104,13 @@ class LinkReport:
     p_rx_w: np.ndarray
 
 
-def link_report(link: LinkSpec | LinkStack, rx_nli_psd: np.ndarray,
-                rows: int | None = None) -> LinkReport:
+def link_report(link: LinkSpec | LinkStack, rx_nli_psd: np.ndarray
+                ) -> LinkReport:
     """Received power, ASE, NLI power and SNR of every truncation, from
     the receiver NLI PSD (W/THz) of ``cfm.rx_nli_psds`` or a quadrature:
-    ``[n_end - 1, row]``, rows every channel (``rows=None``) or ``rows`` of
-    a link, or each link's CUT of a stack (``cfm.kernel_rows``)."""
-    stack, lk, ch = kernel_rows(link, rows)
+    ``[n_end - 1, row]``, rows every channel of a link or each link's CUT
+    of a stack (``cfm.kernel_rows``; ``link.stack`` for a link's CUT)."""
+    stack, lk, ch = kernel_rows(link)
     rate, f = stack.rate[lk, ch], stack.f[lk, ch]
     p_launch = np.where(stack.active[lk, ch], stack.power[lk, :, ch].T,
                         math.nan)
@@ -132,9 +124,8 @@ def link_report(link: LinkSpec | LinkStack, rx_nli_psd: np.ndarray,
 
 
 def _cut_report(link: LinkSpec, variant: ModelVariant) -> LinkReport:
-    """The CUT's report: one column, from the kernel's CUT-row mode."""
-    rows = link.cut_index
-    return link_report(link, rx_nli_psds(link, variant, rows), rows)
+    """The CUT's report: one column, from the link's stack of one."""
+    return link_report(link.stack, rx_nli_psds(link.stack, variant))
 
 
 def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:

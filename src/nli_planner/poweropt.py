@@ -188,8 +188,7 @@ def refine_cut_launch(link: LinkSpec, eta: float) -> float:
 
 
 def _optimize_stack(links: Sequence[LinkSpec],
-                    rngs: Sequence[np.random.Generator],
-                    variant: ModelVariant | None = None
+                    rngs: Sequence[np.random.Generator]
                     ) -> tuple[list[tuple[LinkSpec, PowerPlan]], np.ndarray]:
     """:func:`optimize_powers` of links of one span count, one RNG each,
     planned as one stack with one kernel pass per step: a list of ``(link,
@@ -197,8 +196,6 @@ def _optimize_stack(links: Sequence[LinkSpec],
     Each link reads its own RNG as if planned alone, and its plan does not
     depend on the others.  Raises for a zero dispersion and leaves the rest
     of the low-dispersion policy to the caller."""
-    if variant is None:
-        variant = assets.model(CfmKind.CFM4)
     stack = LinkStack.of(links)
     xis = [randomize_launch(lk, r) for lk, r in zip(links, rngs)]
     xi = _multipliers(stack, xis)
@@ -208,7 +205,7 @@ def _optimize_stack(links: Sequence[LinkSpec],
     g = _logo(stack, eta_span)
     power, gain_db = _plan_columns(stack, xi, g)
     staged = stack.with_power(power).with_gains(gain_db)
-    eta = _eta(staged, variant)[0]
+    eta = _eta(staged, assets.model(CfmKind.CFM4))[0]
     g = g * (_refine(staged, eta) / g[:, 0])[:, None]
     power, gain_db = _plan_columns(stack, xi, g)
     return [(_planned_link(lk, power[j], gain_db[j]),
@@ -218,17 +215,15 @@ def _optimize_stack(links: Sequence[LinkSpec],
 
 
 @one_low_dispersion_warning
-def optimize_powers(link: LinkSpec, rng: np.random.Generator,
-                    variant: ModelVariant | None = None
+def optimize_powers(link: LinkSpec, rng: np.random.Generator
                     ) -> tuple[LinkSpec, PowerPlan]:
     """Full pipeline: xi randomization, span-local optimization, then the
     cubic-model refinement of the CUT launch; ``(link, plan)``.
 
-    The span-local step always uses CFM1.  The refinement reads the
-    :func:`eta_nli` of ``variant`` (shipped CFM4 by default) on the link
-    planned with the span-local plan, then scales that plan's CUT PSDs to
-    the refined first-span PSD.
+    The span-local step always uses CFM1, the refinement always the shipped
+    CFM4: its :func:`eta_nli` on the link planned with the span-local plan,
+    to whose refined first-span PSD that plan's CUT PSDs are then scaled.
     """
-    (out,), min_abs_beta2 = _optimize_stack([link], [rng], variant)
+    (out,), min_abs_beta2 = _optimize_stack([link], [rng])
     check_dispersion(min_abs_beta2)
     return out

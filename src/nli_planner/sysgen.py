@@ -21,7 +21,7 @@ import numpy as np
 from . import assets
 from .cfm import MIN_ABS_BETA2, effective_beta2_xci
 from .types import (FORMAT_CODE, CombArrays, LinkSpec, ModulationFormat,
-                    SpanArrays)
+                    SpanArrays, check_integers)
 
 SYMBOL_RATES_TBAUD = (0.032, 0.064, 0.096, 0.128)
 SLOT_THZ = {0.032: 0.0435, 0.064: 0.0875, 0.096: 0.13125, 0.128: 0.175}
@@ -58,6 +58,7 @@ class GeneratorConfig:
     dense_separation: str = "gap"
 
     def __post_init__(self) -> None:
+        check_integers(self, "category", "seed", "n_spans")
         if self.category not in (1, 2, 3, 4, 5):
             raise ValueError("category must be 1..5")
         if self.cut_position not in CUT_POSITIONS:

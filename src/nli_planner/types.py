@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -73,6 +74,15 @@ class ValidationError(ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def check_integers(config, *names: str) -> None:
+    """Raise for the first field of ``config`` among ``names`` that is not
+    an integer: any :class:`numbers.Integral` but a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer")
 
 
 def _raise_first_fault(rules: Sequence[tuple[np.ndarray, str]]) -> None:

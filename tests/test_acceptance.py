@@ -253,8 +253,7 @@ def test_criterion_7_launch_power_stationarity():
                            n_spans=int(rng.integers(2, 7)), optimize=False)
         link, _plan = optimize_powers(link,
                                       np.random.default_rng(
-                                          int(rng.integers(1 << 30))),
-                                      variant)
+                                          int(rng.integers(1 << 30))))
         p_ase = ase_power(link, link.n_spans)
         p_nli = rx_nli_psd(link, variant, link.n_spans) * link.cut.symbol_rate
         worst_balance = max(worst_balance,
@@ -263,8 +262,7 @@ def test_criterion_7_launch_power_stationarity():
     worst_opt = 0.0
     for seed in (8701, 8702, 8703):
         link = make_system(seed, optimize=False)
-        link, _plan = optimize_powers(link, np.random.default_rng(seed),
-                                      variant)
+        link, _plan = optimize_powers(link, np.random.default_rng(seed))
 
         def neg_snr(log_s, link=link):
             s = math.exp(log_s)

@@ -1,6 +1,7 @@
 """Campaign statistics, the span-increment diagnostic and coefficient
 fitting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_error_stats_validation():
             error_stats([0.1], width)
         with pytest.raises(ValueError, match="bin width"):
             CampaignConfig(bin_width_db=width)
+    # A finite, positive width far finer than the spread of the samples is
+    # refused, naming the bin count, before any edge is made: 1e12 bins of
+    # 1e-12 dB over 1 dB would take 8 TB of edges.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1e\+12 histogram bins"):
+            error_stats([-0.5, 0.5], bin_width=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_campaign_self_benchmark_is_exact():
@@ -191,9 +203,9 @@ def test_benchmarks_compute_each_link_once(monkeypatch):
     kernel_calls = []
     real_psds = campaign.rx_nli_psds
 
-    def counting_psds(link, variant, rows=None):
+    def counting_psds(link, variant):
         kernel_calls.append(link)
-        return real_psds(link, variant, rows)
+        return real_psds(link, variant)
 
     monkeypatch.setattr(campaign, "rx_nli_psds", counting_psds)
     link = make_system(71, n_spans=4)
@@ -235,9 +247,9 @@ def _counting_blocks(monkeypatch) -> list[int]:
     blocks = []
     real = campaign._optimize_stack
 
-    def counting(links, rngs, variant=None):
+    def counting(links, rngs):
         blocks.append(len(links))
-        return real(links, rngs, variant)
+        return real(links, rngs)
 
     monkeypatch.setattr(campaign, "_optimize_stack", counting)
     return blocks
@@ -290,8 +302,8 @@ def test_dropped_attempts_leave_no_warning(monkeypatch):
     planned = []
     real = campaign._optimize_stack
 
-    def recording(links, rngs, variant=None):
-        out = real(links, rngs, variant)
+    def recording(links, rngs):
+        out = real(links, rngs)
         planned.extend(link for link, _plan in out[0])
         return out
 
@@ -308,7 +320,7 @@ def test_dropped_attempts_leave_no_warning(monkeypatch):
     cfm1 = assets.model(CfmKind.CFM1)
     kept = [d.link for d in want if d.link is not None]
     dropped = [link for link in planned if link not in kept]
-    assert any(cfm.nli_terms(link, cfm1, link.cut_index).min_abs_beta2[0]
+    assert any(cfm.nli_terms(link.stack, cfm1).min_abs_beta2[0]
                < cfm.MIN_ABS_BETA2 for link in dropped)
 
 
@@ -359,9 +371,9 @@ def test_each_planned_link_goes_to_the_benchmark_once(monkeypatch):
     passes = []
     real_terms = campaign.nli_terms
 
-    def counting_terms(stack, variant, rows=None):
+    def counting_terms(stack, variant):
         passes.append(len(stack.cut))
-        return real_terms(stack, variant, rows)
+        return real_terms(stack, variant)
 
     monkeypatch.setattr(campaign, "nli_terms", counting_terms)
     quadratures = []
@@ -447,9 +459,9 @@ def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
     blocks = []
     real = campaign._optimize_stack
 
-    def counting(links, rngs, variant=None):
+    def counting(links, rngs):
         blocks.append(len(links))
-        return real(links, rngs, variant)
+        return real(links, rngs)
 
     monkeypatch.setattr(campaign, "_optimize_stack", counting)
     cfm._closed_forms.cache_clear()
@@ -493,20 +505,27 @@ def test_fit_and_campaign_draw_the_same_systems():
     assert all((d.reach is None) == (d.excluded is not None) for d in draws)
 
 
+# A bool or a non-integer count or seed is refused too (n_systems=2.5
+# would draw 3 systems), even one equal to a valid value.
 @pytest.mark.parametrize("config", [CampaignConfig, FitConfig])
 @pytest.mark.parametrize("kwargs", [
     {"n_systems": 0}, {"n_systems": -1}, {"categories": ()},
-    {"cut_positions": ()}])
+    {"cut_positions": ()}, {"n_systems": 2.5}, {"n_systems": True},
+    {"seed": 0.5}, {"n_spans": 3.0}, {"n_spans": True}])
 def test_configs_reject_empty_draws(config, kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         config(**kwargs)
+    # Any integer type, NumPy's too, passes.
+    config(n_systems=np.int64(2), seed=np.int32(3), n_spans=np.uint8(4))
 
 
-@pytest.mark.parametrize("kwargs", [{"max_iterations": 0},
-                                    {"n_restarts": -1}])
+@pytest.mark.parametrize("kwargs", [
+    {"max_iterations": 0}, {"n_restarts": -1}, {"max_iterations": 2.5},
+    {"max_iterations": True}, {"n_restarts": True}, {"n_restarts": 1.0}])
 def test_fit_config_rejects_unusable_search(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         FitConfig(**kwargs)
+    FitConfig(max_iterations=np.int64(10), n_restarts=np.int8(0))
 
 
 # ---------------------------------------------------------------------------

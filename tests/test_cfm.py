@@ -303,9 +303,9 @@ def test_identity_cfm2_equals_cfm1(paper_link):
             a = rx_nli_psd(link, cfm1, n_end)
             b = rx_nli_psd(link, cfm2_id, n_end)
             assert np.array_equal(b, a, equal_nan=True)
-        for rows in (None, link.cut_index):
-            a = nli_terms(link, cfm1, rows).rx_psd()
-            b = nli_terms(link, cfm2_id, rows).rx_psd()
+        for rows in (link, link.stack):
+            a = nli_terms(rows, cfm1).rx_psd()
+            b = nli_terms(rows, cfm2_id).rx_psd()
             assert np.array_equal(b, a, equal_nan=True)
 
 
@@ -479,8 +479,8 @@ def test_kernel_matches_reference_paper_link(paper_link, kind):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
                                   zero_cut, zero_off):
-    # The CUT-row mode computes the CUT column of the all-row kernel: equal
-    # values, the same smallest |beta2|, and the same inf/NaN entries where
+    # A link's stack of one computes the CUT column of the link's all-row
+    # kernel: equal values, the same smallest |beta2|, and the same inf/NaN entries where
     # a pair has zero dispersion.
     variant = assets.model(kind)
     zero = make_zero_dispersion_link(zero_cut,
@@ -489,7 +489,7 @@ def test_cut_row_matches_all_rows(seed, category, n_spans, position, kind,
                        n_spans=n_spans, cut_position=position, optimize=False)
     for lk in (link, zero):
         full = nli_terms(lk, variant)
-        row = nli_terms(lk, variant, rows=lk.cut_index)
+        row = nli_terms(lk.stack, variant)
         c = lk.cut_index
         assert row.base.shape == row.coherent.shape == (lk.n_spans, 1)
         for got, want in ((row.base[:, 0], full.base[:, c]),
@@ -523,9 +523,9 @@ def test_stacked_rows_equal_each_links_own_pass(seed, n_spans, kind):
     rx = terms.rx_psd()
     report = link_report(stack, rx)
     for j, link in enumerate(links):
-        own = nli_terms(link, variant, link.cut_index)
+        own = nli_terms(link.stack, variant)
         own_rx = own.rx_psd()
-        own_report = link_report(link, own_rx, link.cut_index)
+        own_report = link_report(link.stack, own_rx)
         for got, want in ((terms.base[:, j], own.base[:, 0]),
                           (terms.coherent[:, j], own.coherent[:, 0]),
                           (rx[:, j], own_rx[:, 0]),
@@ -557,17 +557,18 @@ def test_all_row_kernel_memory_peak(paper_link, kind):
 def test_reloaded_link_gives_the_same_kernel(paper_link, tmp_path):
     # The planned link's passes may read memoized closed forms; the same
     # link reloaded from a file, with the memo emptied before each pass,
-    # shares nothing with them.  Every variant and both row modes agree
-    # bit for bit.
+    # shares nothing with them.  Every variant, on every row and on the
+    # CUT row alone, agrees bit for bit.
     path = tmp_path / "system.json"
     fileio.save_system(paper_link, path)
     reloaded = fileio.load_system(path)
     for kind in CfmKind:
         variant = assets.model(kind)
-        for rows in (paper_link.cut_index, None):
-            got = rx_nli_psds(paper_link, variant, rows)
+        for rows, same in ((paper_link.stack, reloaded.stack),
+                           (paper_link, reloaded)):
+            got = rx_nli_psds(rows, variant)
             cfm._closed_forms.cache_clear()
-            want = rx_nli_psds(reloaded, variant, rows)
+            want = rx_nli_psds(same, variant)
             assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -575,11 +576,11 @@ def test_closed_form_memo_is_bounded_and_read_only():
     cfm._closed_forms.cache_clear()
     links = [make_system(seed, optimize=False) for seed in range(8)]
     for link in links:
-        span_integrals(link, rows=link.cut_index)
+        span_integrals(link.stack)
     info = cfm._closed_forms.cache_info()
     assert info.misses == len(links)
     assert info.currsize == info.maxsize < len(links)
-    ints = span_integrals(links[-1], rows=links[-1].cut_index)
+    ints = span_integrals(links[-1].stack)
     assert cfm._closed_forms.cache_info().hits == 1
     for name in ("beta2", "abs_beta2", "i_cross", "i_self", "i_coherent"):
         with pytest.raises(ValueError, match="read-only"):
@@ -602,7 +603,7 @@ def _assert_kernel_matches_reference(link):
     for kind in CfmKind:
         variant = assets.model(kind)
         full = nli_terms(link, variant).rx_psd()
-        cut = nli_terms(link, variant, rows=link.cut_index).rx_psd()[:, 0]
+        cut = nli_terms(link.stack, variant).rx_psd()[:, 0]
         for idx, ch in enumerate(link.channels):
             if not ch.active:
                 assert np.isnan(full[:, idx]).all()

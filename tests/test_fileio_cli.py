@@ -364,14 +364,15 @@ def test_cli_evaluate(tmp_path):
 
 def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
     # --all-channels reads the CUT block, the reach and every channel from
-    # one all-row kernel pass; the CUT-only evaluate reads the CUT row.
+    # one all-row kernel pass on the link; the CUT-only evaluate reads the
+    # CUT row, the link's stack of one.
     sys_path = _gen(tmp_path)
     calls = []
     real_terms = cfm.nli_terms
 
-    def counting_terms(link, variant, rows=None):
-        calls.append(rows)
-        return real_terms(link, variant, rows)
+    def counting_terms(link, variant):
+        calls.append(type(link).__name__)
+        return real_terms(link, variant)
 
     monkeypatch.setattr(cfm, "nli_terms", counting_terms)
     docs = []
@@ -381,7 +382,7 @@ def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
                      *extra, "-o", str(out)]) == 0
         docs.append(json.loads(out.read_text()))
     full, cut_only = docs
-    assert calls == [None, full["cut_index"]]
+    assert calls == ["LinkSpec", "LinkStack"]
     for key, values in full["cut"].items():
         np.testing.assert_allclose(values, cut_only["cut"][key], rtol=1e-12,
                                    atol=0.0)
@@ -674,6 +675,20 @@ def test_campaign_rejects_a_bin_width_before_drawing(tmp_path, capsys,
     assert main(["campaign", "--n-systems", "1", "--bin-width-db", width,
                  "-o", str(out)]) == 3
     assert "bin width" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_campaign_refuses_a_histogram_too_fine_for_its_errors(tmp_path,
+                                                              capsys):
+    # A finite, positive bin width passes the check made before drawing,
+    # but far finer than the errors' spread it is refused with exit 3
+    # when the histogram is made, and nothing is written.
+    out = tmp_path / "out.json"
+    assert main(["campaign", "--n-systems", "3", "--models", "cfm1",
+                 "--benchmark", "cfm4", "--band-width-thz", "0.3",
+                 "--n-spans", "2", "--bin-width-db", "1e-12",
+                 "-o", str(out)]) == 3
+    assert "histogram bins" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,8 +68,8 @@ def test_ase_power_rejects_spans_past_the_link():
 
 def test_cut_rx_power_transparent():
     link = make_single_channel_link(n_spans=2, power_w=0.003)
-    psds = rx_nli_psds(link, assets.model(CfmKind.CFM1), link.cut_index)
-    p_rx = link_report(link, psds, link.cut_index).p_rx_w
+    psds = rx_nli_psds(link.stack, assets.model(CfmKind.CFM1))
+    p_rx = link_report(link.stack, psds).p_rx_w
     # Transparent spans return the launch power of the last span.
     assert p_rx[1, 0] == pytest.approx(0.003, rel=1e-12)
 

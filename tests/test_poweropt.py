@@ -37,7 +37,8 @@ def test_span_local_optimum_condition():
     g = logo_optimize(link, xi)
     f_cut = link.cut.f_center
     etas = span_eta(link, xi)
-    for ase, eta, g_n in zip(span_ase_psds(link, f_cut), etas, g):
+    for ase, eta, g_n in zip(span_ase_psds(link.stack, f_cut)[:, 0], etas,
+                             g):
         assert ase == pytest.approx(2.0 * eta * g_n ** 3, rel=1e-12)
 
 
@@ -79,8 +80,7 @@ def test_refinement_balances_noise():
     variant = assets.model(CfmKind.CFM4)
     for seed in (44, 45, 46):
         link = make_system(seed, optimize=False)
-        link, plan = optimize_powers(link, np.random.default_rng(seed),
-                                     variant)
+        link, plan = optimize_powers(link, np.random.default_rng(seed))
         p_ase = ase_power(link, link.n_spans)
         p_nli = rx_nli_psd(link, variant, link.n_spans) * link.cut.symbol_rate
         assert p_nli == pytest.approx(p_ase / 2.0, rel=1e-9)
@@ -97,7 +97,7 @@ def test_optimum_is_snr_maximum():
     # all launch powers confirms the closed-form optimum.
     variant = assets.model(CfmKind.CFM4)
     link = make_system(48, optimize=False)
-    link, plan = optimize_powers(link, np.random.default_rng(48), variant)
+    link, plan = optimize_powers(link, np.random.default_rng(48))
 
     def neg_snr(log_s):
         s = math.exp(log_s)
@@ -129,8 +129,8 @@ def test_pipeline_keeps_link_shape():
 
 def test_rx_power_positive_after_plan():
     link = make_system(50)
-    psds = rx_nli_psds(link, assets.model(CfmKind.CFM1), link.cut_index)
-    p_rx = link_report(link, psds, link.cut_index).p_rx_w
+    psds = rx_nli_psds(link.stack, assets.model(CfmKind.CFM1))
+    p_rx = link_report(link.stack, psds).p_rx_w
     assert p_rx[-1, 0] > 0.0
 
 

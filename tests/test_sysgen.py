@@ -33,6 +33,15 @@ def test_config_validation():
         GeneratorConfig(nf_mode="bogus")
     with pytest.raises(ValueError):
         GeneratorConfig(n_spans=0)
+    # A bool or a non-integer is refused by name, even one equal to a valid
+    # value; any integer type, NumPy's too, passes.
+    for name, value in (("category", True), ("category", 2.0),
+                        ("seed", 1.5), ("seed", "1"), ("n_spans", 2.5),
+                        ("n_spans", np.float64(3.0))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GeneratorConfig(**{name: value})
+    GeneratorConfig(category=np.int64(2), seed=np.int32(7),
+                    n_spans=np.uint8(3))
 
 
 @pytest.mark.parametrize("band_width", [0.0, -1.0, float("nan"),
