@@ -20,8 +20,9 @@ from .poweropt import PowerPlan, optimize_powers
 from .oracle import (QuadratureConfig, QuadratureError, QuadratureStats,
                      gn_rx_psd, gn_span_psd, gn_span_psds)
 from .campaign import (CampaignConfig, CampaignResult, CfmBenchmark,
-                       ErrorStats, FitConfig, FitResult, GnOracleBenchmark,
-                       error_stats, fit_coefficients, run_campaign)
+                       ErrorStats, FitConfig, FitResult, FitStart,
+                       GnOracleBenchmark, error_stats, fit_coefficients,
+                       run_campaign)
 from .fileio import (ParseError, load_coefficients, load_system,
                      save_coefficients, save_system)
 
@@ -43,7 +44,7 @@ __all__ = [
     "QuadratureConfig", "QuadratureError", "QuadratureStats", "gn_rx_psd",
     "gn_span_psd", "gn_span_psds",
     "CampaignConfig", "CampaignResult", "CfmBenchmark", "ErrorStats",
-    "FitConfig", "FitResult", "GnOracleBenchmark", "error_stats",
+    "FitConfig", "FitResult", "FitStart", "GnOracleBenchmark", "error_stats",
     "fit_coefficients", "run_campaign",
     "ParseError", "load_coefficients", "load_system", "save_coefficients",
     "save_system",

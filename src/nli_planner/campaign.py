@@ -1,6 +1,6 @@
 """Multi-system evaluation campaigns, the span-increment diagnostic, and the
-coefficient-fitting pipeline, whose residual and Jacobian read the
-correction factors and their partials from ``cfm``.
+coefficient-fitting pipeline, whose residual and Jacobian read ``cfm``'s
+correction-factor layout and take each factor once per source and span.
 
 :func:`draw_systems` screens attempts one at a time and plans and scores
 the screened-in ones in blocks of up to :data:`BLOCK_SIZE`: one stacked
@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.sparse import csr_matrix
 
 from . import assets
-from .cfm import (RHO_LAYOUT, _check_n_end, check_dispersion,
+from .cfm import (_BRACKET_FLOOR, RHO_LAYOUT, _check_n_end, check_dispersion,
                   coherence_brackets, nli_terms, one_low_dispersion_warning,
-                  propagate, rho_cross, rho_partials, rho_self, rx_nli_psds,
-                  span_integrals)
+                  propagate, rx_nli_psds, span_integrals)
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (LinkReport, SensitivityPolicy, UnreachableError,
                    link_report, max_reach_scan)
@@ -179,6 +179,10 @@ def error_stats(samples: list[float], bin_width: float = 0.02) -> ErrorStats:
                          f"histogram bins, more than {MAX_HISTOGRAM_BINS}")
     lo = math.floor(x.min() / bin_width) * bin_width
     hi = math.ceil(x.max() / bin_width) * bin_width
+    edge = max(abs(lo), abs(hi))
+    if edge + bin_width == edge:
+        raise ValueError(f"a {bin_width:g}-dB bin width is below the float "
+                         f"resolution of samples near {edge:g} dB")
     nbins = max(1, round((hi - lo) / bin_width))
     counts, edges = np.histogram(x, bins=nbins, range=(lo, lo + nbins * bin_width))
     return ErrorStats(mean=float(x.mean()), std_dev=float(x.std()),
@@ -472,64 +476,206 @@ class FitConfig(SystemDraw):
 
 
 @dataclass(frozen=True)
+class FitStart:
+    """One start of the least-squares solve: its index (0 the initial
+    table, 1 the identity point, then the perturbed restarts), its cost
+    before and after, the residual evaluations it spent and
+    ``least_squares``' status.  A start of non-finite cost is not solved:
+    it spends nothing, keeps its cost and has status None."""
+
+    index: int
+    cost_initial: float
+    cost_final: float
+    n_evaluations: int
+    status: int | None
+
+
+@dataclass(frozen=True)
 class FitResult:
     kind: CfmKind
     coefficients: ModelCoefficients
     cost_initial: float
     cost_final: float
     improved: bool
-    n_terms: int
+    n_terms: int  # residual rows: one per training system and truncation
     n_evaluations: int  # residual evaluations, summed over all starts
     train_seeds: tuple[int, ...]
+    starts: tuple[FitStart, ...] = ()
 
     @property
     def variant(self) -> ModelVariant:
         return ModelVariant(kind=self.kind, coefficients=self.coefficients)
 
 
-@dataclass(frozen=True)
-class _TermBlock:
-    """One kind of correction-factor term (self or cross) of every training
-    system, stacked.
+# A correction factor reads its features from a source: the CUT for the
+# self term, the interferer for a cross term.  The fit reads both layouts'
+# coefficients in one order of slots (see _slot_table): the coefficients
+# of a source's five powered features (phi, phi, rate and two roll-offs),
+# their exponents, the constant, and the bracket's (b, o, p).
+_LIN, _EXP = slice(0, 5), slice(5, 10)
+_CONST, _B, _O, _P = 10, 11, 12, 13
+_N_SLOTS = 14
+_CROSS, _SELF = 0, 1  # the layouts
 
-    The block's [residual row, term] matrix is kept as (row, term, value)
-    triplets; ``feat`` holds the features its correction factor reads, one
-    value per term, and ``log`` their natural logarithms, taken as 0 where
-    the feature is 0.
+
+def _slot_table(kind: CfmKind) -> np.ndarray:
+    """The coefficient each slot reads, ``[layout, slot]``: the index
+    ``kind.n_coefficients``, which reads 0, where the layout has none."""
+    absent = kind.n_coefficients
+    table = []
+    for layout in (RHO_LAYOUT["cross"], RHO_LAYOUT["self"]):
+        i = layout.first
+        rate = layout.rate or (absent, absent)
+        rolls = [(c, e) for c, e, _name in layout.rolls
+                 if kind is CfmKind.CFM4]
+        (c1, e1), (c2, e2) = rolls + [(absent, absent)] * (2 - len(rolls))
+        table.append([i + 1, i + 3, rate[0], c1, c2,
+                      i + 2, i + 4, rate[1], e1, e2, i, *layout.bracket])
+    return np.array(table)
+
+
+def _source_features(layout: str, **feat) -> np.ndarray:
+    """A layout's five powered features, ``[..., feature]``, from the
+    features its correction factor reads by name; 1.0 where it has none."""
+    rolls = [feat[name] for _c, _e, name in RHO_LAYOUT[layout].rolls]
+    return np.stack(np.broadcast_arrays(
+        feat["phi"], feat["phi"], feat.get("rate", 1.0), *rolls,
+        *[1.0] * (2 - len(rolls))), axis=-1)
+
+
+def _csr(counts: np.ndarray, indices: np.ndarray, data: np.ndarray,
+         n_cols: int) -> csr_matrix:
+    """The sparse matrix of rows of ``counts`` entries, whose column
+    indices and values are given in row order, sharing their arrays."""
+    return csr_matrix((data, indices, np.concatenate(([0], np.cumsum(counts)))),
+                      shape=(len(counts), n_cols))
+
+
+@dataclass(frozen=True)
+class _FitStack:
+    """The stacked structure of :class:`_FitData`.
+
+    ``w`` holds the terms, ``[3 slot + part, 2 source + factor]``: a
+    slot's cross terms (part 0), its self term (1) and the self term's
+    coherent part (2), each term stored once as a pair of entries in its
+    source's columns, its value (factor 0) and its value times its bracket
+    power at the last point (factor 1).  ``prop`` carries those slot sums
+    to every truncation, ``[2 row + layout, 3 slot + part]``, in units of
+    the benchmark NLI power: the cross sum to the row's cross half, the
+    self sums to its self half, the coherent part times the truncation's
+    coherence bracket.
     """
 
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-    feat: dict[str, np.ndarray]
-    log: dict[str, np.ndarray]
+    w: csr_matrix
+    prop: csr_matrix
+    acc: np.ndarray  # [term] the |accumulated dispersion| (ps^2) it reads
+    lay: np.ndarray  # [term] its layout
+    feat: np.ndarray  # [source, feature] powered features
+    log_feat: np.ndarray  # [source, feature] their logarithms, 0 where 0
+    lay_src: np.ndarray  # [source] its layout
 
-    def times(self, per_term: np.ndarray, n_rows: int) -> np.ndarray:
-        """The block's matrix times a per-term vector: one segment sum."""
-        return np.bincount(self.row, self.val * per_term[self.col],
-                           minlength=n_rows)
+
+class _Point:
+    """What the residual and the Jacobian read at one coefficient vector,
+    computed once: every power of the sources' features and of the terms'
+    brackets is taken here.
+
+    A term's correction factor is ``k0 + k1 * pw``, with ``pw = br ** p``
+    its bracket's power and ``(k0, k1)`` its source's; the point writes
+    each term's value times ``pw`` into ``w``.
+    """
+
+    def __init__(self, stack: _FitStack, slots: np.ndarray, a: np.ndarray):
+        self.key = a.tobytes()
+        c = np.append(a, 0.0)[slots]  # [layout, slot]
+        op = np.take(c[:, _O:], stack.lay, axis=0)  # [term, (o, p)]
+        self.c = c = np.take(c, stack.lay_src, axis=0)  # [source, slot]
+        # A feature of 0 takes 0 for a positive exponent, as zero_safe_pow.
+        self.pw = stack.feat ** c[:, _EXP]
+        self.lin = lin = c[:, _LIN] * self.pw
+        self.sc = lin[:, 1]
+        self.inner = 1.0 + lin[:, 2]
+        self.roll = 1.0 + lin[:, 3] + lin[:, 4]
+        self.core = c[:, _CONST] + lin[:, 0] + self.sc * self.inner
+        self.scb = self.sc * c[:, _B]
+        self.k = np.empty((len(c), 2))
+        np.multiply(self.core, self.roll, out=self.k[:, 0])
+        np.multiply(self.scb, self.roll, out=self.k[:, 1])
+        br = stack.acc + op[:, 0]
+        self.br = np.maximum(br, _BRACKET_FLOOR, out=br)
+        data = stack.w.data
+        np.multiply(data[0::2], br ** op[:, 1], out=data[1::2])
+        self.residual: np.ndarray | None = None
+
+    def partials(self, log_feat: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Each source's factors of its correction factor's partial
+        derivatives: ``[source, factor, slot]`` against its terms' ``(1,
+        pw)``, and ``[source, factor, (o, p)]`` against their ``(pw / br,
+        pw ln br)``.  A zero-safe power does not move with its exponent
+        (its logarithm is taken as 0), and a floored bracket not with its
+        offset (``pw / br`` is 0 there)."""
+        c, roll, sc, core, scb = self.c, self.roll, self.sc, self.core, self.scb
+        n = len(c)
+        # Each powered feature's term's multiplier, [source, factor,
+        # feature]: its coefficient's partial is the power times it, its
+        # exponent's the term times the feature's logarithm times it.
+        mult = np.empty((n, 2, 5))
+        mult[:, 0, 0] = roll
+        np.multiply(self.inner, roll, out=mult[:, 0, 1])
+        np.multiply(sc, roll, out=mult[:, 0, 2])
+        mult[:, 0, 3:] = core[:, None]
+        mult[:, 1, 0:3:2] = 0.0  # the offset and rate terms hold no pw
+        np.multiply(c[:, _B], roll, out=mult[:, 1, 1])
+        mult[:, 1, 3:] = scb[:, None]
+        lead = np.zeros((n, 2, _N_SLOTS))
+        np.multiply(self.pw[:, None], mult, out=lead[:, :, _LIN])
+        np.multiply((self.lin * log_feat)[:, None], mult, out=lead[:, :, _EXP])
+        lead[:, 0, _CONST] = roll
+        lead[:, 1, _B] = mult[:, 0, 2]
+        bracket = np.zeros((n, 2, 2))
+        np.multiply(self.k[:, 1], c[:, _P], out=bracket[:, 0, 0])
+        bracket[:, 1, 1] = self.k[:, 1]
+        return lead, bracket
 
 
 class _FitData:
     """Precomputed coefficient-independent structure of the training cost.
 
-    One residual row per system and truncation.  From the kernel's span
-    integrals of its CUT row, every system contributes a self term per span
-    and a cross term per active interferer and span; each term's base is
-    propagated to every truncation and divided by the benchmark NLI power
-    there, giving the matrices ``S`` (self terms) and ``X`` (cross terms).
-    A model then matches the benchmark exactly when the residual
-    ``r(a) = S @ rho_self(a) + X @ rho_cross(a) - 1`` is zero.  All systems
-    are stacked into one block of each kind, so that evaluating ``r`` or
-    its Jacobian costs a fixed number of NumPy calls.
+    One residual row per system and truncation, and one slot per system
+    and span up to its reach.  From the kernel's span integrals of its CUT
+    row, every system has a self term per slot and a cross term per slot
+    and active interferer, each stored once: its value (the NLI PSD it adds
+    at the span's end with a unit correction factor) and the |accumulated
+    dispersion| its bracket reads.  A term's correction factor reads its
+    source's features, held once per source.  The NLI at truncation t is
+    ``sum_{s <= t} P[t, s] * sum_terms value * rho`` over the terms of slot
+    s, with P the system's propagation to the receiver times the CUT's
+    rate over the benchmark NLI power, and the self term's coherent part
+    times the truncation's coherence bracket.  A model matches the
+    benchmark exactly when the residual, that sum minus 1, is zero.
+
+    Evaluating the residual or its Jacobian costs a fixed number of NumPy
+    calls: one sparse product of the terms into the slots, and one of the
+    slots into the rows.  The powers of a point are taken once, and the
+    Jacobian at the point of the last residual reuses them.
     """
 
     def __init__(self, kind: CfmKind):
         self.kind = kind
-        self.n_rows = 0  # one per system and truncation
-        self._parts: dict[str, dict[str, list]] = {"self": {}, "cross": {}}
-        self._n_cols = {"self": 0, "cross": 0}
-        self._stacked: dict[str, _TermBlock] | None = None
+        self.n_rows = 0  # one per system and truncation, and per slot
+        self._slots = _slot_table(kind)
+        # Each coefficient's column among the Jacobian's [layout, slot] ones.
+        self._columns = np.array([
+            np.flatnonzero(self._slots.ravel() == k)[0]
+            for k in range(kind.n_coefficients)])
+        # Each CSR matrix as its rows' counts, column indices and values.
+        self._parts: dict[str, list[np.ndarray]] = {k: [] for k in (
+            "w_counts", "w_indices", "w_data", "prop_counts", "prop_indices",
+            "prop_data", "acc", "lay", "feat", "lay_src")}
+        self._n_src = 0
+        self._stacked: _FitStack | None = None
+        self._point: _Point | None = None
 
     def add_systems(self, links: Sequence[LinkSpec], reaches: Sequence[int],
                     p_bmk: Sequence[np.ndarray]) -> None:
@@ -539,6 +685,7 @@ class _FitData:
         stack = LinkStack.of(links)
         s = span_integrals(stack)
         n_links, n_spans = stack.fiber.shape
+        n_ch = stack.f.shape[1]
         j, cut = np.arange(n_links), stack.cut
         reach = np.array(reaches)
         upto = np.arange(n_spans) < reach[:, None]  # [link, span]
@@ -547,13 +694,48 @@ class _FitData:
         g_cut = g[j, :, cut]  # [link, span]
         abs_acc = s.abs_acc().transpose(1, 0, 2)  # [link, span, channel]
         base = s.prefactor.T * g_cut
-        sci_inc = base * g_cut ** 2 * s.per_span(s.i_self).T
-        sci_coh = (base * g_cut ** 2 * s.i_coherent.T
-                   if self.kind.coherent_sci else np.zeros_like(base))
-        xb = (base[:, :, None] * 2.0 * g ** 2
-              * s.per_span(s.i_cross).transpose(1, 0, 2))
+        sci = base * g_cut ** 2
+        # A link's sources are its active interferers, then its CUT; a
+        # slot's terms are a cross term per channel, then the self term
+        # and its coherent part, in the order of w's rows.
+        inter = stack.active & (np.arange(n_ch) != cut[:, None])
+        is_src = np.concatenate((inter, np.ones((n_links, 1), bool)), axis=1)
+        src = self._n_src + np.cumsum(is_src).reshape(is_src.shape) - 1
+        src = np.concatenate((src, src[:, -1:]), axis=1)  # [link, term]
+        has = np.concatenate(
+            (is_src, np.full((n_links, 1), self.kind.coherent_sci)), axis=1)
+        terms = upto[:, :, None] & has[:, None]  # [link, span, term]
+        value = np.concatenate((
+            base[:, :, None] * 2.0 * g ** 2
+            * s.per_span(s.i_cross).transpose(1, 0, 2),
+            (sci * s.per_span(s.i_self).T)[:, :, None],
+            (sci * s.i_coherent.T)[:, :, None]), axis=2)[terms]
+        term_src = np.broadcast_to(src[:, None], terms.shape)[terms]
+        acc_cut = abs_acc[j, :, cut][:, :, None]
+        lay = np.full(n_ch + 2, _SELF, np.int8)
+        lay[:n_ch] = _CROSS
+        feat = np.concatenate((
+            _source_features("cross", phi=stack.phi, roll_cut=roll[:, None],
+                             roll_nch=stack.roll),
+            _source_features("self", phi=stack.phi[j, cut], rate=rate,
+                             roll_cut=roll)[:, None]), axis=1)
+        parts = dict(
+            w_counts=2 * np.broadcast_to(
+                np.stack((inter.sum(axis=1), has[:, -2], has[:, -1]),
+                         axis=1)[:, None], (n_links, n_spans, 3))[upto].ravel(),
+            w_indices=(2 * term_src[:, None]
+                       + np.arange(2)).ravel().astype(np.int32),
+            w_data=np.stack((value, np.zeros_like(value)), axis=1).ravel(),
+            acc=np.concatenate((abs_acc, acc_cut, acc_cut), axis=2)[terms],
+            lay=np.broadcast_to(lay, terms.shape)[terms],
+            feat=feat[is_src],
+            lay_src=np.broadcast_to(lay[:-1], is_src.shape)[is_src])
+
         # [link, truncation, span] propagation, in units of the benchmark
-        # power.
+        # power: a row's cross half reads each slot's cross sum, its self
+        # half the self sum and the coherent part times the row's coherence
+        # bracket.  It keeps its zeros above the diagonal, so that a term
+        # whose factor is not finite leaves every row of its system so.
         p = np.ones((n_links, n_spans))
         for row, values in zip(p, p_bmk):
             row[:len(values)] = values
@@ -561,60 +743,47 @@ class _FitData:
                               (n_spans, n_links, n_spans))
         prop = (propagate(stack.transfer.T[:, :, None], eye).transpose(1, 0, 2)
                 * (rate[:, None] / p)[:, :, None])
-        pair = upto[:, :, None] & upto[:, None]  # [link, truncation, span]
+        on = (upto[:, :, None, None] & upto[:, None, None]
+              & np.array([True, True, self.kind.coherent_sci])[:, None])
         first = self.n_rows + np.cumsum(reach) - reach
-        row = (first[:, None] + np.arange(n_spans))[:, :, None]
-        brackets = coherence_brackets(n_spans)[:, None]
-        self._append("self", pair,
-                     prop * (sci_inc[:, None] + brackets * sci_coh[:, None]),
-                     row, upto, phi=stack.phi[j, cut], rate=rate,
-                     roll_cut=roll, acc=abs_acc[j, :, cut])
-        # Cross terms span by span, interferer by interferer.
-        inter = stack.active & (np.arange(stack.f.shape[1]) != cut[:, None])
-        self._append("cross", pair[..., None] & inter[:, None, None],
-                     prop[..., None] * xb[:, None], row[..., None],
-                     upto[:, :, None] & inter[:, None], phi=stack.phi[:, None],
-                     roll_cut=roll, roll_nch=stack.roll[:, None], acc=abs_acc)
+        slot = first[:, None, None, None] + np.arange(n_spans)
+        parts.update(
+            prop_counts=np.stack((on[:, :, 0].sum(axis=-1),
+                                  on[:, :, 1:].sum(axis=(-2, -1))),
+                                 axis=-1)[upto].ravel(),
+            prop_indices=np.broadcast_to(3 * slot + np.arange(3)[:, None],
+                                         on.shape)[on].astype(np.int32),
+            prop_data=np.stack(np.broadcast_arrays(
+                prop, prop, coherence_brackets(n_spans)[:, None] * prop),
+                axis=2)[on])
+        for key, value in parts.items():
+            self._parts[key].append(value)
+        self._n_src += int(is_src.sum())
         self.n_rows += int(reach.sum())
+        self._stacked = self._point = None
 
-    def _append(self, block: str, entries: np.ndarray, matrix: np.ndarray,
-                row: np.ndarray, terms: np.ndarray, **features) -> None:
-        """Append systems' ``[link, truncation, term...]`` matrices where
-        ``entries``, in row-major order, as (row, term, value) triplets;
-        ``row`` broadcasts each entry's residual row, ``terms`` marks each
-        system's ``[link, term...]`` terms, and each feature broadcasts to
-        ``terms`` from its leading link axis."""
-        n_terms = terms.reshape(len(terms), -1).sum(axis=1)
-        first = self._n_cols[block] + np.cumsum(n_terms) - n_terms
-        col = np.cumsum(terms.reshape(len(terms), -1), axis=1) - 1
-        col = (first[:, None] + col).reshape(terms.shape)
-        parts = self._parts[block]
-        values = {
-            "row": np.broadcast_to(row, entries.shape)[entries],
-            "col": np.broadcast_to(col[:, None], entries.shape)[entries],
-            "val": matrix[entries]}
-        for name, value in features.items():
-            value = np.asarray(value, dtype=float)
-            value = value.reshape(value.shape + (1,) * (terms.ndim
-                                                        - value.ndim))
-            values[name] = np.broadcast_to(value, terms.shape)[terms]
-        for key, value in values.items():
-            parts.setdefault(key, []).append(value)
-        self._n_cols[block] += int(n_terms.sum())
-        self._stacked = None
-
-    def _blocks(self) -> dict[str, _TermBlock]:
+    def _stack(self) -> _FitStack:
         if self._stacked is None:
-            self._stacked = {}
-            for block, parts in self._parts.items():
-                arrays = {k: np.concatenate(v) for k, v in parts.items()}
-                # Keep one copy: later systems append to the stacked arrays.
-                self._parts[block] = {k: [v] for k, v in arrays.items()}
-                row, col, val = (arrays.pop(k) for k in ("row", "col", "val"))
-                log = {k: np.log(v, where=v > 0.0, out=np.zeros_like(v))
-                       for k, v in arrays.items() if k != "acc"}
-                self._stacked[block] = _TermBlock(row, col, val, arrays, log)
+            arrays = {k: np.concatenate(v) for k, v in self._parts.items()}
+            # Keep one copy: later systems append to the stacked arrays.
+            self._parts = {k: [v] for k, v in arrays.items()}
+            w = _csr(arrays.pop("w_counts"), arrays.pop("w_indices"),
+                     arrays.pop("w_data"), 2 * self._n_src)
+            prop = _csr(arrays.pop("prop_counts"), arrays.pop("prop_indices"),
+                        arrays.pop("prop_data"), 3 * self.n_rows)
+            feat = arrays["feat"]
+            self._stacked = _FitStack(
+                w=w, prop=prop, log_feat=np.log(feat, where=feat > 0.0,
+                                                out=np.zeros_like(feat)),
+                **arrays)
         return self._stacked
+
+    def _at(self, a: np.ndarray) -> _Point:
+        """The point ``a``: the last one, or a new one."""
+        a = np.asarray(a, dtype=float)
+        if self._point is None or self._point.key != a.tobytes():
+            self._point = _Point(self._stack(), self._slots, a)
+        return self._point
 
     def residual(self, a: np.ndarray) -> np.ndarray:
         """Relative NLI-power error of every system and truncation.
@@ -622,16 +791,14 @@ class _FitData:
         Trial points can overflow to inf/NaN; those propagate into the
         residual, and the solver steps back from them.
         """
-        blocks = self._blocks()
-        s, x = blocks["self"], blocks["cross"]
-        kind = self.kind
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            rho_s = rho_self(kind, a, s.feat["phi"], s.feat["rate"],
-                             s.feat["roll_cut"])(s.feat["acc"])
-            rho_x = rho_cross(kind, a, x.feat["phi"], x.feat["roll_cut"],
-                              x.feat["roll_nch"])(x.feat["acc"])
-            return (s.times(rho_s, self.n_rows) + x.times(rho_x, self.n_rows)
-                    - 1.0)
+            point = self._at(a)
+            if point.residual is None:
+                stack = self._stack()
+                halves = stack.prop @ (stack.w @ point.k.ravel())
+                point.residual = halves[0::2] + halves[1::2] - 1.0
+                point.residual.flags.writeable = False
+        return point.residual
 
     def cost(self, a: np.ndarray) -> float:
         """Sum over systems and truncations of the squared relative
@@ -640,16 +807,23 @@ class _FitData:
         return float(r @ r)
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """d residual / d a as [row, coefficient], built column by column
-        from the analytic partial derivatives of the correction factors."""
-        cfm4 = self.kind is CfmKind.CFM4
-        jac = np.empty((self.n_rows, self.kind.n_coefficients))
+        """d residual / d a as [row, coefficient], from the analytic partial
+        derivatives of the correction factors."""
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for block, t in self._blocks().items():
-                for k, d in rho_partials(RHO_LAYOUT[block], a, t.feat, t.log,
-                                         cfm4):
-                    jac[:, k] = t.times(d, self.n_rows)
-        return jac
+            point = self._at(a)
+            stack = self._stack()
+            lead, bracket = point.partials(stack.log_feat)
+            w, br = stack.w, point.br
+            # w's terms with each value times (pw / br, pw ln br) instead.
+            weighted = np.zeros_like(w.data)
+            np.divide(w.data[1::2], br, out=weighted[0::2],
+                      where=br > _BRACKET_FLOOR)
+            np.multiply(w.data[1::2], np.log(br), out=weighted[1::2])
+            w_log = csr_matrix((weighted, w.indices, w.indptr), shape=w.shape)
+            slots = w @ lead.reshape(-1, _N_SLOTS)
+            slots[:, _O:] += w_log @ bracket.reshape(-1, 2)
+            jac = (stack.prop @ slots).reshape(self.n_rows, -1)
+        return jac[:, self._columns]
 
 
 @one_low_dispersion_warning
@@ -699,37 +873,41 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark) -> FitResult:
     data, seeds = build_fit_data(fit, kind, benchmark)
     initial = fit.initial or assets.shipped_coefficients(kind)
     x0 = np.array(initial.a)
-    cost0 = data.cost(x0)
-
     starts = [x0, np.array(assets.identity_coefficients(kind).a),
               *_restart_points(kind, fit.n_restarts,
                                np.random.default_rng(fit.seed + 17))]
     x_scale = _FIRST_STEP * np.abs(assets.shipped_coefficients(kind).a)
-    # A non-finite (inf or NaN) initial cost is worse than any finite one.
-    bound0 = cost0 if np.isfinite(cost0) else np.inf
-    best_x, best_cost = x0, bound0
-    n_evaluations = 0
-    for start in starts:
-        if not np.isfinite(data.cost(start)):
-            continue  # the solver needs a finite residual to start from
+    records = []
+    best_x, best_cost = x0, np.inf
+    for index, start in enumerate(starts):
+        cost_start = data.cost(start)
+        if not np.isfinite(cost_start):
+            # The solver needs a finite residual to start from.
+            records.append(FitStart(index, cost_start, cost_start, 0, None))
+            continue
         # TRF's first trust region is the scaled norm of its initial
         # vector; solving for the offset from the start makes that a step
-        # of _FIRST_STEP times the shipped magnitudes.
+        # of _FIRST_STEP times the shipped magnitudes.  Its first residual
+        # is the one just computed, which data keeps.
         res = least_squares(lambda d: data.residual(start + d),
                             np.zeros_like(start),
                             jac=lambda d: data.jacobian(start + d),
                             method="trf", x_scale=x_scale,
                             max_nfev=fit.max_iterations)
-        n_evaluations += res.nfev
         cost = float(res.fun @ res.fun)
+        records.append(FitStart(index, cost_start, cost, res.nfev,
+                                res.status))
         if cost < best_cost:
             best_x, best_cost = start + res.x, cost
 
-    improved = best_cost < bound0
+    # A non-finite (inf or NaN) initial cost is worse than any finite one.
+    cost0 = records[0].cost_initial
+    improved = best_cost < (cost0 if np.isfinite(cost0) else np.inf)
     coeffs = ModelCoefficients(a=tuple(float(v) for v in
                                        (best_x if improved else x0)))
     return FitResult(kind=kind, coefficients=coeffs, cost_initial=cost0,
                      cost_final=best_cost if improved else cost0,
                      improved=improved,
-                     n_terms=data.n_rows, n_evaluations=n_evaluations,
-                     train_seeds=seeds)
+                     n_terms=data.n_rows,
+                     n_evaluations=sum(r.n_evaluations for r in records),
+                     train_seeds=seeds, starts=tuple(records))

@@ -202,49 +202,6 @@ def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
     return _rho(RHO_LAYOUT["self"], kind, a, phi_cut, rate, roll_cut=roll_cut)
 
 
-def rho_partials(layout: RhoLayout, a, feat: dict, log: dict, cfm4: bool):
-    """Yield ``(k, d rho / d a_k)`` for every coefficient the correction
-    factor of ``layout`` reads (the roll-offs only if ``cfm4``), from the
-    features ``feat`` by name and their logarithms ``log``, 0 where the
-    feature is 0: a zero-safe power does not move with its exponent.  A
-    floored bracket does not move with its offset."""
-    i = layout.first
-    phi, ln_phi = feat["phi"], log["phi"]
-    p_off, p_sc = zero_safe_pow(phi, a[i + 2]), zero_safe_pow(phi, a[i + 4])
-    scale = a[i + 3] * p_sc
-    b, o, p = layout.bracket
-    raw = feat["acc"] + a[o]
-    br = np.maximum(raw, _BRACKET_FLOOR)
-    pow_br = br ** a[p]
-    inner = 1.0 + a[b] * pow_br
-    if layout.rate is not None:
-        rc, re = layout.rate
-        pow_rate = feat["rate"] ** a[re]
-        inner = inner + a[rc] * pow_rate
-    roll = np.ones_like(phi)
-    roll_pows = []
-    for c, e, name in layout.rolls if cfm4 else ():
-        pow_roll = zero_safe_pow(feat[name], a[e])
-        roll_pows.append((c, e, pow_roll, log[name]))
-        roll = roll + a[c] * pow_roll
-    yield i, roll
-    yield i + 1, p_off * roll
-    yield i + 2, a[i + 1] * p_off * ln_phi * roll
-    yield i + 3, p_sc * inner * roll
-    yield i + 4, a[i + 3] * p_sc * ln_phi * inner * roll
-    if layout.rate is not None:
-        yield rc, scale * pow_rate * roll
-        yield re, scale * a[rc] * pow_rate * log["rate"] * roll
-    yield b, scale * pow_br * roll
-    yield o, np.where(raw > _BRACKET_FLOOR,
-                      scale * a[b] * a[p] * pow_br / br * roll, 0.0)
-    yield p, scale * a[b] * pow_br * np.log(br) * roll
-    core = a[i] + a[i + 1] * p_off + scale * inner
-    for c, e, pow_roll, ln_roll in roll_pows:
-        yield c, core * pow_roll
-        yield e, core * a[c] * pow_roll * ln_roll
-
-
 # ---------------------------------------------------------------------------
 # Propagation
 

@@ -188,6 +188,8 @@ def _parse_channels(nodes: list, n_spans: int) -> CombArrays:
     f, rate, roll = (_numbers([n[k] for n in nodes], "/channels", f"/{k}")
                      for k in ("f_center_thz", "rate_tbaud", "roll_off"))
     launch = np.array(launch, float).reshape(len(nodes), n_spans).T
+    if not nodes:
+        raise ParseError("/channels", "at least one channel required")
     try:
         return CombArrays.columns(f, rate, roll, fmt, active, launch)
     except ValidationError as exc:
@@ -217,7 +219,8 @@ def parse_system(doc: dict) -> LinkSpec:
     try:
         link.validate()
     except ValueError as exc:
-        raise ParseError("", str(exc))
+        # The spans and channels are checked above: only the CUT is left.
+        raise ParseError("/cut_index", str(exc))
     return link
 
 

@@ -62,6 +62,14 @@ def test_error_stats_validation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+    # A width lost in rounding next to the samples is refused: near 1e6 dB
+    # a 1e-12-dB step would come out as one bin a dB wide.
+    for samples, width in (([1e6], 1e-12), ([-1e6, -1e6], 1e-12),
+                           ([0.5], 1e-300)):
+        with pytest.raises(ValueError, match="float resolution"):
+            error_stats(samples, width)
+    st = error_stats([1e6], 1e-9)
+    assert 0.0 < st.bin_edges[1] - st.bin_edges[0] < 2e-9
 
 
 def test_campaign_self_benchmark_is_exact():
@@ -538,13 +546,17 @@ CRITERION_8A_DRAW = dict(n_systems=30, categories=ALL_CATEGORIES,
 FIT_KINDS = (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4)
 
 
-@pytest.fixture(scope="module")
-def criterion_8a_data():
-    """The criterion-8a training set against the shipped CFM2 table, as the
-    stacked structure and as the per-system reference, for each fitted
-    variant."""
+# Three 20-span systems of the paper's 5 THz band, reaching 4, 10 and 20
+# spans.
+PAPER_FIT_DRAW = dict(n_systems=3, categories=(1, 3),
+                      cut_positions=("lowest", "center"), seed=0)
+
+
+def _fit_data(draw: dict) -> dict:
+    """A training set against the shipped CFM2 table, as the stacked
+    structure and as the per-system reference, for each fitted variant."""
     bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
-    kept = [d for d in draw_systems(FitConfig(**CRITERION_8A_DRAW), bmk)
+    kept = [d for d in draw_systems(FitConfig(**draw), bmk)
             if d.excluded is None]
     out = {}
     for kind in FIT_KINDS:
@@ -558,28 +570,138 @@ def criterion_8a_data():
     return out
 
 
+@pytest.fixture(scope="module")
+def criterion_8a_data():
+    """The criterion-8a training set (see _fit_data)."""
+    return _fit_data(CRITERION_8A_DRAW)
+
+
+@pytest.fixture(scope="module")
+def paper_fit_data():
+    """Paper-geometry systems reaching beyond 5 spans (see _fit_data)."""
+    data = _fit_data(PAPER_FIT_DRAW)
+    assert max(s["m_count"] for s in data[CfmKind.CFM2][1].systems) == 20
+    return data
+
+
 @pytest.mark.parametrize("kind", FIT_KINDS)
-def test_stacked_cost_matches_per_system_loop(criterion_8a_data, kind):
-    stacked, loop = criterion_8a_data[kind]
-    assert stacked.n_rows == loop.n_terms
-    shipped = np.array(assets.shipped_coefficients(kind).a)
-    rng = np.random.default_rng(8702)
-    points = [shipped, np.array(assets.identity_coefficients(kind).a)] + [
-        shipped * (1.0 + rng.standard_normal(shipped.size))
-        for _ in range(20)]
-    n_finite = 0
-    for a in points:
-        got, want = stacked.cost(a), loop.cost(a)
-        if np.isfinite(want):
-            n_finite += 1
-            # At the truth table (CFM2) both costs are rounding noise of
-            # ~1e-30; the absolute floor is far below any fitted cost.
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-24)
-        else:
-            assert np.isnan(got) == np.isnan(want)
-            assert np.isinf(got) == np.isinf(want)
-    # The points cover both finite and overflowing costs.
-    assert 2 <= n_finite < len(points)
+def test_stacked_cost_matches_per_system_loop(criterion_8a_data,
+                                              paper_fit_data, kind):
+    # On the criterion-8a set and on 20-span paper-geometry systems, whose
+    # self terms (CFM3/CFM4) take coherence brackets far from 0.
+    for stacked, loop in (criterion_8a_data[kind], paper_fit_data[kind]):
+        assert stacked.n_rows == loop.n_terms
+        shipped = np.array(assets.shipped_coefficients(kind).a)
+        rng = np.random.default_rng(8702)
+        points = [shipped, np.array(assets.identity_coefficients(kind).a)] + [
+            shipped * (1.0 + rng.standard_normal(shipped.size))
+            for _ in range(20)]
+        n_finite = 0
+        for a in points:
+            got, want = stacked.cost(a), loop.cost(a)
+            if np.isfinite(want):
+                n_finite += 1
+                # At the truth table (CFM2) both costs are rounding noise of
+                # ~1e-30; the absolute floor is far below any fitted cost.
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-24)
+            else:
+                assert np.isnan(got) == np.isnan(want)
+                assert np.isinf(got) == np.isinf(want)
+        # The points cover both finite and overflowing costs.
+        assert 2 <= n_finite < len(points)
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_fit_data_stores_each_term_once(paper_fit_data, kind):
+    # One stored value per term (a self term, its coherent part for
+    # CFM3/CFM4, and a cross term per active interferer, per span up to
+    # the reach) and the propagation's [truncation, span] entries of each
+    # part: nothing is stored per truncation and term.
+    stacked, loop = paper_fit_data[kind]
+    stack = stacked._stack()
+    n_parts = 3 if kind.coherent_sci else 2
+    want_terms = want_prop = 0
+    for system in loop.systems:
+        reach = system["m_count"]
+        n_inter = system["xphi"].size // reach
+        want_terms += reach * (n_inter + n_parts - 1)
+        want_prop += n_parts * reach ** 2
+    assert len(stack.acc) == len(stack.lay) == want_terms
+    assert stack.w.nnz == 2 * want_terms
+    assert stack.prop.nnz == want_prop
+    assert stack.w.shape == (3 * stacked.n_rows, 2 * len(stack.feat))
+
+
+def test_a_point_takes_its_powers_once(criterion_8a_data, monkeypatch):
+    # A residual and then a Jacobian at one point take its powers once;
+    # another point takes them anew, and coming back gives the same values.
+    made = []
+
+    class CountingPoint(campaign._Point):
+        def __init__(self, stack, slots, a):
+            made.append(a.tobytes())
+            super().__init__(stack, slots, a)
+
+    monkeypatch.setattr(campaign, "_Point", CountingPoint)
+    kind = CfmKind.CFM4
+    stacked, _loop = criterion_8a_data[kind]
+    a = np.array(assets.shipped_coefficients(kind).a)
+    b = a * 1.01
+    r_a = stacked.residual(a).copy()
+    jac_a = stacked.jacobian(a)
+    assert stacked.cost(a) == r_a @ r_a
+    assert made == [a.tobytes()]
+    stacked.jacobian(b)
+    assert made == [a.tobytes(), b.tobytes()]
+    np.testing.assert_array_equal(stacked.jacobian(a), jac_a)
+    np.testing.assert_array_equal(stacked.residual(a), r_a)
+    assert made == [a.tobytes(), b.tobytes(), a.tobytes()]
+
+
+def test_fit_takes_each_points_powers_once(monkeypatch):
+    # The initial table's cost, the first start's check and the solver's
+    # first residual read one point, as does each Jacobian at the point of
+    # the residual before it.
+    made = []
+
+    class CountingPoint(campaign._Point):
+        def __init__(self, stack, slots, a):
+            made.append(a.tobytes())
+            super().__init__(stack, slots, a)
+
+    monkeypatch.setattr(campaign, "_Point", CountingPoint)
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    cfg = FitConfig(n_systems=2, band_width_thz=0.4, n_spans=3, seed=9,
+                    max_iterations=30, n_restarts=1)
+    res = fit_coefficients(cfg, CfmKind.CFM2, bmk)
+    assert len(made) == len(set(made))
+    assert made[0] == np.array(assets.shipped_coefficients(
+        CfmKind.CFM2).a).tobytes()
+    assert len(made) <= res.n_evaluations
+
+
+def test_fit_records_each_start():
+    # The initial table (whose cost overflows, so it is not solved), the
+    # identity point and two restarts, in order; the evaluations sum.
+    a = list(assets.shipped_coefficients(CfmKind.CFM2).a)
+    a[7] = 1e6
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    cfg = FitConfig(n_systems=2, band_width_thz=0.4, n_spans=3, seed=9,
+                    max_iterations=20, n_restarts=2,
+                    initial=ModelCoefficients(a=tuple(a)))
+    res = fit_coefficients(cfg, CfmKind.CFM2, bmk)
+    assert [s.index for s in res.starts] == [0, 1, 2, 3]
+    first = res.starts[0]
+    assert not np.isfinite(first.cost_initial)
+    assert (first.n_evaluations, first.status) == (0, None)
+    np.testing.assert_equal(res.cost_initial, first.cost_initial)
+    for start in res.starts[1:]:
+        assert np.isfinite(start.cost_initial)
+        assert start.cost_final <= start.cost_initial
+        assert 1 <= start.n_evaluations <= 20
+        assert start.status in (0, 1, 2, 3, 4)
+    assert res.n_evaluations == sum(s.n_evaluations for s in res.starts)
+    assert res.cost_final == min(s.cost_final for s in res.starts[1:])
 
 
 def _central_differences(data, a, rel_step=1e-5):
@@ -595,17 +717,18 @@ def _central_differences(data, a, rel_step=1e-5):
 @pytest.mark.parametrize("kind", FIT_KINDS)
 def test_jacobian_matches_central_differences(criterion_8a_data, kind):
     stacked, _loop = criterion_8a_data[kind]
-    cross = stacked._blocks()["cross"]
+    stack = stacked._stack()
+    cross_acc = stack.acc[stack.lay == campaign._CROSS]
     # The set has Gaussian interferers (phi = 0, whose powers of phi have
     # no exponent derivative).
-    assert np.any(cross.feat["phi"] == 0.0)
+    assert np.any(stack.feat[stack.lay_src == campaign._CROSS, 0] == 0.0)
     shipped = np.array(assets.shipped_coefficients(kind).a)
     rng = np.random.default_rng(8703)
     floored = shipped.copy()
     # A negative cross bracket offset floors every first-span cross term
     # (zero accumulated dispersion), whose bracket then ignores the offset.
     floored[6] = -1.0
-    assert np.any(cross.feat["acc"] + floored[6] <= 1e-12)
+    assert np.any(cross_acc + floored[6] <= 1e-12)
     for a in (shipped, shipped * (1.0 + 0.05 * rng.standard_normal(
             shipped.size)), floored):
         jac = stacked.jacobian(a)

@@ -169,6 +169,13 @@ def test_bad_values_rejected():
     with pytest.raises(fileio.ParseError):
         fileio.parse_system(doc)
 
+    # With no channel at all, the channel list is at fault, not the CUT.
+    doc = json.loads(json.dumps(base))
+    doc["channels"] = []
+    with pytest.raises(fileio.ParseError) as info:
+        fileio.parse_system(doc)
+    assert info.value.pointer == "/channels"
+
     for where, value in BOOLEAN_CASES:
         doc = _with_value(base, where, value)
         with pytest.raises(fileio.ParseError) as info:
@@ -710,6 +717,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps({**doc, where[1:]: value}))
         assert main(["evaluate", str(bad)]) == 3
         assert f"error: {where}: must be an array" in capsys.readouterr().err
+    # Validation error: a CUT out of range, or an inactive one.
+    inactive = json.loads(json.dumps(doc))
+    inactive["channels"][doc["cut_index"]]["active"] = False
+    for case, message in (({**doc, "cut_index": len(doc["channels"])},
+                           "cut_index out of range"),
+                          ({**doc, "cut_index": -1}, "cut_index out of range"),
+                          (inactive, "CUT inactive")):
+        bad.write_text(json.dumps(case))
+        assert main(["evaluate", str(bad)]) == 3
+        assert f"error: /cut_index: {message}" in capsys.readouterr().err
     # Validation error: an integer beyond a float's range, in a system file
     # and in a coefficient file.
     good = tmp_path / "good.json"
