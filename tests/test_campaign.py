@@ -632,9 +632,10 @@ def test_fit_data_stores_each_term_once(paper_fit_data, kind):
     assert stack.w.shape == (3 * stacked.n_rows, 2 * len(stack.feat))
 
 
-def test_a_point_takes_its_powers_once(criterion_8a_data, monkeypatch):
-    # A residual and then a Jacobian at one point take its powers once;
-    # another point takes them anew, and coming back gives the same values.
+@pytest.fixture
+def points_made(monkeypatch) -> list[bytes]:
+    """The coefficient vector of every point whose powers a fit structure
+    takes, as it takes them."""
     made = []
 
     class CountingPoint(campaign._Point):
@@ -643,6 +644,13 @@ def test_a_point_takes_its_powers_once(criterion_8a_data, monkeypatch):
             super().__init__(stack, slots, a)
 
     monkeypatch.setattr(campaign, "_Point", CountingPoint)
+    return made
+
+
+def test_a_point_takes_its_powers_once(criterion_8a_data, points_made):
+    # A residual and then a Jacobian at one point take its powers once;
+    # another point takes them anew, and coming back gives the same values.
+    made = points_made
     kind = CfmKind.CFM4
     stacked, _loop = criterion_8a_data[kind]
     a = np.array(assets.shipped_coefficients(kind).a)
@@ -658,18 +666,11 @@ def test_a_point_takes_its_powers_once(criterion_8a_data, monkeypatch):
     assert made == [a.tobytes(), b.tobytes(), a.tobytes()]
 
 
-def test_fit_takes_each_points_powers_once(monkeypatch):
+def test_fit_takes_each_points_powers_once(points_made):
     # The initial table's cost, the first start's check and the solver's
     # first residual read one point, as does each Jacobian at the point of
     # the residual before it.
-    made = []
-
-    class CountingPoint(campaign._Point):
-        def __init__(self, stack, slots, a):
-            made.append(a.tobytes())
-            super().__init__(stack, slots, a)
-
-    monkeypatch.setattr(campaign, "_Point", CountingPoint)
+    made = points_made
     bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
     cfg = FitConfig(n_systems=2, band_width_thz=0.4, n_spans=3, seed=9,
                     max_iterations=30, n_restarts=1)
