@@ -4,9 +4,9 @@ optimization, a numerical quadrature benchmark, campaigns and coefficient
 fitting.
 """
 
-from .types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                    ModelCoefficients, ModelVariant, ModulationFormat,
-                    SpanConfig, ValidationError, phi_of_format)
+from .types import (CfmKind, FiberParams, LinkSpec, ModelCoefficients,
+                    ModelVariant, ModulationFormat, ValidationError,
+                    phi_of_format)
 from .assets import (fiber_presets, identity_coefficients, model,
                      shipped_coefficients)
 from .cfm import (LowDispersionWarning, ZeroDispersionError, rx_nli_psd,
@@ -29,9 +29,8 @@ from .fileio import (ParseError, load_coefficients, load_system,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CfmKind", "ChannelSpec", "FiberParams", "LinkSpec",
-    "ModelCoefficients", "ModelVariant", "ModulationFormat", "SpanConfig",
-    "ValidationError", "phi_of_format",
+    "CfmKind", "FiberParams", "LinkSpec", "ModelCoefficients",
+    "ModelVariant", "ModulationFormat", "ValidationError", "phi_of_format",
     "fiber_presets", "identity_coefficients", "model",
     "shipped_coefficients",
     "LowDispersionWarning", "ZeroDispersionError", "rx_nli_psd",

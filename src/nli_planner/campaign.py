@@ -1,6 +1,6 @@
-"""Multi-system evaluation campaigns, the span-increment diagnostic, and the
-coefficient-fitting pipeline, whose residual and Jacobian read ``cfm``'s
-correction-factor layout and take each factor once per source and span.
+"""Multi-system evaluation campaigns and the coefficient-fitting pipeline,
+whose residual and Jacobian read ``cfm``'s correction-factor layout and
+take each factor once per source and span.
 
 :func:`draw_systems` screens attempts one at a time and plans and scores
 the screened-in ones in blocks of up to :data:`BLOCK_SIZE`: one stacked
@@ -420,35 +420,6 @@ def run_campaign(cfg: CampaignConfig, benchmark) -> CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# Span-increment diagnostic
-
-
-@one_low_dispersion_warning
-def span_increment_ratio(link: LinkSpec, model_a, model_b
-                         ) -> list[tuple[float, float]]:
-    """Per-span ratio of accumulated-NLI increments of two models.
-
-    Returns (|accumulated dispersion at span start|, increment ratio) pairs;
-    spans with a vanishing denominator increment are skipped.
-    """
-    if link.n_spans < 2:
-        raise ValueError("diagnostic needs at least two spans")
-    c = link.cut_index
-    acc = span_integrals(link.stack).abs_acc()[:, 0, c]
-    out = []
-    prev_a, prev_b = 0.0, 0.0
-    for n in range(1, link.n_spans + 1):
-        cur_a = model_a.rx_psd(link, n)
-        cur_b = model_b.rx_psd(link, n)
-        da, db = cur_a - prev_a, cur_b - prev_b
-        prev_a, prev_b = cur_a, cur_b
-        if db == 0.0:
-            continue
-        out.append((float(acc[n - 1]), da / db))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Coefficient fitting
 
 
@@ -590,7 +561,7 @@ class _Point:
         c = np.append(a, 0.0)[slots]  # [layout, slot]
         op = np.take(c[:, _O:], stack.lay, axis=0)  # [term, (o, p)]
         self.c = c = np.take(c, stack.lay_src, axis=0)  # [source, slot]
-        # A feature of 0 takes 0 for a positive exponent, as zero_safe_pow.
+        # A feature of 0 takes 0 for a positive exponent, as in cfm._rho.
         self.pw = stack.feat ** c[:, _EXP]
         self.lin = lin = c[:, _LIN] * self.pw
         self.sc = lin[:, 1]
@@ -870,8 +841,12 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark) -> FitResult:
     """
     if kind is CfmKind.CFM1:
         raise ValueError("CFM1 has no free parameters to fit")
+    # The initial table's length is checked before any system is drawn; an
+    # empty one is a table of the wrong length, not an absent one.
+    initial = ModelVariant(kind, assets.shipped_coefficients(kind)
+                           if fit.initial is None else fit.initial
+                           ).coefficients
     data, seeds = build_fit_data(fit, kind, benchmark)
-    initial = fit.initial or assets.shipped_coefficients(kind)
     x0 = np.array(initial.a)
     starts = [x0, np.array(assets.identity_coefficients(kind).a),
               *_restart_points(kind, fit.n_restarts,

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.special import sici
 
 from .types import (CfmKind, FiberParams, LinkSpec, LinkStack, ModelVariant,
-                    SpanArrays, ValidationError)
+                    SpanArrays, ValidationError, check_integers)
 
 # Validity bound: below this effective |beta2| (ps^2/km) the closed forms
 # degrade and results are flagged rather than trusted.
@@ -136,21 +136,14 @@ def one_low_dispersion_warning(fn):
 # Correction factors
 
 
-def zero_safe_pow(base, exponent: float):
-    """Element-wise ``base ** exponent`` with ``0 ** p = 0`` for p > 0."""
-    b = np.asarray(base, dtype=float)
-    return np.power(b, exponent, where=(b != 0.0) | (exponent <= 0.0),
-                    out=np.zeros_like(b))
-
-
 @dataclass(frozen=True)
 class RhoLayout:
     """Where a correction factor reads a1..a24 (0-based).  Both factors are
     ``a[i] + a[i+1] phi^a[i+2] + a[i+3] phi^a[i+4] (1 (+ c rate^e) + b br^p)``
     with ``i = first``, ``(c, e) = rate`` and ``br = max(acc + o, floor)``
     for ``(b, o, p) = bracket``, times ``1 + sum c x^e`` over ``rolls``
-    ``(c, e, feature x)`` for CFM4.  Features that can be 0 take
-    :func:`zero_safe_pow`."""
+    ``(c, e, feature x)`` for CFM4.  A feature of 0 (a Phi or a roll-off)
+    takes ``np.power``: 0 for a positive exponent, 1 for a zero one."""
 
     first: int
     rate: tuple[int, int] | None
@@ -171,15 +164,15 @@ def _rho(layout: RhoLayout, kind: CfmKind, a, phi, rate=None, **rolls):
     |accumulated dispersion| (ps^2) at the span input, the one feature that
     changes from span to span; ``rolls`` by feature name.  Broadcasts."""
     i = layout.first
-    offset = a[i] + a[i + 1] * zero_safe_pow(phi, a[i + 2])
-    scale = a[i + 3] * zero_safe_pow(phi, a[i + 4])
+    offset = a[i] + a[i + 1] * np.power(phi, a[i + 2])
+    scale = a[i + 3] * np.power(phi, a[i + 4])
     inner = (1.0 if layout.rate is None
              else 1.0 + a[layout.rate[0]] * rate ** a[layout.rate[1]])
     roll = None
     if kind is CfmKind.CFM4:
         roll = 1.0
         for c, e, name in layout.rolls:
-            roll = roll + a[c] * zero_safe_pow(rolls[name], a[e])
+            roll = roll + a[c] * np.power(rolls[name], a[e])
     b, o, p = layout.bracket
 
     def rho(abs_acc):
@@ -506,9 +499,11 @@ def nli_terms(link: LinkSpec | LinkStack, variant: ModelVariant) -> NliTerms:
 
 
 def _check_n_end(link: LinkSpec, n_end: int | None = None) -> int:
-    """``n_end``, or the span count for None; ValueError out of range."""
+    """``n_end``, or the span count for None; ValueError for a bool, a
+    non-integer or a value out of range."""
     if n_end is None:
         return link.n_spans
+    check_integers(SimpleNamespace(n_end=n_end), "n_end")
     if not 1 <= n_end <= link.n_spans:
         raise ValueError("n_end out of range")
     return n_end

@@ -5,19 +5,19 @@ All channel PSDs are tied to the CUT PSD through fixed multipliers, so the
 receiver NLI PSD is a cubic function of the CUT launch PSD and both the
 span-local and the link-level optima have closed forms (ASE = 2 NLI).
 
-Every step reads a :class:`~nli_planner.types.LinkStack`, a link being a
-stack of one: :func:`optimize_powers` plans a link as the stack of one of
-``_optimize_stack``, which plans many links of one span count with one
-kernel pass per step (each link reads its own RNG, the span-local and
-refinement steps run on ``[span, link]`` arrays, the staged plan re-powers
-the stack, and only the final links are built).
+Every step is one function of a :class:`~nli_planner.types.LinkStack`, a
+link being ``link.stack``: :func:`optimize_powers` plans a link as the
+stack of one of ``_optimize_stack``, which plans many links of one span
+count with one kernel pass per step (each link reads its own RNG, the
+span-local and refinement steps run on ``[span, link]`` arrays, the staged
+plan re-powers the stack, and only the final links are built).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +44,6 @@ class PowerPlan:
     g_cut_per_span: tuple[float, ...]
     xi: tuple[float, ...]  # per channel index; 1.0 at the CUT
     eta_nli: float | None = None
-
-    def scaled(self, factor: float) -> "PowerPlan":
-        return replace(self, g_cut_per_span=tuple(
-            g * factor for g in self.g_cut_per_span))
 
 
 def randomize_launch(link: LinkSpec,
@@ -92,14 +88,6 @@ def _span_eta(stack: LinkStack, xi: np.ndarray) -> tuple[np.ndarray, ...]:
     return terms.base, terms.min_abs_beta2
 
 
-def span_eta(link: LinkSpec, xi: tuple[float, ...]) -> np.ndarray:
-    """Per-span CFM1 NLI PSD at unit CUT PSD, every channel's PSD tied to
-    the CUT's through xi: the kernel on the link with powers xi * R."""
-    eta, min_abs_beta2 = _span_eta(link.stack, _multipliers(link.stack, [xi]))
-    check_dispersion(min_abs_beta2)
-    return eta[:, 0]
-
-
 def _logo(stack: LinkStack, eta: np.ndarray) -> np.ndarray:
     """Span-local optimal CUT PSDs ``[link, span]`` from the ``[span,
     link]`` NLI PSDs ``eta`` at unit CUT PSD: each span's ASE PSD equals
@@ -114,15 +102,6 @@ def _logo(stack: LinkStack, eta: np.ndarray) -> np.ndarray:
     return np.where(flat, PSD_CEILING_W_PER_THZ, g).T
 
 
-def logo_optimize(link: LinkSpec,
-                  xi: tuple[float, ...] | None = None) -> tuple[float, ...]:
-    """Span-local optimal CUT PSDs: the stationary point where each span's
-    ASE PSD equals twice its NLI PSD."""
-    if xi is None:
-        xi = (1.0,) * len(link.comb.f)
-    return tuple(_logo(link.stack, span_eta(link, xi)[:, None])[0].tolist())
-
-
 def _plan_columns(stack: LinkStack, xi: np.ndarray, g: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The ``[link, span, channel]`` launch power and ``[link, span]`` lumped
@@ -134,16 +113,6 @@ def _plan_columns(stack: LinkStack, xi: np.ndarray, g: np.ndarray
     ratio = (g[:, 1:] / g[:, :-1]).tolist()
     gain_db[:, :-1] += [[10.0 * math.log10(r) for r in row] for row in ratio]
     return _tied_power(stack, xi, g), gain_db
-
-
-def apply_power_plan(link: LinkSpec, plan: PowerPlan) -> LinkSpec:
-    """Set per-span channel powers from the plan and re-derive the lumped
-    gains that realize the per-span CUT PSD profile on a transparent link;
-    every other column is the link's."""
-    stack = link.stack
-    power, gain_db = _plan_columns(stack, _multipliers(stack, [plan.xi]),
-                                   np.array([plan.g_cut_per_span]))
-    return _planned_link(link, power[0], gain_db[0])
 
 
 def _planned_link(link: LinkSpec, power: np.ndarray, gain_db: np.ndarray
@@ -164,14 +133,6 @@ def _eta(stack: LinkStack, variant: ModelVariant) -> tuple[np.ndarray, ...]:
     return terms.rx_psd()[-1] / g1 ** 3, terms.min_abs_beta2
 
 
-def eta_nli(link: LinkSpec, variant: ModelVariant) -> float:
-    """Link nonlinearity coefficient: Rx NLI PSD normalized by the cube of
-    the first-span CUT PSD.  Invariant under uniform power scaling."""
-    eta, min_abs_beta2 = _eta(link.stack, variant)
-    check_dispersion(min_abs_beta2)
-    return float(eta[0])
-
-
 def _refine(stack: LinkStack, eta: np.ndarray) -> np.ndarray:
     """Closed-form first-span CUT PSD ``[link]`` maximizing each link's
     receiver SNR, from its nonlinearity coefficient ``eta``."""
@@ -180,11 +141,6 @@ def _refine(stack: LinkStack, eta: np.ndarray) -> np.ndarray:
     rate = _cut(stack, stack.rate)
     ase = rx_ase_psd(stack, _cut(stack, stack.f))[-1]
     return ((ase * rate / rate) / (2.0 * eta)) ** (1.0 / 3.0)
-
-
-def refine_cut_launch(link: LinkSpec, eta: float) -> float:
-    """Closed-form first-span CUT PSD maximizing the receiver SNR."""
-    return float(_refine(link.stack, np.array([eta]))[0])
 
 
 def _optimize_stack(links: Sequence[LinkSpec],
@@ -221,8 +177,9 @@ def optimize_powers(link: LinkSpec, rng: np.random.Generator
     cubic-model refinement of the CUT launch; ``(link, plan)``.
 
     The span-local step always uses CFM1, the refinement always the shipped
-    CFM4: its :func:`eta_nli` on the link planned with the span-local plan,
-    to whose refined first-span PSD that plan's CUT PSDs are then scaled.
+    CFM4: its nonlinearity coefficient on the link planned with the
+    span-local plan, to whose refined first-span PSD that plan's CUT PSDs
+    are then scaled.
     """
     (out,), min_abs_beta2 = _optimize_stack([link], [rng])
     check_dispersion(min_abs_beta2)

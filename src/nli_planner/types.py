@@ -11,9 +11,8 @@ A :class:`LinkSpec` is columns: ``link.comb``, a :class:`CombArrays` of
 noise figures with an index into the distinct fibers.  Both are read-only
 and validated as whole arrays when made (:meth:`CombArrays.columns`,
 :meth:`SpanArrays.columns`), and a change of powers or gains shares every
-other column.  :class:`ChannelSpec` and :class:`SpanConfig` are what
-``link.channels``, ``link.spans`` and ``link.cut`` return: records built
-from the columns on read, never an input.
+other column.  :class:`ChannelSpec` is what ``link.cut`` returns: a record
+of the CUT's columns built on first read, never an input.
 """
 
 from __future__ import annotations
@@ -160,23 +159,9 @@ class FiberParams:
 
 
 @dataclass(frozen=True)
-class SpanConfig:
-    """One fiber span plus its end-of-span lumped gain element.
-
-    ``gain_db`` is the flat lumped power gain at the end of the span; ``None``
-    means transparent (gain exactly offsets the span fiber loss).  The shipped
-    presets have flat loss, so a scalar covers the whole C-band window.
-    """
-
-    fiber: FiberParams
-    length_km: float
-    gain_db: float | None = None
-    noise_figure_db: float = 6.0
-
-
-@dataclass(frozen=True)
 class ChannelSpec:
-    """One WDM channel with its per-span launch powers."""
+    """One WDM channel with its per-span launch powers: the record of a
+    link's CUT columns that ``link.cut`` returns."""
 
     f_center: float  # THz
     symbol_rate: float  # TBaud
@@ -321,9 +306,8 @@ class LinkSpec:
     Every channel is present at the input of every span with the same
     frequency, rate, roll-off, format and activity; its launch power into
     span ``n`` is ``comb.launch[n]``.  A link is its columns, ``comb`` and
-    ``span_arrays``; ``channels``, ``spans`` and ``cut``
-    (``channels[cut_index]``) build objects from them on read.  Equality
-    and hashing read the columns.
+    ``span_arrays``; ``cut`` builds the CUT's record from them on first
+    read.  Equality and hashing read the columns.
     """
 
     comb: CombArrays
@@ -341,27 +325,11 @@ class LinkSpec:
         return len(self.span_arrays.length)
 
     @functools.cached_property
-    def channels(self) -> tuple[ChannelSpec, ...]:
-        return tuple(map(self._channel, range(len(self.comb.f))))
-
-    @functools.cached_property
     def cut(self) -> ChannelSpec:
-        return self._channel(self.cut_index)
-
-    def _channel(self, i: int) -> ChannelSpec:
-        c = self.comb
+        c, i = self.comb, self.cut_index
         return ChannelSpec(float(c.f[i]), float(c.rate[i]), float(c.roll[i]),
                            FORMATS[c.fmt[i]], tuple(c.launch[:, i].tolist()),
                            bool(c.active[i]))
-
-    @functools.cached_property
-    def spans(self) -> tuple[SpanConfig, ...]:
-        s = self.span_arrays
-        return tuple(SpanConfig(s.fibers[k], km, None if t else g, nf)
-                     for k, km, g, t, nf in zip(
-                         s.fiber.tolist(), s.length.tolist(),
-                         s.gain_db.tolist(), s.transparent.tolist(),
-                         s.nf_db.tolist()))
 
     def _key(self) -> tuple:
         c, s = self.comb, self.span_arrays

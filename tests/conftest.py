@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,27 @@ import pytest
 from nli_planner import sysgen
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import (FORMAT_CODE, ChannelSpec, CombArrays,
+from nli_planner.types import (FORMAT_CODE, FORMATS, ChannelSpec, CombArrays,
                                FiberParams, LinkSpec, ModulationFormat,
-                               SpanArrays, SpanConfig)
+                               SpanArrays)
+
+
+@dataclass(frozen=True)
+class SpanConfig:
+    """One fiber span plus its end-of-span lumped gain: ``gain_db`` None
+    where transparent (the gain offsets the span's fiber loss)."""
+
+    fiber: FiberParams
+    length_km: float
+    gain_db: float | None = None
+    noise_figure_db: float = 6.0
 
 
 def link_of(spans, channels, cut_index: int,
             flags: tuple[str, ...] = ()) -> LinkSpec:
-    """The link of span and channel objects, made from their columns: a
-    link is its columns, and the objects are only what its views return."""
+    """The link of span and channel records, made from their columns: a
+    link is its columns, and the records are only what :func:`spans_of`
+    and :func:`channels_of` read back from them."""
     comb = CombArrays.columns(
         [c.f_center for c in channels], [c.symbol_rate for c in channels],
         [c.roll_off for c in channels],
@@ -29,6 +42,38 @@ def link_of(spans, channels, cut_index: int,
         [s.fiber for s in spans], [s.length_km for s in spans],
         [s.gain_db for s in spans], [s.noise_figure_db for s in spans])
     return LinkSpec(comb, span_arrays, cut_index, flags)
+
+
+def channels_of(link: LinkSpec) -> tuple[ChannelSpec, ...]:
+    """The link's channels as records of its comb columns, the inverse of
+    :func:`link_of`; ``channels_of(link)[link.cut_index] == link.cut``."""
+    return _channel_records(link.comb)
+
+
+def spans_of(link: LinkSpec) -> tuple[SpanConfig, ...]:
+    """The link's spans as records of its span columns, the inverse of
+    :func:`link_of`."""
+    return _span_records(link.span_arrays)
+
+
+# The columns hash by identity, so a cached record tuple is that of the one
+# set of read-only columns it was built from.
+@functools.lru_cache(maxsize=64)
+def _channel_records(c: CombArrays) -> tuple[ChannelSpec, ...]:
+    return tuple(ChannelSpec(f, rate, roll, FORMATS[code], tuple(powers),
+                             active)
+                 for f, rate, roll, code, powers, active in zip(
+                     c.f.tolist(), c.rate.tolist(), c.roll.tolist(),
+                     c.fmt.tolist(), c.launch.T.tolist(),
+                     c.active.tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _span_records(s: SpanArrays) -> tuple[SpanConfig, ...]:
+    return tuple(SpanConfig(s.fibers[k], km, None if t else g, nf)
+                 for k, km, g, t, nf in zip(
+                     s.fiber.tolist(), s.length.tolist(), s.gain_db.tolist(),
+                     s.transparent.tolist(), s.nf_db.tolist()))
 
 
 def generate_comb(cfg: GeneratorConfig, rng: np.random.Generator
@@ -76,8 +121,9 @@ def permute_comb(link: LinkSpec, seed: int) -> tuple[LinkSpec, np.ndarray]:
     """The link with its channels in a random order and ``cut_index``
     pointing at the same channel, and the order: channel ``k`` of the
     permuted link is channel ``perm[k]`` of ``link``."""
-    perm = np.random.default_rng(seed).permutation(len(link.channels))
-    return link_of(link.spans, [link.channels[i] for i in perm],
+    channels = channels_of(link)
+    perm = np.random.default_rng(seed).permutation(len(channels))
+    return link_of(spans_of(link), [channels[i] for i in perm],
                    int(np.argmax(perm == link.cut_index)), link.flags), perm
 
 

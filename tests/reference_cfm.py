@@ -14,10 +14,11 @@ import warnings
 from scipy.constants import h as PLANCK_J_S
 from scipy.special import sici
 
+from conftest import SpanConfig, channels_of, spans_of
 from nli_planner.cfm import (MIN_ABS_BETA2, LowDispersionWarning,
                              ZeroDispersionError)
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModelVariant, SpanConfig, phi_of_format)
+                               ModelVariant, phi_of_format)
 
 _BRACKET_FLOOR = 1e-12
 _THZ = 1e12
@@ -122,7 +123,7 @@ def beta2_acc(link: LinkSpec, span_index: int, channel: ChannelSpec,
     f_other = (cut or channel).f_center
     total = 0.0
     for k in range(span_index):
-        span = link.spans[k]
+        span = spans_of(link)[k]
         total += effective_beta2_xci(span.fiber, channel.f_center, f_other) \
             * span.length_km
     return total
@@ -196,10 +197,10 @@ def xci_terms(link: LinkSpec, variant: ModelVariant,
     order, in each of the first ``n_end`` spans.  A pair's closed form is
     computed once per fiber, and its accumulated dispersion summed span by
     span as :func:`beta2_acc` sums it."""
-    spans = link.spans[:n_end]
-    cut = link.channels[link.cut_index]
+    spans = spans_of(link)[:n_end]
+    cut = link.cut
     out: list[list[float]] = [[] for _ in spans]
-    for idx, nch in enumerate(link.channels):
+    for idx, nch in enumerate(channels_of(link)):
         if idx == link.cut_index or not nch.active:
             continue
         forms: dict[FiberParams, float] = {}
@@ -221,8 +222,8 @@ def span_nli_psd(link: LinkSpec, span_index: int, variant: ModelVariant,
 
     ``n_span_total`` binds the coherent self-term span count for CFM3/CFM4.
     """
-    span = link.spans[span_index]
-    cut = link.channels[link.cut_index]
+    span = spans_of(link)[span_index]
+    cut = link.cut
     if variant.kind.coherent_sci:
         i_cut = i_cut_coherent(span, cut, n_span_total)
     else:
@@ -240,7 +241,7 @@ def propagation_factor(link: LinkSpec, first: int, last: int) -> float:
     """Power gain/loss product of spans ``first..last-1`` (0-based, half-open)."""
     out = 1.0
     for k in range(first, last):
-        span = link.spans[k]
+        span = spans_of(link)[k]
         out *= gain_lin(span) * span_loss_lin(span)
     return out
 
@@ -276,7 +277,7 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
     f, r = cut.f_center, cut.symbol_rate
     total = 0.0
     for k in range(n_end):
-        span = link.spans[k]
+        span = spans_of(link)[k]
         gain = gain_lin(span)
         if gain <= 1.0:
             continue
@@ -289,8 +290,8 @@ def ase_power(link: LinkSpec, n_end: int) -> float:
 
 def snr(link: LinkSpec, variant: ModelVariant, n_end: int) -> float:
     """Received CUT SNR (dB), inclusive of ASE and NLI noise."""
-    span = link.spans[n_end - 1]
-    cut = link.channels[link.cut_index]
+    span = spans_of(link)[n_end - 1]
+    cut = link.cut
     p_rx = (cut.power_w_per_span[n_end - 1] * span_loss_lin(span)
             * gain_lin(span))
     p_nli = rx_nli_psd(link, variant, n_end) * cut.symbol_rate

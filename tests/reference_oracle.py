@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from nli_planner.types import ChannelSpec, SpanConfig
+from conftest import SpanConfig
+from nli_planner.types import ChannelSpec
 from reference_cfm import gain_lin, span_loss_lin
 
 

@@ -13,8 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (generate_comb, generate_link, link_of, make_system,
-                      with_powers)
+from conftest import (channels_of, generate_comb, generate_link, link_of,
+                      make_system, spans_of, with_powers)
 from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, SystemDraw, draw_systems,
@@ -67,7 +67,7 @@ def test_criterion_1_correction_factor_fidelity():
                                optimize=False)
             n = int(rng.integers(link.n_spans))
             cut = link.cut
-            comb = link.channels
+            comb = channels_of(link)
             others = [i for i in range(len(comb)) if i != link.cut_index]
             nch = comb[int(rng.choice(others))]
 
@@ -145,9 +145,9 @@ def test_criterion_3_cubic_homogeneity():
         s = float(rng.uniform(0.2, 5.0))
         base = rx_nli_psd(link, variant, link.n_spans)
         scaled = link_of(
-            link.spans,
+            spans_of(link),
             [with_powers(c, [p * s for p in c.power_w_per_span])
-             for c in link.channels],
+             for c in channels_of(link)],
             link.cut_index)
         got = rx_nli_psd(scaled, variant, link.n_spans)
         worst = max(worst, abs(got - base * s ** 3) / (base * s ** 3))
@@ -267,9 +267,9 @@ def test_criterion_7_launch_power_stationarity():
         def neg_snr(log_s, link=link):
             s = math.exp(log_s)
             scaled = link_of(
-                link.spans,
+                spans_of(link),
                 [with_powers(c, [p * s for p in c.power_w_per_span])
-                 for c in link.channels],
+                 for c in channels_of(link)],
                 link.cut_index)
             return -snr(scaled, variant, link.n_spans)
 

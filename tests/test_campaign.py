@@ -12,11 +12,12 @@ from nli_planner import assets, campaign, cfm
 from nli_planner.campaign import (UNREACHABLE, CampaignConfig, CfmBenchmark,
                                   FitConfig, GnOracleBenchmark, _FitData,
                                   build_fit_data, draw_systems, error_stats,
-                                  fit_coefficients, run_campaign,
-                                  span_increment_ratio)
-from nli_planner.cfm import LowDispersionWarning
+                                  fit_coefficients, run_campaign)
+from nli_planner.cfm import (LowDispersionWarning, one_low_dispersion_warning,
+                             span_integrals)
 from nli_planner.sysgen import LOW_DISPERSION_FLAG
-from nli_planner.types import CfmKind, ModelCoefficients, ModelVariant
+from nli_planner.types import (CfmKind, LinkSpec, ModelCoefficients,
+                               ModelVariant, ValidationError)
 from reference_draw import draw_one_at_a_time
 from reference_fit import LoopFitData
 
@@ -103,6 +104,31 @@ def test_campaign_mixes_positions():
     assert set(res.stats) == {("cfm1", "lowest"), ("cfm1", "highest")}
 
 
+@one_low_dispersion_warning
+def span_increment_ratio(link: LinkSpec, model_a, model_b
+                         ) -> list[tuple[float, float]]:
+    """Per-span ratio of accumulated-NLI increments of two models.
+
+    Returns (|accumulated dispersion at span start|, increment ratio) pairs;
+    spans with a vanishing denominator increment are skipped.
+    """
+    if link.n_spans < 2:
+        raise ValueError("diagnostic needs at least two spans")
+    c = link.cut_index
+    acc = span_integrals(link.stack).abs_acc()[:, 0, c]
+    out = []
+    prev_a, prev_b = 0.0, 0.0
+    for n in range(1, link.n_spans + 1):
+        cur_a = model_a.rx_psd(link, n)
+        cur_b = model_b.rx_psd(link, n)
+        da, db = cur_a - prev_a, cur_b - prev_b
+        prev_a, prev_b = cur_a, cur_b
+        if db == 0.0:
+            continue
+        out.append((float(acc[n - 1]), da / db))
+    return out
+
+
 def test_span_increment_ratio():
     link = make_system(70, n_spans=5)
     m1 = CfmBenchmark(assets.model(CfmKind.CFM1))
@@ -136,6 +162,22 @@ def test_fit_rejects_parameterless_variant():
     bmk = CfmBenchmark(assets.model(CfmKind.CFM1))
     with pytest.raises(ValueError):
         fit_coefficients(FitConfig(n_systems=1), CfmKind.CFM1, bmk)
+
+
+def test_fit_checks_the_initial_table_before_drawing(monkeypatch):
+    # An initial table of the wrong length is refused, naming both counts,
+    # before a single training system is drawn.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("draw_systems called")
+
+    monkeypatch.setattr(campaign, "draw_systems", no_draw)
+    bmk = CfmBenchmark(assets.model(CfmKind.CFM2))
+    for n in (24, 10, 0):
+        cfg = FitConfig(n_systems=3, band_width_thz=0.4, n_spans=3, seed=9,
+                        initial=ModelCoefficients(a=(1.0,) * n))
+        with pytest.raises(ValidationError,
+                           match=f"cfm2 expects 18 coefficients, got {n}"):
+            fit_coefficients(cfg, CfmKind.CFM2, bmk)
 
 
 def test_fit_never_worsens():

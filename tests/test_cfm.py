@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import reference_cfm as ref
-from conftest import (link_of, make_single_channel_link, make_system,
-                      make_zero_dispersion_link, with_powers)
+from conftest import (SpanConfig, channels_of, link_of,
+                      make_single_channel_link, make_system,
+                      make_zero_dispersion_link, spans_of, with_powers)
 from nli_planner import assets, campaign, cfm, fileio
 from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
                              ZeroDispersionError, coherence_brackets,
@@ -31,7 +32,7 @@ from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                LinkStack, ModelVariant, ModulationFormat,
-                               SpanConfig, phi_of_format)
+                               phi_of_format)
 from reference_cfm import (beta2_acc, coherence_bracket, effective_beta2_cut,
                            harmonic_number, i_cut_coherent, i_cut_incoherent,
                            i_xci, propagation_factor, sine_integral)
@@ -113,7 +114,7 @@ def _mp_i_cut(two_alpha, b2_abs, rate):
 
 def test_i_cut_incoherent_vs_mpmath():
     link = make_single_channel_link()
-    span, cut = link.spans[0], link.cut
+    span, cut = spans_of(link)[0], link.cut
     expected = _mp_i_cut(mpmath.mpf(span.fiber.two_alpha),
                          abs(effective_beta2_cut(span.fiber, cut.f_center)),
                          mpmath.mpf(cut.symbol_rate))
@@ -123,14 +124,14 @@ def test_i_cut_incoherent_vs_mpmath():
 
 def test_i_cut_coherent_reduces_to_incoherent_at_one_span():
     link = make_single_channel_link()
-    span, cut = link.spans[0], link.cut
+    span, cut = spans_of(link)[0], link.cut
     assert i_cut_coherent(span, cut, 1) == pytest.approx(
         i_cut_incoherent(span, cut), rel=1e-15)
 
 
 def test_i_cut_coherent_vs_mpmath():
     link = make_single_channel_link()
-    span, cut = link.spans[0], link.cut
+    span, cut = spans_of(link)[0], link.cut
     n_tot = 12
     b2 = mpmath.mpf(abs(effective_beta2_cut(span.fiber, cut.f_center)))
     two_a = mpmath.mpf(span.fiber.two_alpha)
@@ -148,7 +149,7 @@ def test_i_cut_coherent_vs_mpmath():
 
 def test_i_xci_vs_mpmath():
     link = make_single_channel_link()
-    span, cut = link.spans[0], link.cut
+    span, cut = spans_of(link)[0], link.cut
     nch = ChannelSpec(f_center=cut.f_center + 0.1, symbol_rate=0.032,
                       roll_off=0.1, format=ModulationFormat.PM_64QAM,
                       power_w_per_span=(1e-3,))
@@ -165,7 +166,7 @@ def test_i_xci_vs_mpmath():
 
 def test_i_xci_symmetric_in_detuning_sign():
     link = make_single_channel_link()
-    span, cut = link.spans[0], link.cut
+    span, cut = spans_of(link)[0], link.cut
 
     def neighbor(df):
         return ChannelSpec(f_center=cut.f_center + df, symbol_rate=0.032,
@@ -233,9 +234,8 @@ def test_correction_factors_vs_mpmath(kind):
                            band_width=0.5)
         span_index = int(rng.integers(n_spans))
         cut = link.cut
-        others = [i for i in range(len(link.channels))
-                  if i != link.cut_index]
-        nch = link.channels[int(rng.choice(others))]
+        others = [i for i in range(len(link.comb.f)) if i != link.cut_index]
+        nch = channels_of(link)[int(rng.choice(others))]
 
         a_pkg = variant.coefficients.a
         acc = abs(beta2_acc(link, span_index, nch, cut))
@@ -280,7 +280,7 @@ def test_layout_assigns_each_coefficient_once(kind):
 def test_identity_coefficients_give_unit_factors():
     link = make_system(3, n_spans=3)
     cut = link.cut
-    nch = link.channels[0 if link.cut_index != 0 else 1]
+    nch = channels_of(link)[0 if link.cut_index != 0 else 1]
     acc_x = abs(beta2_acc(link, 2, nch, cut))
     acc_c = abs(beta2_acc(link, 2, cut))
     for kind in (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4):
@@ -328,17 +328,18 @@ def test_beta2_acc_is_cumulative():
     link = make_system(5)
     cut, c = link.cut, link.cut_index
     acc = _abs_acc(link)
+    spans = spans_of(link)
     manual = 0.0
     for n in range(link.n_spans):
         assert acc[n][c, c] == pytest.approx(abs(manual), rel=1e-12)
         assert beta2_acc(link, n, cut) == pytest.approx(manual, rel=1e-12)
-        manual += effective_beta2_cut(link.spans[n].fiber, cut.f_center) \
-            * link.spans[n].length_km
+        manual += effective_beta2_cut(spans[n].fiber, cut.f_center) \
+            * spans[n].length_km
     # Pair form against an interferer differs from the self form.
     j = 0 if c != 0 else 1
-    nch = link.channels[j]
-    want = sum(effective_beta2_xci(link.spans[k].fiber, nch.f_center,
-                                   cut.f_center) * link.spans[k].length_km
+    nch = channels_of(link)[j]
+    want = sum(effective_beta2_xci(spans[k].fiber, nch.f_center,
+                                   cut.f_center) * spans[k].length_km
                for k in range(2))
     assert acc[2][c, j] == pytest.approx(abs(want), rel=1e-12)
     assert beta2_acc(link, 2, nch, cut) == pytest.approx(want, rel=1e-12)
@@ -367,9 +368,9 @@ def test_cubic_power_scaling_property(scale, seed):
     variant = assets.model(CfmKind.CFM4)
     base = rx_nli_psd(link, variant, link.n_spans)
     scaled = link_of(
-        link.spans,
+        spans_of(link),
         [with_powers(c, [p * scale for p in c.power_w_per_span])
-         for c in link.channels],
+         for c in channels_of(link)],
         link.cut_index)
     assert rx_nli_psd(scaled, variant, link.n_spans) == pytest.approx(
         base * scale ** 3, rel=1e-9)
@@ -394,9 +395,9 @@ def test_inactive_channels_do_not_contribute():
     link = make_system(9, optimize=False)
     variant = assets.model(CfmKind.CFM1)
     victim = 0 if link.cut_index != 0 else 1
-    pruned = link_of(link.spans, [
+    pruned = link_of(spans_of(link), [
         replace(c, active=False) if i == victim else c
-        for i, c in enumerate(link.channels)], link.cut_index, link.flags)
+        for i, c in enumerate(channels_of(link))], link.cut_index, link.flags)
     assert rx_nli_psd(pruned, variant, link.n_spans) \
         < rx_nli_psd(link, variant, link.n_spans)
 
@@ -412,7 +413,7 @@ def test_vectorized_matches_scalar(kind):
             want = ref.rx_nli_psd(link, variant, n_end)
             assert got == pytest.approx(want, rel=1e-9)
             # Every active channel agrees with a scalar run as CUT.
-            for idx, ch in enumerate(link.channels):
+            for idx, ch in enumerate(channels_of(link)):
                 if not ch.active:
                     assert math.isnan(vec[idx])
                     continue
@@ -459,7 +460,7 @@ def test_kernel_matches_reference_paper_link(paper_link, kind):
     variant = assets.model(kind)
     rx = nli_terms(link, variant).rx_psd()
     worst = 0.0
-    for idx, ch in enumerate(link.channels):
+    for idx, ch in enumerate(channels_of(link)):
         if not ch.active:
             assert np.isnan(rx[:, idx]).all()
             continue
@@ -604,7 +605,7 @@ def _assert_kernel_matches_reference(link):
         variant = assets.model(kind)
         full = nli_terms(link, variant).rx_psd()
         cut = nli_terms(link.stack, variant).rx_psd()[:, 0]
-        for idx, ch in enumerate(link.channels):
+        for idx, ch in enumerate(channels_of(link)):
             if not ch.active:
                 assert np.isnan(full[:, idx]).all()
                 continue

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (link_of, make_single_channel_link, make_system,
-                      make_zero_dispersion_link)
+from conftest import (channels_of, link_of, make_single_channel_link,
+                      make_system, make_zero_dispersion_link, spans_of)
 from nli_planner import assets, cfm, cli, fileio
 from nli_planner.cli import main
 from nli_planner.oracle import gn_rx_psd, gn_span_psds
@@ -20,7 +20,7 @@ from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, CombArrays, FiberParams,
                                LinkSpec, ModelCoefficients, ModulationFormat,
-                               SpanArrays, SpanConfig)
+                               SpanArrays)
 
 
 def _drawn_link(seed: int, category: int, n_spans: int, position: str,
@@ -57,8 +57,8 @@ def test_system_round_trip():
     doc2 = json.loads(json.dumps(doc))
     assert fileio.parse_system(doc2) == fileio.parse_system(doc)
     restored = fileio.parse_system(doc)
-    assert restored.spans == link.spans
-    assert restored.channels == link.channels
+    assert spans_of(restored) == spans_of(link)
+    assert channels_of(restored) == channels_of(link)
     assert restored.cut_index == link.cut_index
 
 
@@ -66,7 +66,7 @@ def test_system_file_io(tmp_path):
     link = make_system(81)
     path = tmp_path / "sys.json"
     fileio.save_system(link, path)
-    assert fileio.load_system(path).channels == link.channels
+    assert channels_of(fileio.load_system(path)) == channels_of(link)
 
 
 def test_saved_system_is_the_json_document(tmp_path):
@@ -75,13 +75,14 @@ def test_saved_system_is_the_json_document(tmp_path):
     link = make_system(86, category=3, band_width=1.0)
     inline = FiberParams(alpha_db_per_km=0.2, beta2=-20.0, beta3=0.1,
                          gamma=1.1, f_ref=193.0)
-    link = link_of((replace(link.spans[0], fiber=inline), *link.spans[1:]),
-                   link.channels, link.cut_index)
+    first, *rest = spans_of(link)
+    link = link_of((replace(first, fiber=inline), *rest), channels_of(link),
+                   link.cut_index)
     path = tmp_path / "sys.json"
     fileio.save_system(link, path)
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == fileio.system_to_json(link)
-    assert len(text.splitlines()) == link.n_spans + len(link.channels) + 8
+    assert len(text.splitlines()) == link.n_spans + len(channels_of(link)) + 8
     assert fileio.load_system(path) == link
     fileio.save_system(fileio.load_system(path), path)
     assert path.read_text(encoding="utf-8") == text
@@ -289,7 +290,7 @@ def test_inline_fiber_round_trip():
         "alpha_db_per_km": 0.2, "beta2_ps2_per_km": -20.0,
         "beta3_ps3_per_km": 0.0, "gamma_per_w_km": 1.1, "f_ref_thz": 193.0}
     restored = fileio.parse_system(doc)
-    assert restored.spans[0].fiber.beta2 == -20.0
+    assert spans_of(restored)[0].fiber.beta2 == -20.0
     doc2 = fileio.system_to_json(restored)
     assert doc2["spans"][0]["fiber"]["beta2_ps2_per_km"] == -20.0
 
@@ -397,10 +398,10 @@ def test_cli_evaluate_all_channels_is_one_kernel_pass(tmp_path, monkeypatch):
 
 
 def _count_view_builds(monkeypatch) -> list:
-    """The class name of every CombArrays, SpanArrays, ChannelSpec and
-    SpanConfig made from now on, in order."""
+    """The class name of every CombArrays, SpanArrays and ChannelSpec made
+    from now on, in order."""
     builds = []
-    for cls in (CombArrays, SpanArrays, ChannelSpec, SpanConfig):
+    for cls in (CombArrays, SpanArrays, ChannelSpec):
         def counting(self, *args, cls=cls, init=cls.__init__, **kwargs):
             builds.append(cls.__name__)
             init(self, *args, **kwargs)
@@ -411,8 +412,7 @@ def _count_view_builds(monkeypatch) -> list:
 
 def test_cli_evaluate_builds_each_view_once(tmp_path, monkeypatch):
     # Kernel pass and report read the columns the loaded link carries: one
-    # comb and one span view, whatever the mode, and no channel or span
-    # objects.
+    # comb and one span view, whatever the mode, and no channel record.
     sys_path = _gen(tmp_path)
     builds = _count_view_builds(monkeypatch)
     out = tmp_path / "res.json"
@@ -525,7 +525,7 @@ def test_cli_oracle_power_uses_the_band_holding_f_eval(tmp_path, capsys,
                       format=ModulationFormat.PM_16QAM,
                       power_w_per_span=(0.001,))
     sys_path = tmp_path / "sys.json"
-    fileio.save_system(link_of(link.spans, (link.channels[0], nch), 0),
+    fileio.save_system(link_of(spans_of(link), (link.cut, nch), 0),
                        sys_path)
     assert main(["oracle", str(sys_path), "--f-eval-thz", str(f_eval)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -549,8 +549,8 @@ def test_cli_oracle_power_prefers_the_cut_where_bands_overlap(tmp_path,
                     power_w_per_span=(0.001,), active=active)
         for rate, active in ((0.048, False), (0.032, True)))
     sys_path = tmp_path / "sys.json"
-    fileio.save_system(link_of(link.spans, (*neighbours, link.channels[0]),
-                               2), sys_path)
+    fileio.save_system(link_of(spans_of(link), (*neighbours, link.cut), 2),
+                       sys_path)
     for f_eval, rate in ((193.82, 0.064), (193.84, 0.032)):
         assert main(["oracle", str(sys_path), "--f-eval-thz",
                      str(f_eval)]) == 0
@@ -578,7 +578,7 @@ def test_cli_oracle_outside_the_combs_reach(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rx_nli_psd_w_per_thz"] == 0.0
     assert doc["nli_power_w"] is None
-    n_ch = sum(c.active for c in fileio.load_system(sys_path).channels)
+    n_ch = sum(c.active for c in channels_of(fileio.load_system(sys_path)))
     assert doc["spans"] == [
         {"points_per_channel": 0, "rel_change": 0.0, "pairs_kept": 0,
          "pairs_pruned": n_ch * (n_ch + 1) // 2}] * 2

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import reference_oracle as ref
-from conftest import (link_of, make_single_channel_link, make_system,
-                      permute_comb)
+from conftest import (SpanConfig, channels_of, link_of,
+                      make_single_channel_link, make_system, permute_comb,
+                      spans_of)
 from reference_cfm import gain_lin, span_loss_lin
 from nli_planner.campaign import GnOracleBenchmark
 from nli_planner.cfm import propagate, rx_nli_psd
@@ -28,7 +29,7 @@ from nli_planner.oracle import (QuadratureConfig, QuadratureError,
                                 gn_span_psds)
 from nli_planner.sysgen import CUT_POSITIONS, GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
-                               ModulationFormat, SpanConfig, ValidationError)
+                               ModulationFormat, ValidationError)
 
 
 def _breakpoints(a, b, points):
@@ -89,7 +90,7 @@ def _reference_iterated_quad(span, comb, f_eval, span_index=0):
 
 def test_span_psd_single_channel_vs_dblquad():
     link = make_single_channel_link(rate=0.032, power_w=0.001)
-    want = _reference_iterated_quad(link.spans[0], link.channels,
+    want = _reference_iterated_quad(spans_of(link)[0], channels_of(link),
                                     link.cut.f_center)
     got = gn_span_psd(link, link.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
@@ -105,9 +106,10 @@ def test_span_psd_two_channels_vs_dblquad():
                       symbol_rate=0.032, roll_off=0.1,
                       format=ModulationFormat.PM_64QAM,
                       power_w_per_span=(0.0012,))
-    comb = (link.channels[0], nch)
-    link2 = link_of(link.spans, comb, 0)
-    want = _reference_iterated_quad(link2.spans[0], comb, link2.cut.f_center)
+    comb = (link.cut, nch)
+    link2 = link_of(spans_of(link), comb, 0)
+    want = _reference_iterated_quad(spans_of(link)[0], comb,
+                                    link2.cut.f_center)
     got = gn_span_psd(link2, link2.cut.f_center,
                       QuadratureConfig(rel_tol=0.002, max_points_per_channel=4096))
     assert got == pytest.approx(want, rel=5e-3)
@@ -132,8 +134,9 @@ def test_inactive_channels_excluded():
                         symbol_rate=0.032, roll_off=0.1,
                         format=ModulationFormat.PM_64QAM,
                         power_w_per_span=(0.0012,), active=False)
-    comb = (link.channels[0], ghost)
-    with_ghost = gn_span_psd(link_of(link.spans, comb, 0), link.cut.f_center)
+    comb = (link.cut, ghost)
+    with_ghost = gn_span_psd(link_of(spans_of(link), comb, 0),
+                             link.cut.f_center)
     alone = gn_span_psd(link, link.cut.f_center)
     assert with_ghost == pytest.approx(alone, rel=1e-12)
 
@@ -153,7 +156,7 @@ def test_quadrature_failure_reports_where_it_stopped(points, cap, last):
     # channel runs 12, 24, ..., 192 under a 256 cap, never 384) and reports
     # that level and the relative change between the last two levels.
     link = make_single_channel_link(rate=0.064)
-    span, comb, f = link.spans[0], link.channels, link.cut.f_center
+    span, comb, f = spans_of(link)[0], channels_of(link), link.cut.f_center
     q = QuadratureConfig(points_per_channel=points, rel_tol=1e-12,
                          max_points_per_channel=cap)
     with pytest.raises(QuadratureError) as err:
@@ -206,32 +209,33 @@ def _level_case(name: str):
         link = make_system(4100 + category, category=category,
                            band_width=2.0, n_spans=6, cut_position=position)
         n = category % link.n_spans
-        return link.spans[n], link.channels, link.cut.f_center, n
+        return spans_of(link)[n], channels_of(link), link.cut.f_center, n
     if name == "half-loaded":
         link = make_system(4117, category=2, band_width=2.0, n_spans=6)
-        comb = link.channels
+        comb = channels_of(link)
         assert 0 < sum(not c.active for c in comb) < len(comb) - 1
-        return link.spans[5], comb, link.cut.f_center, 5
+        return spans_of(link)[5], comb, link.cut.f_center, 5
     if name == "ultra-dense-overlap":
         cfg = GeneratorConfig(category=1, band_width=0.25, n_spans=2,
                               ultra_dense_fraction=1.0,
                               dense_separation="center_spacing")
         link = generate_system(cfg, np.random.default_rng(4120))
-        comb = link.channels
+        comb = channels_of(link)
         # Neighbouring channels overlap.
         assert any(b.f_center - a.f_center
                    < (a.symbol_rate + b.symbol_rate) / 2
                    for a, b in zip(comb, comb[1:]))
-        return link.spans[1], comb, link.cut.f_center, 1
+        return spans_of(link)[1], comb, link.cut.f_center, 1
     if name == "reversed":
         link = make_system(4121, category=3, band_width=2.0, n_spans=6)
-        return link.spans[0], link.channels[::-1], link.cut.f_center, 0
+        return (spans_of(link)[0], channels_of(link)[::-1], link.cut.f_center,
+                0)
     if name == "single-channel":
         link = make_single_channel_link(rate=0.064, power_w=0.002)
-        return link.spans[0], link.channels, link.cut.f_center, 0
+        return spans_of(link)[0], channels_of(link), link.cut.f_center, 0
     if name == "zero-dispersion":
         link = make_system(4122, category=1, band_width=1.0, n_spans=2)
-        return _zero_dispersion_span(), link.channels, link.cut.f_center, 0
+        return _zero_dispersion_span(), channels_of(link), link.cut.f_center, 0
     raise KeyError(name)
 
 
@@ -267,7 +271,7 @@ def test_self_pair_is_graded_on_both_axes():
     # is narrower than the channel, so the CUT's self pair, the one pair of
     # a one-channel link, is sinh-graded in f1 and in f2.
     link = make_single_channel_link()
-    assert link.spans[0].fiber.name == "SMF"
+    assert spans_of(link)[0].fiber.name == "SMF"
     (group,) = oracle._fiber_groups(link, link.cut.f_center, 1)
     assert group.grid1[3].tolist() == [True]
     assert group.grid2[3].tolist() == [True]
@@ -277,7 +281,7 @@ def _assert_quadrature_memory_bounded():
     # A 256-point level of a ~20-channel 2-THz link: the kernel is built in
     # bounded chunks, never as a 256 x 256 block per channel pair.
     link = make_system(4130, category=1, band_width=2.0, n_spans=6)
-    assert 15 <= len(link.channels) <= 25
+    assert 15 <= len(channels_of(link)) <= 25
     q = QuadratureConfig(points_per_channel=256, max_points_per_channel=256)
     tracemalloc.start()
     try:
@@ -289,9 +293,9 @@ def _assert_quadrature_memory_bounded():
     assert peak <= 2 * 2 ** 20
     # Six spans on one fiber make one group; its buffers are shared, so
     # the group stays within the same bound.
-    fiber = link.spans[0].fiber
-    one_fiber = link_of([replace(s, fiber=fiber) for s in link.spans],
-                        link.channels, link.cut_index)
+    fiber = spans_of(link)[0].fiber
+    one_fiber = link_of([replace(s, fiber=fiber) for s in spans_of(link)],
+                        channels_of(link), link.cut_index)
     tracemalloc.start()
     try:
         psds, _ = gn_span_psds(one_fiber, link.cut.f_center, q)
@@ -329,6 +333,10 @@ def test_rx_psd_rejects_truncations_outside_the_link(past_end):
     n_end = link.n_spans + 1 if past_end else 0
     with pytest.raises(ValueError):
         gn_rx_psd(link, link.cut.f_center, QuadratureConfig(), n_end)
+    # A bool or a float is refused before any quadrature runs.
+    for bad in (n_end, True, 2.0):
+        with pytest.raises(ValueError, match="n_end"):
+            gn_span_psds(link, link.cut.f_center, QuadratureConfig(), bad)
 
 
 def test_rx_psd_converges_on_generated_system():
@@ -346,12 +354,12 @@ def _one_fiber_link() -> LinkSpec:
     """Six spans on one fiber, all of different lengths, with per-span
     powers that are not proportional across spans."""
     link = make_system(4150, category=1, band_width=1.0, n_spans=6)
-    spans = tuple(SpanConfig(fiber=link.spans[0].fiber,
+    spans = tuple(SpanConfig(fiber=spans_of(link)[0].fiber,
                              length_km=70.0 + 7.0 * n) for n in range(6))
     rng = np.random.default_rng(4150)
     channels = tuple(replace(c, power_w_per_span=tuple(
         c.power_w_per_span[0] * rng.uniform(0.5, 2.0, 6)))
-        for c in link.channels)
+        for c in channels_of(link))
     return link_of(spans, channels, link.cut_index)
 
 
@@ -363,20 +371,21 @@ def _span_psds_case(name: str) -> LinkSpec:
                            band_width=2.0, n_spans=6, cut_position=position)
     if name == "one-fiber":
         link = _one_fiber_link()
-        assert len({s.fiber for s in link.spans}) == 1
-        assert len({s.length_km for s in link.spans}) == 6
+        assert len({s.fiber for s in spans_of(link)}) == 1
+        assert len({s.length_km for s in spans_of(link)}) == 6
         ratios = {c.power_w_per_span[1] / c.power_w_per_span[0]
-                  for c in link.channels}
-        assert len(ratios) == len(link.channels)
+                  for c in channels_of(link)}
+        assert len(ratios) == len(channels_of(link))
         return link
     if name == "half-loaded":
         link = make_system(4117, category=2, band_width=2.0, n_spans=6)
-        assert 0 < sum(not c.active for c in link.channels)
+        assert 0 < sum(not c.active for c in channels_of(link))
         return link
     if name == "zero-dispersion":
         link = make_system(4122, category=1, band_width=1.0, n_spans=3)
-        spans = (link.spans[0], _zero_dispersion_span(), link.spans[2])
-        return link_of(spans, link.channels, link.cut_index)
+        first, _, last = spans_of(link)
+        return link_of((first, _zero_dispersion_span(), last),
+                       channels_of(link), link.cut_index)
     raise KeyError(name)
 
 
@@ -413,7 +422,7 @@ def test_span_psds_report_how_each_span_converged():
     f = link.cut.f_center
     q = QuadratureConfig()
     psds, stats = gn_span_psds(link, f, q)
-    channels = [c for c in link.channels if c.active]
+    channels = [c for c in channels_of(link) if c.active]
     lo = [c.f_center - c.symbol_rate / 2.0 for c in channels]
     hi = [c.f_center + c.symbol_rate / 2.0 for c in channels]
     n_ch = len(channels)
@@ -421,8 +430,9 @@ def test_span_psds_report_how_each_span_converged():
                    for l, h in zip(lo, hi))
                for i in range(n_ch) for j in range(i, n_ch))
     assert 0 < kept < n_ch * (n_ch + 1) // 2
+    spans, comb = spans_of(link), channels_of(link)
     for n, (psd, stat) in enumerate(zip(psds, stats)):
-        level = _span_level(link.spans[n], link.channels, f, n)
+        level = _span_level(spans[n], comb, f, n)
         res = stat.points_per_channel
         cur, prev = level(res), level(res // 2)
         assert psd == cur
@@ -458,7 +468,7 @@ def test_span_psds_do_not_depend_on_comb_order(seed, category, position,
 
 def test_span_psds_of_a_comb_with_no_active_channel():
     link = make_single_channel_link(n_spans=2)
-    dark = link_of(link.spans, [replace(link.channels[0], active=False)], 0)
+    dark = link_of(spans_of(link), [replace(link.cut, active=False)], 0)
     psds, stats = gn_span_psds(dark, link.cut.f_center)
     assert psds.tolist() == [0.0, 0.0]
     assert [s.points_per_channel for s in stats] == [0, 0]
@@ -468,7 +478,7 @@ def test_span_psds_skip_the_levels_when_every_pair_is_pruned(monkeypatch):
     # Far below the comb, no pair's third frequency lands in it: each span
     # reads 0 at level 0, and no level is evaluated.
     link = make_system(4150, category=1, band_width=1.0, n_spans=3)
-    n_ch = sum(c.active for c in link.channels)
+    n_ch = sum(c.active for c in channels_of(link))
 
     def no_level(*args):
         raise AssertionError("a quadrature level was evaluated")
@@ -505,9 +515,10 @@ def test_span_psds_raise_the_lowest_failing_span():
     # another group does, so the group evaluated first does not hold the
     # lowest failing span.
     first = min(errors)
-    fiber0 = link.spans[0].fiber
-    assert 0 not in errors and link.spans[first].fiber != fiber0
-    assert any(link.spans[n].fiber == fiber0 for n in errors)
+    spans = spans_of(link)
+    fiber0 = spans[0].fiber
+    assert 0 not in errors and spans[first].fiber != fiber0
+    assert any(spans[n].fiber == fiber0 for n in errors)
     with pytest.raises(QuadratureError) as err:
         gn_span_psds(link, f, q)
     want = errors[first]
@@ -525,10 +536,11 @@ def test_permuting_spans_permutes_span_psds(seed, category, order):
     # permuting the spans, with each channel's per-span powers permuted the
     # same way, permutes the values exactly.
     link = make_system(seed, category=category, n_spans=4)
+    spans = spans_of(link)
     permuted = link_of(
-        [link.spans[k] for k in order],
+        [spans[k] for k in order],
         [replace(c, power_w_per_span=tuple(
-            c.power_w_per_span[k] for k in order)) for c in link.channels],
+            c.power_w_per_span[k] for k in order)) for c in channels_of(link)],
         link.cut_index)
     f = link.cut.f_center
     psds, stats = gn_span_psds(link, f)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.constants import h as PLANCK_J_S
 
 import reference_cfm as ref
-from conftest import (link_of, make_single_channel_link, make_system,
-                      permute_comb)
+from conftest import (SpanConfig, channels_of, link_of,
+                      make_single_channel_link, make_system, permute_comb,
+                      spans_of)
 from nli_planner import assets
 from nli_planner.campaign import CfmBenchmark
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
@@ -28,7 +29,7 @@ mpmath.mp.dps = 40
 def test_ase_power_single_span_vs_mpmath():
     # [DERIVED] NF * h * f * (G - 1) * R for one transparent span.
     link = make_single_channel_link(n_spans=1, length_km=100.0)
-    span = link.spans[0]
+    span = spans_of(link)[0]
     gain = mpmath.mpf(10) ** (mpmath.mpf(repr(
         span.fiber.alpha_db_per_km * span.length_km)) / 10)
     nf = mpmath.mpf(10) ** mpmath.mpf("0.6")
@@ -48,9 +49,9 @@ def test_ase_power_accumulates_with_propagation():
 
 def test_ase_power_ignores_gain_below_unity():
     link = make_single_channel_link(n_spans=1)
-    spans = (link.spans[0].__class__(fiber=link.spans[0].fiber,
-                                     length_km=100.0, gain_db=-3.0),)
-    lossy = link_of(spans, link.channels, 0)
+    spans = (SpanConfig(fiber=spans_of(link)[0].fiber, length_km=100.0,
+                        gain_db=-3.0),)
+    lossy = link_of(spans, channels_of(link), 0)
     assert ase_power(lossy, 1) == 0.0
 
 
@@ -64,6 +65,15 @@ def test_ase_power_rejects_spans_past_the_link():
     link = make_single_channel_link(n_spans=2)
     with pytest.raises(ValueError):
         ase_power(link, link.n_spans + 1)
+    # A truncation is an integer: a bool or a float is refused as one past
+    # the link is, by ASE, SNR and NLI alike; a NumPy integer is one.
+    variant = assets.model(CfmKind.CFM2)
+    for read in (ase_power, lambda link, n: snr(link, variant, n),
+                 lambda link, n: rx_nli_psd(link, variant, n)):
+        for n_end in (link.n_spans + 1, True, 2.0):
+            with pytest.raises(ValueError):
+                read(link, n_end)
+        assert read(link, np.int64(2)) == read(link, 2)
 
 
 def test_cut_rx_power_transparent():
@@ -80,7 +90,7 @@ def test_snr_matches_components():
     n = link.n_spans
     p_ase = ase_power(link, n)
     p_nli = rx_nli_psd(link, variant, n) * link.cut.symbol_rate
-    last = link.spans[n - 1]
+    last = spans_of(link)[n - 1]
     p_rx = (link.cut.power_w_per_span[n - 1] * ref.span_loss_lin(last)
             * ref.gain_lin(last))
     expected = 10 * math.log10(p_rx / (p_ase + p_nli))
@@ -220,10 +230,10 @@ def test_evaluate_all_channels_matches_scalar():
     link = make_system(34, category=2)
     variant = assets.model(CfmKind.CFM4)
     ev = evaluate_all_channels(link, variant)
-    for idx, ch in enumerate(link.channels):
+    for idx, ch in enumerate(channels_of(link)):
         if not ch.active:
             assert math.isnan(ev.snr_db[idx])
             continue
-        relabeled = link_of(link.spans, link.channels, idx)
+        relabeled = link_of(spans_of(link), channels_of(link), idx)
         assert ev.snr_db[idx] == pytest.approx(
             ref.snr(relabeled, variant, link.n_spans), rel=1e-9)

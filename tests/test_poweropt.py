@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import link_of, make_system, with_powers
+from conftest import channels_of, link_of, make_system, spans_of, with_powers
 from nli_planner import assets
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import ase_power, link_report, snr, span_ase_psds
-from nli_planner.poweropt import (PowerPlan, _optimize_stack,
-                                  apply_power_plan, eta_nli,
-                                  logo_optimize, optimize_powers,
-                                  randomize_launch, refine_cut_launch,
-                                  span_eta)
+from nli_planner.poweropt import (_eta, _logo, _multipliers, _optimize_stack,
+                                  _plan_columns, _planned_link, _refine,
+                                  _span_eta, optimize_powers,
+                                  randomize_launch)
 from nli_planner.sysgen import GeneratorConfig, generate_system
-from nli_planner.types import (CfmKind, ChannelSpec, CombArrays,
-                               SpanArrays, SpanConfig)
+from nli_planner.types import ChannelSpec, CfmKind, CombArrays, SpanArrays
 
 
 def test_randomize_launch_bounds():
@@ -30,31 +28,41 @@ def test_randomize_launch_bounds():
     assert len(set(xi)) > 1
 
 
+def _span_local_plan(link, xi):
+    """The link's per-span NLI PSDs at unit CUT PSD, ``[span]``, and its
+    span-local optimal CUT PSDs, ``[span]``: the stack steps on
+    ``link.stack``."""
+    stack = link.stack
+    eta, _min_abs_beta2 = _span_eta(stack, _multipliers(stack, [xi]))
+    return eta[:, 0], _logo(stack, eta)[0]
+
+
 def test_span_local_optimum_condition():
     # At the span-local optimal PSD g*, ASE = 2 * eta * g*^3 by construction.
     link = make_system(41, optimize=False)
-    xi = tuple(1.0 for _ in link.channels)
-    g = logo_optimize(link, xi)
+    xi = tuple(1.0 for _ in link.comb.f)
+    etas, g = _span_local_plan(link, xi)
     f_cut = link.cut.f_center
-    etas = span_eta(link, xi)
     for ase, eta, g_n in zip(span_ase_psds(link.stack, f_cut)[:, 0], etas,
                              g):
         assert ase == pytest.approx(2.0 * eta * g_n ** 3, rel=1e-12)
 
 
-def test_apply_power_plan_realizes_profile():
+def test_a_plan_realizes_its_profile():
     link = make_system(42, optimize=False)
     rng = np.random.default_rng(1)
     xi = randomize_launch(link, rng)
-    g = logo_optimize(link, xi)
-    staged = apply_power_plan(link, PowerPlan(g_cut_per_span=g, xi=xi))
+    _etas, g = _span_local_plan(link, xi)
+    power, gain_db = _plan_columns(link.stack, _multipliers(link.stack, [xi]),
+                                   g[None])
+    staged = _planned_link(link, power[0], gain_db[0])
     staged.validate()
     psd = staged.comb.launch / staged.comb.rate  # [span, channel]
     # CUT PSD at every span input matches the requested profile.
     for n in range(staged.n_spans):
         assert psd[n, staged.cut_index] == pytest.approx(g[n], rel=1e-12)
     # Other channels keep their fixed multipliers.
-    for idx in range(len(staged.channels)):
+    for idx in range(len(staged.comb.f)):
         for n in range(staged.n_spans):
             assert psd[n, idx] == pytest.approx(xi[idx] * g[n], rel=1e-12)
     # The last span's amplifier is transparent; earlier gains telescope.
@@ -64,16 +72,16 @@ def test_apply_power_plan_realizes_profile():
 def test_eta_scale_invariance():
     link = make_system(43)
     variant = assets.model(CfmKind.CFM4)
-    eta = eta_nli(link, variant)
+    (eta,), _min_abs_beta2 = _eta(link.stack, variant)
     scaled = link_of(
-        link.spans,
+        spans_of(link),
         [with_powers(c, [p * 1.7 for p in c.power_w_per_span])
-         for c in link.channels],
+         for c in channels_of(link)],
         link.cut_index)
     # Uniform power scaling cancels in PSD^3 normalization, but the gains of
     # the original link were derived for the original profile; rescaling all
     # channels and spans uniformly keeps gain ratios, hence eta.
-    assert eta_nli(scaled, variant) == pytest.approx(eta, rel=1e-9)
+    assert _eta(scaled.stack, variant)[0][0] == pytest.approx(eta, rel=1e-9)
 
 
 def test_refinement_balances_noise():
@@ -89,7 +97,7 @@ def test_refinement_balances_noise():
 def test_refine_rejects_nonpositive_eta():
     link = make_system(47)
     with pytest.raises(ValueError):
-        refine_cut_launch(link, 0.0)
+        _refine(link.stack, np.array([0.0]))
 
 
 def test_optimum_is_snr_maximum():
@@ -102,9 +110,9 @@ def test_optimum_is_snr_maximum():
     def neg_snr(log_s):
         s = math.exp(log_s)
         scaled = link_of(
-            link.spans,
+            spans_of(link),
             [with_powers(c, [p * s for p in c.power_w_per_span])
-             for c in link.channels],
+             for c in channels_of(link)],
             link.cut_index)
         return -snr(scaled, variant, link.n_spans)
 
@@ -123,7 +131,7 @@ def test_pipeline_keeps_link_shape():
     assert len(plan.g_cut_per_span) == link.n_spans
     assert plan.eta_nli is not None and plan.eta_nli > 0
     # Inactive channels stay inactive.
-    for a, b in zip(link.channels, opt.channels):
+    for a, b in zip(channels_of(link), channels_of(opt)):
         assert a.active == b.active
 
 
@@ -147,17 +155,15 @@ def _made(monkeypatch, cls) -> list:
     return made
 
 
-def test_optimize_powers_builds_only_the_returned_channels(monkeypatch):
+def test_optimize_powers_builds_only_the_returned_cut(monkeypatch):
     # The plan is worked out on columns: optimize_powers builds no
-    # ChannelSpec or SpanConfig, and the returned link builds its channels
-    # on first read.
+    # ChannelSpec, and the returned link builds its CUT's on first read.
     link = make_system(51, band_width=1.0, optimize=False)
-    built, spans = _made(monkeypatch, ChannelSpec), _made(monkeypatch,
-                                                          SpanConfig)
+    built = _made(monkeypatch, ChannelSpec)
     opt, _ = optimize_powers(link, np.random.default_rng(51))
-    assert built == [] and spans == []
-    assert len(opt.channels) == len(built)
-    assert all(a is b for a, b in zip(built, opt.channels))
+    assert built == []
+    cut = opt.cut
+    assert len(built) == 1 and built[0] is cut and opt.cut is cut
 
 
 def test_optimize_powers_builds_no_comb_for_the_staged_link(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generate_comb, generate_link, occupied_bandwidth
+from conftest import (channels_of, generate_comb, generate_link,
+                      occupied_bandwidth)
 from nli_planner.sysgen import (BAND_CENTER_THZ, CUT_POSITIONS,
                                 LOW_DISPERSION_FLAG, SLOT_THZ,
                                 SYMBOL_RATES_TBAUD, GeneratorConfig,
@@ -171,7 +172,7 @@ def test_generated_system_shape():
     cfg = GeneratorConfig(category=1, seed=9, band_width=1.0, n_spans=7)
     link = generate_system(cfg, np.random.default_rng(9))
     assert link.n_spans == 7
-    assert all(len(c.power_w_per_span) == 7 for c in link.channels)
+    assert all(len(c.power_w_per_span) == 7 for c in channels_of(link))
     link.validate()
 
 

@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import link_of, make_system, with_powers
+from conftest import (SpanConfig, channels_of, link_of, make_system,
+                      spans_of, with_powers)
 from nli_planner import assets, types
 from nli_planner.types import (ChannelSpec, FiberParams, LinkSpec,
                                ModelCoefficients, ModelVariant, CfmKind,
                                ModulationFormat, PHI_EXACT, SpanArrays,
-                               SpanConfig, ValidationError, phi_of_format)
+                               ValidationError, phi_of_format)
 
 
 # [PAPER] exact second-moment constants per constellation.
@@ -171,7 +172,7 @@ def test_link_views_are_cached_and_read_only():
     for name, a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
-    tied = link.comb.with_power(np.ones((link.n_spans, len(link.channels))))
+    tied = link.comb.with_power(np.ones((link.n_spans, len(link.comb.f))))
     with pytest.raises(ValueError, match="read-only"):
         tied.power[0, 0] = 2.0
     # Inactive channels carry no power, in the link's comb and in a new one.
@@ -203,30 +204,32 @@ def test_link_views_follow_the_fields():
     flagged = link.with_flags("x")
     assert flagged.comb is comb and flagged.span_arrays is spans
     longer = link_of([replace(s, length_km=s.length_km + 1.0)
-                      for s in link.spans], link.channels, link.cut_index)
+                      for s in spans_of(link)], channels_of(link),
+                     link.cut_index)
     assert np.array_equal(longer.span_arrays.length, spans.length + 1.0)
     assert (longer.span_arrays.loss < spans.loss).all()
     assert np.array_equal(longer.comb.power, comb.power)
-    louder = link_of(link.spans, [
+    louder = link_of(spans_of(link), [
         with_powers(c, [2.0 * p for p in c.power_w_per_span])
-        for c in link.channels], link.cut_index)
+        for c in channels_of(link)], link.cut_index)
     assert np.array_equal(louder.comb.power, 2.0 * comb.power)
     assert np.array_equal(louder.span_arrays.transfer, spans.transfer)
-    # The object views are read from the columns a replace gives.
+    # The records are read from the columns a replace gives.
     doubled = replace(link, comb=comb.with_power(2.0 * comb.launch))
-    assert doubled.channels == louder.channels and doubled.cut == louder.cut
-    assert doubled.spans == link.spans
+    assert channels_of(doubled) == channels_of(louder)
+    assert doubled.cut == louder.cut
+    assert spans_of(doubled) == spans_of(link)
 
 
 def test_link_views_run_no_validation(monkeypatch):
-    # A view is a record of columns validated when made: reading
-    # channels, spans and cut checks nothing again.
+    # A record is read from columns validated when made: reading the CUT,
+    # the channels or the spans checks nothing again.
     link = make_system(91, category=2, n_spans=3)
     calls = []
     check = types._raise_first_fault
     monkeypatch.setattr(types, "_raise_first_fault",
                         lambda rules: calls.append(1) or check(rules))
-    assert link.channels and link.spans and link.cut
+    assert link.cut and channels_of(link) and spans_of(link)
     assert calls == []
     link.comb.with_power(link.comb.launch)
     assert calls == [1]
@@ -244,11 +247,11 @@ def test_link_equality_and_hash_ignore_views():
 
 def test_link_span_view_groups_fibers_by_value():
     link = make_system(90, n_spans=6, optimize=False)
-    spans = link.span_arrays
+    spans, records = link.span_arrays, spans_of(link)
     assert len(set(spans.fibers)) == len(spans.fibers)
     for k, members in enumerate(spans.spans_of_fiber):
         assert (spans.fiber[members] == k).all()
-        assert all(link.spans[n].fiber == spans.fibers[k] for n in members)
+        assert all(records[n].fiber == spans.fibers[k] for n in members)
     assert sorted(np.concatenate(spans.spans_of_fiber)) == list(range(6))
     first = [int(np.flatnonzero(spans.fiber == k)[0])
              for k in range(len(spans.fibers))]
