@@ -7,7 +7,8 @@ the screened-in ones in blocks of up to :data:`BLOCK_SIZE`: one stacked
 planning call (``poweropt._optimize_stack``) and, for a closed-form
 benchmark, one stacked kernel pass per block.  Each drawn system carries
 the benchmark's CUT report, which campaigns and fits read instead of
-asking again.
+asking again.  The outcomes of attempts a restart drops are kept, so no
+(category, CUT position, attempt) is drawn or planned twice.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ class _LastLinkBenchmark:
     def cut_reports(self, links: Sequence[LinkSpec]
                     ) -> Iterator[LinkReport]:
         """The CUT report of every truncation of each link, in order,
-        computed as each is read."""
+        computed as each is read.  A benchmark that scores the links at
+        once returns the reports as a list instead, and
+        :func:`draw_systems` keeps them for the links it reaches later."""
         for link in links:
             yield self._read(link, 1)[1]
 
@@ -108,14 +111,13 @@ class CfmBenchmark(_LastLinkBenchmark):
     def _rx_psds(self, link: LinkSpec) -> np.ndarray:
         return rx_nli_psds(link.stack, self.variant)
 
-    def cut_reports(self, links: Sequence[LinkSpec]
-                    ) -> Iterator[LinkReport]:
+    def cut_reports(self, links: Sequence[LinkSpec]) -> list[LinkReport]:
         """The CUT report of every truncation of each link, from one kernel
         pass over their stack made now.  It applies no low-dispersion
         policy: the caller checks the links it uses."""
         stack = LinkStack.of(links)
         report = link_report(stack, nli_terms(stack, self.variant).rx_psd())
-        return iter([_report_of_row(report, j) for j in range(len(links))])
+        return [_report_of_row(report, j) for j in range(len(links))]
 
 
 class GnOracleBenchmark(_LastLinkBenchmark):
@@ -258,6 +260,31 @@ class DrawCounts:
     excluded_unreachable: int
 
 
+class _Attempt:
+    """A screened-in attempt: its mix, and its built link and RNG until it
+    is planned; then its planned link, the smallest |beta2| of its CUT row,
+    the RNG as planning left it and, from a benchmark that scores a stack
+    at once, its report."""
+
+    __slots__ = ("mix", "link", "rng", "min_abs_beta2", "report")
+
+    def __init__(self, mix: tuple, link: LinkSpec, rng: np.random.Generator):
+        self.mix, self.link, self.rng = mix, link, rng
+        self.min_abs_beta2 = self.report = None
+
+
+def _kept_outcome(tail: list, i: int, mix: tuple):
+    """Entry ``i`` of a kept block tail, if it was drawn for ``mix``'s
+    category and CUT position: an attempt's outcome depends on nothing
+    else."""
+    if 0 <= i < len(tail):
+        got = tail[i]
+        drawn_for = got.mix if isinstance(got, _Attempt) else got
+        if drawn_for[0] == mix[0] and drawn_for[1] == mix[1]:
+            return got
+    return None
+
+
 def draw_systems(draw: SystemDraw, benchmark) -> Iterator[DrawnSystem]:
     """Draw, screen, build, power-optimize and reach-scan systems,
     yielding every attempt, until ``draw.n_systems`` systems were kept.
@@ -270,10 +297,14 @@ def draw_systems(draw: SystemDraw, benchmark) -> Iterator[DrawnSystem]:
     Attempts are screened one at a time, and the screened-in ones planned
     and scored in blocks of up to :data:`BLOCK_SIZE` (no more than the
     systems still to keep), each assumed kept.  When one is unreachable,
-    the attempts after it drew for the wrong category and CUT position:
-    they are dropped unseen, and the draw resumes after it.  A block that
-    fails is planned again one attempt at a time, so an error, like each
-    low-dispersion warning, comes from the attempt it belongs to.
+    the attempts after it drew for the mixes that follow a kept one: they
+    are dropped unseen, with no warning, count or error of theirs, and the
+    draw resumes after it.  Their outcomes are kept, screened out or
+    planned, and an attempt whose category and CUT position the restart
+    leaves as they were takes its kept outcome instead of being drawn and
+    planned again.  A block that fails is planned again one attempt at a
+    time, so an error, like each low-dispersion warning, comes from the
+    attempt it belongs to.
     """
     policy = SensitivityPolicy.default()
     mixes = [(cat, pos, GeneratorConfig(
@@ -283,65 +314,87 @@ def draw_systems(draw: SystemDraw, benchmark) -> Iterator[DrawnSystem]:
     kept = 0
     attempt = 0
     one_by_one = 0  # attempts up to this one are planned alone
+    # The kept outcomes of dropped attempts, from attempt tail_from on.
+    tail: list = []
+    tail_from = 0
     while kept < draw.n_systems:
         size = (1 if attempt < one_by_one
                 else min(BLOCK_SIZE, draw.n_systems - kept))
-        block = []  # (attempt, category, position, built link, rng)
+        # Each attempt from `first` on: its mix if screened out, else its
+        # _Attempt.
+        first = attempt + 1
+        block: list = []
         n_in = 0
         while n_in < size:
-            cat, pos, gen = mixes[(kept + n_in) % len(mixes)]
+            mix = mixes[(kept + n_in) % len(mixes)]
             attempt += 1
-            rng = np.random.default_rng([draw.seed, attempt])
-            drawn = draw_system(gen, rng)
-            link = None if drawn.low_dispersion else drawn.build()
-            block.append((attempt, cat, pos, link, rng))
-            n_in += link is not None
-        planned = None
-        for att, cat, pos, link, rng in block:
-            if link is None:
-                yield DrawnSystem(att, cat, pos, None, None,
+            got = _kept_outcome(tail, attempt - tail_from, mix)
+            if got is None:
+                rng = np.random.default_rng([draw.seed, attempt])
+                drawn = draw_system(mix[2], rng)
+                got = (mix if drawn.low_dispersion
+                       else _Attempt(mix, drawn.build(), rng))
+            block.append(got)
+            n_in += isinstance(got, _Attempt)
+        planned = False
+        for att, got in enumerate(block, first):
+            if not isinstance(got, _Attempt):
+                yield DrawnSystem(att, got[0], got[1], None, None,
                                   LOW_DISPERSION_FLAG)
                 continue
-            if planned is None:
+            if not planned:
                 try:
-                    planned = _plan_block(block, benchmark)
+                    _plan_block(block, benchmark)
                 except Exception:
                     # Whichever attempt failed, planning the block's
                     # attempts alone raises it where the loop of one
                     # attempt at a time would.
                     if n_in == 1:
                         raise
-                    attempt, one_by_one = att - 1, block[-1][0]
+                    attempt, one_by_one = att - 1, first + len(block) - 1
                     break
-            link, min_abs_beta2 = next(planned[0])
-            check_dispersion(min_abs_beta2)
+                planned = True
+            cat, pos, _gen = got.mix
+            link = got.link
+            check_dispersion(got.min_abs_beta2)
             threshold = policy.threshold_db(
-                FORMATS[link.comb.fmt[link.cut_index]], rng)
-            report = next(planned[1])
+                FORMATS[link.comb.fmt[link.cut_index]], got.rng)
+            report = got.report
+            if report is None:
+                report = next(iter(benchmark.cut_reports([link])))
             try:
                 reach = max_reach_scan(lambda n: report.snr_db[n - 1, 0],
                                        link.n_spans, threshold)
             except UnreachableError:
                 yield DrawnSystem(att, cat, pos, link, None, UNREACHABLE,
                                   report)
-                attempt = att
+                tail = (block[att + 1 - first:]
+                        + tail[first + len(block) - tail_from:])
+                attempt, tail_from = att, att + 1
                 break
             kept += 1
             yield DrawnSystem(att, cat, pos, link, reach.max_reach_spans,
                               None, report)
 
 
-def _plan_block(block, benchmark) -> tuple[Iterator, Iterator]:
-    """Plan the screened-in attempts of a block as one stack, and ask the
-    benchmark for their reports: iterators over each planned link with the
-    smallest |beta2| of its CUT row, and over its report, in attempt
-    order."""
-    built = [(link, rng) for _att, _cat, _pos, link, rng in block
-             if link is not None]
-    planned, min_abs_beta2 = _optimize_stack(*zip(*built))
+def _plan_block(block: list, benchmark) -> None:
+    """Plan a block's screened-in attempts not yet planned as one stack,
+    and keep each one's planned link, the smallest |beta2| of its CUT row
+    and, when the benchmark's ``cut_reports`` scores the stack at once (a
+    list), its report."""
+    todo = [got for got in block
+            if isinstance(got, _Attempt) and got.min_abs_beta2 is None]
+    if not todo:
+        return
+    planned, min_abs_beta2 = _optimize_stack([a.link for a in todo],
+                                             [a.rng for a in todo])
     links = [link for link, _plan in planned]
-    return (zip(links, min_abs_beta2.tolist()),
-            benchmark.cut_reports(links))
+    reports = benchmark.cut_reports(links)
+    if not isinstance(reports, list):
+        reports = [None] * len(links)  # read as the draw reaches each link
+    for a, link, b2, report in zip(todo, links, min_abs_beta2.tolist(),
+                                   reports):
+        a.link, a.min_abs_beta2, a.report = link, b2, report
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,19 @@ plain values (a :class:`RawSystem`), on which the low-dispersion screen
 is read; only :meth:`RawSystem.build` makes and validates the
 :class:`LinkSpec`'s columns, so a draw that screens attempts out builds
 nothing for them.  :func:`generate_system` is draw, then build.
+
+The draw code reads its Generator through three calls.  For a PCG64
+generator they are decoded from one ``random_raw`` block per attempt (a
+:class:`_RawStream`), after which the generator is put where the calls
+themselves would have left it; the decoder is checked against the
+Generator once per process, on first use, and where the check fails the
+draw code reads the Generator itself.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +179,12 @@ class RawSystem:
 
     @property
     def low_dispersion(self) -> bool:
-        """The CUT's effective |beta2| is below the bound on some span."""
+        """The CUT's effective |beta2| is below the bound on some span,
+        read once per distinct fiber object (the spans share presets)."""
         f = self.channels[self.cut_index][0]
-        return min(abs(effective_beta2_xci(span[0], f, f))
-                   for span in self.spans) < MIN_ABS_BETA2
+        fibers = {id(span[0]): span[0] for span in self.spans}.values()
+        return min(abs(effective_beta2_xci(fiber, f, f))
+                   for fiber in fibers) < MIN_ABS_BETA2
 
     def build(self) -> LinkSpec:
         """The validated link of these draws, unflagged, every channel
@@ -193,10 +204,157 @@ class RawSystem:
         return link
 
 
+# 64-bit raw draws read for an attempt: a first block per THz of band and
+# per span, then blocks of _RAW_EXTENSION while the draw needs more.
+_RAW_PER_THZ = 40
+_RAW_PER_SPAN = 3
+_RAW_EXTENSION = 64
+_TWO_TO_MINUS_53 = 2.0 ** -53
+
+
+class _RawStream:
+    """The Generator calls the draw code makes, ``integers(n)`` for
+    1 <= n < 2**32, ``uniform(a, b)`` and ``random()``, decoded from blocks
+    of the Generator's PCG64 ``random_raw`` draws as NumPy makes them: a
+    double from each 64-bit draw, an integer from 32-bit halves (the low
+    half first, the high one carried to the next call) by Lemire's
+    multiply-shift with rejection, and ``integers(1)`` from no draw.
+    :meth:`hand_off` then leaves the bit generator where those calls
+    would have."""
+
+    __slots__ = ("_bits", "_block", "_next", "_has_half", "_half")
+
+    def __init__(self, bits: np.random.PCG64, size: int):
+        state = bits.state
+        self._bits = bits
+        self._has_half = state["has_uint32"]
+        self._half = state["uinteger"]
+        self._read(size)
+
+    def _read(self, size: int) -> None:
+        self._block = iter(self._bits.random_raw(size).tolist())
+        self._next = self._block.__next__
+
+    def _more(self) -> int:
+        """The next draw once the block is read, from a new block."""
+        self._read(_RAW_EXTENSION)
+        return self._next()
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        try:
+            x = self._next()
+        except StopIteration:
+            x = self._more()
+        self._has_half = 1
+        self._half = x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self) -> float:
+        try:
+            x = self._next()
+        except StopIteration:
+            x = self._more()
+        return (x >> 11) * _TWO_TO_MINUS_53
+
+    def uniform(self, low: float, high: float) -> float:
+        try:
+            x = self._next()
+        except StopIteration:
+            x = self._more()
+        return low + (high - low) * ((x >> 11) * _TWO_TO_MINUS_53)
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def hand_off(self) -> None:
+        """Put the bit generator after the draws decoded so far, with
+        their carried half: a move back over the block's unread draws
+        (``advance`` wraps a negative step), then the carry."""
+        bits = self._bits
+        bits.advance(-operator.length_hint(self._block))
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bits.state = state
+
+
+# Every kind of call the draw makes, with an integer range whose rejection
+# loop runs for a quarter of its draws (3 * 2**30) and the widest one.
+_CHECK_CALLS = tuple(("integers", n) for n in
+                     (1, 2, 3, 4, 5, 7, 3 * 2**30, 2**32 - 1)) + (
+    ("random",), ("uniform", 0.05, 0.25), ("uniform", 80.0, 120.0))
+
+# Whether _RawStream reproduces this process's NumPy; None until checked.
+_stream_matches: bool | None = None
+
+
+def _stream_matches_generator() -> bool:
+    """Whether mixed calls through a :class:`_RawStream`, past its first
+    block, give a Generator's values over a few seeds, and whether its
+    hand-off leaves the Generator's state, and what a vector ``uniform``
+    and ``integers`` read next."""
+    try:
+        for seed in range(4):
+            ref, gen = (np.random.default_rng([seed, 2**40])
+                        for _ in range(2))
+            stream = _RawStream(gen.bit_generator, 8)
+            order = np.random.default_rng(seed).integers(
+                len(_CHECK_CALLS), size=120)
+            for k in order.tolist():
+                name, *args = _CHECK_CALLS[k]
+                if getattr(stream, name)(*args) != getattr(ref, name)(*args):
+                    return False
+            stream.hand_off()
+            if (gen.bit_generator.state != ref.bit_generator.state
+                    or gen.integers(5) != ref.integers(5)
+                    or not np.array_equal(gen.uniform(0.7, 1.3, size=5),
+                                          ref.uniform(0.7, 1.3, size=5))):
+                return False
+    except (AttributeError, KeyError, TypeError):  # another state layout
+        return False
+    return True
+
+
+def _stream_checked() -> bool:
+    """Whether raw-block decoding reproduces this NumPy's PCG64 Generator
+    calls, checked once per process, on first use."""
+    global _stream_matches
+    if _stream_matches is None:
+        _stream_matches = _stream_matches_generator()
+    return _stream_matches
+
+
+def _draw(cfg: GeneratorConfig, source) -> RawSystem:
+    """The draws of one system from ``source``, a Generator or a
+    :class:`_RawStream` of one."""
+    channels, cut_index = _draw_comb(cfg, source)
+    return RawSystem(channels, cut_index, _draw_spans(cfg, source))
+
+
 def draw_system(cfg: GeneratorConfig, rng: np.random.Generator) -> RawSystem:
-    """Make a system's random draws, comb then spans, without building it."""
-    channels, cut_index = _draw_comb(cfg, rng)
-    return RawSystem(channels, cut_index, _draw_spans(cfg, rng))
+    """Make a system's random draws, comb then spans, without building it.
+
+    A PCG64 generator's draws are decoded from its raw blocks and the
+    generator left where its own calls would have left it, once the
+    decoder has been checked against those calls in this process; any
+    other generator, or a failed check, is read directly."""
+    if (type(rng.bit_generator) is not np.random.PCG64
+            or not _stream_checked()):
+        return _draw(cfg, rng)
+    stream = _RawStream(rng.bit_generator, math.ceil(
+        _RAW_PER_THZ * cfg.band_width) + _RAW_PER_SPAN * cfg.n_spans)
+    drawn = _draw(cfg, stream)
+    stream.hand_off()
+    return drawn
 
 
 def generate_system(cfg: GeneratorConfig,

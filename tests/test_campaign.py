@@ -292,13 +292,16 @@ SEED_11_DRAW = dict(n_systems=6, categories=ALL_CATEGORIES,
                     n_spans=5)
 
 
-def _counting_blocks(monkeypatch) -> list[int]:
-    """The size of every block the draw plans, as it plans it."""
+def _counting_blocks(monkeypatch, plans=None) -> list[int]:
+    """The size of every block the draw plans, as it plans it, with each
+    link it plans appended to ``plans`` if given."""
     blocks = []
     real = campaign._optimize_stack
 
     def counting(links, rngs):
         blocks.append(len(links))
+        if plans is not None:
+            plans.extend(links)
         return real(links, rngs)
 
     monkeypatch.setattr(campaign, "_optimize_stack", counting)
@@ -324,7 +327,8 @@ def test_blocked_draw_matches_one_attempt_at_a_time(monkeypatch):
     # Planning and scoring in blocks gives the attempts, links, reaches and
     # warnings of the one-attempt-at-a-time loop: the attempts dropped
     # after the unreachable one leave nothing behind.
-    blocks = _counting_blocks(monkeypatch)
+    plans = []
+    blocks = _counting_blocks(monkeypatch, plans)
     draw = FitConfig(**SEED_11_DRAW)
     bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
     got = _steps(draw_systems(draw, bmk))
@@ -336,7 +340,9 @@ def test_blocked_draw_matches_one_attempt_at_a_time(monkeypatch):
     assert [d.link for d, _ in got] == [d.link for d, _ in want]
     assert key[1][0] == 2 and key[1][3] == UNREACHABLE
     n_planned = sum(d.link is not None for d, _ in got)
-    assert blocks[0] == 6 and sum(blocks) > n_planned
+    # Each (category, CUT position, attempt) is planned once at most: the
+    # dropped attempts drawn again for their mix are not planned again.
+    assert blocks[0] == 6 and len(set(plans)) == sum(blocks) == n_planned
     # Each report is the benchmark's own read of the link.
     for d, _ in got:
         if d.link is not None:
@@ -408,7 +414,8 @@ def test_each_planned_link_goes_to_the_benchmark_once(monkeypatch):
     # A closed-form benchmark scores each block in one stacked pass, the
     # oracle runs one quadrature per planned link it reaches, and neither
     # is asked again once the draw has yielded.
-    blocks = _counting_blocks(monkeypatch)
+    plans = []
+    blocks = _counting_blocks(monkeypatch, plans)
     yielded = []
     real_draw = campaign.draw_systems
 
@@ -445,11 +452,12 @@ def test_each_planned_link_goes_to_the_benchmark_once(monkeypatch):
                                          bmk),
                     lambda: build_fit_data(FitConfig(**SEED_11_DRAW),
                                            CfmKind.CFM3, bmk)):
-            del blocks[:], yielded[:], passes[:], quadratures[:]
+            del blocks[:], plans[:], yielded[:], passes[:], quadratures[:]
             run()
             planned = [d.link for d in yielded if d.link is not None]
+            # Each (category, CUT position, attempt) is planned once at most.
+            assert len(set(plans)) == sum(blocks) == len(planned)
             if isinstance(bmk, CfmBenchmark):
-                assert len(planned) < sum(blocks)
                 assert passes == blocks and quadratures == []
             else:
                 assert passes == [] and len(quadratures) == len(planned)
@@ -481,13 +489,23 @@ def test_campaign_draw_is_pinned(categories, positions, seeds, n_low,
                - d.excluded_unreachable for d in res.draws) == len(seeds)
 
 
-def test_paper_scale_draw_is_pinned():
+def test_paper_scale_draw_is_pinned(monkeypatch):
     # At 5 THz x 20 spans a 'highest' CUT is almost always screened out
     # (NZDSF2 sits near its zero dispersion there).  Recorded before the
     # screen moved ahead of building the link.
+    draws = []
+    real = campaign.draw_system
+
+    def counting(gen, rng):
+        draws.append(gen)
+        return real(gen, rng)
+
+    monkeypatch.setattr(campaign, "draw_system", counting)
     cfg = CampaignConfig(n_systems=3, categories=(1,),
                          cut_positions=ALL_POSITIONS, seed=0)
     res = run_campaign(cfg, CfmBenchmark(assets.model(CfmKind.CFM3)))
+    # Each attempt is drawn once.
+    assert len(draws) == sum(d.attempts for d in res.draws)
     assert res.seeds_used == (1, 2, 2874)
     assert res.n_excluded_low_dispersion == 2871
     assert res.n_excluded_unreachable == 0
@@ -507,10 +525,12 @@ def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
                 n_spans=5)
     bmk = CfmBenchmark(assets.model(CfmKind.CFM3))
     blocks = []
+    plans = []
     real = campaign._optimize_stack
 
     def counting(links, rngs):
         blocks.append(len(links))
+        plans.extend(links)
         return real(links, rngs)
 
     monkeypatch.setattr(campaign, "_optimize_stack", counting)
@@ -520,7 +540,8 @@ def test_a_planned_system_computes_its_closed_forms_once(monkeypatch):
     n_kept = reasons.count(None)
     n_planned = n_kept + reasons.count(UNREACHABLE)
     assert n_kept == 6 and n_planned > n_kept
-    assert len(blocks) < n_planned < sum(blocks)
+    # Each (category, CUT position, attempt) is planned once at most.
+    assert len(blocks) < n_planned == sum(blocks) == len(set(plans))
     # Per block: the LOGO pass (the miss), the refinement and the
     # benchmark's pass.
     n_blocks = len(blocks)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (channels_of, generate_comb, generate_link,
                       occupied_bandwidth)
+from nli_planner import sysgen
 from nli_planner.sysgen import (BAND_CENTER_THZ, CUT_POSITIONS,
                                 LOW_DISPERSION_FLAG, SLOT_THZ,
                                 SYMBOL_RATES_TBAUD, GeneratorConfig,
@@ -227,3 +228,74 @@ def test_screened_draw_is_the_generated_system(seed, attempt, category,
         got, want = (_array_fields(getattr(x, view)) for x in (built, link))
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+# ---------------------------------------------------------------------------
+# Draws decoded from raw PCG64 blocks
+
+# Every integer range the check covers: 3 * 2**30 rejects a quarter of its
+# 32-bit draws, 2**32 - 1 is the widest range the decoder takes.
+INTEGER_RANGES = (1, 2, 3, 4, 5, 7, 3 * 2**30, 2**32 - 1)
+CALL = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from(INTEGER_RANGES)),
+    st.tuples(st.just("random")),
+    st.sampled_from((("uniform", 0.05, 0.25), ("uniform", 5.0, 6.0),
+                     ("uniform", 80.0, 120.0))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+       calls=st.lists(CALL, max_size=120), k=st.integers(1, 50))
+def test_raw_stream_gives_the_generators_values(seed, size, calls, k):
+    # Mixed calls through the stream, past its first block of `size` raw
+    # draws, give the Generator's values; after the hand-off the Generator
+    # has its state, and a vector uniform and integers continue its stream.
+    ref, gen = (np.random.default_rng([seed, 5]) for _ in range(2))
+    stream = sysgen._RawStream(gen.bit_generator, size)
+    for name, *args in calls:
+        assert getattr(stream, name)(*args) == getattr(ref, name)(*args)
+    stream.hand_off()
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(gen.uniform(0.7, 1.3, size=k),
+                          ref.uniform(0.7, 1.3, size=k))
+    assert gen.integers(5) == ref.integers(5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), attempt=st.integers(1, 10**6),
+       category=st.integers(1, 5), position=st.sampled_from(CUT_POSITIONS),
+       band_width=st.sampled_from((0.8, 2.0, 5.0)),
+       n_spans=st.integers(1, 20))
+def test_decoded_draw_is_the_generators_draw(seed, attempt, category,
+                                             position, band_width, n_spans):
+    # draw_system through the stream makes the draws of the same code
+    # reading the Generator, and leaves the Generator in the same state.
+    cfg = GeneratorConfig(category=category, cut_position=position,
+                          band_width=band_width, n_spans=n_spans, seed=seed)
+    decoded, direct = (np.random.default_rng([seed, attempt])
+                       for _ in range(2))
+    assert draw_system(cfg, decoded) == sysgen._draw(cfg, direct)
+    assert decoded.bit_generator.state == direct.bit_generator.state
+
+
+def test_stream_check_passes_on_this_numpy():
+    # Where NumPy's Generator stream changes, this fails, instead of every
+    # draw falling back silently to the slower direct calls.
+    assert sysgen._stream_matches_generator()
+
+
+def test_a_failed_stream_check_reads_the_generator(monkeypatch):
+    # A decoder that no longer matches the Generator fails the first-use
+    # check, and every draw then reads the Generator itself.
+    monkeypatch.setattr(sysgen._RawStream, "random", lambda self: 0.5)
+    monkeypatch.setattr(sysgen, "_stream_matches", None)
+    cfg = GeneratorConfig(category=3, band_width=2.0, n_spans=6)
+    for attempt in range(1, 6):
+        rng, direct, broken = (np.random.default_rng([0, attempt])
+                               for _ in range(3))
+        want = sysgen._draw(cfg, direct)
+        assert draw_system(cfg, rng) == want
+        assert rng.bit_generator.state == direct.bit_generator.state
+        assert sysgen._draw(cfg, sysgen._RawStream(
+            broken.bit_generator, 8)) != want
+    assert sysgen._stream_matches is False
