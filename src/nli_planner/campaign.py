@@ -17,10 +17,9 @@ import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.sparse import csr_matrix
 
 from . import assets
 from .cfm import (_BRACKET_FLOOR, RHO_LAYOUT, _check_n_end, check_dispersion,
@@ -34,13 +33,26 @@ from .sysgen import LOW_DISPERSION_FLAG, GeneratorConfig, draw_system
 from .types import (FORMATS, CfmKind, LinkSpec, LinkStack, ModelCoefficients,
                     ModelVariant, check_integers)
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
 # Only for bench/tracing.py (LAYERS, minimize) to patch; nothing calls them.
-from scipy.optimize import minimize
 from .cfm import rx_nli_psd
 from .oracle import gn_span_psd
 from .perf import ase_power, snr
 from .poweropt import optimize_powers
 from .sysgen import generate_system
+
+
+def __getattr__(name: str):
+    """``minimize``, imported and kept on its first read, so that SciPy's
+    optimizer loads only when the tracer reads it."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()[name] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Screened-in attempts planned and scored together by draw_systems.
 BLOCK_SIZE = 16
@@ -571,6 +583,7 @@ def _csr(counts: np.ndarray, indices: np.ndarray, data: np.ndarray,
          n_cols: int) -> csr_matrix:
     """The sparse matrix of rows of ``counts`` entries, whose column
     indices and values are given in row order, sharing their arrays."""
+    from scipy.sparse import csr_matrix
     return csr_matrix((data, indices, np.concatenate(([0], np.cumsum(counts)))),
                       shape=(len(counts), n_cols))
 
@@ -833,6 +846,7 @@ class _FitData:
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """d residual / d a as [row, coefficient], from the analytic partial
         derivatives of the correction factors."""
+        from scipy.sparse import csr_matrix
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             point = self._at(a)
             stack = self._stack()
@@ -892,6 +906,7 @@ def fit_coefficients(fit: FitConfig, kind: CfmKind, benchmark) -> FitResult:
     restarts; each start may spend ``fit.max_iterations`` residual
     evaluations.  The result never has a higher cost than the initial point.
     """
+    from scipy.optimize import least_squares
     if kind is CfmKind.CFM1:
         raise ValueError("CFM1 has no free parameters to fit")
     # The initial table's length is checked before any system is drawn; an

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.constants import h as PLANCK_J_S
 
 from . import assets
 from .cfm import _check_n_end, kernel_rows, propagate, rx_nli_psds
@@ -18,6 +17,9 @@ from .types import LinkSpec, LinkStack, ModelVariant, ModulationFormat
 from .cfm import rx_nli_psd, rx_nli_psd_all_channels
 
 _THZ = 1e12  # THz and TBaud to SI
+
+# The Planck constant (J s), exact in the SI since 2019.
+PLANCK_J_S = 6.62607015e-34
 
 
 class UnreachableError(RuntimeError):

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import sici
 
 import reference_cfm as ref
+import sine_integral_coefficients
 from conftest import (SpanConfig, channels_of, link_of,
                       make_single_channel_link, make_system,
                       make_zero_dispersion_link, spans_of, with_powers)
@@ -60,6 +62,61 @@ def test_sine_integral_vs_quadrature(x):
 def test_sine_integral_vs_mpmath(x):
     # [DERIVED] arbitrary-precision reference.
     assert sine_integral(x) == pytest.approx(float(mpmath.si(x)), rel=1e-12)
+
+
+def _si_mpmath(x: float) -> float:
+    with mpmath.workdps(30):
+        return float(mpmath.si(mpmath.mpf(x)))
+
+
+def test_numpy_sine_integral_vs_mpmath():
+    # [DERIVED] the kernel's Si against 30 digits: a dense geometric grid
+    # over [1e-300, 1e15], a uniform one where Si oscillates most, and both
+    # sides of each branch point (the series' end at 4, the cap at 2^60).
+    points = [4.0, 2.0 ** 60]
+    x = np.concatenate([np.geomspace(1e-300, 1e15, 20_001),
+                        np.linspace(0.0, 40.0, 4_001)[1:], points,
+                        [np.nextafter(p, d) for p in points
+                         for d in (0.0, np.inf)]])
+    got = cfm.sine_integral(x)
+    expected = np.array([_si_mpmath(v) for v in x])
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    # Si is odd.
+    np.testing.assert_array_equal(cfm.sine_integral(-x), -got)
+
+
+def test_numpy_sine_integral_special_values():
+    # [DERIVED] the values scipy.special.sici gives.
+    x = np.array([0.0, np.inf, np.nan, -np.inf])
+    got = cfm.sine_integral(x)
+    np.testing.assert_array_equal(got, [0.0, math.pi / 2, np.nan,
+                                        -math.pi / 2])
+    np.testing.assert_array_equal(got, sici(x)[0])
+
+
+def test_numpy_sine_integral_is_elementwise():
+    # One array gives bit for bit what each of its elements gives alone,
+    # whatever its shape, memory order or other values.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(0.0, 8.0, 500),
+                        np.exp(rng.uniform(-20.0, 40.0, 500)),
+                        [0.0, 4.0, np.inf, np.nan]])
+    rng.shuffle(x)
+    whole = cfm.sine_integral(x)
+    alone = np.array([cfm.sine_integral(v) for v in x])
+    assert alone.tobytes() == whole.tobytes()
+    grid = x[:1000].reshape(20, 50)
+    assert cfm.sine_integral(grid).tobytes() == whole[:1000].tobytes()
+    assert cfm.sine_integral(grid.T).T.tobytes() == whole[:1000].tobytes()
+    assert cfm.sine_integral(x[::3]).tobytes() == whole[::3].tobytes()
+
+
+def test_sine_integral_coefficients_are_the_scripts():
+    # The committed large-argument coefficients are what their mpmath
+    # script computes, and all positive, so that Horner's rule adds terms
+    # of one sign.
+    assert cfm._SI_AUXILIARY == sine_integral_coefficients.coefficients()
+    assert min(min(row) for row in cfm._SI_AUXILIARY) > 0.0
 
 
 def test_harmonic_number_exact():

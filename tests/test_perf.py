@@ -13,7 +13,7 @@ import reference_cfm as ref
 from conftest import (SpanConfig, channels_of, link_of,
                       make_single_channel_link, make_system, permute_comb,
                       spans_of)
-from nli_planner import assets
+from nli_planner import assets, perf
 from nli_planner.campaign import CfmBenchmark
 from nli_planner.cfm import rx_nli_psd, rx_nli_psds
 from nli_planner.perf import (ReachResult, SensitivityPolicy, UnreachableError,
@@ -37,6 +37,11 @@ def test_ase_power_single_span_vs_mpmath():
     r_hz = mpmath.mpf("0.064e12")
     expected = nf * mpmath.mpf(repr(PLANCK_J_S)) * f_hz * (gain - 1) * r_hz
     assert ase_power(link, 1) == pytest.approx(float(expected), rel=1e-10)
+
+
+def test_planck_constant_is_scipys():
+    # [DERIVED] the exact 2019 SI value is scipy.constants.h.
+    assert perf.PLANCK_J_S == PLANCK_J_S
 
 
 def test_ase_power_accumulates_with_propagation():
