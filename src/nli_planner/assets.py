@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .cfm import _CONST, _EXP, _O, _P, FACTOR_SLOTS
 from .types import (CfmKind, FiberParams, ModelCoefficients, ModelVariant,
                     ModulationFormat, ValidationError)
 
@@ -95,21 +96,17 @@ def shipped_coefficients(kind: CfmKind) -> ModelCoefficients:
 def identity_coefficients(kind: CfmKind) -> ModelCoefficients:
     """Coefficients forcing every correction factor to exactly 1.
 
-    Zeroing the format-dependent addends (a2 = a4 = a10 = a12 = 0) with unit
-    offsets (a1 = a9 = 1) makes CFM2 reduce to CFM1 bit-for-bit.
+    From ``cfm.FACTOR_SLOTS``: 1 at each layout's constant, its exponents
+    and its bracket's offset and power, 0 elsewhere.  Every other term is
+    then 0, so CFM2 reduces to CFM1 bit-for-bit, and the unit exponents
+    and offsets keep every power finite.
     """
     if kind is CfmKind.CFM1:
         raise ValidationError("CFM1 has no coefficients")
-    a = [0.0] * kind.n_coefficients
-    a[0] = 1.0   # a1
-    a[8] = 1.0   # a9
-    # Exponent slots kept at 1 so arbitrary inputs stay finite.
-    for idx in (2, 4, 6, 7, 10, 12, 14, 16, 17):
-        a[idx] = 1.0
-    if kind is CfmKind.CFM4:
-        for idx in (19, 21, 23):  # a20, a22, a24
-            a[idx] = 1.0
-    return ModelCoefficients(a=tuple(a))
+    ones = {*FACTOR_SLOTS[:, _EXP].flat,
+            *FACTOR_SLOTS[:, [_CONST, _O, _P]].flat}
+    return ModelCoefficients(a=tuple(float(k in ones)
+                                     for k in range(kind.n_coefficients)))
 
 
 def model(kind: CfmKind) -> ModelVariant:

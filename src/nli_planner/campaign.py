@@ -22,9 +22,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import assets
-from .cfm import (_BRACKET_FLOOR, RHO_LAYOUT, _check_n_end, check_dispersion,
-                  coherence_brackets, nli_terms, one_low_dispersion_warning,
-                  propagate, rx_nli_psds, span_integrals)
+from .cfm import (_B, _BRACKET_FLOOR, _CONST, _EXP, _LIN, _N_SLOTS, _O, _P,
+                  CROSS, FACTOR_SLOTS, SELF, _check_n_end, check_dispersion,
+                  coherence_brackets, factor_coefficients, nli_terms,
+                  one_low_dispersion_warning, propagate, rx_nli_psds,
+                  source_factors, span_integrals)
 from .oracle import QuadratureConfig, QuadratureStats, gn_span_psds
 from .perf import (LinkReport, SensitivityPolicy, UnreachableError,
                    link_report, max_reach_scan)
@@ -183,6 +185,10 @@ def error_stats(samples: list[float], bin_width: float = 0.02) -> ErrorStats:
         raise ValueError("error_stats requires at least one sample")
     _check_bin_width(bin_width)
     x = np.asarray(samples, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"error_stats sample {bad[0]} is {x[bad[0]]}, "
+                         "not a finite dB error")
     # Counted before any edge is made; samples too large for edges on
     # multiples of the width count as infinitely many.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -543,42 +549,6 @@ class FitResult:
         return ModelVariant(kind=self.kind, coefficients=self.coefficients)
 
 
-# A correction factor reads its features from a source: the CUT for the
-# self term, the interferer for a cross term.  The fit reads both layouts'
-# coefficients in one order of slots (see _slot_table): the coefficients
-# of a source's five powered features (phi, phi, rate and two roll-offs),
-# their exponents, the constant, and the bracket's (b, o, p).
-_LIN, _EXP = slice(0, 5), slice(5, 10)
-_CONST, _B, _O, _P = 10, 11, 12, 13
-_N_SLOTS = 14
-_CROSS, _SELF = 0, 1  # the layouts
-
-
-def _slot_table(kind: CfmKind) -> np.ndarray:
-    """The coefficient each slot reads, ``[layout, slot]``: the index
-    ``kind.n_coefficients``, which reads 0, where the layout has none."""
-    absent = kind.n_coefficients
-    table = []
-    for layout in (RHO_LAYOUT["cross"], RHO_LAYOUT["self"]):
-        i = layout.first
-        rate = layout.rate or (absent, absent)
-        rolls = [(c, e) for c, e, _name in layout.rolls
-                 if kind is CfmKind.CFM4]
-        (c1, e1), (c2, e2) = rolls + [(absent, absent)] * (2 - len(rolls))
-        table.append([i + 1, i + 3, rate[0], c1, c2,
-                      i + 2, i + 4, rate[1], e1, e2, i, *layout.bracket])
-    return np.array(table)
-
-
-def _source_features(layout: str, **feat) -> np.ndarray:
-    """A layout's five powered features, ``[..., feature]``, from the
-    features its correction factor reads by name; 1.0 where it has none."""
-    rolls = [feat[name] for _c, _e, name in RHO_LAYOUT[layout].rolls]
-    return np.stack(np.broadcast_arrays(
-        feat["phi"], feat["phi"], feat.get("rate", 1.0), *rolls,
-        *[1.0] * (2 - len(rolls))), axis=-1)
-
-
 def _csr(counts: np.ndarray, indices: np.ndarray, data: np.ndarray,
          n_cols: int) -> csr_matrix:
     """The sparse matrix of rows of ``counts`` entries, whose column
@@ -618,26 +588,22 @@ class _Point:
     brackets is taken here.
 
     A term's correction factor is ``k0 + k1 * pw``, with ``pw = br ** p``
-    its bracket's power and ``(k0, k1)`` its source's; the point writes
-    each term's value times ``pw`` into ``w``.
+    its bracket's power and ``(k0, k1)`` its source's, from
+    :func:`~nli_planner.cfm.source_factors` as in the kernel; the point
+    writes each term's value times ``pw`` into ``w``.
     """
 
-    def __init__(self, stack: _FitStack, slots: np.ndarray, a: np.ndarray):
+    def __init__(self, stack: _FitStack, a: np.ndarray):
         self.key = a.tobytes()
-        c = np.append(a, 0.0)[slots]  # [layout, slot]
+        c = factor_coefficients(a)  # [layout, slot]
         op = np.take(c[:, _O:], stack.lay, axis=0)  # [term, (o, p)]
         self.c = c = np.take(c, stack.lay_src, axis=0)  # [source, slot]
-        # A feature of 0 takes 0 for a positive exponent, as in cfm._rho.
-        self.pw = stack.feat ** c[:, _EXP]
-        self.lin = lin = c[:, _LIN] * self.pw
-        self.sc = lin[:, 1]
-        self.inner = 1.0 + lin[:, 2]
-        self.roll = 1.0 + lin[:, 3] + lin[:, 4]
-        self.core = c[:, _CONST] + lin[:, 0] + self.sc * self.inner
-        self.scb = self.sc * c[:, _B]
+        f = source_factors(c.T, stack.feat.T)
+        self.pw, self.lin = f.pw.T, f.lin.T
+        self.sc, self.inner, self.roll = f.sc, f.inner, f.roll
+        self.core, self.scb = f.core, f.scb
         self.k = np.empty((len(c), 2))
-        np.multiply(self.core, self.roll, out=self.k[:, 0])
-        np.multiply(self.scb, self.roll, out=self.k[:, 1])
+        self.k[:, 0], self.k[:, 1] = f.k0, f.k1
         br = stack.acc + op[:, 0]
         self.br = np.maximum(br, _BRACKET_FLOOR, out=br)
         data = stack.w.data
@@ -701,10 +667,9 @@ class _FitData:
     def __init__(self, kind: CfmKind):
         self.kind = kind
         self.n_rows = 0  # one per system and truncation, and per slot
-        self._slots = _slot_table(kind)
         # Each coefficient's column among the Jacobian's [layout, slot] ones.
         self._columns = np.array([
-            np.flatnonzero(self._slots.ravel() == k)[0]
+            np.flatnonzero(FACTOR_SLOTS.ravel() == k)[0]
             for k in range(kind.n_coefficients)])
         # Each CSR matrix as its rows' counts, column indices and values.
         self._parts: dict[str, list[np.ndarray]] = {k: [] for k in (
@@ -749,13 +714,15 @@ class _FitData:
             (sci * s.i_coherent.T)[:, :, None]), axis=2)[terms]
         term_src = np.broadcast_to(src[:, None], terms.shape)[terms]
         acc_cut = abs_acc[j, :, cut][:, :, None]
-        lay = np.full(n_ch + 2, _SELF, np.int8)
-        lay[:n_ch] = _CROSS
-        feat = np.concatenate((
-            _source_features("cross", phi=stack.phi, roll_cut=roll[:, None],
-                             roll_nch=stack.roll),
-            _source_features("self", phi=stack.phi[j, cut], rate=rate,
-                             roll_cut=roll)[:, None]), axis=1)
+        lay = np.full(n_ch + 2, SELF, np.int8)
+        lay[:n_ch] = CROSS
+        # Each source's five powered features, in cfm's slot order.
+        phi, phi_cut = stack.phi, stack.phi[j, cut, None]
+        roll_cut = roll[:, None]
+        feat = np.concatenate([
+            np.stack(np.broadcast_arrays(*f), axis=-1) for f in (
+                (phi, phi, 1.0, roll_cut, stack.roll),
+                (phi_cut, phi_cut, rate[:, None], roll_cut, 1.0))], axis=1)
         parts = dict(
             w_counts=2 * np.broadcast_to(
                 np.stack((inter.sum(axis=1), has[:, -2], has[:, -1]),
@@ -819,7 +786,7 @@ class _FitData:
         """The point ``a``: the last one, or a new one."""
         a = np.asarray(a, dtype=float)
         if self._point is None or self._point.key != a.tobytes():
-            self._point = _Point(self._stack(), self._slots, a)
+            self._point = _Point(self._stack(), a)
         return self._point
 
     def residual(self, a: np.ndarray) -> np.ndarray:

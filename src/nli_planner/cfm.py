@@ -3,11 +3,13 @@
 The per-span NLI PSD at the channel-under-test combines a self-interference
 term and one cross-interference term per co-propagating channel, each built
 from asinh closed forms of the underlying four-wave-mixing integrals.
-CFM2-CFM4 multiply those terms by fitted correction factors, laid out by
-:data:`RHO_LAYOUT`; CFM3/CFM4 additionally model coherent accumulation of
-the self term.  The kernel reads a :class:`~nli_planner.types.LinkStack`:
-links of one span count as ``[link, ...]`` columns, a link being a stack
-of one (``link.stack``); the span prefactor is :func:`span_prefactor`.
+CFM2-CFM4 multiply those terms by fitted correction factors k0 + k1 br^p,
+which read their coefficients through the one table :data:`FACTOR_SLOTS`
+and which :func:`source_factors` gives the kernel and the fit alike;
+CFM3/CFM4 additionally model coherent accumulation of the self term.  The
+kernel reads a :class:`~nli_planner.types.LinkStack`: links of one span
+count as ``[link, ...]`` columns, a link being a stack of one
+(``link.stack``); the span prefactor is :func:`span_prefactor`.
 
 :func:`nli_terms` computes all of it for rows, each a channel of one link
 taken as CUT, by one rule (:func:`kernel_rows`): a link's rows are every
@@ -147,63 +149,72 @@ def one_low_dispersion_warning(fn):
 # Correction factors
 
 
-@dataclass(frozen=True)
-class RhoLayout:
-    """Where a correction factor reads a1..a24 (0-based).  Both factors are
-    ``a[i] + a[i+1] phi^a[i+2] + a[i+3] phi^a[i+4] (1 (+ c rate^e) + b br^p)``
-    with ``i = first``, ``(c, e) = rate`` and ``br = max(acc + o, floor)``
-    for ``(b, o, p) = bracket``, times ``1 + sum c x^e`` over ``rolls``
-    ``(c, e, feature x)`` for CFM4.  A feature of 0 (a Phi or a roll-off)
-    takes ``np.power``: 0 for a positive exponent, 1 for a zero one."""
+# A correction factor reads its features from a source: the interferer
+# for a cross term, the CUT for the self term.  It is
+#     (a + a1 phi^e1 + a2 phi^e2 (1 + a3 rate^e3 + b br^p))
+#     * (1 + a4 roll_cut^e4 + a5 roll_nch^e5)
+# with br = max(|accumulated dispersion| + o, floor): k0 + k1 br^p, where
+# only br^p changes from span to span.  A layout's slots: the coefficients
+# of a source's five powered features (phi, phi, rate, roll_cut,
+# roll_nch), their exponents, the constant a and the bracket's (b, o, p).
+_LIN, _EXP = slice(0, 5), slice(5, 10)
+_CONST, _B, _O, _P = 10, 11, 12, 13
+_N_SLOTS = 14
+CROSS, SELF = 0, 1  # the layouts
 
-    first: int
-    rate: tuple[int, int] | None
-    bracket: tuple[int, int, int]
-    rolls: tuple[tuple[int, int, str], ...]
-
-
-# The layout of each correction factor, by the term it weights.
-RHO_LAYOUT = {
-    "self": RhoLayout(8, (13, 14), (15, 16, 17), ((22, 23, "roll_cut"),)),
-    "cross": RhoLayout(0, None, (5, 6, 7),
-                       ((18, 19, "roll_cut"), (20, 21, "roll_nch"))),
-}
-
-
-def _rho(layout: RhoLayout, kind: CfmKind, a, phi, rate=None, **rolls):
-    """The correction factor of ``layout`` as a function of the
-    |accumulated dispersion| (ps^2) at the span input, the one feature that
-    changes from span to span; ``rolls`` by feature name.  Broadcasts."""
-    i = layout.first
-    offset = a[i] + a[i + 1] * np.power(phi, a[i + 2])
-    scale = a[i + 3] * np.power(phi, a[i + 4])
-    inner = (1.0 if layout.rate is None
-             else 1.0 + a[layout.rate[0]] * rate ** a[layout.rate[1]])
-    roll = None
-    if kind is CfmKind.CFM4:
-        roll = 1.0
-        for c, e, name in layout.rolls:
-            roll = roll + a[c] * np.power(rolls[name], a[e])
-    b, o, p = layout.bracket
-
-    def rho(abs_acc):
-        br = np.maximum(abs_acc + a[o], _BRACKET_FLOOR)
-        out = offset + scale * (inner + a[b] * br ** a[p])
-        return out if roll is None else out * roll
-    return rho
+# Where each slot reads a1..a24 (0-based), [layout, slot].  24, past the
+# longest table, reads 0: the cross factor has no rate and the self factor
+# no interferer roll-off.  CFM2 and CFM3 read 0 at a19..a24 too, so their
+# roll-off factor is 1.
+FACTOR_SLOTS = np.array((
+    (1, 3, 24, 18, 20, 2, 4, 24, 19, 21, 0, 5, 6, 7),
+    (9, 11, 13, 22, 24, 10, 12, 14, 23, 24, 8, 15, 16, 17),
+))
+_N_READ = FACTOR_SLOTS.max() + 1
 
 
-def rho_cross(kind: CfmKind, a, phi_nch, roll_cut, roll_nch):
-    """Correction factor of a cross-interference term (CFM2-CFM4), as a
-    function of the |accumulated dispersion| of the interferer/CUT pair."""
-    return _rho(RHO_LAYOUT["cross"], kind, a, phi_nch, roll_cut=roll_cut,
-                roll_nch=roll_nch)
+def factor_coefficients(a) -> np.ndarray:
+    """The coefficient table ``a`` (a1..a18 or a1..a24) as ``[layout,
+    slot]``, 0 where a slot reads none."""
+    c = np.zeros(_N_READ)
+    c[:len(a)] = a
+    return c[FACTOR_SLOTS]
 
 
-def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
-    """Correction factor of the self-interference term (CFM2-CFM4), as a
-    function of the CUT's |accumulated dispersion|."""
-    return _rho(RHO_LAYOUT["self"], kind, a, phi_cut, rate, roll_cut=roll_cut)
+def source_factors(c, feat) -> SimpleNamespace:
+    """The correction factors ``k0 + k1 br^p`` of sources with one layout's
+    ``[slot, ...]`` coefficients ``c`` and five features ``feat`` in slot
+    order: floats or arrays that broadcast (1.0 for one the layout has
+    none of), or one ``[feature, ...]`` array, powered in one call.  With
+    the parts the fit's partial derivatives read: the features' powers
+    ``pw`` and terms ``lin``, ``sc``, ``inner``, the roll-off factor
+    ``roll``, and ``core`` and ``scb``, k0 and k1 before it.  A feature of
+    0 takes ``np.power``: 0 for a positive exponent, 1 for a zero one."""
+    if isinstance(feat, np.ndarray):
+        pw = feat ** c[_EXP]
+        lin = c[_LIN] * pw
+    else:
+        pw = [f ** e for f, e in zip(feat, c[_EXP])]
+        lin = [k * x for k, x in zip(c[_LIN], pw)]
+    sc = lin[1]
+    inner = 1.0 + lin[2]
+    roll = 1.0 + lin[3] + lin[4]
+    core = c[_CONST] + lin[0] + sc * inner
+    scb = sc * c[_B]
+    return SimpleNamespace(pw=pw, lin=lin, sc=sc, inner=inner, roll=roll,
+                           core=core, scb=scb, k0=core * roll, k1=scb * roll)
+
+
+def correction_factors(c, k0, k1, abs_acc: np.ndarray) -> np.ndarray:
+    """The correction factors ``k0 + k1 max(abs_acc + o, floor)^p`` of
+    one layout's coefficients ``c`` at the |accumulated dispersion|
+    ``abs_acc`` (ps^2), a float array they overwrite."""
+    br = np.add(abs_acc, c[_O], out=abs_acc)
+    np.maximum(br, _BRACKET_FLOOR, out=br)
+    np.power(br, c[_P], out=br)
+    br *= k1
+    br += k0
+    return br
 
 
 # ---------------------------------------------------------------------------
@@ -537,28 +548,28 @@ class NliTerms:
 _BLOCK_ELEMENTS = 16_000
 
 
-def _cross(s: SpanIntegrals, stack: LinkStack, variant: ModelVariant,
-           g2: np.ndarray, ch: np.ndarray, roll_cut: np.ndarray, block: slice
+def _cross(s: SpanIntegrals, stack: LinkStack, cross: tuple | None,
+           g2: np.ndarray, ch: np.ndarray, block: slice
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """For the rows ``block`` (channels ``ch[block]``, of roll-offs
-    ``roll_cut[block]``): the cross-term sum, weighted by the correction
-    factors for CFM2-CFM4, and each row's own |accumulated dispersion|
-    (None for CFM1), as ``[span, row]`` arrays.  The cross terms are built
-    as ``[span, row, channel]`` arrays and summed in an order that a link's
-    trailing pads, zero terms, do not change: a row's sum does not depend
-    on the other links of its stack."""
+    """For the rows ``block`` (channels ``ch[block]``): the cross-term sum,
+    weighted for CFM2-CFM4 by the factors of ``cross`` (the cross layout's
+    coefficients and its sources' ``[row, channel]`` k0 and k1), and each
+    row's own |accumulated dispersion| (both None for CFM1), as ``[span,
+    row]`` arrays.  The cross terms are built as ``[span, row, channel]``
+    arrays and summed in an order that a link's trailing pads, zero terms,
+    do not change: a row's sum does not depend on the other links of its
+    stack."""
     cuts = ch[block]
     own = slice(None), np.arange(cuts.size), cuts
     acc_own = None
-    if variant.kind is CfmKind.CFM1:
+    if cross is None:
         xci = s.per_span(s.i_cross, block)
     else:
-        acc = s.abs_acc(block)
-        xci = rho_cross(variant.kind, variant.coefficients.a,
-                        _block(stack.phi, block), roll_cut[block, None],
-                        _block(stack.roll, block))(acc)
+        c, k0, k1 = cross
+        xci = s.abs_acc(block)
+        acc_own = xci[own]
+        correction_factors(c, _block(k0, block), _block(k1, block), xci)
         xci *= s.per_span(s.i_cross, block)
-        acc_own = acc[own]
     # Inactive interferers and each row's own channel are no cross term:
     # zeroed, their inf or NaN cannot turn a row NaN.  (A boolean index
     # takes a third of the time of np.copyto's where= here.)
@@ -588,23 +599,36 @@ def nli_terms(link: LinkSpec | LinkStack, variant: ModelVariant) -> NliTerms:
     g = stack.power / stack.rate[:, None]  # [link, span, channel] PSDs
     g_cut = g[lk, :, ch].T  # [span, row]
     g2 = np.square(g).transpose(1, 0, 2)  # [span, link, channel]
-    roll_cut = stack.roll[lk, ch]
     kind = variant.kind
     with np.errstate(invalid="ignore"):
-        cross, acc_own = np.empty((2,) + g_cut.shape)
+        cross = None
+        if kind is not CfmKind.CFM1:
+            # Python floats, which NumPy multiplies by faster.  Only CFM4
+            # has a roll-off factor (CFM2 and CFM3 read 0 at a19..a24): the
+            # others' roll-offs are left at 1.0, not powered.
+            c = factor_coefficients(variant.coefficients.a).tolist()
+            roll_cut = roll_x = roll = 1.0
+            if kind is CfmKind.CFM4:
+                roll_cut, roll = stack.roll[lk, ch], stack.roll
+                roll_x = roll_cut[:, None]
+            phi = stack.phi
+            k = source_factors(c[CROSS], (phi, phi, 1.0, roll_x, roll))
+            cross = c[CROSS], k.k0, k.k1
+        xci, acc_own = np.empty((2,) + g_cut.shape)
         step = max(1, _BLOCK_ELEMENTS // g2[:, 0].size)
         for i in range(0, ch.size, step):
             block = slice(i, i + step)
-            cross[:, block], acc_block = _cross(s, stack, variant, g2, ch,
-                                                roll_cut, block)
+            xci[:, block], acc_block = _cross(s, stack, cross, g2, ch, block)
             if acc_block is not None:
                 acc_own[:, block] = acc_block
         sci = g_cut ** 2
         if kind is not CfmKind.CFM1:
-            sci *= rho_self(kind, variant.coefficients.a, stack.phi[lk, ch],
-                            stack.rate[lk, ch], roll_cut)(acc_own)
+            phi_cut = stack.phi[lk, ch]
+            k = source_factors(c[SELF], (phi_cut, phi_cut, stack.rate[lk, ch],
+                                         roll_cut, 1.0))
+            sci *= correction_factors(c[SELF], k.k0, k.k1, acc_own)
         psd = s.prefactor * g_cut
-        base = psd * (sci * s.per_span(s.i_self) + 2.0 * cross)
+        base = psd * (sci * s.per_span(s.i_self) + 2.0 * xci)
         coherent = (psd * sci * s.i_coherent if kind.coherent_sci
                     else np.zeros_like(base))
     return NliTerms(transfer=s.transfer, base=base, coherent=coherent,

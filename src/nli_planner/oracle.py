@@ -225,6 +225,10 @@ class _FiberGroup:
     def __init__(self, pairs: _CombPairs, fiber: FiberParams,
                  spans: list[_SpanTerms]):
         self.pairs, self.fiber, self.spans = pairs, fiber, spans
+        if not len(pairs.i):
+            # No level is evaluated, so no grid is built: far outside the
+            # comb the ridge width below would overflow.
+            return
         f_eval, lo, hi = pairs.f_eval, pairs.lo, pairs.hi
         # Each pair integrates f1 over channel i and f2 over channel j.
         # With the conjugate frequency nu from f_eval, the ridge's

@@ -42,6 +42,7 @@ QAM_EXTENDED = (ModulationFormat.PM_QPSK, ModulationFormat.PM_8QAM) + QAM_HIGH
 
 CUT_POSITIONS = ("lowest", "center", "highest")
 NF_MODES = ("fixed_6dB", "uniform_5_6dB", "mixed")
+DENSE_SEPARATIONS = ("gap", "center_spacing")
 
 LOW_DISPERSION_FLAG = "low-dispersion-cut"
 
@@ -74,6 +75,11 @@ class GeneratorConfig:
             raise ValueError(f"cut_position must be one of {CUT_POSITIONS}")
         if self.nf_mode not in NF_MODES:
             raise ValueError(f"nf_mode must be one of {NF_MODES}")
+        if self.dense_separation not in DENSE_SEPARATIONS:
+            raise ValueError(
+                f"dense_separation must be one of {DENSE_SEPARATIONS}")
+        if not 0.0 <= self.ultra_dense_fraction <= 1.0:
+            raise ValueError("ultra_dense_fraction must be in [0, 1]")
         if self.n_spans < 1:
             raise ValueError("n_spans must be >= 1")
         if not 0.0 < self.band_width < float("inf"):

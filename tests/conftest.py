@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from nli_planner import sysgen
+from nli_planner import cfm, sysgen
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (FORMAT_CODE, FORMATS, ChannelSpec, CombArrays,
@@ -102,6 +102,17 @@ def with_powers(ch: ChannelSpec, powers) -> ChannelSpec:
 def occupied_bandwidth(ch: ChannelSpec) -> float:
     """Raised-cosine null-to-null width (1+r)*R of a channel, in THz."""
     return (1.0 + ch.roll_off) * ch.symbol_rate
+
+
+def correction_factor(a, layout: int, feat, abs_acc) -> np.ndarray:
+    """The package's correction factor of ``layout`` (``cfm.CROSS`` or
+    ``cfm.SELF``) for the coefficient table ``a``, of a source's five
+    features ``feat`` in slot order, at the |accumulated dispersion|
+    ``abs_acc`` (ps^2): the kernel's k0 + k1 br^p."""
+    c = cfm.factor_coefficients(a)[layout]
+    k = cfm.source_factors(c, feat)
+    return cfm.correction_factors(c, k.k0, k.k1,
+                                  np.array(abs_acc, dtype=float))
 
 
 def make_system(seed: int, *, category: int = 1, band_width: float = 0.6,

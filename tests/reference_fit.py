@@ -2,18 +2,84 @@
 
 One system at a time: its truncation-by-term matrices and features are kept
 apart, and the cost is a Python loop over systems that evaluates the
-correction factors of each one and sums its squared relative errors.  The
+correction factors of each one, in their closure form written here apart
+from the package's table, and sums its squared relative errors.  The
 package stacks every system's terms into one residual
 (:class:`nli_planner.campaign._FitData`); the tests compare the two.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from nli_planner.cfm import propagate, rho_cross, rho_self, span_integrals
+from nli_planner.cfm import propagate, span_integrals
 from nli_planner.types import CfmKind, LinkSpec
 from reference_cfm import coherence_bracket
+
+_BRACKET_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class RhoLayout:
+    """Where a correction factor reads a1..a24 (0-based).  Both factors are
+    ``a[i] + a[i+1] phi^a[i+2] + a[i+3] phi^a[i+4] (1 (+ c rate^e) + b br^p)``
+    with ``i = first``, ``(c, e) = rate`` and ``br = max(acc + o, floor)``
+    for ``(b, o, p) = bracket``, times ``1 + sum c x^e`` over ``rolls``
+    ``(c, e, feature x)`` for CFM4.  A feature of 0 (a Phi or a roll-off)
+    takes ``np.power``: 0 for a positive exponent, 1 for a zero one."""
+
+    first: int
+    rate: tuple[int, int] | None
+    bracket: tuple[int, int, int]
+    rolls: tuple[tuple[int, int, str], ...]
+
+
+# The layout of each correction factor, by the term it weights.
+RHO_LAYOUT = {
+    "self": RhoLayout(8, (13, 14), (15, 16, 17), ((22, 23, "roll_cut"),)),
+    "cross": RhoLayout(0, None, (5, 6, 7),
+                       ((18, 19, "roll_cut"), (20, 21, "roll_nch"))),
+}
+
+
+def _rho(layout: RhoLayout, kind: CfmKind, a, phi, rate=None, **rolls):
+    """The correction factor of ``layout`` as a function of the
+    |accumulated dispersion| (ps^2) at the span input, the one feature that
+    changes from span to span; ``rolls`` by feature name.  The closure
+    form: ``offset + scale (inner + b br^p)``, times the roll-off factor.
+    Broadcasts."""
+    i = layout.first
+    offset = a[i] + a[i + 1] * np.power(phi, a[i + 2])
+    scale = a[i + 3] * np.power(phi, a[i + 4])
+    inner = (1.0 if layout.rate is None
+             else 1.0 + a[layout.rate[0]] * rate ** a[layout.rate[1]])
+    roll = None
+    if kind is CfmKind.CFM4:
+        roll = 1.0
+        for c, e, name in layout.rolls:
+            roll = roll + a[c] * np.power(rolls[name], a[e])
+    b, o, p = layout.bracket
+
+    def rho(abs_acc):
+        br = np.maximum(abs_acc + a[o], _BRACKET_FLOOR)
+        out = offset + scale * (inner + a[b] * br ** a[p])
+        return out if roll is None else out * roll
+    return rho
+
+
+def rho_cross(kind: CfmKind, a, phi_nch, roll_cut, roll_nch):
+    """Correction factor of a cross-interference term (CFM2-CFM4), as a
+    function of the |accumulated dispersion| of the interferer/CUT pair."""
+    return _rho(RHO_LAYOUT["cross"], kind, a, phi_nch, roll_cut=roll_cut,
+                roll_nch=roll_nch)
+
+
+def rho_self(kind: CfmKind, a, phi_cut, rate, roll_cut):
+    """Correction factor of the self-interference term (CFM2-CFM4), as a
+    function of the CUT's |accumulated dispersion|."""
+    return _rho(RHO_LAYOUT["self"], kind, a, phi_cut, rate, roll_cut=roll_cut)
 
 
 class LoopFitData:

@@ -13,14 +13,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (channels_of, generate_comb, generate_link, link_of,
-                      make_system, spans_of, with_powers)
+from conftest import (channels_of, correction_factor, generate_comb,
+                      generate_link, link_of, make_system, spans_of,
+                      with_powers)
 from nli_planner import assets
 from nli_planner.campaign import (CampaignConfig, CfmBenchmark, FitConfig,
                                   GnOracleBenchmark, SystemDraw, draw_systems,
                                   fit_coefficients, run_campaign)
-from nli_planner.cfm import (coherence_brackets, rho_cross, rho_self,
-                             rx_nli_psd)
+from nli_planner.cfm import CROSS, SELF, coherence_brackets, rx_nli_psd
 from nli_planner.perf import ase_power, evaluate_all_channels, snr
 from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import (BAND_CENTER_THZ, GeneratorConfig,
@@ -79,9 +79,10 @@ def test_criterion_1_correction_factor_fidelity():
             if cfm4:
                 want *= (1 + a[18] * _mp_pow(cut.roll_off, a[19])
                          + a[20] * _mp_pow(nch.roll_off, a[21]))
-            got = rho_cross(kind, variant.coefficients.a,
-                            phi_of_format(nch.format), cut.roll_off,
-                            nch.roll_off)(float(acc))
+            phi = phi_of_format(nch.format)
+            got = correction_factor(
+                variant.coefficients.a, CROSS,
+                (phi, phi, 1.0, cut.roll_off, nch.roll_off), float(acc))
             worst = max(worst, abs(got - float(want)) / abs(float(want)))
 
             phi_c = mpmath.mpf(phi_of_format(cut.format))
@@ -93,9 +94,10 @@ def test_criterion_1_correction_factor_fidelity():
                        + a[15] * br ** a[17]))
             if cfm4:
                 want *= 1 + a[22] * _mp_pow(cut.roll_off, a[23])
-            got = rho_self(kind, variant.coefficients.a,
-                           phi_of_format(cut.format), cut.symbol_rate,
-                           cut.roll_off)(float(acc))
+            phi = phi_of_format(cut.format)
+            got = correction_factor(
+                variant.coefficients.a, SELF,
+                (phi, phi, cut.symbol_rate, cut.roll_off, 1.0), float(acc))
             worst = max(worst, abs(got - float(want)) / abs(float(want)))
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 1: worst relative error {worst:.3e} (<= 1e-10), "

@@ -71,6 +71,12 @@ def test_error_stats_validation():
             error_stats(samples, width)
     st = error_stats([1e6], 1e-9)
     assert 0.0 < st.bin_edges[1] - st.bin_edges[0] < 2e-9
+    # A NaN or infinite sample is refused by its index, not counted as
+    # infinitely many bins.
+    for samples, index in (([1.0, float("nan")], 1), ([float("inf")], 0),
+                           ([0.5, -float("inf"), 0.2], 1)):
+        with pytest.raises(ValueError, match=f"sample {index} is"):
+            error_stats(samples)
 
 
 def test_campaign_self_benchmark_is_exact():
@@ -702,9 +708,9 @@ def points_made(monkeypatch) -> list[bytes]:
     made = []
 
     class CountingPoint(campaign._Point):
-        def __init__(self, stack, slots, a):
+        def __init__(self, stack, a):
             made.append(a.tobytes())
-            super().__init__(stack, slots, a)
+            super().__init__(stack, a)
 
     monkeypatch.setattr(campaign, "_Point", CountingPoint)
     return made
@@ -782,10 +788,10 @@ def _central_differences(data, a, rel_step=1e-5):
 def test_jacobian_matches_central_differences(criterion_8a_data, kind):
     stacked, _loop = criterion_8a_data[kind]
     stack = stacked._stack()
-    cross_acc = stack.acc[stack.lay == campaign._CROSS]
+    cross_acc = stack.acc[stack.lay == cfm.CROSS]
     # The set has Gaussian interferers (phi = 0, whose powers of phi have
     # no exponent derivative).
-    assert np.any(stack.feat[stack.lay_src == campaign._CROSS, 0] == 0.0)
+    assert np.any(stack.feat[stack.lay_src == cfm.CROSS, 0] == 0.0)
     shipped = np.array(assets.shipped_coefficients(kind).a)
     rng = np.random.default_rng(8703)
     floored = shipped.copy()

@@ -17,16 +17,16 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 import reference_cfm as ref
+import reference_fit as ref_fit
 import sine_integral_coefficients
-from conftest import (SpanConfig, channels_of, link_of,
+from conftest import (SpanConfig, channels_of, correction_factor, link_of,
                       make_single_channel_link, make_system,
                       make_zero_dispersion_link, spans_of, with_powers)
-from nli_planner import assets, campaign, cfm, fileio
-from nli_planner.cfm import (RHO_LAYOUT, LowDispersionWarning,
+from nli_planner import assets, cfm, fileio
+from nli_planner.cfm import (CROSS, FACTOR_SLOTS, SELF, LowDispersionWarning,
                              ZeroDispersionError, coherence_brackets,
                              effective_beta2_xci, nli_terms, propagate,
-                             rho_cross, rho_self, rx_nli_psd,
-                             rx_nli_psd_all_channels, rx_nli_psds,
+                             rx_nli_psd, rx_nli_psd_all_channels, rx_nli_psds,
                              span_integrals)
 from nli_planner.perf import (evaluate_all_channels, link_report, max_reach,
                               snr, snr_report)
@@ -34,7 +34,7 @@ from nli_planner.poweropt import optimize_powers
 from nli_planner.sysgen import GeneratorConfig, generate_system
 from nli_planner.types import (CfmKind, ChannelSpec, FiberParams, LinkSpec,
                                LinkStack, ModelVariant, ModulationFormat,
-                               phi_of_format)
+                               ValidationError, phi_of_format)
 from reference_cfm import (beta2_acc, coherence_bracket, effective_beta2_cut,
                            harmonic_number, i_cut_coherent, i_cut_incoherent,
                            i_xci, propagation_factor, sine_integral)
@@ -296,8 +296,10 @@ def test_correction_factors_vs_mpmath(kind):
 
         a_pkg = variant.coefficients.a
         acc = abs(beta2_acc(link, span_index, nch, cut))
-        got = rho_cross(kind, a_pkg, phi_of_format(nch.format), cut.roll_off,
-                        nch.roll_off)(acc)
+        phi = phi_of_format(nch.format)
+        got = correction_factor(a_pkg, CROSS,
+                                (phi, phi, 1.0, cut.roll_off, nch.roll_off),
+                                acc)
         want = _mp_rho_xci(a, mpmath.mpf(repr(
             float(np.float64(assets.phi_table()[nch.format])))),
             mpmath.mpf(repr(acc)), mpmath.mpf(repr(cut.roll_off)),
@@ -305,8 +307,10 @@ def test_correction_factors_vs_mpmath(kind):
         assert got == pytest.approx(float(want), rel=1e-10)
 
         acc = abs(beta2_acc(link, span_index, cut))
-        got = rho_self(kind, a_pkg, phi_of_format(cut.format),
-                       cut.symbol_rate, cut.roll_off)(acc)
+        phi = phi_of_format(cut.format)
+        got = correction_factor(a_pkg, SELF,
+                                (phi, phi, cut.symbol_rate, cut.roll_off, 1.0),
+                                acc)
         want = _mp_rho_sci(a, mpmath.mpf(repr(
             float(np.float64(assets.phi_table()[cut.format])))),
             mpmath.mpf(repr(acc)), mpmath.mpf(repr(cut.symbol_rate)),
@@ -316,22 +320,36 @@ def test_correction_factors_vs_mpmath(kind):
 
 @pytest.mark.parametrize("kind", [CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4])
 def test_layout_assigns_each_coefficient_once(kind):
-    # The one coefficient table that both correction factors and the fit's
-    # partial derivatives read: each coefficient of the variant belongs to
-    # exactly one factor and one slot of it, and the fit's slots, whose
-    # partials the Jacobian takes, cover those.
-    cfm4 = kind is CfmKind.CFM4
-    fit_slots = campaign._slot_table(kind)
-    used = []
-    for name, read in zip(("cross", "self"), fit_slots):
-        layout = RHO_LAYOUT[name]
-        slots = [*range(layout.first, layout.first + 5), *(layout.rate or ()),
-                 *layout.bracket,
-                 *(k for c, e, _ in layout.rolls if cfm4 for k in (c, e))]
-        assert sorted(k for k in read if k < kind.n_coefficients) == sorted(
-            slots)
-        used += slots
-    assert sorted(used) == list(range(kind.n_coefficients))
+    # The one [layout, slot] table that the kernel, the fit and the
+    # identity table read: each coefficient of the variant sits in exactly
+    # one slot of one layout, and every other slot reads 0.  The cross
+    # factor has no rate and the self factor no interferer roll-off; only
+    # CFM4 has roll-off coefficients.
+    assert FACTOR_SLOTS.shape == (2, 14)
+    n = kind.n_coefficients
+    used = FACTOR_SLOTS[FACTOR_SLOTS < n]
+    assert sorted(used) == list(range(n))
+    absent = FACTOR_SLOTS >= n
+    assert absent[CROSS, [2, 7]].all() and absent[SELF, [4, 9]].all()
+    assert absent[:, [3, 4, 8, 9]].all() == (kind is not CfmKind.CFM4)
+    a = np.arange(1.0, n + 1.0)
+    c = cfm.factor_coefficients(a)
+    np.testing.assert_array_equal(c, np.where(absent, 0.0,
+                                              FACTOR_SLOTS + 1.0))
+
+
+def test_identity_coefficients_are_pinned():
+    # Derived from the layout; the tables the unit-factor reduction was
+    # first checked with.
+    one, zero = 1.0, 0.0
+    cfm2 = (one, zero, one, zero, one, zero, one, one, one, zero, one, zero,
+            one, zero, one, zero, one, one)
+    assert assets.identity_coefficients(CfmKind.CFM2).a == cfm2
+    assert assets.identity_coefficients(CfmKind.CFM3).a == cfm2
+    assert assets.identity_coefficients(CfmKind.CFM4).a == cfm2 + (
+        zero, one, zero, one, zero, one)
+    with pytest.raises(ValidationError):
+        assets.identity_coefficients(CfmKind.CFM1)
 
 
 def test_identity_coefficients_give_unit_factors():
@@ -340,12 +358,46 @@ def test_identity_coefficients_give_unit_factors():
     nch = channels_of(link)[0 if link.cut_index != 0 else 1]
     acc_x = abs(beta2_acc(link, 2, nch, cut))
     acc_c = abs(beta2_acc(link, 2, cut))
+    phi_x, phi_c = phi_of_format(nch.format), phi_of_format(cut.format)
     for kind in (CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4):
         a = assets.identity_coefficients(kind).a
-        assert rho_cross(kind, a, phi_of_format(nch.format), cut.roll_off,
-                         nch.roll_off)(acc_x) == 1.0
-        assert rho_self(kind, a, phi_of_format(cut.format), cut.symbol_rate,
-                        cut.roll_off)(acc_c) == 1.0
+        assert correction_factor(
+            a, CROSS, (phi_x, phi_x, 1.0, cut.roll_off, nch.roll_off),
+            acc_x) == 1.0
+        assert correction_factor(
+            a, SELF, (phi_c, phi_c, cut.symbol_rate, cut.roll_off, 1.0),
+            acc_c) == 1.0
+
+
+@pytest.mark.parametrize("kind", [CfmKind.CFM2, CfmKind.CFM3, CfmKind.CFM4])
+def test_factored_factors_match_the_closure_form(paper_link, kind):
+    # The kernel's k0 + k1 br^p against the closure form of the fit
+    # reference, offset + scale (inner + b br^p), on the all-row
+    # |accumulated dispersion| of the seed-8900 link, [span, row, channel].
+    # Half the interferers are made Gaussian (Phi = 0), and the bracket
+    # offsets moved so that some brackets are floored.
+    stack = paper_link.stack
+    s = span_integrals(paper_link)
+    acc = s.abs_acc()
+    n_ch = acc.shape[-1]
+    phi = stack.phi[0].copy()
+    phi[::2] = 0.0
+    rate, roll = stack.rate[0], stack.roll[0]
+    a = list(assets.shipped_coefficients(kind).a)
+    a[6] = a[16] = -np.median(acc)
+    floored = acc + a[6] <= 1e-12
+    assert 0 < floored.sum() < floored.size
+    c = cfm.factor_coefficients(a)
+    k = cfm.source_factors(c[CROSS], (phi, phi, 1.0, roll[:, None], roll))
+    got = cfm.correction_factors(c[CROSS], k.k0, k.k1, acc.copy())
+    want = ref_fit.rho_cross(kind, a, phi, roll[:, None], roll)(acc)
+    assert got.shape == want.shape == (paper_link.n_spans, n_ch, n_ch)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    own = acc[:, np.arange(n_ch), np.arange(n_ch)]
+    k = cfm.source_factors(c[SELF], (phi, phi, rate, roll, 1.0))
+    got = cfm.correction_factors(c[SELF], k.k0, k.k1, own.copy())
+    want = ref_fit.rho_self(kind, a, phi, rate, roll)(own)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_identity_cfm2_equals_cfm1(paper_link):

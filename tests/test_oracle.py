@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -487,6 +488,17 @@ def test_span_psds_skip_the_levels_when_every_pair_is_pruned(monkeypatch):
     psds, stats = gn_span_psds(link, 0.0)
     assert psds.tolist() == [0.0] * 3
     assert stats == (QuadratureStats(0, 0.0, 0, n_ch * (n_ch + 1) // 2),) * 3
+
+
+def test_span_psds_far_above_the_comb_build_no_grid():
+    # At 1e200 THz every pair is pruned; the ridge width of a grid there
+    # would overflow, so none is built and no warning is raised.
+    link = make_system(4150, category=1, band_width=1.0, n_spans=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psds, stats = gn_span_psds(link, 1e200)
+    assert psds.tolist() == [0.0] * 3
+    assert [s.pairs_kept for s in stats] == [0] * 3
 
 
 @pytest.mark.parametrize("f_eval", [math.nan, math.inf, -math.inf])

@@ -33,6 +33,17 @@ def test_config_validation():
         GeneratorConfig(cut_position="edge")
     with pytest.raises(ValueError):
         GeneratorConfig(nf_mode="bogus")
+    # A separation other than the two named ones, a typo included, is
+    # refused rather than read as "center_spacing".
+    for separation in ("Gap", "center-spacing", ""):
+        with pytest.raises(ValueError, match="dense_separation"):
+            GeneratorConfig(dense_separation=separation)
+    for fraction in (float("nan"), -1.0, 2.0):
+        with pytest.raises(ValueError, match="ultra_dense_fraction"):
+            GeneratorConfig(ultra_dense_fraction=fraction)
+    GeneratorConfig(ultra_dense_fraction=0.0,
+                    dense_separation="center_spacing")
+    GeneratorConfig(ultra_dense_fraction=1.0)
     with pytest.raises(ValueError):
         GeneratorConfig(n_spans=0)
     # A bool or a non-integer is refused by name, even one equal to a valid
